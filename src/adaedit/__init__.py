@@ -2,15 +2,12 @@
 flow-based editing, exercised at desk scale with seeded toy models."""
 
 from .errors import CacheMissError, ConfigError, DivergenceError
-from .latent import (EPS_STD, ChannelStats, Latent, SeededRng, channel_mean_over,
-                     channel_stats, latent_from_csv, latent_to_csv,
-                     sample_gaussian)
+from .latent import EPS_STD, Latent, SeededRng, channel_mean_over, sample_gaussian
 from .models import (AnalyticLinearFlow, AttentionRecord, Conditioning,
                      EditMask, InjectionHooks, KVCache, ToyAttentionFlow,
                      extract_mask, kv_mix)
-from .perturbation import (ChannelWeights, PerturbationConfig, adain,
-                           channel_gap, channel_gap_global, channel_weights,
-                           latents_shift_channel_selective,
+from .perturbation import (ChannelWeights, PerturbationConfig, channel_gap,
+                           channel_weights, latents_shift_channel_selective,
                            latents_shift_uniform)
 from .pipeline import (EditConfig, EditResult, build_model, build_schedule,
                        config_hash, generate_source_latent, run_ablation_grid,
@@ -18,27 +15,22 @@ from .pipeline import (EditConfig, EditResult, build_model, build_schedule,
 from .schedules import (InjectionSchedule, LayerRatioProfile, effective_ratio,
                         is_active, layer_multiplier, max_step_delta,
                         schedule_weight)
-from .solvers import (TimeGrid, Trajectory, integrate_backward,
-                      integrate_forward, step_index_map)
-from .diagnostics import (MetricReport, psnr, ssim, trajectory_deviation,
-                          velocity_jump, velocity_jump_between)
+from .solvers import TimeGrid, Trajectory, integrate_backward, integrate_forward
+from .diagnostics import psnr, ssim, velocity_jump, velocity_jump_between
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalyticLinearFlow", "AttentionRecord", "CacheMissError", "ChannelStats",
-    "ChannelWeights", "Conditioning", "ConfigError", "DivergenceError",
-    "EditConfig", "EditMask", "EditResult", "EPS_STD", "InjectionHooks",
-    "InjectionSchedule", "KVCache", "Latent", "LayerRatioProfile",
-    "MetricReport", "PerturbationConfig", "SeededRng", "TimeGrid",
-    "ToyAttentionFlow", "Trajectory", "adain", "build_model", "build_schedule",
-    "channel_gap", "channel_gap_global", "channel_mean_over", "channel_stats",
-    "channel_weights", "config_hash", "effective_ratio", "extract_mask",
-    "generate_source_latent", "integrate_backward", "integrate_forward",
-    "is_active", "kv_mix", "latent_from_csv", "latent_to_csv",
+    "AnalyticLinearFlow", "AttentionRecord", "CacheMissError", "ChannelWeights",
+    "Conditioning", "ConfigError", "DivergenceError", "EditConfig", "EditMask",
+    "EditResult", "EPS_STD", "InjectionHooks", "InjectionSchedule", "KVCache",
+    "Latent", "LayerRatioProfile", "PerturbationConfig", "SeededRng", "TimeGrid",
+    "ToyAttentionFlow", "Trajectory", "build_model", "build_schedule",
+    "channel_gap", "channel_mean_over", "channel_weights", "config_hash",
+    "effective_ratio", "extract_mask", "generate_source_latent",
+    "integrate_backward", "integrate_forward", "is_active", "kv_mix",
     "latents_shift_channel_selective", "latents_shift_uniform",
     "layer_multiplier", "max_step_delta", "psnr", "run_ablation_grid",
     "run_edit", "run_reconstruction", "sample_gaussian", "schedule_weight",
-    "ssim", "step_index_map", "trajectory_deviation", "velocity_jump",
-    "velocity_jump_between",
+    "ssim", "velocity_jump", "velocity_jump_between",
 ]

@@ -5,9 +5,9 @@ All commands are deterministic byte-for-byte given the config (the manifest
 timestamp is the one exception). Exit codes: 0 success, 2 config error,
 3 runtime divergence, 4 acceptance-check failure.
 
-Configs are JSON documents mirroring EditConfig field names; single scalar
-fields can be overridden with --set key=value, and the ADAEDIT_SEED
-environment variable overrides the seed last.
+Configs are JSON documents mirroring EditConfig field names; single fields
+can be overridden with --set key=value, and the ADAEDIT_SEED environment
+variable overrides the seed last. Every bad value is a config error.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ import argparse
 import json
 import os
 import sys
-import typing
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
@@ -25,14 +24,16 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
+from .diagnostics import psnr, ssim
 from .errors import ConfigError, DivergenceError
 from .models import AnalyticLinearFlow
 from .latent import Latent
 from .perturbation import PerturbationConfig, channel_report_rows
-from .pipeline import (RESULT_COLUMNS, EditConfig, config_hash,
-                       generate_source_latent, run_ablation_grid, run_edit,
-                       run_reconstruction, summarize_result)
-from .schedules import InjectionSchedule, schedule_to_csv
+from .pipeline import (RESULT_COLUMNS, EditConfig, build_schedule,
+                       config_columns, config_hash, edit_grid, extra_columns,
+                       generate_source_latent, parse_field, run_ablation_grid,
+                       run_edit, run_reconstruction, summarize_result)
+from .schedules import schedule_to_csv
 from .solvers import SOLVER_KINDS, TimeGrid, integrate_forward
 
 EXIT_OK = 0
@@ -80,44 +81,11 @@ def write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> No
     path.write_text("\n".join(lines) + "\n")
 
 
-def _set_parsers():
-    hints = typing.get_type_hints(EditConfig)
-    parsers = {}
-    for f in fields(EditConfig):
-        hint = hints[f.name]
-        origin = typing.get_origin(hint)
-        args = typing.get_args(hint)
-        if origin is typing.Union and type(None) in args:
-            inner = [a for a in args if a is not type(None)][0]
-        else:
-            inner = hint
-        parsers[f.name] = (inner, origin is typing.Union and type(None) in args)
-    return parsers
-
-
-_SET_PARSERS = _set_parsers()
-
-
-def parse_set_value(name: str, raw: str):
-    if name not in _SET_PARSERS:
-        raise ConfigError(name, "unknown config field")
-    inner, optional = _SET_PARSERS[name]
-    if optional and raw.lower() in ("none", "null"):
-        return None
-    if inner is int:
-        return int(raw)
-    if inner is float:
-        return float(raw)
-    if inner is bool:
-        if raw.lower() in ("1", "true", "yes"):
-            return True
-        if raw.lower() in ("0", "false", "no"):
-            return False
-        raise ConfigError(name, f"expected a boolean, got '{raw}'")
-    if inner is str:
-        return raw
-    # remaining fields are token-id tuples
-    return tuple(int(tok) for tok in raw.split(",") if tok)
+def _split_assignment(item: str, option: str) -> Tuple[str, str]:
+    if "=" not in item:
+        raise ConfigError(option, f"expected key=value, got '{item}'")
+    key, raw = item.split("=", 1)
+    return key, raw
 
 
 def load_config(config_path: Optional[str], sets: Sequence[str],
@@ -134,10 +102,8 @@ def load_config(config_path: Optional[str], sets: Sequence[str],
             raise ConfigError("config", "top-level JSON value must be an object")
     cfg = EditConfig.from_dict(data)
     for item in sets:
-        if "=" not in item:
-            raise ConfigError("set", f"expected key=value, got '{item}'")
-        key, raw = item.split("=", 1)
-        cfg = replace(cfg, **{key: parse_set_value(key, raw)})
+        key, raw = _split_assignment(item, "set")
+        cfg = replace(cfg, **{key: parse_field(key, raw)})
     seed_env = env.get("ADAEDIT_SEED")
     if seed_env is not None:
         try:
@@ -146,6 +112,15 @@ def load_config(config_path: Optional[str], sets: Sequence[str],
             raise ConfigError("seed", f"ADAEDIT_SEED must be an integer, got '{seed_env}'")
     cfg.validate()
     return cfg
+
+
+def _setup(config_path: Optional[str], sets: Sequence[str],
+           out_dir: str) -> Tuple[EditConfig, Path, Latent]:
+    """Validated config, created output directory and seeded source latent."""
+    cfg = load_config(config_path, sets)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return cfg, out, generate_source_latent(cfg)
 
 
 def write_manifest(out_dir: Path, command: str, config_path: Optional[str],
@@ -159,20 +134,12 @@ def write_manifest(out_dir: Path, command: str, config_path: Optional[str],
         version=__version__,
         outputs=sorted(outputs),
     )
-    payload = {
-        "command": manifest.command,
-        "config_path": manifest.config_path,
-        "out_dir": manifest.out_dir,
-        "config_hash": manifest.config_hash,
-        "timestamp": manifest.timestamp,
-        "version": manifest.version,
-        "outputs": manifest.outputs,
-    }
-    (out_dir / "manifest.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    (out_dir / "manifest.json").write_text(
+        json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n")
 
 
 def _result_row(summary: dict, extras: Sequence[str] = ()) -> list:
-    row = [summary[col] for col in RESULT_COLUMNS]
+    row = [summary.get(col, "") for col in RESULT_COLUMNS]
     row.extend(summary.get(name, "") for name in extras)
     row.extend("" for _ in RESERVED_COLUMNS)
     return row
@@ -194,20 +161,19 @@ def _write_channels_csv(path: Path, result, cfg: EditConfig) -> None:
     write_csv(path, ["channel", "d_c", "alpha_c", "blend_weight"], rows)
 
 
+def _prompts(cfg: EditConfig):
+    return cfg.source_conditioning(), cfg.target_conditioning()
+
+
 def cmd_edit(config_path: Optional[str], out_dir: str, sets: Sequence[str] = ()) -> int:
-    cfg = load_config(config_path, sets)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    source = generate_source_latent(cfg)
-    result = run_edit(source, cfg.source_conditioning(), cfg.target_conditioning(), cfg)
+    cfg, out, source = _setup(config_path, sets, out_dir)
+    result = run_edit(source, *_prompts(cfg), cfg)
 
     summary = summarize_result("000", cfg, result)
     write_csv(out / "result.csv", _result_header(), [_result_row(summary)])
     _write_mask_csv(out / "mask.csv", result.mask)
     _write_channels_csv(out / "channels.csv", result, cfg)
-    schedule_to_csv(InjectionSchedule(
-        cfg.schedule, cfg.total_steps, cfg.injection_steps, cfg.sharpness,
-        cfg.sigmoid_midpoint, cfg.activity_threshold), out / "schedule.csv")
+    schedule_to_csv(build_schedule(cfg), out / "schedule.csv")
     write_manifest(out, "edit", config_path, config_hash(cfg),
                    ["result.csv", "mask.csv", "channels.csv", "schedule.csv"])
     return EXIT_OK
@@ -215,22 +181,12 @@ def cmd_edit(config_path: Optional[str], out_dir: str, sets: Sequence[str] = ())
 
 def cmd_reconstruct(config_path: Optional[str], out_dir: str,
                     sets: Sequence[str] = ()) -> int:
-    cfg = load_config(config_path, sets)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    source = generate_source_latent(cfg)
+    cfg, out, source = _setup(config_path, sets, out_dir)
     recon = run_reconstruction(source, cfg.source_conditioning(), cfg)
 
-    from .diagnostics import psnr, ssim
     peak = float(np.ptp(source.data)) or 1.0
-    summary = {
-        "run_id": "000", "schedule": cfg.schedule, "T": cfg.total_steps,
-        "T_inj": cfg.injection_steps, "delta_base": cfg.delta_base,
-        "alpha": cfg.alpha, "tau": cfg.tau, "solver": cfg.solver,
-        "psnr": psnr(source, recon, peak=peak), "ssim": ssim(source, recon, peak=peak),
-        "max_step_delta": "", "velocity_jump": "",
-        "evals": "",
-    }
+    summary = config_columns("000", cfg)
+    summary.update(psnr=psnr(source, recon, peak=peak), ssim=ssim(source, recon, peak=peak))
     write_csv(out / "result.csv", _result_header(), [_result_row(summary)])
     write_manifest(out, "reconstruct", config_path, config_hash(cfg), ["result.csv"])
     return EXIT_OK
@@ -238,23 +194,13 @@ def cmd_reconstruct(config_path: Optional[str], out_dir: str,
 
 def cmd_sweep_schedule(config_path: Optional[str], out_dir: str,
                        sets: Sequence[str] = ()) -> int:
-    base = load_config(config_path, sets)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    source = generate_source_latent(base)
-    rows = []
+    base, out, source = _setup(config_path, sets, out_dir)
+    rows = run_ablation_grid(source, _prompts(base), base, {"schedule": SWEEP_FAMILIES})
     curve_rows = []
-    for index, family in enumerate(SWEEP_FAMILIES):
-        cfg = replace(base, schedule=family)
-        cfg.validate()
-        result = run_edit(source, cfg.source_conditioning(), cfg.target_conditioning(), cfg)
-        rows.append(_result_row(summarize_result(f"{index:03d}", cfg, result)))
-        schedule = InjectionSchedule(
-            family, cfg.total_steps, cfg.injection_steps, cfg.sharpness,
-            cfg.sigmoid_midpoint, cfg.activity_threshold)
-        curve_rows.extend(
-            (step, family, schedule.weights[step]) for step in range(cfg.total_steps))
-    write_csv(out / "sweep.csv", _result_header(), rows)
+    for family in SWEEP_FAMILIES:
+        weights = build_schedule(replace(base, schedule=family)).weights
+        curve_rows.extend((step, family, weight) for step, weight in enumerate(weights))
+    write_csv(out / "sweep.csv", _result_header(), [_result_row(row) for row in rows])
     write_csv(out / "schedule_curves.csv", ["step", "family", "weight"], curve_rows)
     write_manifest(out, "sweep-schedule", config_path, config_hash(base),
                    ["sweep.csv", "schedule_curves.csv"])
@@ -263,24 +209,14 @@ def cmd_sweep_schedule(config_path: Optional[str], out_dir: str,
 
 def cmd_sweep_temperature(config_path: Optional[str], out_dir: str,
                           taus: Sequence[float], sets: Sequence[str] = ()) -> int:
-    base = load_config(config_path, sets)
-    if not taus:
-        raise ConfigError("taus", "temperature list must not be empty")
-    for tau in taus:
-        if not tau > 0.0:
-            raise ConfigError("tau", f"must be positive, got {tau}")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    source = generate_source_latent(base)
+    base, out, source = _setup(config_path, sets, out_dir)
     header = (["run_id", "tau", "alpha_var"]
               + [f"alpha_{c}" for c in range(base.channels)])
     rows = []
-    for index, tau in enumerate(taus):
-        cfg = replace(base, tau=float(tau))
-        cfg.validate()
-        result = run_edit(source, cfg.source_conditioning(), cfg.target_conditioning(), cfg)
+    for index, (_, cfg, result) in enumerate(
+            edit_grid(source, _prompts(base), base, {"tau": taus})):
         alpha = result.channel_weights.alpha
-        rows.append([f"{index:03d}", float(tau), float(alpha.var())] + list(alpha))
+        rows.append([f"{index:03d}", float(cfg.tau), float(alpha.var())] + list(alpha))
     write_csv(out / "temperature.csv", header, rows)
     write_manifest(out, "sweep-temperature", config_path, config_hash(base),
                    ["temperature.csv"])
@@ -322,30 +258,16 @@ def cmd_solver_order(out_dir: str) -> int:
 
 
 def _parse_axis(spec: str) -> Tuple[str, list]:
-    if "=" not in spec:
-        raise ConfigError("axis", f"expected key=v1,v2,..., got '{spec}'")
-    key, raw = spec.split("=", 1)
-    values = [parse_set_value(key, item) for item in raw.split(",") if item]
-    if not values:
-        raise ConfigError(key, "axis has no values")
-    return key, values
+    key, raw = _split_assignment(spec, "axis")
+    return key, [parse_field(key, item) for item in raw.split(",") if item]
 
 
 def cmd_ablate(config_path: Optional[str], out_dir: str, axis_specs: Sequence[str],
                sets: Sequence[str] = ()) -> int:
-    base = load_config(config_path, sets)
-    axes = {}
-    for spec in axis_specs:
-        key, values = _parse_axis(spec)
-        axes[key] = values
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    source = generate_source_latent(base)
-    rows = run_ablation_grid(
-        source, (base.source_conditioning(), base.target_conditioning()), base, axes)
-    extras = [name for name in axes
-              if name not in ("schedule", "total_steps", "injection_steps",
-                              "delta_base", "alpha", "tau", "solver")]
+    axes = dict(_parse_axis(spec) for spec in axis_specs)
+    base, out, source = _setup(config_path, sets, out_dir)
+    rows = run_ablation_grid(source, _prompts(base), base, axes)
+    extras = extra_columns(axes)
     write_csv(out / "ablation.csv", _result_header(extras),
               [_result_row(row, extras) for row in rows])
     write_manifest(out, "ablate", config_path, config_hash(base), ["ablation.csv"])
@@ -362,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
         if config:
             p.add_argument("--config", default=None, help="JSON config path")
             p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                           help="override a scalar config field")
+                           help="override one config field")
         p.add_argument("--out", required=True, help="output directory")
 
     common(sub.add_parser("edit", help="run one edit"))
@@ -391,10 +313,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "sweep-schedule":
             return cmd_sweep_schedule(args.config, args.out, args.set)
         if args.command == "sweep-temperature":
-            try:
-                taus = [float(item) for item in args.taus.split(",") if item]
-            except ValueError:
-                raise ConfigError("taus", f"expected comma-separated floats, got '{args.taus}'")
+            taus = [parse_field("tau", item) for item in args.taus.split(",") if item]
             return cmd_sweep_temperature(args.config, args.out, taus, args.set)
         if args.command == "solver-order":
             return cmd_solver_order(args.out)

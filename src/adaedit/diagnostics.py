@@ -1,4 +1,4 @@
-"""Quantitative diagnostics: velocity jump, trajectory deviation, PSNR, SSIM.
+"""Quantitative diagnostics: velocity jump, PSNR, SSIM.
 
 Latents are not pixel images, so PSNR peaks default to the value range of the
 reference latent and SSIM treats the token axis as a g x g grid (a structural
@@ -9,8 +9,7 @@ their CSV columns are emitted empty downstream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy import ndimage
@@ -21,15 +20,6 @@ from .models import Conditioning, EditMask, InjectionHooks, KVCache
 SSIM_K1 = 0.01
 SSIM_K2 = 0.03
 SSIM_SIGMA = 1.5
-
-
-@dataclass(frozen=True)
-class MetricReport:
-    """Named metric values plus run provenance."""
-
-    metrics: Dict[str, float]
-    run_id: str = ""
-    config_hash: str = ""
 
 
 def _check_same_shape(a: Latent, b: Latent) -> None:
@@ -158,24 +148,3 @@ def velocity_jump(field, z: Latent, t: float, cond: Conditioning, cache: KVCache
     ratios = tuple(delta for _ in range(field.layer_count))
     return velocity_jump_between(field, z, t, cond, cache, step, ratios, None,
                                  mask=mask, global_mix=global_mix)
-
-
-def trajectory_deviation(tr_a, tr_b) -> float:
-    """Max over steps of the L2 distance between corresponding states."""
-    if len(tr_a.states) != len(tr_b.states):
-        raise ValueError(
-            f"trajectory length mismatch: {len(tr_a.states)} vs {len(tr_b.states)}")
-    return max(
-        float(np.linalg.norm(sa.data - sb.data))
-        for sa, sb in zip(tr_a.states, tr_b.states))
-
-
-def per_step_distance(tr_a, tr_b) -> np.ndarray:
-    """L2 distance between corresponding states at every step."""
-    if len(tr_a.states) != len(tr_b.states):
-        raise ValueError(
-            f"trajectory length mismatch: {len(tr_a.states)} vs {len(tr_b.states)}")
-    return np.array([
-        float(np.linalg.norm(sa.data - sb.data))
-        for sa, sb in zip(tr_a.states, tr_b.states)
-    ])

@@ -9,9 +9,8 @@ never divide by zero.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -23,8 +22,6 @@ EPS_STD = 1e-8
 STREAM_NOISE = 0
 STREAM_MODEL = 1
 STREAM_SOURCE = 2
-
-_FLOAT_FMT = "{:.17g}"
 
 
 class SeededRng:
@@ -91,14 +88,6 @@ class Latent:
         return self.data.shape
 
 
-@dataclass(frozen=True)
-class ChannelStats:
-    """Per-channel mean and population standard deviation, both length C."""
-
-    mean: np.ndarray
-    std: np.ndarray
-
-
 def sample_gaussian(rng: SeededRng, b: int, l: int, c: int) -> Latent:
     """Draw an i.i.d. standard-normal latent from the seeded stream."""
     for name, dim in (("b", b), ("l", l), ("c", c)):
@@ -128,46 +117,6 @@ def select_tokens(z: Latent, tokens: Iterable[int]) -> np.ndarray:
     return np.ascontiguousarray(z.data[:, idx, :])
 
 
-def channel_stats(z: Latent, tokens: Optional[Iterable[int]] = None) -> ChannelStats:
-    """Mean/std per channel over batch x selected tokens (all tokens if None)."""
-    sel = z.data if tokens is None else select_tokens(z, tokens)
-    return ChannelStats(mean=sel.mean(axis=(0, 1)), std=sel.std(axis=(0, 1)))
-
-
 def channel_mean_over(z: Latent, tokens: Iterable[int]) -> np.ndarray:
     """Per-channel arithmetic mean over batch x token subset; length C."""
     return select_tokens(z, tokens).mean(axis=(0, 1))
-
-
-def latent_to_csv(z: Latent, path) -> None:
-    """Dump in row-major (b, l, c) order with 17 significant digits."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["b", "l", "c", "value"])
-        for bi in range(z.b):
-            for li in range(z.l):
-                for ci in range(z.c):
-                    writer.writerow([bi, li, ci, _FLOAT_FMT.format(z.data[bi, li, ci])])
-
-
-def latent_from_csv(path) -> Latent:
-    """Inverse of latent_to_csv; validates the index layout."""
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["b", "l", "c", "value"]:
-            raise ValueError(f"unexpected latent CSV header: {header}")
-        for row in reader:
-            rows.append((int(row[0]), int(row[1]), int(row[2]), float(row[3])))
-    if not rows:
-        raise ValueError("latent CSV contains no data rows")
-    b = max(r[0] for r in rows) + 1
-    l = max(r[1] for r in rows) + 1
-    c = max(r[2] for r in rows) + 1
-    if len(rows) != b * l * c:
-        raise ValueError(f"latent CSV has {len(rows)} rows, expected {b * l * c}")
-    arr = np.empty((b, l, c), dtype=np.float64)
-    for bi, li, ci, value in rows:
-        arr[bi, li, ci] = value
-    return Latent(arr)

@@ -272,9 +272,8 @@ class ToyAttentionFlow:
         b, h, n, dh = x.shape
         return x.transpose(0, 2, 1, 3).reshape(b, n, h * dh)
 
-    def _forward(self, z: Latent, t: float, cond: Conditioning,
-                 hooks: Optional[InjectionHooks],
-                 collect_attn: bool) -> Tuple[np.ndarray, list]:
+    def evaluate(self, z: Latent, t: float, cond: Conditioning,
+                 hooks: Optional[InjectionHooks] = None) -> Latent:
         if z.l != self.img_tokens or z.c != self.channels:
             raise ValueError(
                 f"latent shape {z.shape} incompatible with model "
@@ -295,7 +294,6 @@ class ToyAttentionFlow:
         tf = np.broadcast_to(self._time_features(t), h.shape[:2] + (2 * self.time_freqs,))
         h = np.concatenate([h, tf], axis=-1) @ self.w_time
 
-        maps = []
         scale = 1.0 / math.sqrt(self.embed_dim // self.heads)
         for layer_idx, layer in enumerate(self.layers):
             q = h @ layer["wq"]
@@ -320,25 +318,9 @@ class ToyAttentionFlow:
                 hooks.attn_sink.put(
                     hooks.step, layer_idx,
                     attn[:, :, :self.text_tokens, self.text_tokens:])
-            if collect_attn:
-                maps.append(attn)
             h = h + self._merge_heads(attn @ vh) @ layer["wo"]
 
-        return h[:, self.text_tokens:, :] @ self.w_out, maps
-
-    def evaluate(self, z: Latent, t: float, cond: Conditioning,
-                 hooks: Optional[InjectionHooks] = None) -> Latent:
-        vel, _ = self._forward(z, t, cond, hooks, collect_attn=False)
-        return Latent(vel)
-
-    def attention_maps(self, z: Latent, t: float, cond: Conditioning,
-                       hooks: Optional[InjectionHooks] = None) -> np.ndarray:
-        """Per-layer softmax maps for one evaluation (diagnostics only).
-
-        Returns (layers, B, heads, L_total, L_total); rows sum to 1.
-        """
-        _, maps = self._forward(z, t, cond, hooks, collect_attn=True)
-        return np.stack(maps, axis=0)
+        return Latent(h[:, self.text_tokens:, :] @ self.w_out)
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:

@@ -64,19 +64,6 @@ class PerturbationConfig:
             raise ValueError(f"mode must be one of {PERTURBATION_MODES}, got '{self.mode}'")
 
 
-def adain(x: np.ndarray, y: np.ndarray, eps: float = EPS_STD) -> np.ndarray:
-    """Re-standardize x to y's mean/std: sigma_y * (x - mu_x) / (sigma_x + eps) + mu_y.
-
-    Statistics pool over the whole slice (population std). Constant x maps to
-    mu_y thanks to the eps guard.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
-    return y.std() * (x - x.mean()) / (x.std() + eps) + y.mean()
-
-
 def _adain_per_channel(x: np.ndarray, y: np.ndarray, eps: float = EPS_STD) -> np.ndarray:
     # x, y: (B, S, C); stats pooled over batch x tokens, per channel
     mx = x.mean(axis=(0, 1))
@@ -95,11 +82,6 @@ def channel_gap(z_inv: Latent, z_rand: Latent, tokens: Iterable[int]) -> np.ndar
     """Absolute per-channel gap of means over the edit tokens; length C."""
     _check_pair(z_inv, z_rand)
     return np.abs(channel_mean_over(z_inv, tokens) - channel_mean_over(z_rand, tokens))
-
-
-def channel_gap_global(z_inv: Latent, z_rand: Latent) -> np.ndarray:
-    """Diagnostic variant of channel_gap computed over every token."""
-    return channel_gap(z_inv, z_rand, range(z_inv.l))
 
 
 def channel_weights(d: np.ndarray, tau: float) -> ChannelWeights:

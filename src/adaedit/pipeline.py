@@ -13,8 +13,8 @@ import itertools
 import json
 import logging
 import math
-from dataclasses import dataclass, fields, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, fields, replace
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .schedules import (SCHEDULE_FAMILIES, InjectionSchedule,
                         LayerRatioProfile, effective_ratio, is_active,
                         layer_ratios, max_step_delta)
 from .solvers import (SOLVER_KINDS, TimeGrid, integrate_backward,
-                      integrate_forward, step_index_map)
+                      integrate_forward)
 
 logger = logging.getLogger("adaedit.pipeline")
 
@@ -43,42 +43,156 @@ RESULT_COLUMNS = (
 
 MASK_KEYWORD_SOURCES = ("source", "target")
 
+# The upper bounds on total_steps and the model dimensions stop one runaway
+# value (total_steps=100000000 runs past 20 s holding every state) before
+# any work starts. They admit the stability envelope img_tokens=1024,
+# embed_dim=256, layer_count=8, heads=4, channels=16, total_steps=28.
+MAX_STEPS = 1000
+# At subnormal temperatures d / tau overflows and the channel weights turn
+# NaN. At this floor, gaps 1e-4 apart already get weights exp(-100) apart.
+MIN_TAU = 1e-6
+
+_BOOL_TEXT = {"1": True, "true": True, "yes": True,
+              "0": False, "false": False, "no": False}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _integral(value):
+    """JSON numbers such as 5.0 stand for the integer 5."""
+    return int(value) if isinstance(value, float) and value.is_integer() else value
+
+
+@dataclass(frozen=True)
+class Spec:
+    """Type and allowed values of one EditConfig field.
+
+    kind is int, float, bool, str (one of choices) or tuple (a list of integer
+    token ids). Numbers lie between lo and hi, open at an end whose flag is
+    set; floats must be finite. optional admits None. column names the
+    result.csv column that echoes the field, if any.
+    """
+
+    kind: type
+    lo: Optional[float] = None
+    hi: Optional[float] = None
+    lo_open: bool = False
+    hi_open: bool = False
+    choices: Tuple[str, ...] = ()
+    optional: bool = False
+    column: Optional[str] = None
+
+    def describe(self) -> str:
+        if self.kind is bool:
+            text = "true or false"
+        elif self.kind is str:
+            text = "one of " + ", ".join(self.choices)
+        elif self.kind is tuple:
+            text = "a list of integers"
+        else:
+            left = "(" if self.lo_open else "["
+            right = ")" if self.hi_open or self.hi is None else "]"
+            hi = "inf" if self.hi is None else self.hi
+            noun = "an integer" if self.kind is int else "a finite number"
+            text = f"{noun} in {left}{self.lo}, {hi}{right}"
+        return text + " or null" if self.optional else text
+
+    def accepts(self, value) -> bool:
+        if value is None:
+            return self.optional
+        if self.kind is bool:
+            return isinstance(value, bool)
+        if self.kind is str:
+            return isinstance(value, str) and value in self.choices
+        if self.kind is tuple:
+            return isinstance(value, (tuple, list)) and all(_is_int(v) for v in value)
+        if self.kind is int:
+            if not _is_int(value):
+                return False
+        elif (not isinstance(value, (int, float)) or isinstance(value, bool)
+              or not math.isfinite(value)):
+            return False
+        above = value > self.lo if self.lo_open else value >= self.lo
+        below = self.hi is None or (value < self.hi if self.hi_open else value <= self.hi)
+        return above and below
+
+    def check(self, name: str, value):
+        if not self.accepts(value):
+            raise ConfigError(name, f"must be {self.describe()}, got {value!r}")
+        return value
+
+    def from_json(self, name: str, value):
+        if self.kind is int:
+            value = _integral(value)
+        elif self.kind is tuple and isinstance(value, list):
+            value = tuple(_integral(v) for v in value)
+        return self.check(name, value)
+
+    def from_text(self, name: str, raw: str):
+        """The value written as --set/--axis text: ints, floats, true/false
+        (also 1/0, yes/no), comma-separated token ids, none/null if optional."""
+        value = raw
+        if self.optional and raw.lower() in ("none", "null"):
+            value = None
+        elif self.kind is bool:
+            value = _BOOL_TEXT.get(raw.lower(), raw)
+        elif self.kind is not str:
+            try:
+                if self.kind is tuple:
+                    value = tuple(int(tok) for tok in raw.split(",") if tok)
+                else:
+                    value = self.kind(raw)
+            except ValueError:
+                pass
+        return self.check(name, value)
+
+
+def _knob(default, kind: type, **spec):
+    return field(default=default, metadata={"spec": Spec(kind, **spec)})
+
 
 @dataclass
 class EditConfig:
-    """Every knob of one edit run; JSON documents mirror these field names."""
+    """Every knob of one edit run; JSON documents mirror these field names.
 
-    total_steps: int = 15
-    injection_steps: int = 4
-    schedule: str = "sigmoid"
-    delta_base: float = 0.9
-    alpha: float = 0.25
-    tau: float = 1.0
-    solver: str = "reuse_velocity"
-    perturbation_mode: str = "channel_selective"
-    soft_mask_gamma: Optional[float] = None
-    layer_ratio_beta: float = 0.0
-    seed: int = 0
+    Each field declares its type and range (a Spec) next to its default.
+    """
+
+    total_steps: int = _knob(15, int, lo=1, hi=MAX_STEPS, column="T")
+    injection_steps: int = _knob(4, int, lo=1, hi=MAX_STEPS, column="T_inj")
+    schedule: str = _knob("sigmoid", str, choices=SCHEDULE_FAMILIES, column="schedule")
+    delta_base: float = _knob(0.9, float, lo=0.0, hi=1.0, column="delta_base")
+    alpha: float = _knob(0.25, float, lo=0.0, hi=1.0, column="alpha")
+    tau: float = _knob(1.0, float, lo=MIN_TAU, column="tau")
+    solver: str = _knob("reuse_velocity", str, choices=SOLVER_KINDS, column="solver")
+    perturbation_mode: str = _knob("channel_selective", str, choices=PERTURBATION_MODES)
+    soft_mask_gamma: Optional[float] = _knob(None, float, lo=0.0, lo_open=True,
+                                             optional=True)
+    layer_ratio_beta: float = _knob(0.0, float, lo=0.0, hi=2.0, hi_open=True)
+    seed: int = _knob(0, int, lo=0, hi=2**64 - 1)
     # schedule shape
-    sharpness: float = 5.0
-    sigmoid_midpoint: float = 0.7
-    activity_threshold: float = 0.05
+    sharpness: float = _knob(5.0, float, lo=0.0, lo_open=True)
+    sigmoid_midpoint: float = _knob(0.7, float, lo=0.0, hi=1.0, lo_open=True,
+                                    hi_open=True)
+    activity_threshold: float = _knob(0.05, float, lo=0.0, hi=1.0, hi_open=True)
     # toy model dimensions
-    layer_count: int = 2
-    embed_dim: int = 32
-    img_tokens: int = 16
-    text_tokens: int = 4
-    channels: int = 8
-    heads: int = 1
-    vocab_size: int = 64
-    batch: int = 1
+    layer_count: int = _knob(2, int, lo=1, hi=32)
+    embed_dim: int = _knob(32, int, lo=1, hi=1024)
+    img_tokens: int = _knob(16, int, lo=1, hi=4096)
+    text_tokens: int = _knob(4, int, lo=1, hi=256)
+    channels: int = _knob(8, int, lo=1, hi=64)
+    heads: int = _knob(1, int, lo=1, hi=32)
+    vocab_size: int = _knob(64, int, lo=1, hi=65536)
+    batch: int = _knob(1, int, lo=1, hi=16)
     # conditioning; None picks deterministic defaults sized to text_tokens
-    source_prompt_ids: Optional[Tuple[int, ...]] = None
-    target_prompt_ids: Optional[Tuple[int, ...]] = None
-    source_keyword_index: Optional[int] = None
-    target_keyword_index: Optional[int] = None
-    mask_keyword_source: str = "target"
-    global_mix: bool = False
+    source_prompt_ids: Optional[Tuple[int, ...]] = _knob(None, tuple, optional=True)
+    target_prompt_ids: Optional[Tuple[int, ...]] = _knob(None, tuple, optional=True)
+    source_keyword_index: Optional[int] = _knob(None, int, lo=0, optional=True)
+    target_keyword_index: Optional[int] = _knob(None, int, lo=0, optional=True)
+    mask_keyword_source: str = _knob("target", str, choices=MASK_KEYWORD_SOURCES)
+    global_mix: bool = _knob(False, bool)
 
     def _default_keyword_position(self) -> int:
         return max(0, self.text_tokens - 2)
@@ -108,50 +222,14 @@ class EditConfig:
         return Conditioning(self.resolved_target_prompt(), kw)
 
     def validate(self) -> "EditConfig":
-        if self.total_steps < 1:
-            raise ConfigError("total_steps", f"must be >= 1, got {self.total_steps}")
-        if not 1 <= self.injection_steps <= self.total_steps:
+        """Check every field against its Spec, then the rules that span fields."""
+        for name, spec in FIELD_SPECS.items():
+            spec.check(name, getattr(self, name))
+        if self.injection_steps > self.total_steps:
             raise ConfigError(
                 "injection_steps",
                 f"must lie in [1, total_steps={self.total_steps}], "
                 f"got {self.injection_steps}")
-        if self.schedule not in SCHEDULE_FAMILIES:
-            raise ConfigError(
-                "schedule", f"must be one of {SCHEDULE_FAMILIES}, got '{self.schedule}'")
-        if not 0.0 <= self.delta_base <= 1.0:
-            raise ConfigError("delta_base", f"must lie in [0, 1], got {self.delta_base}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ConfigError("alpha", f"must lie in [0, 1], got {self.alpha}")
-        if not self.tau > 0.0:
-            raise ConfigError("tau", f"must be positive, got {self.tau}")
-        if self.solver not in SOLVER_KINDS:
-            raise ConfigError(
-                "solver", f"must be one of {SOLVER_KINDS}, got '{self.solver}'")
-        if self.perturbation_mode not in PERTURBATION_MODES:
-            raise ConfigError(
-                "perturbation_mode",
-                f"must be one of {PERTURBATION_MODES}, got '{self.perturbation_mode}'")
-        if self.soft_mask_gamma is not None and not self.soft_mask_gamma > 0.0:
-            raise ConfigError(
-                "soft_mask_gamma", f"must be positive, got {self.soft_mask_gamma}")
-        if not 0.0 <= self.layer_ratio_beta < 2.0:
-            raise ConfigError(
-                "layer_ratio_beta", f"must lie in [0, 2), got {self.layer_ratio_beta}")
-        if not 0 <= int(self.seed) < 2**64:
-            raise ConfigError("seed", f"must be an unsigned 64-bit integer, got {self.seed}")
-        if not self.sharpness > 0.0:
-            raise ConfigError("sharpness", f"must be positive, got {self.sharpness}")
-        if not 0.0 < self.sigmoid_midpoint < 1.0:
-            raise ConfigError(
-                "sigmoid_midpoint", f"must lie in (0, 1), got {self.sigmoid_midpoint}")
-        if not 0.0 <= self.activity_threshold < 1.0:
-            raise ConfigError(
-                "activity_threshold",
-                f"must lie in [0, 1), got {self.activity_threshold}")
-        for name in ("layer_count", "embed_dim", "img_tokens", "text_tokens",
-                     "channels", "heads", "vocab_size", "batch"):
-            if int(getattr(self, name)) < 1:
-                raise ConfigError(name, f"must be >= 1, got {getattr(self, name)}")
         if self.embed_dim % self.heads != 0:
             raise ConfigError(
                 "heads", f"embed_dim {self.embed_dim} not divisible by {self.heads}")
@@ -159,12 +237,10 @@ class EditConfig:
         if g * g != self.img_tokens:
             raise ConfigError(
                 "img_tokens", f"must be a perfect square, got {self.img_tokens}")
-        if self.mask_keyword_source not in MASK_KEYWORD_SOURCES:
-            raise ConfigError(
-                "mask_keyword_source",
-                f"must be one of {MASK_KEYWORD_SOURCES}, got '{self.mask_keyword_source}'")
-        for prompt_field, prompt in (("source_prompt_ids", self.resolved_source_prompt()),
-                                     ("target_prompt_ids", self.resolved_target_prompt())):
+        # the default target prompt is built from the source, so check that first
+        for prompt_field, resolve in (("source_prompt_ids", self.resolved_source_prompt),
+                                      ("target_prompt_ids", self.resolved_target_prompt)):
+            prompt = resolve()
             if len(prompt) != self.text_tokens:
                 raise ConfigError(
                     prompt_field,
@@ -174,9 +250,15 @@ class EditConfig:
                     prompt_field, f"token ids must lie in [0, {self.vocab_size})")
         for kw_field, kw in (("source_keyword_index", self.source_keyword_index),
                              ("target_keyword_index", self.target_keyword_index)):
-            if kw is not None and not 0 <= kw < self.text_tokens:
+            if kw is not None and kw >= self.text_tokens:
                 raise ConfigError(
                     kw_field, f"must lie in [0, text_tokens={self.text_tokens}), got {kw}")
+        # active steps form a prefix, so none is active unless step 0 is
+        if not is_active(build_schedule(self), 0):
+            raise ConfigError(
+                "activity_threshold",
+                f"no step is active: the first {self.schedule} weight does not "
+                f"exceed {self.activity_threshold}")
         return self
 
     def resolved_dict(self) -> dict:
@@ -195,15 +277,26 @@ class EditConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "EditConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ConfigError(unknown[0], "unknown config field")
-        kwargs = dict(data)
-        for key in ("source_prompt_ids", "target_prompt_ids"):
-            if kwargs.get(key) is not None:
-                kwargs[key] = tuple(int(t) for t in kwargs[key])
-        return cls(**kwargs)
+        """Config from a JSON object; each value must fit its field's Spec."""
+        return cls(**{name: _spec(name).from_json(name, value)
+                      for name, value in data.items()})
+
+
+FIELD_SPECS: Dict[str, Spec] = {f.name: f.metadata["spec"] for f in fields(EditConfig)}
+
+# result.csv column -> the config field it echoes
+COLUMN_FIELDS = {spec.column: name for name, spec in FIELD_SPECS.items() if spec.column}
+
+
+def _spec(name: str) -> Spec:
+    if name not in FIELD_SPECS:
+        raise ConfigError(name, "unknown config field")
+    return FIELD_SPECS[name]
+
+
+def parse_field(name: str, raw: str):
+    """Value of config field ``name`` from its --set/--axis text."""
+    return _spec(name).from_text(name, raw)
 
 
 def config_hash(cfg: EditConfig) -> str:
@@ -297,8 +390,7 @@ def run_edit(source: Latent, c_src: Conditioning, c_tgt: Conditioning,
     # on schedule-active steps only.
     def invert_hooks(i):
         if is_active(schedule, i):
-            return InjectionHooks(mode="record", cache=cache,
-                                  step=step_index_map(grid, i), attn_sink=attn)
+            return InjectionHooks(mode="record", cache=cache, step=i, attn_sink=attn)
         return None
 
     inversion = integrate_backward(model, source, grid, cfg.solver, c_src,
@@ -396,52 +488,62 @@ def run_reconstruction(source: Latent, c_src: Conditioning,
     return sampling.final
 
 
+def config_columns(run_id: str, cfg: EditConfig) -> dict:
+    """The run id and the config fields that result.csv echoes, in column order."""
+    row = {"run_id": run_id}
+    row.update((col, getattr(cfg, COLUMN_FIELDS[col]))
+               for col in RESULT_COLUMNS if col in COLUMN_FIELDS)
+    return row
+
+
 def summarize_result(run_id: str, cfg: EditConfig, result: EditResult) -> dict:
     """One result row in the pipeline CSV schema."""
     d = result.diagnostics
-    return {
-        "run_id": run_id,
-        "schedule": cfg.schedule,
-        "T": cfg.total_steps,
-        "T_inj": cfg.injection_steps,
-        "delta_base": cfg.delta_base,
-        "alpha": cfg.alpha,
-        "tau": cfg.tau,
-        "solver": cfg.solver,
-        "psnr": d["psnr"],
-        "ssim": d["ssim"],
-        "max_step_delta": d["max_step_delta"],
-        "velocity_jump": d["velocity_jump"],
-        "evals": int(d["evals"]),
-    }
+    row = config_columns(run_id, cfg)
+    row.update(psnr=d["psnr"], ssim=d["ssim"], max_step_delta=d["max_step_delta"],
+               velocity_jump=d["velocity_jump"], evals=int(d["evals"]))
+    return row
+
+
+def extra_columns(axis_names: Sequence[str]) -> List[str]:
+    """The axes that result.csv does not already echo, in axis order."""
+    return [name for name in axis_names if _spec(name).column is None]
+
+
+def edit_grid(source: Latent, prompts: Tuple[Conditioning, Conditioning],
+              base_cfg: EditConfig, axes: Dict[str, Sequence]
+              ) -> Iterator[Tuple[Dict, EditConfig, EditResult]]:
+    """One edit run per combination of axis values, in itertools.product order.
+
+    Returns an iterator of (overrides, config, result). Every combination is
+    validated before the first run, so a bad axis value or name fails fast as
+    a config error.
+    Rows keep the base config's seed so an axis's effect is not confounded by
+    different noise draws.
+    """
+    values = {name: list(axes[name]) for name in axes}
+    for name in values:
+        _spec(name)  # an unknown name is a config error
+        if not values[name]:
+            raise ConfigError(name, "axis has no values")
+    combos = [dict(zip(values, combo)) for combo in itertools.product(*values.values())]
+    runs = [(overrides, replace(base_cfg, **overrides).validate())
+            for overrides in combos]
+    c_src, c_tgt = prompts
+    return ((overrides, cfg, run_edit(source, c_src, c_tgt, cfg))
+            for overrides, cfg in runs)
 
 
 def run_ablation_grid(source: Latent, prompts: Tuple[Conditioning, Conditioning],
                       base_cfg: EditConfig,
                       axes: Dict[str, Sequence]) -> List[dict]:
-    """Cartesian product of axis values, one edit run per combination.
-
-    Rows keep the base config's seed so an axis's effect is not confounded by
-    different noise draws; ordering follows the axes dict and is
-    deterministic. Unknown axis names raise a config error.
-    """
-    known = {f.name for f in fields(EditConfig)}
-    for name in axes:
-        if name not in known:
-            raise ConfigError(name, "unknown config field")
-    # config fields already visible through a schema column
-    in_schema = {"schedule", "total_steps", "injection_steps", "delta_base",
-                 "alpha", "tau", "solver"}
-    c_src, c_tgt = prompts
-    names = list(axes)
+    """Result rows of edit_grid; axes that no result column echoes get a
+    column of their own."""
+    runs = edit_grid(source, prompts, base_cfg, axes)
+    extras = extra_columns(axes)
     rows = []
-    for index, combo in enumerate(itertools.product(*(list(axes[n]) for n in names))):
-        overrides = dict(zip(names, combo))
-        cfg = replace(base_cfg, **overrides).validate()
-        result = run_edit(source, c_src, c_tgt, cfg)
+    for index, (overrides, cfg, result) in enumerate(runs):
         row = summarize_result(f"{index:03d}", cfg, result)
-        for name in names:
-            if name not in in_schema:
-                row[name] = overrides[name]
+        row.update((name, overrides[name]) for name in extras)
         rows.append(row)
     return rows

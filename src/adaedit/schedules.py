@@ -102,10 +102,6 @@ def is_active(s: InjectionSchedule, step: int) -> bool:
     return s.weights[step] > s.activity_threshold
 
 
-def active_steps(s: InjectionSchedule) -> tuple:
-    return tuple(i for i in range(s.total_steps) if is_active(s, i))
-
-
 def max_step_delta(s: InjectionSchedule, delta_base: float) -> float:
     """Largest jump of the effective ratio between consecutive steps.
 

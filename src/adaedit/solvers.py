@@ -14,7 +14,6 @@ interval [t_i, t_{i+1}] as sampling step i.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
@@ -61,28 +60,14 @@ class TimeGrid:
 
 @dataclass
 class Trajectory:
-    """States in traversal order plus the model-evaluation ledger."""
+    """States in traversal order plus the model-evaluation count."""
 
     states: List[Latent]
-    times: np.ndarray
     velocity_evals: int
-    eval_counts: tuple
 
     @property
     def final(self) -> Latent:
         return self.states[-1]
-
-
-def step_index_map(grid: TimeGrid, inversion_step: int) -> int:
-    """Sampling-step index mirroring an inversion loop position.
-
-    Both traversals index intervals by their left endpoint, so the map is the
-    identity; it exists to pin the cache-key convention in one place.
-    """
-    if not 0 <= inversion_step < grid.steps:
-        raise IndexError(
-            f"inversion step {inversion_step} out of range [0, {grid.steps})")
-    return inversion_step
 
 
 def _guard(arr: np.ndarray, step: int, phase: str) -> None:
@@ -110,8 +95,6 @@ def _integrate(field, z_start: Latent, grid: TimeGrid, kind: str, cond,
 
     z = z_start.data
     states = [z_start]
-    counts = [0]
-    traversal_times = [times[0] if forward else times[-1]]
     carried = None
     for i in order:
         h = times[i + 1] - times[i]
@@ -137,11 +120,8 @@ def _integrate(field, z_start: Latent, grid: TimeGrid, kind: str, cond,
             carried = vm
         _guard(z, i, phase)
         states.append(Latent(z))
-        counts.append(evals)
-        traversal_times.append(times[i + 1] if forward else times[i])
 
-    return Trajectory(states=states, times=np.asarray(traversal_times),
-                      velocity_evals=evals, eval_counts=tuple(counts))
+    return Trajectory(states=states, velocity_evals=evals)
 
 
 def integrate_forward(field, z0: Latent, grid: TimeGrid, kind: str = "euler",
@@ -156,24 +136,3 @@ def integrate_backward(field, z1: Latent, grid: TimeGrid, kind: str = "euler",
                        phase: str = "backward") -> Trajectory:
     """Integrate the reverse ODE from t = 1 down to t = 0 starting at z1."""
     return _integrate(field, z1, grid, kind, cond, hooks_fn, forward=False, phase=phase)
-
-
-def trajectory_to_csv(tr: Trajectory, path, dump_states: bool = False) -> None:
-    """Per-step summary CSV; dump_states additionally writes one full latent
-    CSV per step next to it (large)."""
-    from .latent import latent_to_csv
-
-    path = str(path)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "t", "norm", "eval_count"])
-        for i, state in enumerate(tr.states):
-            norm = float(np.linalg.norm(state.data))
-            writer.writerow([
-                i, "{:.17g}".format(tr.times[i]), "{:.17g}".format(norm),
-                tr.eval_counts[i],
-            ])
-    if dump_states:
-        stem = path[:-4] if path.endswith(".csv") else path
-        for i, state in enumerate(tr.states):
-            latent_to_csv(state, f"{stem}_state_{i:03d}.csv")

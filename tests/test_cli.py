@@ -3,8 +3,11 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
 from adaedit.cli import main
-from adaedit.errors import DivergenceError
+from adaedit.errors import ConfigError, DivergenceError
+from adaedit.pipeline import parse_field
 
 
 def read_csv(path: Path):
@@ -212,22 +215,53 @@ def test_solver_order_out_of_band_maps_to_exit_4(tmp_path, monkeypatch):
 
 
 def test_set_value_parsing():
-    from adaedit.cli import parse_set_value
-    from adaedit.errors import ConfigError as CE
-    import pytest as pt
+    assert parse_field("total_steps", "8") == 8
+    assert parse_field("delta_base", "0.5") == 0.5
+    assert parse_field("global_mix", "true") is True
+    assert parse_field("global_mix", "0") is False
+    assert parse_field("schedule", "cosine") == "cosine"
+    assert parse_field("soft_mask_gamma", "none") is None
+    assert parse_field("soft_mask_gamma", "5") == 5.0
+    assert parse_field("source_prompt_ids", "1,2,3,4") == (1, 2, 3, 4)
+    with pytest.raises(ConfigError):
+        parse_field("bogus", "1")
+    with pytest.raises(ConfigError):
+        parse_field("global_mix", "maybe")
 
-    assert parse_set_value("total_steps", "8") == 8
-    assert parse_set_value("delta_base", "0.5") == 0.5
-    assert parse_set_value("global_mix", "true") is True
-    assert parse_set_value("global_mix", "0") is False
-    assert parse_set_value("schedule", "cosine") == "cosine"
-    assert parse_set_value("soft_mask_gamma", "none") is None
-    assert parse_set_value("soft_mask_gamma", "5") == 5.0
-    assert parse_set_value("source_prompt_ids", "1,2,3,4") == (1, 2, 3, 4)
-    with pt.raises(CE):
-        parse_set_value("bogus", "1")
-    with pt.raises(CE):
-        parse_set_value("global_mix", "maybe")
+
+# Inputs that must end in exit 2 with an error naming the field: (argv before
+# --out, JSON config or None, field). None may end in a traceback or be
+# silently coerced.
+BAD_INPUTS = [
+    (["edit", "--set", "total_steps=abc"], None, "total_steps"),
+    (["edit", "--set", "source_prompt_ids=1,2,x,4"], None, "source_prompt_ids"),
+    (["ablate", "--axis", "total_steps=abc"], None, "total_steps"),
+    (["edit"], {"total_steps": "5"}, "total_steps"),
+    (["edit"], {"source_prompt_ids": 5}, "source_prompt_ids"),
+    (["edit"], {"soft_mask_gamma": "x"}, "soft_mask_gamma"),
+    (["edit"], {"global_mix": "no"}, "global_mix"),
+    (["edit"], {"seed": 1.7}, "seed"),
+    (["edit"], {"seed": True}, "seed"),
+    (["edit"], {"source_prompt_ids": [1.9, 2, 3, 4]}, "source_prompt_ids"),
+    (["edit"], {"total_steps": 2.5}, "total_steps"),
+    # the default sigmoid starts at w_0 ~ 0.97, so no step is active
+    (["edit", "--set", "activity_threshold=0.99"], None, "activity_threshold"),
+    (["edit", "--set", "sharpness=inf", "--set", "injection_steps=10"], None, "sharpness"),
+    (["edit"], {"alpha": float("nan")}, "alpha"),
+    (["edit", "--set", "total_steps=100000000"], None, "total_steps"),
+    (["edit", "--set", "embed_dim=1000000"], None, "embed_dim"),
+    (["sweep-temperature", "--taus", "0.5,inf"], None, "tau"),
+]
+
+
+@pytest.mark.parametrize("argv,config,field", BAD_INPUTS)
+def test_bad_input_exits_2_naming_the_field(tmp_path, capsys, argv, config, field):
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    assert f"config error: {field}:" in capsys.readouterr().err
 
 
 def test_module_entrypoint_subprocess(tmp_path):

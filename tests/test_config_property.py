@@ -1,0 +1,108 @@
+"""Property: every JSON config and every --set override, typed correctly or
+not, makes ``adaedit edit`` exit 0 or 2; nothing raises.
+
+Strategies are built from the same field specs that validate configs, with
+model sizes and step counts capped small so each run stays fast.
+"""
+
+from __future__ import annotations
+
+import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from adaedit.cli import main
+from adaedit.pipeline import FIELD_SPECS, Spec
+
+# Upper ends for valid draws of the size fields.
+SMALL = {"total_steps": 6, "injection_steps": 6, "layer_count": 3, "embed_dim": 16,
+         "img_tokens": 16, "text_tokens": 6, "channels": 4, "heads": 4,
+         "vocab_size": 80, "batch": 2, "source_keyword_index": 6,
+         "target_keyword_index": 6}
+
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+JUNK = st.one_of(st.text(max_size=4), st.booleans(), st.none(),
+                 st.floats(allow_nan=True, allow_infinity=True),
+                 st.lists(st.integers(-3, 3), max_size=3),
+                 st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
+
+
+def valid_value(name: str, spec: Spec):
+    if spec.kind is bool:
+        values = st.booleans()
+    elif spec.kind is str:
+        values = st.sampled_from(spec.choices)
+    elif spec.kind is tuple:
+        values = st.lists(st.integers(0, 80), min_size=3, max_size=6)
+    elif spec.kind is int:
+        values = st.integers(int(spec.lo), SMALL.get(name, spec.hi))
+    else:
+        values = st.floats(spec.lo, spec.hi, exclude_min=spec.lo_open,
+                           exclude_max=spec.hi_open, allow_nan=False,
+                           allow_infinity=False)
+    return st.none() | values if spec.optional else values
+
+
+def invalid_value(spec: Spec):
+    if spec.kind is int:
+        out_of_range = st.integers(max_value=int(spec.lo) - 1)
+        if spec.hi is not None:
+            out_of_range |= st.integers(min_value=int(spec.hi) + 1)
+        return out_of_range | JUNK
+    if spec.kind is float:
+        return st.floats(max_value=spec.lo, exclude_max=not spec.lo_open) | JUNK
+    return JUNK
+
+
+def any_value(name: str):
+    # two parts valid to one part invalid, so that many examples run an edit
+    spec = FIELD_SPECS[name]
+    return st.one_of(valid_value(name, spec), valid_value(name, spec), invalid_value(spec))
+
+
+def as_text(value) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, list):
+        return ",".join(str(v) for v in value)
+    return "none" if value is None else str(value)
+
+
+FIELD_NAMES = st.sampled_from(sorted(FIELD_SPECS))
+CONFIGS = st.lists(FIELD_NAMES, max_size=4, unique=True).flatmap(
+    lambda names: st.fixed_dictionaries({name: any_value(name) for name in names}))
+TYPED_ITEM = FIELD_NAMES.flatmap(
+    lambda name: any_value(name).map(lambda value: f"{name}={as_text(value)}"))
+SET_ITEMS = st.lists(st.one_of(
+    TYPED_ITEM, TYPED_ITEM, TYPED_ITEM,
+    FIELD_NAMES.flatmap(lambda name: st.text(max_size=6).map(lambda raw: f"{name}={raw}")),
+    st.text(max_size=8)), max_size=3)
+
+
+def run_edit_cli(config: dict, sets: list) -> int:
+    with tempfile.TemporaryDirectory() as scratch:
+        argv = ["edit", "--out", str(Path(scratch) / "out")]
+        if config:
+            path = Path(scratch) / "cfg.json"
+            path.write_text(json.dumps(config))
+            argv += ["--config", str(path)]
+        # the --set=ITEM form keeps argparse from reading '-x' as an option
+        argv += [f"--set={item}" for item in sets]
+        return main(argv)
+
+
+@SETTINGS
+@given(config=CONFIGS)
+def test_any_json_config_exits_0_or_2(config):
+    assert run_edit_cli(config, []) in (0, 2)
+
+
+@SETTINGS
+@given(sets=SET_ITEMS)
+def test_any_set_override_exits_0_or_2(sets):
+    assert run_edit_cli({}, sets) in (0, 2)

@@ -224,13 +224,6 @@ def test_toy_flow_shape_errors():
         flow.evaluate(default_latent(), 0.1, Conditioning((1, 2, 3), 0))
 
 
-def test_attention_rows_sum_to_one():
-    flow = default_flow(heads=2)
-    maps = flow.attention_maps(default_latent(), 0.7, COND)
-    assert maps.shape[0] == flow.layer_count
-    assert float(np.max(np.abs(maps.sum(axis=-1) - 1.0))) < 1e-6
-
-
 def test_lipschitz_smoke():
     flow = default_flow()
     z = default_latent()

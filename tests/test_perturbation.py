@@ -6,11 +6,17 @@ import numpy as np
 import pytest
 
 from adaedit.latent import Latent, SeededRng, sample_gaussian
-from adaedit.perturbation import (ChannelWeights, PerturbationConfig, adain,
-                                  blend_weights, channel_gap,
-                                  channel_gap_global, channel_weights,
+from adaedit.perturbation import (ChannelWeights, PerturbationConfig,
+                                  blend_weights, channel_gap, channel_weights,
                                   latents_shift_channel_selective,
                                   latents_shift_uniform)
+
+
+def adain(x, y):
+    # a full-strength uniform shift over every token is AdaIN per channel
+    x = Latent(np.reshape(x, (1, -1, 1)))
+    y = Latent(np.reshape(y, (1, -1, 1)))
+    return latents_shift_uniform(x, y, 1.0, range(x.l)).data.reshape(-1)
 
 
 def test_adain_identity():
@@ -86,12 +92,6 @@ def test_channel_gap_symmetric_in_arguments():
     tokens = (0, 4, 9)
     assert np.array_equal(channel_gap(z_inv, z_rand, tokens),
                           channel_gap(z_rand, z_inv, tokens))
-
-
-def test_channel_gap_global_matches_all_tokens():
-    z_inv, z_rand = make_pair()
-    assert np.array_equal(channel_gap_global(z_inv, z_rand),
-                          channel_gap(z_inv, z_rand, range(16)))
 
 
 @pytest.mark.parametrize("c", [1, 2, 3, 5, 6, 7, 8, 16])

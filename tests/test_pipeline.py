@@ -1,7 +1,8 @@
 from __future__ import annotations
 
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from adaedit.errors import ConfigError
 from adaedit.latent import SeededRng, sample_gaussian
 from adaedit.models import AttentionRecord, EditMask, InjectionHooks, KVCache
-from adaedit.pipeline import (EditConfig, build_model, build_schedule,
+from adaedit.pipeline import (FIELD_SPECS, EditConfig, build_model, build_schedule,
                               config_hash, generate_source_latent,
                               resolve_edit_tokens, run_ablation_grid, run_edit,
                               run_reconstruction, summarize_result)
@@ -49,6 +50,34 @@ def test_config_round_trip_and_hash_stability():
     again = EditConfig.from_dict(json.loads(json.dumps(cfg.resolved_dict())))
     assert config_hash(cfg) == config_hash(again)
     assert config_hash(cfg) != config_hash(replace(cfg, seed=4))
+
+
+def test_config_from_dict_types():
+    cfg = EditConfig.from_dict({"total_steps": 8.0, "source_prompt_ids": [1, 2.0, 3, 4]})
+    assert cfg.total_steps == 8 and type(cfg.total_steps) is int
+    assert cfg.source_prompt_ids == (1, 2, 3, 4)
+    assert config_hash(cfg) == config_hash(EditConfig(
+        total_steps=8, source_prompt_ids=(1, 2, 3, 4)))
+    for bad in ({"alpha": "0.5"}, {"global_mix": 0}, {"schedule": 3},
+                {"tau": float("inf")}, {"batch": False}):
+        with pytest.raises(ConfigError) as exc:
+            EditConfig.from_dict(bad)
+        assert exc.value.field == next(iter(bad))
+
+
+def test_no_active_step_is_a_config_error():
+    with pytest.raises(ConfigError) as exc:
+        EditConfig(activity_threshold=0.99).validate()
+    assert exc.value.field == "activity_threshold"
+    EditConfig(activity_threshold=0.99, schedule="cosine").validate()
+
+
+def test_readme_config_section_lists_every_field():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme[readme.index("## Config\n"):readme.index("## Reproducibility notes")]
+    for f in fields(EditConfig):
+        row = f"| `{f.name}` | `{json.dumps(f.default)}` | {FIELD_SPECS[f.name].describe()} |"
+        assert row in section, row
 
 
 def test_config_prompt_defaults():

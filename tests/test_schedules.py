@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from adaedit.schedules import (SCHEDULE_FAMILIES, InjectionSchedule,
-                               LayerRatioProfile, active_steps,
-                               effective_ratio, is_active, layer_multiplier,
-                               layer_ratios, max_step_delta, schedule_to_csv,
-                               schedule_weight)
+                               LayerRatioProfile, effective_ratio, is_active,
+                               layer_multiplier, layer_ratios, max_step_delta,
+                               schedule_to_csv, schedule_weight)
 
 
 def sigmoid_default(total=15, inj=4):
@@ -139,7 +138,7 @@ def test_discontinuity_bound_sigmoid_under_binary():
 def test_active_steps_form_a_prefix():
     for family in SCHEDULE_FAMILIES:
         s = InjectionSchedule(family, 15, 4)
-        act = active_steps(s)
+        act = tuple(i for i in range(15) if is_active(s, i))
         assert act == tuple(range(len(act)))
 
 

@@ -6,9 +6,7 @@ import pytest
 from adaedit.errors import DivergenceError
 from adaedit.latent import Latent, SeededRng, sample_gaussian
 from adaedit.models import AnalyticLinearFlow, Conditioning, ToyAttentionFlow
-from adaedit.solvers import (SOLVER_KINDS, TimeGrid, integrate_backward,
-                             integrate_forward, step_index_map,
-                             trajectory_to_csv)
+from adaedit.solvers import SOLVER_KINDS, TimeGrid, integrate_backward, integrate_forward
 
 DECAY_FLOW = AnalyticLinearFlow(decay=-1.0, drift=np.zeros(2))
 ONES = Latent(np.ones((1, 4, 2)))
@@ -45,14 +43,6 @@ def test_time_grid_validation():
         TimeGrid(np.array([0.1, 1.0]))
     with pytest.raises(ValueError):
         TimeGrid.uniform(0)
-
-
-def test_step_index_map_identity():
-    grid = TimeGrid.uniform(15)
-    assert step_index_map(grid, 14) == 14
-    assert step_index_map(grid, 0) == 0
-    with pytest.raises(IndexError):
-        step_index_map(grid, 15)
 
 
 # --------------------------------------------------------------- euler oracle
@@ -173,26 +163,3 @@ def test_toy_integration_hooks_off_deterministic():
     assert np.array_equal(a.final.data, b.final.data)
     for sa, sb in zip(a.states, b.states):
         assert np.array_equal(sa.data, sb.data)
-
-
-# ------------------------------------------------------------------ CSV dumps
-
-def test_trajectory_csv(tmp_path):
-    tr = integrate_forward(DECAY_FLOW, ONES, TimeGrid.uniform(4), "euler")
-    path = tmp_path / "trajectory.csv"
-    trajectory_to_csv(tr, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "step,t,norm,eval_count"
-    assert len(lines) == 6
-    assert lines[1].split(",")[3] == "0"
-    assert lines[-1].split(",")[3] == "4"
-
-
-def test_trajectory_csv_full_states(tmp_path):
-    tr = integrate_forward(DECAY_FLOW, ONES, TimeGrid.uniform(3), "euler")
-    path = tmp_path / "trajectory.csv"
-    trajectory_to_csv(tr, path, dump_states=True)
-    dumps = sorted(tmp_path.glob("trajectory_state_*.csv"))
-    assert len(dumps) == 4
-    first = dumps[0].read_text().splitlines()
-    assert first[0] == "b,l,c,value"
