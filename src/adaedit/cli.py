@@ -7,7 +7,9 @@ timestamp is the one exception). Exit codes: 0 success, 2 config error,
 
 Configs are JSON documents mirroring EditConfig field names; single fields
 can be overridden with --set key=value, and the ADAEDIT_SEED environment
-variable overrides the seed last. Every bad value is a config error.
+variable overrides the seed last. The config is built once from the final
+values, so a cross-field rule sees all of them. Every bad value is a config
+error.
 """
 
 from __future__ import annotations
@@ -31,8 +33,9 @@ from .latent import Latent
 from .perturbation import PerturbationConfig, channel_report_rows
 from .pipeline import (RESULT_COLUMNS, EditConfig, build_schedule,
                        config_columns, config_hash, edit_grid, extra_columns,
-                       generate_source_latent, parse_field, run_ablation_grid,
-                       run_edit, run_reconstruction, summarize_result)
+                       generate_source_latent, parse_axis, parse_field,
+                       run_ablation_grid, run_edit, run_reconstruction,
+                       summarize_result)
 from .schedules import schedule_to_csv
 from .solvers import SOLVER_KINDS, TimeGrid, integrate_forward
 
@@ -72,6 +75,8 @@ def fmt(value) -> str:
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return FLOAT_FMT.format(float(value))
+    if isinstance(value, tuple):  # token ids, kept in one cell
+        return " ".join(fmt(v) for v in value)
     return str(value)
 
 
@@ -100,18 +105,13 @@ def load_config(config_path: Optional[str], sets: Sequence[str],
             raise ConfigError("config", f"invalid JSON in '{config_path}': {exc}")
         if not isinstance(data, dict):
             raise ConfigError("config", "top-level JSON value must be an object")
-    cfg = EditConfig.from_dict(data)
     for item in sets:
         key, raw = _split_assignment(item, "set")
-        cfg = replace(cfg, **{key: parse_field(key, raw)})
+        data[key] = parse_field(key, raw)
     seed_env = env.get("ADAEDIT_SEED")
     if seed_env is not None:
-        try:
-            cfg = replace(cfg, seed=int(seed_env))
-        except ValueError:
-            raise ConfigError("seed", f"ADAEDIT_SEED must be an integer, got '{seed_env}'")
-    cfg.validate()
-    return cfg
+        data["seed"] = parse_field("seed", seed_env)
+    return EditConfig.from_dict(data)
 
 
 def _setup(config_path: Optional[str], sets: Sequence[str],
@@ -161,13 +161,9 @@ def _write_channels_csv(path: Path, result, cfg: EditConfig) -> None:
     write_csv(path, ["channel", "d_c", "alpha_c", "blend_weight"], rows)
 
 
-def _prompts(cfg: EditConfig):
-    return cfg.source_conditioning(), cfg.target_conditioning()
-
-
 def cmd_edit(config_path: Optional[str], out_dir: str, sets: Sequence[str] = ()) -> int:
     cfg, out, source = _setup(config_path, sets, out_dir)
-    result = run_edit(source, *_prompts(cfg), cfg)
+    result = run_edit(source, cfg.source_conditioning(), cfg.target_conditioning(), cfg)
 
     summary = summarize_result("000", cfg, result)
     write_csv(out / "result.csv", _result_header(), [_result_row(summary)])
@@ -195,7 +191,7 @@ def cmd_reconstruct(config_path: Optional[str], out_dir: str,
 def cmd_sweep_schedule(config_path: Optional[str], out_dir: str,
                        sets: Sequence[str] = ()) -> int:
     base, out, source = _setup(config_path, sets, out_dir)
-    rows = run_ablation_grid(source, _prompts(base), base, {"schedule": SWEEP_FAMILIES})
+    rows = run_ablation_grid(source, base, {"schedule": SWEEP_FAMILIES})
     curve_rows = []
     for family in SWEEP_FAMILIES:
         weights = build_schedule(replace(base, schedule=family)).weights
@@ -214,7 +210,7 @@ def cmd_sweep_temperature(config_path: Optional[str], out_dir: str,
               + [f"alpha_{c}" for c in range(base.channels)])
     rows = []
     for index, (_, cfg, result) in enumerate(
-            edit_grid(source, _prompts(base), base, {"tau": taus})):
+            edit_grid(source, base, {"tau": taus})):
         alpha = result.channel_weights.alpha
         rows.append([f"{index:03d}", float(cfg.tau), float(alpha.var())] + list(alpha))
     write_csv(out / "temperature.csv", header, rows)
@@ -259,14 +255,14 @@ def cmd_solver_order(out_dir: str) -> int:
 
 def _parse_axis(spec: str) -> Tuple[str, list]:
     key, raw = _split_assignment(spec, "axis")
-    return key, [parse_field(key, item) for item in raw.split(",") if item]
+    return key, parse_axis(key, raw)
 
 
 def cmd_ablate(config_path: Optional[str], out_dir: str, axis_specs: Sequence[str],
                sets: Sequence[str] = ()) -> int:
     axes = dict(_parse_axis(spec) for spec in axis_specs)
     base, out, source = _setup(config_path, sets, out_dir)
-    rows = run_ablation_grid(source, _prompts(base), base, axes)
+    rows = run_ablation_grid(source, base, axes)
     extras = extra_columns(axes)
     write_csv(out / "ablation.csv", _result_header(extras),
               [_result_row(row, extras) for row in rows])
@@ -299,7 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ab = sub.add_parser("ablate", help="Cartesian product over config axes")
     common(p_ab)
     p_ab.add_argument("--axis", action="append", default=[], metavar="KEY=V1,V2",
-                      help="axis values, repeatable")
+                      help="axis values, repeatable; token-id lists use ';' "
+                           "between values, as in KEY=1,2,3,4;1,2,9,4")
     return parser
 
 
@@ -313,8 +310,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "sweep-schedule":
             return cmd_sweep_schedule(args.config, args.out, args.set)
         if args.command == "sweep-temperature":
-            taus = [parse_field("tau", item) for item in args.taus.split(",") if item]
-            return cmd_sweep_temperature(args.config, args.out, taus, args.set)
+            return cmd_sweep_temperature(args.config, args.out,
+                                         parse_axis("tau", args.taus), args.set)
         if args.command == "solver-order":
             return cmd_solver_order(args.out)
         if args.command == "ablate":

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import CacheMissError
 from .latent import STREAM_MODEL, Latent, SeededRng
 
-HOOK_MODES = ("record", "inject", "off")
+HOOK_MODES = ("record", "inject")
 
 
 @dataclass(frozen=True)
@@ -68,9 +68,6 @@ class KVCache:
             return self._entries[(step, layer)]
         except KeyError:
             raise CacheMissError(step, layer) from None
-
-    def steps(self) -> tuple:
-        return tuple(sorted({s for s, _ in self._entries}))
 
 
 class AttentionRecord:
@@ -128,7 +125,8 @@ class InjectionHooks:
     record: store each layer's K/V (and text-to-image attention when a sink is
     attached) under (step, layer); repeated evaluations within one solver step
     keep the first recording. inject: replace K/V with the kv_mix blend of the
-    cached source features before attention. off: no cache interaction.
+    cached source features before attention. A step without hooks (None)
+    leaves the cache alone.
     """
 
     mode: str
@@ -142,7 +140,7 @@ class InjectionHooks:
     def __post_init__(self):
         if self.mode not in HOOK_MODES:
             raise ValueError(f"hook mode must be one of {HOOK_MODES}, got '{self.mode}'")
-        if self.mode in ("record", "inject") and self.cache is None:
+        if self.cache is None:
             raise ValueError(f"{self.mode} mode requires a cache")
         if self.mode == "inject" and self.mix_ratios is None:
             raise ValueError("inject mode requires per-layer mix ratios")

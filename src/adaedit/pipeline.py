@@ -43,6 +43,10 @@ RESULT_COLUMNS = (
 
 MASK_KEYWORD_SOURCES = ("source", "target")
 
+# The fields that fix the source latent's shape (B, L, C). An ablation grid
+# runs every row on one source latent, so none of them can be an axis.
+SOURCE_SHAPE_FIELDS = ("batch", "img_tokens", "channels")
+
 # The upper bounds on total_steps and the model dimensions stop one runaway
 # value (total_steps=100000000 runs past 20 s holding every state) before
 # any work starts. They admit the stability envelope img_tokens=1024,
@@ -123,12 +127,14 @@ class Spec:
             raise ConfigError(name, f"must be {self.describe()}, got {value!r}")
         return value
 
-    def from_json(self, name: str, value):
+    def from_json(self, value):
+        """The value read from JSON in the field's own type; the config that
+        receives it checks it."""
         if self.kind is int:
-            value = _integral(value)
-        elif self.kind is tuple and isinstance(value, list):
-            value = tuple(_integral(v) for v in value)
-        return self.check(name, value)
+            return _integral(value)
+        if self.kind is tuple and isinstance(value, list):
+            return tuple(_integral(v) for v in value)
+        return value
 
     def from_text(self, name: str, raw: str):
         """The value written as --set/--axis text: ints, floats, true/false
@@ -153,11 +159,14 @@ def _knob(default, kind: type, **spec):
     return field(default=default, metadata={"spec": Spec(kind, **spec)})
 
 
-@dataclass
+@dataclass(frozen=True)
 class EditConfig:
     """Every knob of one edit run; JSON documents mirror these field names.
 
-    Each field declares its type and range (a Spec) next to its default.
+    Each field declares its type and range (a Spec) next to its default. A
+    config is checked when it is made (by the constructor, from_dict or
+    dataclasses.replace) and cannot change afterwards, so every EditConfig in
+    hand is valid.
     """
 
     total_steps: int = _knob(15, int, lo=1, hi=MAX_STEPS, column="T")
@@ -193,6 +202,9 @@ class EditConfig:
     target_keyword_index: Optional[int] = _knob(None, int, lo=0, optional=True)
     mask_keyword_source: str = _knob("target", str, choices=MASK_KEYWORD_SOURCES)
     global_mix: bool = _knob(False, bool)
+
+    def __post_init__(self):
+        self.validate()
 
     def _default_keyword_position(self) -> int:
         return max(0, self.text_tokens - 2)
@@ -278,8 +290,7 @@ class EditConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "EditConfig":
         """Config from a JSON object; each value must fit its field's Spec."""
-        return cls(**{name: _spec(name).from_json(name, value)
-                      for name, value in data.items()})
+        return cls(**{name: _spec(name).from_json(value) for name, value in data.items()})
 
 
 FIELD_SPECS: Dict[str, Spec] = {f.name: f.metadata["spec"] for f in fields(EditConfig)}
@@ -297,6 +308,14 @@ def _spec(name: str) -> Spec:
 def parse_field(name: str, raw: str):
     """Value of config field ``name`` from its --set/--axis text."""
     return _spec(name).from_text(name, raw)
+
+
+def parse_axis(name: str, raw: str) -> list:
+    """Values of an axis over config field ``name``. Token-id lists separate
+    their ids with ',' and so separate the values with ';'; every other
+    field separates its values with ','."""
+    sep = ";" if _spec(name).kind is tuple else ","
+    return [parse_field(name, item) for item in raw.split(sep) if item]
 
 
 def config_hash(cfg: EditConfig) -> str:
@@ -366,7 +385,7 @@ def resolve_edit_tokens(mask: EditMask, token_count: int) -> Tuple[Tuple[int, ..
 
 
 def _check_source(source: Latent, cfg: EditConfig) -> None:
-    expected = (cfg.batch, cfg.img_tokens, cfg.channels)
+    expected = tuple(getattr(cfg, name) for name in SOURCE_SHAPE_FIELDS)
     if source.shape != expected:
         raise ValueError(f"source latent shape {source.shape} != config {expected}")
 
@@ -375,7 +394,6 @@ def run_edit(source: Latent, c_src: Conditioning, c_tgt: Conditioning,
              cfg: EditConfig) -> EditResult:
     """Invert the source, perturb the inverted latent, resample under the
     target prompt with progressive feature injection."""
-    cfg.validate()
     _check_source(source, cfg)
 
     model = build_model(cfg)
@@ -477,7 +495,6 @@ def run_reconstruction(source: Latent, c_src: Conditioning,
                        cfg: EditConfig) -> Latent:
     """Inversion followed by plain re-sampling under the source prompt: no
     perturbation, no injection. The inversion-quality baseline."""
-    cfg.validate()
     _check_source(source, cfg)
     model = build_model(cfg)
     grid = TimeGrid.uniform(cfg.total_steps)
@@ -510,36 +527,35 @@ def extra_columns(axis_names: Sequence[str]) -> List[str]:
     return [name for name in axis_names if _spec(name).column is None]
 
 
-def edit_grid(source: Latent, prompts: Tuple[Conditioning, Conditioning],
-              base_cfg: EditConfig, axes: Dict[str, Sequence]
+def edit_grid(source: Latent, base_cfg: EditConfig, axes: Dict[str, Sequence]
               ) -> Iterator[Tuple[Dict, EditConfig, EditResult]]:
     """One edit run per combination of axis values, in itertools.product order.
 
-    Returns an iterator of (overrides, config, result). Every combination is
-    validated before the first run, so a bad axis value or name fails fast as
-    a config error.
-    Rows keep the base config's seed so an axis's effect is not confounded by
-    different noise draws.
+    Returns an iterator of (overrides, config, result). Each row runs on its
+    own config, prompts included, and every row's config is made before the
+    first run, so a bad axis value or name fails fast as a config error.
+    All rows share the one source latent, so an axis cannot change its
+    shape; rows keep the base config's seed unless it is an axis.
     """
     values = {name: list(axes[name]) for name in axes}
     for name in values:
         _spec(name)  # an unknown name is a config error
+        if name in SOURCE_SHAPE_FIELDS:
+            raise ConfigError(name, "cannot be an axis: every row shares one source latent")
         if not values[name]:
             raise ConfigError(name, "axis has no values")
     combos = [dict(zip(values, combo)) for combo in itertools.product(*values.values())]
-    runs = [(overrides, replace(base_cfg, **overrides).validate())
-            for overrides in combos]
-    c_src, c_tgt = prompts
-    return ((overrides, cfg, run_edit(source, c_src, c_tgt, cfg))
+    runs = [(overrides, replace(base_cfg, **overrides)) for overrides in combos]
+    return ((overrides, cfg, run_edit(source, cfg.source_conditioning(),
+                                      cfg.target_conditioning(), cfg))
             for overrides, cfg in runs)
 
 
-def run_ablation_grid(source: Latent, prompts: Tuple[Conditioning, Conditioning],
-                      base_cfg: EditConfig,
+def run_ablation_grid(source: Latent, base_cfg: EditConfig,
                       axes: Dict[str, Sequence]) -> List[dict]:
     """Result rows of edit_grid; axes that no result column echoes get a
     column of their own."""
-    runs = edit_grid(source, prompts, base_cfg, axes)
+    runs = edit_grid(source, base_cfg, axes)
     extras = extra_columns(axes)
     rows = []
     for index, (overrides, cfg, result) in enumerate(runs):

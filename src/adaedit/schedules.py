@@ -42,9 +42,10 @@ class InjectionSchedule:
     """Per-step injection weights w_0..w_{T-1}, all in [0, 1], non-increasing.
 
     sharpness and midpoint only affect the sigmoid family. activity_threshold
-    is the soft cutoff: a progressive step counts as active while its weight
-    exceeds it. The binary family ignores the threshold and is active exactly
-    on steps < injection_steps, reproducing the baseline for ablations.
+    is the soft cutoff: a step counts as active while its weight exceeds it.
+    Binary weights are 1 before injection_steps and 0 from there on, and the
+    threshold lies in [0, 1), so a binary schedule is active exactly on steps
+    < injection_steps, reproducing the baseline for ablations.
     """
 
     family: str
@@ -97,8 +98,6 @@ def effective_ratio(s: InjectionSchedule, delta_base: float, step: int) -> float
 def is_active(s: InjectionSchedule, step: int) -> bool:
     """Whether injection (and inversion-side caching) applies at this step."""
     s._check_step(step)
-    if s.family == "binary":
-        return step < s.injection_steps
     return s.weights[step] > s.activity_threshold
 
 

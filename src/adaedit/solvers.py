@@ -88,38 +88,34 @@ def _integrate(field, z_start: Latent, grid: TimeGrid, kind: str, cond,
 
     evals = 0
 
-    def ev(state: np.ndarray, t: float, hooks) -> np.ndarray:
+    def ev(state: Latent, t: float, hooks) -> np.ndarray:
         nonlocal evals
         evals += 1
-        return field.evaluate(Latent(state), float(t), cond, hooks).data
+        return field.evaluate(state, float(t), cond, hooks).data
 
-    z = z_start.data
-    states = [z_start]
+    # every later state is guarded when it is made, at the bottom of its step
+    _guard(z_start.data, order[0], phase)
+    z = z_start
+    states = [z]
     carried = None
     for i in order:
         h = times[i + 1] - times[i]
         t_from = times[i] if forward else times[i + 1]
         t_mid = times[i] + 0.5 * h
         hooks = hooks_fn(i) if hooks_fn is not None else None
-        _guard(z, i, phase)
         if kind == "euler":
-            v = ev(z, t_from, hooks)
-            z = z + sign * h * v
-        elif kind == "midpoint":
-            v1 = ev(z, t_from, hooks)
-            zm = z + sign * 0.5 * h * v1
-            _guard(zm, i, phase)
-            vm = ev(zm, t_mid, hooks)
-            z = z + sign * h * vm
-        else:  # reuse_velocity
+            z_next = z.data + sign * h * ev(z, t_from, hooks)
+        else:  # midpoint; reuse_velocity carries vm into the next first stage
             v1 = carried if carried is not None else ev(z, t_from, hooks)
-            zm = z + sign * 0.5 * h * v1
+            zm = z.data + sign * 0.5 * h * v1
             _guard(zm, i, phase)
-            vm = ev(zm, t_mid, hooks)
-            z = z + sign * h * vm
-            carried = vm
-        _guard(z, i, phase)
-        states.append(Latent(z))
+            vm = ev(Latent(zm), t_mid, hooks)
+            z_next = z.data + sign * h * vm
+            if kind == "reuse_velocity":
+                carried = vm
+        _guard(z_next, i, phase)
+        z = Latent(z_next)
+        states.append(z)
 
     return Trajectory(states=states, velocity_evals=evals)
 

@@ -184,6 +184,35 @@ def test_ablate_extra_axis_column(tmp_path):
     assert [r["soft_mask_gamma"] for r in rows] == ["5", "15"]
 
 
+def test_ablation_row_runs_its_own_config(tmp_path):
+    # row k of an axis over a prompt field equals an edit with that value set;
+    # token-id lists separate their values with ';'
+    for field, values, sep in (("target_keyword_index", ["0", "1", "2"], ","),
+                               ("target_prompt_ids", ["1,2,9,4", "1,2,10,4"], ";")):
+        out = tmp_path / field
+        assert main(["ablate", "--out", str(out),
+                     "--axis", f"{field}={sep.join(values)}"]) == 0
+        _, rows = read_csv(out / "ablation.csv")
+        assert len(rows) == len(values)
+        for k, value in enumerate(values):
+            edit_out = tmp_path / f"{field}-{k}"
+            assert main(["edit", "--out", str(edit_out), "--set", f"{field}={value}"]) == 0
+            _, (edit_row,) = read_csv(edit_out / "result.csv")
+            assert (rows[k]["psnr"], rows[k]["ssim"]) == (edit_row["psnr"], edit_row["ssim"])
+        assert len({row["psnr"] for row in rows}) == len(values)
+    assert main(["ablate", "--out", str(tmp_path / "text"),
+                 "--axis", "text_tokens=4,6"]) == 0
+
+
+def test_cross_field_rules_see_the_final_values(tmp_path):
+    assert main(["edit", "--out", str(tmp_path / "a"),
+                 "--set", "total_steps=3", "--set", "injection_steps=2"]) == 0
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"injection_steps": 20}))
+    assert main(["edit", "--config", str(config), "--out", str(tmp_path / "b"),
+                 "--set", "total_steps=25"]) == 0
+
+
 def test_ablate_unknown_axis_exits_2(tmp_path, capsys):
     assert main(["ablate", "--out", str(tmp_path / "x"),
                  "--axis", "bogus=1,2"]) == 2
@@ -251,6 +280,10 @@ BAD_INPUTS = [
     (["edit", "--set", "total_steps=100000000"], None, "total_steps"),
     (["edit", "--set", "embed_dim=1000000"], None, "embed_dim"),
     (["sweep-temperature", "--taus", "0.5,inf"], None, "tau"),
+    # every ablation row shares one source latent, so its shape is fixed
+    (["ablate", "--axis", "img_tokens=16,25"], None, "img_tokens"),
+    (["ablate", "--axis", "batch=1,2"], None, "batch"),
+    (["ablate", "--axis", "channels=4,8"], None, "channels"),
 ]
 
 

@@ -1,5 +1,6 @@
 """Property: every JSON config and every --set override, typed correctly or
-not, makes ``adaedit edit`` exit 0 or 2; nothing raises.
+not, makes ``adaedit edit`` exit 0 or 2, and so does every set of --axis
+items for ``adaedit ablate``; nothing raises.
 
 Strategies are built from the same field specs that validate configs, with
 model sizes and step counts capped small so each run stays fast.
@@ -84,25 +85,41 @@ SET_ITEMS = st.lists(st.one_of(
     st.text(max_size=8)), max_size=3)
 
 
-def run_edit_cli(config: dict, sets: list) -> int:
+def axis_item(name: str):
+    # one or two values; token-id lists separate their values with ';'
+    sep = ";" if FIELD_SPECS[name].kind is tuple else ","
+    return st.lists(any_value(name), min_size=1, max_size=2).map(
+        lambda values: f"{name}=" + sep.join(as_text(v) for v in values))
+
+
+AXIS_ITEMS = st.lists(FIELD_NAMES.flatmap(axis_item), min_size=1, max_size=2)
+
+
+def run_cli(command: str, config: dict, options: list) -> int:
     with tempfile.TemporaryDirectory() as scratch:
-        argv = ["edit", "--out", str(Path(scratch) / "out")]
+        argv = [command, "--out", str(Path(scratch) / "out")]
         if config:
             path = Path(scratch) / "cfg.json"
             path.write_text(json.dumps(config))
             argv += ["--config", str(path)]
-        # the --set=ITEM form keeps argparse from reading '-x' as an option
-        argv += [f"--set={item}" for item in sets]
-        return main(argv)
+        return main(argv + options)
 
+
+# the --set=ITEM and --axis=ITEM forms keep argparse from reading '-x' as an option
 
 @SETTINGS
 @given(config=CONFIGS)
 def test_any_json_config_exits_0_or_2(config):
-    assert run_edit_cli(config, []) in (0, 2)
+    assert run_cli("edit", config, []) in (0, 2)
 
 
 @SETTINGS
 @given(sets=SET_ITEMS)
 def test_any_set_override_exits_0_or_2(sets):
-    assert run_edit_cli({}, sets) in (0, 2)
+    assert run_cli("edit", {}, [f"--set={item}" for item in sets]) in (0, 2)
+
+
+@settings(SETTINGS, max_examples=40)
+@given(axes=AXIS_ITEMS)
+def test_any_ablation_axis_exits_0_or_2(axes):
+    assert run_cli("ablate", {}, [f"--axis={item}" for item in axes]) in (0, 2)

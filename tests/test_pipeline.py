@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +37,15 @@ def test_config_validation_names_fields():
         EditConfig(img_tokens=15).validate()  # not a square grid
     with pytest.raises(ConfigError):
         EditConfig(schedule="step").validate()
+
+
+def test_config_is_checked_when_made_and_frozen():
+    cfg = EditConfig()
+    with pytest.raises(FrozenInstanceError):
+        cfg.injection_steps = 99
+    with pytest.raises(ConfigError) as exc:
+        replace(cfg, injection_steps=99)
+    assert exc.value.field == "injection_steps"
 
 
 def test_config_from_dict_rejects_unknown_fields():
@@ -325,8 +334,7 @@ def test_generate_source_latent_deterministic_and_seed_sensitive():
 def test_ablation_schedule_axis():
     cfg = EditConfig(seed=1)
     src = generate_source_latent(cfg)
-    prompts = (cfg.source_conditioning(), cfg.target_conditioning())
-    rows = run_ablation_grid(src, prompts, cfg, {"schedule": ["binary", "sigmoid"]})
+    rows = run_ablation_grid(src, cfg, {"schedule": ["binary", "sigmoid"]})
     assert len(rows) == 2
     assert rows[0]["schedule"] == "binary"
     assert rows[0]["max_step_delta"] == cfg.delta_base
@@ -336,16 +344,14 @@ def test_ablation_schedule_axis():
 def test_ablation_tau_axis_variance_monotone():
     cfg = EditConfig(seed=1)
     src = generate_source_latent(cfg)
-    prompts = (cfg.source_conditioning(), cfg.target_conditioning())
-    rows = run_ablation_grid(src, prompts, cfg, {"tau": [0.25, 1.0, 4.0]})
+    rows = run_ablation_grid(src, cfg, {"tau": [0.25, 1.0, 4.0]})
     assert [row["tau"] for row in rows] == [0.25, 1.0, 4.0]
 
 
 def test_ablation_empty_axes_single_row():
     cfg = EditConfig(seed=1)
     src = generate_source_latent(cfg)
-    prompts = (cfg.source_conditioning(), cfg.target_conditioning())
-    rows = run_ablation_grid(src, prompts, cfg, {})
+    rows = run_ablation_grid(src, cfg, {})
     assert len(rows) == 1
     assert rows[0]["run_id"] == "000"
 
@@ -353,9 +359,8 @@ def test_ablation_empty_axes_single_row():
 def test_ablation_unknown_axis():
     cfg = EditConfig(seed=1)
     src = generate_source_latent(cfg)
-    prompts = (cfg.source_conditioning(), cfg.target_conditioning())
     with pytest.raises(ConfigError):
-        run_ablation_grid(src, prompts, cfg, {"bogus_field": [1, 2]})
+        run_ablation_grid(src, cfg, {"bogus_field": [1, 2]})
 
 
 def test_summarize_result_schema():
