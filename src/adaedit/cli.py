@@ -36,7 +36,6 @@ from .pipeline import (RESULT_COLUMNS, EditConfig, build_schedule,
                        generate_source_latent, parse_axis, parse_field,
                        run_ablation_grid, run_edit, run_reconstruction,
                        summarize_result)
-from .schedules import schedule_to_csv
 from .solvers import SOLVER_KINDS, TimeGrid, integrate_forward
 
 EXIT_OK = 0
@@ -169,7 +168,9 @@ def cmd_edit(config_path: Optional[str], out_dir: str, sets: Sequence[str] = ())
     write_csv(out / "result.csv", _result_header(), [_result_row(summary)])
     _write_mask_csv(out / "mask.csv", result.mask)
     _write_channels_csv(out / "channels.csv", result, cfg)
-    schedule_to_csv(build_schedule(cfg), out / "schedule.csv")
+    write_csv(out / "schedule.csv", ["step", "weight", "active"],
+              [(step, weight, active)
+               for step, (weight, _, active) in enumerate(result.schedule_trace)])
     write_manifest(out, "edit", config_path, config_hash(cfg),
                    ["result.csv", "mask.csv", "channels.csv", "schedule.csv"])
     return EXIT_OK

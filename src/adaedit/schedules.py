@@ -8,7 +8,6 @@ indices t = i and precomputed at construction; evaluation is a table lookup.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -151,11 +150,3 @@ def layer_ratios(p: LayerRatioProfile, delta_eff: float) -> tuple:
     return tuple(
         min(max(delta_eff * layer_multiplier(p, l), 0.0), 1.0)
         for l in range(p.layer_count))
-
-
-def schedule_to_csv(s: InjectionSchedule, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "weight", "active"])
-        for i in range(s.total_steps):
-            writer.writerow([i, "{:.17g}".format(s.weights[i]), int(is_active(s, i))])

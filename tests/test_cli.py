@@ -7,7 +7,8 @@ import pytest
 
 from adaedit.cli import main
 from adaedit.errors import ConfigError, DivergenceError
-from adaedit.pipeline import parse_field
+from adaedit.pipeline import EditConfig, build_schedule, parse_field
+from adaedit.schedules import schedule_weight
 
 
 def read_csv(path: Path):
@@ -41,6 +42,20 @@ def test_edit_default_config(tmp_path):
     assert len(mask_rows) == 16
     _, chan_rows = read_csv(out / "channels.csv")
     assert len(chan_rows) == 8
+
+
+def test_schedule_csv(tmp_path):
+    out = tmp_path / "run"
+    assert main(["edit", "--out", str(out)]) == 0
+    data = (out / "schedule.csv").read_bytes()
+    assert b"\r" not in data
+    lines = data.decode().splitlines()
+    assert lines[0] == "step,weight,active"
+    assert len(lines) == 16
+    step, weight, active = lines[1].split(",")
+    assert step == "0"
+    assert float(weight) == schedule_weight(build_schedule(EditConfig()), 0)
+    assert active == "1"
 
 
 def test_edit_invalid_config_exits_2(tmp_path, capsys):

@@ -8,7 +8,7 @@ import pytest
 from adaedit.schedules import (SCHEDULE_FAMILIES, InjectionSchedule,
                                LayerRatioProfile, effective_ratio, is_active,
                                layer_multiplier, layer_ratios, max_step_delta,
-                               schedule_to_csv, schedule_weight)
+                               schedule_weight)
 
 
 def sigmoid_default(total=15, inj=4):
@@ -180,16 +180,3 @@ def test_schedule_validation():
         InjectionSchedule("sigmoid", 10, 4, sharpness=0.0)
     with pytest.raises(ValueError):
         InjectionSchedule("sigmoid", 10, 4, midpoint=1.0)
-
-
-def test_schedule_csv(tmp_path):
-    s = sigmoid_default()
-    path = tmp_path / "schedule.csv"
-    schedule_to_csv(s, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "step,weight,active"
-    assert len(lines) == 16
-    step, weight, active = lines[1].split(",")
-    assert step == "0"
-    assert float(weight) == schedule_weight(s, 0)
-    assert active == "1"
