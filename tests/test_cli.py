@@ -208,7 +208,8 @@ def test_ablation_row_runs_its_own_config(tmp_path):
         assert main(["ablate", "--out", str(out),
                      "--axis", f"{field}={sep.join(values)}"]) == 0
         _, rows = read_csv(out / "ablation.csv")
-        assert len(rows) == len(values)
+        # the axis column keeps each value in one cell
+        assert [row[field] for row in rows] == [v.replace(",", " ") for v in values]
         for k, value in enumerate(values):
             edit_out = tmp_path / f"{field}-{k}"
             assert main(["edit", "--out", str(edit_out), "--set", f"{field}={value}"]) == 0
