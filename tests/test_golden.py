@@ -1,8 +1,9 @@
 """Byte-level snapshot of the CLI artifacts.
 
-Each command runs on its defaults (plus a 2x2 ablation that includes an axis
-outside the result schema) and every artifact's SHA-256 digest must match
-``golden/artifacts.sha256``. manifest.json is left out: it carries a
+Each command runs on its defaults, plus a 2x2 ablation that includes an axis
+outside the result schema, a uniform-mode edit, and a 2x2 ablation over
+solvers and perturbation modes with a layer profile and global mixing.
+Every artifact's SHA-256 digest must match ``golden/artifacts.sha256``. manifest.json is left out: it carries a
 timestamp. Print the current digests with ``python tests/test_golden.py``.
 """
 
@@ -24,6 +25,12 @@ COMMANDS = {
     "sweep-temperature": (["sweep-temperature"], ("temperature.csv",)),
     "ablate": (["ablate", "--axis", "schedule=binary,sigmoid",
                 "--axis", "soft_mask_gamma=5,15"], ("ablation.csv",)),
+    "edit-uniform": (["edit", "--set", "perturbation_mode=uniform"],
+                     ("result.csv", "channels.csv")),
+    "ablate-modes": (["ablate", "--axis", "solver=euler,midpoint",
+                      "--axis", "perturbation_mode=uniform,channel_selective",
+                      "--set", "layer_ratio_beta=0.5", "--set", "global_mix=true"],
+                     ("ablation.csv",)),
 }
 
 

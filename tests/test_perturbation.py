@@ -199,11 +199,12 @@ def test_selective_constant_gap_equals_uniform_exactly():
     z_inv, z_rand = Latent(inv), Latent(rand)
     d = channel_gap(z_inv, z_rand, tokens)
     assert np.all(d == 1.0)
-    uniform = latents_shift_uniform(z_inv, z_rand, 0.25, tokens)
-    selective, weights = latents_shift_channel_selective(
-        z_inv, z_rand, PerturbationConfig(0.25, 1.0), tokens)
-    assert np.all(weights.alpha == 1.0)
-    assert np.array_equal(uniform.data, selective.data)
+    for alpha in (0.1, 0.25, 0.7, 1.0):
+        uniform = latents_shift_uniform(z_inv, z_rand, alpha, tokens)
+        selective, weights = latents_shift_channel_selective(
+            z_inv, z_rand, PerturbationConfig(alpha, 1.0), tokens)
+        assert np.all(weights.alpha == 1.0)
+        assert np.array_equal(uniform.data, selective.data)
 
 
 def test_off_set_tokens_bitwise_unchanged():
