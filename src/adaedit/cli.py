@@ -30,7 +30,7 @@ from .diagnostics import psnr, ssim
 from .errors import ConfigError, DivergenceError
 from .models import AnalyticLinearFlow
 from .latent import Latent
-from .perturbation import PerturbationConfig, channel_report_rows
+from .perturbation import blend_weights
 from .pipeline import (RESULT_COLUMNS, EditConfig, build_schedule,
                        config_columns, config_hash, edit_grid, extra_columns,
                        generate_source_latent, parse_axis, parse_field,
@@ -155,8 +155,9 @@ def _write_mask_csv(path: Path, mask) -> None:
 
 
 def _write_channels_csv(path: Path, result, cfg: EditConfig) -> None:
-    pcfg = PerturbationConfig(cfg.alpha, cfg.tau, cfg.perturbation_mode)
-    rows = channel_report_rows(result.channel_gaps, result.channel_weights, pcfg)
+    weights = result.channel_weights.alpha
+    blend = blend_weights(cfg, result.channel_weights)
+    rows = [(c, result.channel_gaps[c], weights[c], blend[c]) for c in range(weights.size)]
     write_csv(path, ["channel", "d_c", "alpha_c", "blend_weight"], rows)
 
 

@@ -28,7 +28,6 @@ class ChannelWeights:
     """Per-channel importance weights, nonnegative with mean 1."""
 
     alpha: np.ndarray
-    temperature: float
 
     def __post_init__(self):
         arr = np.asarray(self.alpha, dtype=np.float64)
@@ -38,39 +37,34 @@ class ChannelWeights:
             raise ValueError("channel weights must be nonnegative")
         if abs(arr.mean() - 1.0) > 1e-9:
             raise ValueError(f"channel weights must have mean 1, got {arr.mean()!r}")
-        if not self.temperature > 0.0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "alpha", arr)
 
     @classmethod
-    def uniform(cls, c: int, temperature: float = 1.0) -> "ChannelWeights":
-        return cls(np.ones(c), temperature)
+    def uniform(cls, c: int) -> "ChannelWeights":
+        return cls(np.ones(c))
 
 
 @dataclass(frozen=True)
 class PerturbationConfig:
     alpha: float
     tau: float = 1.0
-    mode: str = "channel_selective"
 
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
         if not self.tau > 0.0:
             raise ValueError(f"tau must be positive, got {self.tau}")
-        if self.mode not in PERTURBATION_MODES:
-            raise ValueError(f"mode must be one of {PERTURBATION_MODES}, got '{self.mode}'")
 
 
-def _adain_per_channel(x: np.ndarray, y: np.ndarray, eps: float = EPS_STD) -> np.ndarray:
+def _adain_per_channel(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     # x, y: (B, S, C); stats pooled over batch x tokens, per channel
     mx = x.mean(axis=(0, 1))
     sx = x.std(axis=(0, 1))
     my = y.mean(axis=(0, 1))
     sy = y.std(axis=(0, 1))
-    return sy * (x - mx) / (sx + eps) + my
+    return sy * (x - mx) / (sx + EPS_STD) + my
 
 
 def _check_pair(z_inv: Latent, z_rand: Latent) -> None:
@@ -101,26 +95,46 @@ def channel_weights(d: np.ndarray, tau: float) -> ChannelWeights:
     z = d / tau
     e = np.exp(z - z.max())
     alpha = (d.size * e) / e.sum()
-    return ChannelWeights(alpha, tau)
+    return ChannelWeights(alpha)
+
+
+def blend_weights(cfg, weights: ChannelWeights) -> np.ndarray:
+    """The clamped per-channel blend factors min(alpha * alpha_c, 1).
+
+    cfg is any config with a checked alpha in [0, 1]: a PerturbationConfig, or
+    the EditConfig of a run.
+    """
+    return np.minimum(cfg.alpha * weights.alpha, 1.0)
+
+
+def _shift(z_inv: Latent, z_rand: Latent, blend: np.ndarray, idx: np.ndarray) -> Latent:
+    """Blend AdaIN(z_inv, z_rand) into z_inv on the tokens idx, per channel at
+    the strengths in blend.
+
+    AdaIN statistics are computed over the tokens idx only. Tokens outside idx
+    and channels whose blend is 0 are copied through bitwise.
+    """
+    out = z_inv.data.copy()
+    if np.any(blend > 0.0):
+        x = select_tokens(z_inv, idx)
+        y = select_tokens(z_rand, idx)
+        mixed = blend * _adain_per_channel(x, y) + (1.0 - blend) * x
+        out[:, idx, :] = np.where(blend > 0.0, mixed, x)
+    return Latent(out)
 
 
 def latents_shift_uniform(z_inv: Latent, z_rand: Latent, alpha: float,
                           tokens: Iterable[int]) -> Latent:
     """Blend AdaIN(z_inv, z_rand) into z_inv at strength alpha on the edit tokens.
 
-    AdaIN statistics are computed over the edit-token subset only; off-set
-    tokens are copied through bitwise. alpha = 0 returns z_inv unchanged.
+    The channel-selective shift with every alpha_c = 1. alpha = 0 returns
+    z_inv unchanged.
     """
     _check_pair(z_inv, z_rand)
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     idx = resolve_tokens(tokens, z_inv.l)
-    out = z_inv.data.copy()
-    if alpha > 0.0:
-        x = select_tokens(z_inv, idx)
-        y = select_tokens(z_rand, idx)
-        out[:, idx, :] = alpha * _adain_per_channel(x, y) + (1.0 - alpha) * x
-    return Latent(out)
+    return _shift(z_inv, z_rand, np.full(z_inv.c, alpha), idx)
 
 
 def latents_shift_channel_selective(
@@ -128,34 +142,10 @@ def latents_shift_channel_selective(
         tokens: Iterable[int]) -> Tuple[Latent, ChannelWeights]:
     """Per-channel blend at strength min(alpha * alpha_c, 1); returns weights used.
 
-    Channels whose blend weight is 0 are copied through bitwise, so alpha = 0
-    is the identity. A constant gap vector reduces exactly to the uniform
-    shift.
+    alpha = 0 is the identity, and a constant gap vector reduces exactly to
+    the uniform shift.
     """
     _check_pair(z_inv, z_rand)
     idx = resolve_tokens(tokens, z_inv.l)
-    d = channel_gap(z_inv, z_rand, idx)
-    weights = channel_weights(d, cfg.tau)
-    blend = np.minimum(cfg.alpha * weights.alpha, 1.0)
-    out = z_inv.data.copy()
-    if cfg.alpha > 0.0:
-        x = select_tokens(z_inv, idx)
-        y = select_tokens(z_rand, idx)
-        mixed = blend * _adain_per_channel(x, y) + (1.0 - blend) * x
-        out[:, idx, :] = np.where(blend > 0.0, mixed, x)
-    return Latent(out), weights
-
-
-def blend_weights(cfg: PerturbationConfig, weights: ChannelWeights) -> np.ndarray:
-    """The clamped per-channel blend factors min(alpha * alpha_c, 1)."""
-    return np.minimum(cfg.alpha * weights.alpha, 1.0)
-
-
-def channel_report_rows(d: np.ndarray, weights: ChannelWeights,
-                        cfg: PerturbationConfig) -> list:
-    """Rows for the channel report CSV: (channel, d_c, alpha_c, blend_weight)."""
-    blend = blend_weights(cfg, weights)
-    return [
-        (c, float(d[c]), float(weights.alpha[c]), float(blend[c]))
-        for c in range(len(d))
-    ]
+    weights = channel_weights(channel_gap(z_inv, z_rand, idx), cfg.tau)
+    return _shift(z_inv, z_rand, blend_weights(cfg, weights), idx), weights

@@ -404,10 +404,20 @@ def run_edit(source: Latent, c_src: Conditioning, c_tgt: Conditioning,
     cache = KVCache()
     attn = AttentionRecord()
 
+    # The injection plan: per step, the per-layer ratios at which cached
+    # source K/V are blended in, or None where the schedule is inactive; the
+    # trailing None stands for the step after the last. Inversion caches
+    # exactly the steps that sampling injects.
+    profile = LayerRatioProfile(cfg.layer_count, cfg.layer_ratio_beta)
+    plan = tuple(
+        layer_ratios(profile, effective_ratio(schedule, cfg.delta_base, i))
+        if is_active(schedule, i) else None
+        for i in range(cfg.total_steps)) + (None,)
+
     # Phase 1: inversion under the source prompt, caching K/V and attention
-    # on schedule-active steps only.
+    # on the planned steps only.
     def invert_hooks(i):
-        if is_active(schedule, i):
+        if plan[i] is not None:
             return InjectionHooks(mode="record", cache=cache, step=i, attn_sink=attn)
         return None
 
@@ -422,26 +432,18 @@ def run_edit(source: Latent, c_src: Conditioning, c_tgt: Conditioning,
     # Phase 2: perturb the inverted latent toward noise on the edit tokens.
     gaps = channel_gap(z_inv, z_rand, edit_tokens)
     if cfg.perturbation_mode == "channel_selective":
-        pcfg = PerturbationConfig(cfg.alpha, cfg.tau, cfg.perturbation_mode)
-        z_hat, weights = latents_shift_channel_selective(z_inv, z_rand, pcfg, edit_tokens)
+        z_hat, weights = latents_shift_channel_selective(
+            z_inv, z_rand, PerturbationConfig(cfg.alpha, cfg.tau), edit_tokens)
     else:
         z_hat = latents_shift_uniform(z_inv, z_rand, cfg.alpha, edit_tokens)
-        weights = ChannelWeights.uniform(cfg.channels, cfg.tau)
+        weights = ChannelWeights.uniform(cfg.channels)
 
     # Phase 3: sample under the target prompt, injecting cached features at
-    # the schedule's effective ratio wherever it is active.
-    profile = LayerRatioProfile(cfg.layer_count, cfg.layer_ratio_beta)
-
-    def ratios_for(i: int):
-        if i >= cfg.total_steps or not is_active(schedule, i):
-            return None
-        return layer_ratios(profile, effective_ratio(schedule, cfg.delta_base, i))
-
+    # the planned ratios.
     def sample_hooks(i):
-        r = ratios_for(i)
-        if r is None:
+        if plan[i] is None:
             return None
-        return InjectionHooks(mode="inject", cache=cache, step=i, mix_ratios=r,
+        return InjectionHooks(mode="inject", cache=cache, step=i, mix_ratios=plan[i],
                               background_mask=mask, global_mix=cfg.global_mix)
 
     sampling = integrate_forward(model, z_hat, grid, cfg.solver, c_tgt,
@@ -453,19 +455,16 @@ def run_edit(source: Latent, c_src: Conditioning, c_tgt: Conditioning,
     recon = reconstruction.final
 
     trace = tuple(
-        (schedule.weights[i], effective_ratio(schedule, cfg.delta_base, i),
-         is_active(schedule, i))
-        for i in range(cfg.total_steps))
+        (weight, cfg.delta_base * weight, ratios is not None)
+        for weight, ratios in zip(schedule.weights, plan))
 
-    # Largest injected-velocity change between consecutive schedule positions,
+    # Largest injected-velocity change between consecutive planned steps,
     # measured along the sampling trajectory (the binary cutoff jump for the
     # binary family).
     max_jump = 0.0
-    for i in range(cfg.total_steps):
-        ra = ratios_for(i)
+    for i, (ra, rb) in enumerate(zip(plan, plan[1:])):
         if ra is None:
             continue
-        rb = ratios_for(i + 1)
         jump = velocity_jump_between(
             model, sampling.states[i], grid.times[i], c_tgt, cache, i, ra, rb,
             mask=mask, global_mix=cfg.global_mix)

@@ -150,9 +150,9 @@ def test_channel_weights_variance_monotone_in_temperature():
 
 def test_channel_weights_validation():
     with pytest.raises(ValueError):
-        ChannelWeights(np.array([0.5, 0.6]), 1.0)  # mean != 1
+        ChannelWeights(np.array([0.5, 0.6]))  # mean != 1
     with pytest.raises(ValueError):
-        ChannelWeights(np.array([-0.5, 2.5]), 1.0)  # negative entry
+        ChannelWeights(np.array([-0.5, 2.5]))  # negative entry
 
 
 def test_selective_alpha_zero_is_identity_bitwise():
@@ -230,5 +230,3 @@ def test_perturbation_config_validation():
         PerturbationConfig(1.5, 1.0)
     with pytest.raises(ValueError):
         PerturbationConfig(0.5, 0.0)
-    with pytest.raises(ValueError):
-        PerturbationConfig(0.5, 1.0, mode="other")
