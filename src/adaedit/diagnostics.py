@@ -50,10 +50,10 @@ def psnr(a: Latent, b: Latent, peak: Optional[float] = None) -> float:
     return 20.0 * math.log10(peak) - 10.0 * math.log10(mse)
 
 
-def _gaussian_kernel(window: int, sigma: float) -> np.ndarray:
+def _gaussian_kernel(window: int) -> np.ndarray:
     half = (window - 1) / 2.0
     x = np.arange(window) - half
-    g = np.exp(-(x ** 2) / (2.0 * sigma ** 2))
+    g = np.exp(-(x ** 2) / (2.0 * SSIM_SIGMA ** 2))
     k = np.outer(g, g)
     return k / k.sum()
 
@@ -81,12 +81,11 @@ def default_ssim_window(grid_side: int) -> int:
     return w if w % 2 == 1 else w - 1
 
 
-def ssim(a: Latent, b: Latent, window: Optional[int] = None, k1: float = SSIM_K1,
-         k2: float = SSIM_K2, peak: Optional[float] = None,
-         sigma: float = SSIM_SIGMA) -> float:
+def ssim(a: Latent, b: Latent, peak: Optional[float] = None) -> float:
     """Gaussian-window SSIM per channel on the g x g token grid, averaged.
 
-    Tokens must form a square grid (L = g^2). The SSIM map is cropped to the
+    Tokens must form a square grid (L = g^2). The window is the largest odd
+    size not exceeding min(7, g), and the SSIM map is cropped to the
     window-valid interior before averaging. Population (divide-by-N) local
     statistics throughout.
     """
@@ -94,17 +93,13 @@ def ssim(a: Latent, b: Latent, window: Optional[int] = None, k1: float = SSIM_K1
     g = math.isqrt(a.l)
     if g * g != a.l:
         raise ValueError(f"token count {a.l} is not a square grid")
-    if window is None:
-        window = default_ssim_window(g)
-    if window < 1 or window % 2 == 0 or window > g:
-        raise ValueError(f"window must be odd and in [1, {g}], got {window}")
     if peak is None:
         peak = _default_peak(a)
     if not peak > 0.0:
         raise ValueError(f"peak must be positive, got {peak}")
-    c1 = (k1 * peak) ** 2
-    c2 = (k2 * peak) ** 2
-    kernel = _gaussian_kernel(window, sigma)
+    c1 = (SSIM_K1 * peak) ** 2
+    c2 = (SSIM_K2 * peak) ** 2
+    kernel = _gaussian_kernel(default_ssim_window(g))
     scores = [
         _ssim_plane(a.data[bi, :, ci].reshape(g, g), b.data[bi, :, ci].reshape(g, g),
                     kernel, c1, c2)

@@ -47,9 +47,6 @@ class KVCache:
     def __init__(self):
         self._entries: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def has(self, step: int, layer: int) -> bool:
         return (step, layer) in self._entries
 
@@ -80,9 +77,6 @@ class AttentionRecord:
 
     def __init__(self):
         self._maps: Dict[Tuple[int, int], np.ndarray] = {}
-
-    def __len__(self) -> int:
-        return len(self._maps)
 
     def has(self, step: int, layer: int) -> bool:
         return (step, layer) in self._maps
@@ -224,11 +218,14 @@ class ToyAttentionFlow:
     pipeline run, and concurrent runs use separate caches.
     """
 
+    # sinusoid frequencies 2^0 .. 2^(time_freqs - 1) in the time embedding
+    time_freqs = 8
+
     def __init__(self, seed: int = 0, layer_count: int = 2, embed_dim: int = 32,
                  img_tokens: int = 16, text_tokens: int = 4, channels: int = 8,
-                 heads: int = 1, vocab_size: int = 64, time_freqs: int = 8):
+                 heads: int = 1, vocab_size: int = 64):
         if min(layer_count, embed_dim, img_tokens, text_tokens,
-               channels, heads, vocab_size, time_freqs) < 1:
+               channels, heads, vocab_size) < 1:
             raise ValueError("all model dimensions must be positive")
         if embed_dim % heads != 0:
             raise ValueError(f"embed_dim {embed_dim} must be divisible by heads {heads}")
@@ -240,14 +237,13 @@ class ToyAttentionFlow:
         self.channels = channels
         self.heads = heads
         self.vocab_size = vocab_size
-        self.time_freqs = time_freqs
 
         rng = SeededRng(seed, stream=STREAM_MODEL)
         d = embed_dim
         # Draw order is part of the model definition; do not reorder.
         self.token_table = rng.standard_normal((vocab_size, d)) / math.sqrt(d)
         self.w_in = rng.standard_normal((channels, d)) / math.sqrt(channels)
-        t_in = d + 2 * time_freqs
+        t_in = d + 2 * self.time_freqs
         self.w_time = rng.standard_normal((t_in, d)) / math.sqrt(t_in)
         self.layers = []
         for _ in range(layer_count):

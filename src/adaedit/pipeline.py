@@ -29,8 +29,8 @@ from .perturbation import (PERTURBATION_MODES, ChannelWeights,
                            latents_shift_channel_selective,
                            latents_shift_uniform)
 from .schedules import (SCHEDULE_FAMILIES, InjectionSchedule,
-                        LayerRatioProfile, effective_ratio, is_active,
-                        layer_ratios, max_step_delta)
+                        LayerRatioProfile, active_step_count, effective_ratio,
+                        is_active, layer_ratios, max_step_delta)
 from .solvers import (SOLVER_KINDS, TimeGrid, integrate_backward,
                       integrate_forward)
 
@@ -52,6 +52,15 @@ SOURCE_SHAPE_FIELDS = ("batch", "img_tokens", "channels")
 # any work starts. They admit the stability envelope img_tokens=1024,
 # embed_dim=256, layer_count=8, heads=4, channels=16, total_steps=28.
 MAX_STEPS = 1000
+# A run keeps the K/V of every active step until sampling ends, and each
+# attention layer makes (batch, heads, n, n) float64 scores. The per-field
+# bounds admit products far beyond any desk machine (batch=16, heads=32,
+# img_tokens=4096 needs 69 GB of scores), which end in a MemoryError or an OOM
+# kill mid-run. This budget stops them before any work starts; it admits the
+# stability envelope above with a binary schedule and injection_steps=28
+# (~0.98 GB by the estimate in EditConfig.validate).
+MEMORY_BUDGET = 2 * 10**9
+FLOAT64_BYTES = 8
 # At subnormal temperatures d / tau overflows and the channel weights turn
 # NaN. At this floor, gaps 1e-4 apart already get weights exp(-100) apart.
 MIN_TAU = 1e-6
@@ -265,12 +274,23 @@ class EditConfig:
             if kw is not None and kw >= self.text_tokens:
                 raise ConfigError(
                     kw_field, f"must lie in [0, text_tokens={self.text_tokens}), got {kw}")
-        # active steps form a prefix, so none is active unless step 0 is
-        if not is_active(build_schedule(self), 0):
+        active = active_step_count(build_schedule(self))
+        if active == 0:
             raise ConfigError(
                 "activity_threshold",
                 f"no step is active: the first {self.schedule} weight does not "
                 f"exceed {self.activity_threshold}")
+        n = self.img_tokens + self.text_tokens
+        scores = self.batch * self.heads * n * n * FLOAT64_BYTES
+        cache = active * self.layer_count * 2 * self.batch * n * self.embed_dim * FLOAT64_BYTES
+        if scores + cache > MEMORY_BUDGET:
+            raise ConfigError(
+                "img_tokens",
+                f"the run needs about {(scores + cache) / 1e9:.3g} GB (attention "
+                f"scores {scores / 1e9:.3g} GB, K/V cache of {active} active steps "
+                f"{cache / 1e9:.3g} GB), over the {MEMORY_BUDGET / 1e9:g} GB budget; "
+                f"lower img_tokens, text_tokens, batch, heads, layer_count, "
+                f"embed_dim or the active steps")
         return self
 
     def resolved_dict(self) -> dict:

@@ -100,6 +100,11 @@ def is_active(s: InjectionSchedule, step: int) -> bool:
     return s.weights[step] > s.activity_threshold
 
 
+def active_step_count(s: InjectionSchedule) -> int:
+    """How many steps are active; weights never increase, so they form a prefix."""
+    return sum(is_active(s, i) for i in range(s.total_steps))
+
+
 def max_step_delta(s: InjectionSchedule, delta_base: float) -> float:
     """Largest jump of the effective ratio between consecutive steps.
 

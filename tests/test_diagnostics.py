@@ -86,14 +86,6 @@ def test_ssim_requires_square_grid():
         ssim(Latent(np.zeros((1, 12, 1))), Latent(np.zeros((1, 12, 1))), peak=1.0)
 
 
-def test_ssim_window_validation():
-    z = sample_gaussian(SeededRng(3), 1, 16, 1)
-    with pytest.raises(ValueError):
-        ssim(z, z, window=4)
-    with pytest.raises(ValueError):
-        ssim(z, z, window=5)  # > grid side 4
-
-
 # -------------------------------------------------------------- velocity jump
 
 def recorded_state(seed=0):

@@ -81,6 +81,21 @@ def test_no_active_step_is_a_config_error():
     EditConfig(activity_threshold=0.99, schedule="cosine").validate()
 
 
+def test_memory_product_is_a_config_error():
+    # construction only: no run is started, so nothing is allocated
+    with pytest.raises(ConfigError) as exc:
+        EditConfig(batch=16, heads=32, img_tokens=4096, embed_dim=1024)
+    assert exc.value.field == "img_tokens"
+    assert "68.9 GB" in str(exc.value) and "2 GB budget" in str(exc.value)
+    # the K/V of 28 active steps at the stability envelope's size is ~0.94 GB;
+    # with 20 layers instead of 8 it is ~2.4 GB
+    envelope = dict(img_tokens=1024, embed_dim=256, layer_count=8, heads=4, channels=16,
+                    total_steps=28, injection_steps=28, schedule="binary")
+    EditConfig(**envelope)
+    with pytest.raises(ConfigError):
+        EditConfig(**dict(envelope, layer_count=20))
+
+
 def test_readme_config_section_lists_every_field():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme[readme.index("## Config\n"):readme.index("## Reproducibility notes")]

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,19 @@ def test_divergence_error_names_step():
         integrate_forward(blowup, ONES, TimeGrid.uniform(10), "euler", phase="sampling")
     assert exc.value.step >= 0
     assert "sampling" in str(exc.value)
+    assert "state norm exceeds 1e+06" in str(exc.value)
+
+
+def test_non_finite_velocity_is_divergence():
+    class NanField:
+        def evaluate(self, z, t, cond=None, hooks=None):
+            return SimpleNamespace(data=np.full(z.shape, np.nan))
+
+    for kind in SOLVER_KINDS:
+        with pytest.raises(DivergenceError, match="non-finite state") as exc:
+            integrate_forward(NanField(), ONES, TimeGrid.uniform(4), kind, phase="sampling")
+        assert exc.value.step == 0
+        assert exc.value.phase == "sampling"
 
 
 def test_unknown_solver_kind():
