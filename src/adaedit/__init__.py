@@ -9,9 +9,9 @@ from .models import (AnalyticLinearFlow, AttentionRecord, Conditioning,
 from .perturbation import (ChannelWeights, PerturbationConfig, channel_gap,
                            channel_weights, latents_shift_channel_selective,
                            latents_shift_uniform)
-from .pipeline import (EditConfig, EditResult, build_model, build_schedule,
-                       config_hash, generate_source_latent, run_ablation_grid,
-                       run_edit, run_reconstruction)
+from .pipeline import (EditConfig, EditResult, Inversion, build_model,
+                       build_schedule, config_hash, generate_source_latent,
+                       invert, run_ablation_grid, run_edit, run_reconstruction)
 from .schedules import (InjectionSchedule, LayerRatioProfile, effective_ratio,
                         is_active, layer_multiplier, max_step_delta,
                         schedule_weight)
@@ -23,12 +23,12 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalyticLinearFlow", "AttentionRecord", "CacheMissError", "ChannelWeights",
     "Conditioning", "ConfigError", "DivergenceError", "EditConfig", "EditMask",
-    "EditResult", "EPS_STD", "InjectionHooks", "InjectionSchedule", "KVCache",
+    "EditResult", "EPS_STD", "InjectionHooks", "InjectionSchedule", "Inversion", "KVCache",
     "Latent", "LayerRatioProfile", "PerturbationConfig", "SeededRng", "TimeGrid",
     "ToyAttentionFlow", "Trajectory", "build_model", "build_schedule",
     "channel_gap", "channel_mean_over", "channel_weights", "config_hash",
     "effective_ratio", "extract_mask", "generate_source_latent",
-    "integrate_backward", "integrate_forward", "is_active", "kv_mix",
+    "integrate_backward", "integrate_forward", "invert", "is_active", "kv_mix",
     "latents_shift_channel_selective", "latents_shift_uniform",
     "layer_multiplier", "max_step_delta", "psnr", "run_ablation_grid",
     "run_edit", "run_reconstruction", "sample_gaussian", "schedule_weight",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import AbstractSet, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -86,10 +86,12 @@ class AttentionRecord:
         if key not in self._maps:
             self._maps[key] = np.array(block, dtype=np.float64, copy=True)
 
-    def stacked(self) -> np.ndarray:
-        if not self._maps:
+    def stacked(self, steps: Optional[AbstractSet[int]] = None) -> np.ndarray:
+        """The recorded blocks in (step, layer) order, only those of ``steps``
+        if given."""
+        keys = sorted(k for k in self._maps if steps is None or k[0] in steps)
+        if not keys:
             raise RuntimeError("no attention maps recorded")
-        keys = sorted(self._maps)
         return np.stack([self._maps[k] for k in keys], axis=0)
 
 
@@ -327,18 +329,19 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def extract_mask(attn_record: AttentionRecord, cond: Conditioning,
-                 gamma: Optional[float] = None) -> EditMask:
+                 gamma: Optional[float] = None,
+                 steps: Optional[AbstractSet[int]] = None) -> EditMask:
     """Edit mask from recorded keyword-to-image attention.
 
     The attention the keyword text token pays to each image token is averaged
-    over recorded steps, layers, heads and batch, min-max normalized to
-    [0, 1], and thresholded at its mean. gamma sets the sigmoid sharpness of
-    the soft mask; None requests the sharp limit (indicator with 0.5 at ties,
-    matching the gamma -> infinity behavior).
+    over recorded steps (only those in ``steps``, if given), layers, heads and
+    batch, min-max normalized to [0, 1], and thresholded at its mean. gamma
+    sets the sigmoid sharpness of the soft mask; None requests the sharp limit
+    (indicator with 0.5 at ties, matching the gamma -> infinity behavior).
     """
     if gamma is not None and not gamma > 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    blocks = attn_record.stacked()  # (entries, B, heads, L_txt, L_img)
+    blocks = attn_record.stacked(steps)  # (entries, B, heads, L_txt, L_img)
     a = blocks[:, :, :, cond.keyword_index, :].mean(axis=(0, 1, 2))
     spread = a.max() - a.min()
     if spread > 1e-12:

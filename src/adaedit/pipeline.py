@@ -14,7 +14,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field, fields, replace
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,6 +46,14 @@ MASK_KEYWORD_SOURCES = ("source", "target")
 # The fields that fix the source latent's shape (B, L, C). An ablation grid
 # runs every row on one source latent, so none of them can be an axis.
 SOURCE_SHAPE_FIELDS = ("batch", "img_tokens", "channels")
+
+# The fields an inversion reads: the seed and the model dimensions, the batch,
+# the time grid and solver, and the source prompt (resolved, as the
+# Conditioning carries it). Edits of one source that agree on them can share
+# one Inversion.
+INVERSION_FIELDS = ("seed", "layer_count", "embed_dim", "img_tokens", "text_tokens",
+                    "channels", "heads", "vocab_size", "batch", "total_steps", "solver",
+                    "source_prompt_ids")
 
 # The upper bounds on total_steps and the model dimensions stop one runaway
 # value (total_steps=100000000 runs past 20 s holding every state) before
@@ -410,43 +418,119 @@ def _check_source(source: Latent, cfg: EditConfig) -> None:
         raise ValueError(f"source latent shape {source.shape} != config {expected}")
 
 
-def run_edit(source: Latent, c_src: Conditioning, c_tgt: Conditioning,
-             cfg: EditConfig) -> EditResult:
-    """Invert the source, perturb the inverted latent, resample under the
-    target prompt with progressive feature injection."""
-    _check_source(source, cfg)
+def inversion_key(cfg: EditConfig, c_src: Conditioning) -> tuple:
+    """The values of INVERSION_FIELDS, in order, that inverting under ``cfg``
+    and ``c_src`` reads."""
+    return tuple(getattr(cfg, name) for name in INVERSION_FIELDS[:-1]) + (
+        c_src.prompt_token_ids,)
 
+
+@dataclass(frozen=True, eq=False)
+class Inversion:
+    """The source side of an edit: the model and grid, the inverted latent,
+    the K/V cache and attention recorded on ``steps``, and the plain
+    reconstruction of the inverted latent under the source prompt, with the
+    evaluation counts of both. Any edit of ``source`` whose config gives the
+    same ``key`` (see inversion_key) and whose planned steps lie in ``steps``
+    can run on it."""
+
+    key: tuple
+    source: Latent
+    model: ToyAttentionFlow
+    grid: TimeGrid
+    steps: AbstractSet[int]
+    z_inv: Latent
+    cache: KVCache
+    attn: AttentionRecord
+    inversion_evals: int
+    reconstructed: Latent
+    reconstruction_evals: int
+
+
+def invert(source: Latent, c_src: Conditioning, cfg: EditConfig,
+           steps: Iterable[int] = ()) -> Inversion:
+    """Integrate the source backward under the source prompt, caching K/V
+    and attention on ``steps``, then resample the inverted latent under the
+    source prompt with no perturbation and no injection.
+
+    Recording does not change the trajectory, so one Inversion recorded on
+    the union of several edits' planned steps serves each of them exactly.
+    """
+    _check_source(source, cfg)
+    steps = frozenset(steps)
     model = build_model(cfg)
-    schedule = build_schedule(cfg)
     grid = TimeGrid.uniform(cfg.total_steps)
-    z_rand = sample_gaussian(
-        SeededRng(cfg.seed, stream=STREAM_NOISE), cfg.batch, cfg.img_tokens, cfg.channels)
     cache = KVCache()
     attn = AttentionRecord()
 
+    def record_hooks(i):
+        if i in steps:
+            return InjectionHooks(mode="record", cache=cache, step=i, attn_sink=attn)
+        return None
+
+    inversion = integrate_backward(model, source, grid, cfg.solver, c_src,
+                                   record_hooks, phase="inversion")
+    reconstruction = integrate_forward(model, inversion.final, grid, cfg.solver,
+                                       c_src, None, phase="reconstruction")
+    return Inversion(
+        key=inversion_key(cfg, c_src), source=source, model=model, grid=grid,
+        steps=steps, z_inv=inversion.final, cache=cache, attn=attn,
+        inversion_evals=inversion.velocity_evals, reconstructed=reconstruction.final,
+        reconstruction_evals=reconstruction.velocity_evals)
+
+
+def _check_inversion(inversion: Inversion, source: Latent, c_src: Conditioning,
+                     cfg: EditConfig, steps: AbstractSet[int]) -> None:
+    for name, made, needed in zip(INVERSION_FIELDS, inversion.key,
+                                  inversion_key(cfg, c_src)):
+        if made != needed:
+            raise ValueError(f"the inversion was made with {name}={made!r}, "
+                             f"this edit needs {needed!r}")
+    if inversion.source is not source and not np.array_equal(
+            inversion.source.data, source.data):
+        raise ValueError("the inversion was made from another source latent")
+    missing = steps - inversion.steps
+    if missing:
+        raise ValueError(f"the inversion did not record planned step {min(missing)}")
+
+
+def run_edit(source: Latent, c_src: Conditioning, c_tgt: Conditioning,
+             cfg: EditConfig, inversion: Optional[Inversion] = None) -> EditResult:
+    """Perturb the inverted source and resample it under the target prompt
+    with progressive feature injection.
+
+    ``inversion`` is the source side to edit from (see invert); without one
+    the edit inverts the source itself, recording its planned steps only. One
+    made for another source, another value of an INVERSION_FIELDS field, or
+    without one of the planned steps is a ValueError.
+    """
+    schedule = build_schedule(cfg)
+
     # The injection plan: per step, the per-layer ratios at which cached
     # source K/V are blended in, or None where the schedule is inactive; the
-    # trailing None stands for the step after the last. Inversion caches
-    # exactly the steps that sampling injects.
+    # trailing None stands for the step after the last. Inversion caches the
+    # planned steps (at least), and sampling injects exactly them.
     profile = LayerRatioProfile(cfg.layer_count, cfg.layer_ratio_beta)
     plan = tuple(
         layer_ratios(profile, effective_ratio(schedule, cfg.delta_base, i))
         if is_active(schedule, i) else None
         for i in range(cfg.total_steps)) + (None,)
+    steps = frozenset(i for i, ratios in enumerate(plan) if ratios is not None)
 
-    # Phase 1: inversion under the source prompt, caching K/V and attention
-    # on the planned steps only.
-    def invert_hooks(i):
-        if plan[i] is not None:
-            return InjectionHooks(mode="record", cache=cache, step=i, attn_sink=attn)
-        return None
+    # Phase 1: inversion under the source prompt.
+    if inversion is None:
+        inversion = invert(source, c_src, cfg, steps)
+    else:
+        _check_inversion(inversion, source, c_src, cfg, steps)
+    model, grid, cache = inversion.model, inversion.grid, inversion.cache
+    z_inv = inversion.z_inv
+    z_rand = sample_gaussian(
+        SeededRng(cfg.seed, stream=STREAM_NOISE), cfg.batch, cfg.img_tokens, cfg.channels)
 
-    inversion = integrate_backward(model, source, grid, cfg.solver, c_src,
-                                   invert_hooks, phase="inversion")
-    z_inv = inversion.final
-
+    # The mask averages the planned steps' attention only, in the order a
+    # record of exactly those steps would stack it.
     mask_cond = c_tgt if cfg.mask_keyword_source == "target" else c_src
-    mask = extract_mask(attn, mask_cond, cfg.soft_mask_gamma)
+    mask = extract_mask(inversion.attn, mask_cond, cfg.soft_mask_gamma, steps)
     edit_tokens, fallback = resolve_edit_tokens(mask, cfg.img_tokens)
 
     # Phase 2: perturb the inverted latent toward noise on the edit tokens.
@@ -469,10 +553,7 @@ def run_edit(source: Latent, c_src: Conditioning, c_tgt: Conditioning,
     sampling = integrate_forward(model, z_hat, grid, cfg.solver, c_tgt,
                                  sample_hooks, phase="sampling")
     edited = sampling.final
-
-    reconstruction = integrate_forward(model, z_inv, grid, cfg.solver, c_src,
-                                       None, phase="reconstruction")
-    recon = reconstruction.final
+    recon = inversion.reconstructed
 
     trace = tuple(
         (weight, cfg.delta_base * weight, ratios is not None)
@@ -495,10 +576,10 @@ def run_edit(source: Latent, c_src: Conditioning, c_tgt: Conditioning,
     diagnostics = {
         "max_step_delta": max_step_delta(schedule, cfg.delta_base),
         "velocity_jump": max_jump,
-        "eval_count_inversion": float(inversion.velocity_evals),
+        "eval_count_inversion": float(inversion.inversion_evals),
         "eval_count_sampling": float(sampling.velocity_evals),
-        "eval_count_reconstruction": float(reconstruction.velocity_evals),
-        "evals": float(inversion.velocity_evals + sampling.velocity_evals),
+        "eval_count_reconstruction": float(inversion.reconstruction_evals),
+        "evals": float(inversion.inversion_evals + sampling.velocity_evals),
         "psnr": psnr(recon, edited, peak=peak),
         "ssim": ssim(recon, edited, peak=peak),
         "empty_mask_fallback": 1.0 if fallback else 0.0,
@@ -514,14 +595,7 @@ def run_reconstruction(source: Latent, c_src: Conditioning,
                        cfg: EditConfig) -> Latent:
     """Inversion followed by plain re-sampling under the source prompt: no
     perturbation, no injection. The inversion-quality baseline."""
-    _check_source(source, cfg)
-    model = build_model(cfg)
-    grid = TimeGrid.uniform(cfg.total_steps)
-    inversion = integrate_backward(model, source, grid, cfg.solver, c_src,
-                                   None, phase="inversion")
-    sampling = integrate_forward(model, inversion.final, grid, cfg.solver,
-                                 c_src, None, phase="reconstruction")
-    return sampling.final
+    return invert(source, c_src, cfg).reconstructed
 
 
 def config_columns(run_id: str, cfg: EditConfig) -> dict:
@@ -555,6 +629,11 @@ def edit_grid(source: Latent, base_cfg: EditConfig, axes: Dict[str, Sequence]
     first run, so a bad axis value or name fails fast as a config error.
     All rows share the one source latent, so an axis cannot change its
     shape; rows keep the base config's seed unless it is an axis.
+
+    The rows that agree on INVERSION_FIELDS share one Inversion, recorded on
+    the union of their planned steps, so a grid inverts and reconstructs once
+    per distinct value of those fields and holds one Inversion at a time.
+    Each row's result equals a standalone run_edit bitwise.
     """
     values = {name: list(axes[name]) for name in axes}
     for name in values:
@@ -565,9 +644,34 @@ def edit_grid(source: Latent, base_cfg: EditConfig, axes: Dict[str, Sequence]
             raise ConfigError(name, "axis has no values")
     combos = [dict(zip(values, combo)) for combo in itertools.product(*values.values())]
     runs = [(overrides, replace(base_cfg, **overrides)) for overrides in combos]
-    return ((overrides, cfg, run_edit(source, cfg.source_conditioning(),
-                                      cfg.target_conditioning(), cfg))
-            for overrides, cfg in runs)
+    return _grid_rows(source, runs)
+
+
+def _grid_rows(source: Latent, runs: List[Tuple[Dict, EditConfig]]
+               ) -> Iterator[Tuple[Dict, EditConfig, EditResult]]:
+    # Rows run grouped by inversion key, each group on one Inversion that is
+    # dropped before any row is handed out, so at most one K/V cache is alive
+    # whatever the axis order; finished rows wait until the rows before them
+    # are done.
+    groups: Dict[tuple, List[int]] = {}
+    for index, (_, cfg) in enumerate(runs):
+        groups.setdefault(inversion_key(cfg, cfg.source_conditioning()), []).append(index)
+    results: Dict[int, EditResult] = {}
+    next_row = 0
+    for rows in groups.values():
+        cfgs = [runs[index][1] for index in rows]
+        # active steps form a prefix, so the union of the rows' planned steps
+        # is the longest row's prefix
+        longest = max(active_step_count(build_schedule(cfg)) for cfg in cfgs)
+        inversion = invert(source, cfgs[0].source_conditioning(), cfgs[0], range(longest))
+        for index, cfg in zip(rows, cfgs):
+            results[index] = run_edit(source, cfg.source_conditioning(),
+                                      cfg.target_conditioning(), cfg, inversion)
+        del inversion
+        while next_row in results:
+            overrides, cfg = runs[next_row]
+            yield overrides, cfg, results.pop(next_row)
+            next_row += 1
 
 
 def run_ablation_grid(source: Latent, base_cfg: EditConfig,

@@ -1,6 +1,9 @@
 """The benchmark's layer trace (bench/spans.py) wraps program names where the
 program looks them up. A renamed or removed name makes install() fail here,
-in well under a second, instead of only in the benchmark's smoke run."""
+in well under a second, instead of only in the benchmark's smoke run. A
+traced ablation checks the invariants that keep the traced metrics defined:
+one run_edit span per row, the evaluation counts each phase must make, and
+every evaluation inside a phase or the velocity-jump diagnostic."""
 
 from __future__ import annotations
 
@@ -33,3 +36,22 @@ def test_tracer_install_wraps_and_uninstall_restores(monkeypatch):
         after = dict(vars(owner))
         assert after.keys() == names.keys(), owner
         assert all(after[name] is value for name, value in names.items()), owner
+
+
+def test_traced_ablation_counts_rows_and_inverts_once(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.delenv("ADAEDIT_SEED", raising=False)
+    spans = importlib.import_module("spans")
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["ablate", "--out", str(tmp_path), "--axis", "schedule=sigmoid,binary",
+                         "--axis", "alpha=0.1,0.5"])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert tracer.calls["pipeline.run_edit"] == 4
+    assert tracer.mismatches == []
+    assert tracer.ledger_balances()
+    assert tracer.calls["solvers.inversion"] == 1
+    assert tracer.calls["solvers.reconstruction"] == 1

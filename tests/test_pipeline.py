@@ -1,20 +1,25 @@
 from __future__ import annotations
 
+import itertools
 import json
+import weakref
 from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from adaedit import pipeline
 from adaedit.errors import ConfigError
 from adaedit.latent import SeededRng, sample_gaussian
-from adaedit.models import AttentionRecord, EditMask, InjectionHooks, KVCache
+from adaedit.models import (AttentionRecord, EditMask, InjectionHooks, KVCache,
+                            extract_mask)
 from adaedit.pipeline import (FIELD_SPECS, EditConfig, build_model, build_schedule,
-                              config_hash, generate_source_latent,
-                              resolve_edit_tokens, run_ablation_grid, run_edit,
-                              run_reconstruction, summarize_result)
-from adaedit.schedules import is_active, schedule_weight
+                              config_hash, edit_grid, generate_source_latent,
+                              inversion_key, invert, resolve_edit_tokens,
+                              run_ablation_grid, run_edit, run_reconstruction,
+                              summarize_result)
+from adaedit.schedules import active_step_count, is_active, schedule_weight
 from adaedit.solvers import TimeGrid, integrate_backward, integrate_forward
 
 
@@ -323,6 +328,117 @@ def test_resolve_edit_tokens_fallback():
     tokens, fallback = resolve_edit_tokens(nonempty, 16)
     assert not fallback
     assert tokens == (0,)
+
+
+# ------------------------------------------------------------------ inversion
+
+def assert_same_result(a, b):
+    assert np.array_equal(a.edited.data, b.edited.data)
+    assert np.array_equal(a.reconstructed_source.data, b.reconstructed_source.data)
+    assert np.array_equal(a.mask.soft, b.mask.soft)
+    assert np.array_equal(a.channel_weights.alpha, b.channel_weights.alpha)
+    assert np.array_equal(a.channel_gaps, b.channel_gaps)
+    assert a.schedule_trace == b.schedule_trace
+    # repr of every float, as the benchmark digests them
+    assert json.dumps(a.diagnostics, sort_keys=True) == json.dumps(b.diagnostics,
+                                                                   sort_keys=True)
+
+
+def test_grid_rows_equal_standalone_edits_and_invert_once_per_key(monkeypatch):
+    # sigmoid plans steps 0-3 and binary steps 0-2, so the binary rows run on
+    # a record of more steps than they inject; the keyword indices differ, so
+    # mask_keyword_source changes the mask
+    cfg = EditConfig(seed=5, total_steps=6, injection_steps=3, source_keyword_index=0)
+    axes = {"schedule": ["sigmoid", "binary"], "alpha": [0.1, 0.5], "tau": [0.5, 2.0],
+            "soft_mask_gamma": [None, 8.0], "mask_keyword_source": ["source", "target"],
+            "perturbation_mode": ["uniform", "channel_selective"],
+            "solver": ["euler", "reuse_velocity"]}
+    assert [active_step_count(build_schedule(replace(cfg, schedule=family)))
+            for family in axes["schedule"]] == [4, 3]
+    src = generate_source_latent(cfg)
+    backward = []
+    real_backward = pipeline.integrate_backward
+
+    def counted_backward(*args, **kwargs):
+        backward.append(args[3])
+        return real_backward(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "integrate_backward", counted_backward)
+    rows = list(edit_grid(src, cfg, axes))
+    assert len(rows) == 128
+    keys = {inversion_key(row_cfg, row_cfg.source_conditioning()) for _, row_cfg, _ in rows}
+    assert len(keys) == 2
+    assert sorted(backward) == ["euler", "reuse_velocity"]
+    for _, row_cfg, result in rows:
+        alone = run_edit(src, row_cfg.source_conditioning(),
+                         row_cfg.target_conditioning(), row_cfg)
+        assert_same_result(result, alone)
+
+
+def test_mask_of_a_superset_record_limited_to_the_planned_steps():
+    cfg = EditConfig(seed=2)
+    src = generate_source_latent(cfg)
+    c_src = cfg.source_conditioning()
+    superset = invert(src, c_src, cfg, range(cfg.total_steps))
+    # recording leaves the trajectory and the reconstruction unchanged
+    plain = invert(src, c_src, cfg)
+    assert np.array_equal(superset.z_inv.data, plain.z_inv.data)
+    assert np.array_equal(superset.reconstructed.data, plain.reconstructed.data)
+    for count in (1, 3, 6):
+        own = invert(src, c_src, cfg, range(count))
+        for gamma in (None, 8.0):
+            limited = extract_mask(superset.attn, c_src, gamma, frozenset(range(count)))
+            exact = extract_mask(own.attn, c_src, gamma)
+            assert np.array_equal(limited.soft, exact.soft)
+
+
+def test_run_edit_rejects_a_foreign_inversion():
+    cfg = EditConfig(seed=3)
+    src = generate_source_latent(cfg)
+    c_src, c_tgt = cfg.source_conditioning(), cfg.target_conditioning()
+    planned = range(active_step_count(build_schedule(cfg)))
+    inversion = invert(src, c_src, cfg, planned)
+    assert_same_result(run_edit(src, c_src, c_tgt, cfg, inversion),
+                       run_edit(src, c_src, c_tgt, cfg))
+    # the first field of INVERSION_FIELDS that differs is named
+    for change, name in (({"seed": 4}, "seed"),
+                         ({"solver": "euler", "total_steps": 10}, "total_steps"),
+                         ({"source_prompt_ids": (1, 2, 3, 5)}, "source_prompt_ids")):
+        other = replace(cfg, **change)
+        with pytest.raises(ValueError, match=f"made with {name}="):
+            run_edit(src, other.source_conditioning(), other.target_conditioning(), other,
+                     inversion)
+    with pytest.raises(ValueError, match="did not record planned step 1"):
+        run_edit(src, c_src, c_tgt, cfg, invert(src, c_src, cfg, range(1)))
+    other_src = generate_source_latent(replace(cfg, seed=4))
+    with pytest.raises(ValueError, match="another source latent"):
+        run_edit(other_src, c_src, c_tgt, cfg, inversion)
+
+
+def test_grid_holds_one_inversion_at_a_time(monkeypatch):
+    made = []
+    real_invert = pipeline.invert
+
+    def tracked_invert(*args, **kwargs):
+        assert all(ref() is None for ref in made)  # the previous one is gone
+        inversion = real_invert(*args, **kwargs)
+        made.append(weakref.ref(inversion))
+        return inversion
+
+    monkeypatch.setattr(pipeline, "invert", tracked_invert)
+    cfg = EditConfig(seed=1, total_steps=4, injection_steps=2)
+    src = generate_source_latent(cfg)
+    # the seed axis outermost and innermost: either way a row is handed out
+    # only after its inversion is freed, and each seed inverts once
+    for axes in ({"seed": [1, 2, 3], "alpha": [0.1, 0.5]},
+                 {"alpha": [0.1, 0.5], "seed": [1, 2, 3]}):
+        made.clear()
+        rows = []
+        for overrides, _, _ in edit_grid(src, cfg, axes):
+            assert all(ref() is None for ref in made)
+            rows.append(overrides)
+        assert len(made) == 3
+        assert rows == [dict(zip(axes, combo)) for combo in itertools.product(*axes.values())]
 
 
 # ------------------------------------------------------------- reconstruction
