@@ -31,7 +31,7 @@ from .errors import ConfigError, DivergenceError
 from .models import AnalyticLinearFlow
 from .latent import Latent
 from .perturbation import blend_weights
-from .pipeline import (RESULT_COLUMNS, EditConfig, build_schedule,
+from .pipeline import (RESULT_COLUMNS, EditConfig,
                        config_columns, config_hash, edit_grid, extra_columns,
                        generate_source_latent, parse_axis, parse_field,
                        run_ablation_grid, run_edit, run_reconstruction,
@@ -196,7 +196,7 @@ def cmd_sweep_schedule(config_path: Optional[str], out_dir: str,
     rows = run_ablation_grid(source, base, {"schedule": SWEEP_FAMILIES})
     curve_rows = []
     for family in SWEEP_FAMILIES:
-        weights = build_schedule(replace(base, schedule=family)).weights
+        weights = replace(base, schedule=family).injection_schedule.weights
         curve_rows.extend((step, family, weight) for step, weight in enumerate(weights))
     write_csv(out / "sweep.csv", _result_header(), [_result_row(row) for row in rows])
     write_csv(out / "schedule_curves.csv", ["step", "family", "weight"], curve_rows)

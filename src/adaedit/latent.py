@@ -71,6 +71,20 @@ class Latent:
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
 
+    @classmethod
+    def _adopt(cls, arr: np.ndarray) -> "Latent":
+        """Wrap ``arr`` without a copy or a check and mark it read-only.
+
+        Only for a fresh C-contiguous float64 (B, L, C) array that the caller
+        made, checked finite, and holds no other reference to: the solver's
+        guarded states and the toy model's checked outputs. Everything else
+        goes through the constructor, which copies and checks.
+        """
+        z = object.__new__(cls)
+        arr.flags.writeable = False
+        object.__setattr__(z, "data", arr)
+        return z
+
     @property
     def b(self) -> int:
         return self.data.shape[0]

@@ -206,6 +206,20 @@ def kv_mix(k_src: np.ndarray, v_src: np.ndarray, k_tgt: np.ndarray, v_tgt: np.nd
     return k, v
 
 
+# Entries a ToyAttentionFlow keeps per memo, the oldest dropped first. An edit
+# evaluates two prompts, and an integration over the largest grid (1000
+# steps) 2001 distinct times; a prompt's rows can reach 2 MB, a time's
+# features are 16 floats.
+PROMPT_MEMO_LIMIT = 16
+TIME_MEMO_LIMIT = 4096
+
+
+def _memo_put(memo: dict, limit: int, key, value) -> None:
+    if len(memo) >= limit:
+        memo.pop(next(iter(memo)))
+    memo[key] = value
+
+
 class ToyAttentionFlow:
     """Seeded stand-in for a transformer flow backbone.
 
@@ -216,8 +230,10 @@ class ToyAttentionFlow:
     in a fixed draw order, so a seed pins the model.
 
     Parameters are immutable after construction and evaluate() is pure except
-    for cache/sink writes in record mode; a cache belongs to exactly one
-    pipeline run, and concurrent runs use separate caches.
+    for cache/sink writes in record mode and its memos of checked prompt
+    embeddings and time features (bounded, read-only, keyed by their inputs);
+    a cache belongs to exactly one pipeline run, and concurrent runs use
+    separate caches.
     """
 
     # sinusoid frequencies 2^0 .. 2^(time_freqs - 1) in the time embedding
@@ -254,11 +270,33 @@ class ToyAttentionFlow:
                 for name in ("wq", "wk", "wv", "wo")
             })
         self.w_out = rng.standard_normal((d, channels)) / math.sqrt(d)
+        self._prompt_memo: Dict[Tuple[int, ...], np.ndarray] = {}
+        self._time_memo: Dict[float, np.ndarray] = {}
+
+    def _prompt_rows(self, ids: Tuple[int, ...]) -> np.ndarray:
+        """The prompt's embedding rows, (text_tokens, embed_dim), checked and
+        looked up once per prompt; a prompt that fails its check is not kept."""
+        rows = self._prompt_memo.get(ids)
+        if rows is None:
+            if len(ids) != self.text_tokens:
+                raise ValueError(
+                    f"prompt length {len(ids)} != text_tokens {self.text_tokens}")
+            if any(tid >= self.vocab_size for tid in ids):
+                raise ValueError(f"prompt token id >= vocab_size {self.vocab_size}")
+            rows = self.token_table[list(ids)]
+            rows.flags.writeable = False
+            _memo_put(self._prompt_memo, PROMPT_MEMO_LIMIT, ids, rows)
+        return rows
 
     def _time_features(self, t: float) -> np.ndarray:
-        freqs = 2.0 ** np.arange(self.time_freqs)
-        angles = math.pi * t * freqs
-        return np.concatenate([np.sin(angles), np.cos(angles)])
+        """Sinusoidal features of t, (2 * time_freqs,), made once per t."""
+        feats = self._time_memo.get(t)
+        if feats is None:
+            angles = math.pi * t * 2.0 ** np.arange(self.time_freqs)
+            feats = np.concatenate([np.sin(angles), np.cos(angles)])
+            feats.flags.writeable = False
+            _memo_put(self._time_memo, TIME_MEMO_LIMIT, t, feats)
+        return feats
 
     def _split_heads(self, x: np.ndarray) -> np.ndarray:
         b, n, d = x.shape
@@ -274,21 +312,16 @@ class ToyAttentionFlow:
             raise ValueError(
                 f"latent shape {z.shape} incompatible with model "
                 f"(L={self.img_tokens}, C={self.channels})")
-        if len(cond.prompt_token_ids) != self.text_tokens:
-            raise ValueError(
-                f"prompt length {len(cond.prompt_token_ids)} != text_tokens "
-                f"{self.text_tokens}")
-        if any(tid >= self.vocab_size for tid in cond.prompt_token_ids):
-            raise ValueError(f"prompt token id >= vocab_size {self.vocab_size}")
+        txt = self._prompt_rows(cond.prompt_token_ids)
 
-        b = z.b
-        txt = np.broadcast_to(
-            self.token_table[list(cond.prompt_token_ids)],
-            (b, self.text_tokens, self.embed_dim))
-        img = z.data @ self.w_in
-        h = np.concatenate([txt, img], axis=1)
-        tf = np.broadcast_to(self._time_features(t), h.shape[:2] + (2 * self.time_freqs,))
-        h = np.concatenate([h, tf], axis=-1) @ self.w_time
+        # one (B, n, d + 2F) input: text rows, then image rows, then the time
+        # features of every token
+        b, n_txt, d = z.b, self.text_tokens, self.embed_dim
+        x = np.empty((b, n_txt + self.img_tokens, d + 2 * self.time_freqs))
+        x[:, :n_txt, :d] = txt
+        x[:, n_txt:, :d] = z.data @ self.w_in
+        x[:, :, d:] = self._time_features(t)
+        h = x @ self.w_time
 
         scale = 1.0 / math.sqrt(self.embed_dim // self.heads)
         for layer_idx, layer in enumerate(self.layers):
@@ -316,7 +349,10 @@ class ToyAttentionFlow:
                     attn[:, :, :self.text_tokens, self.text_tokens:])
             h = h + self._merge_heads(attn @ vh) @ layer["wo"]
 
-        return Latent(h[:, self.text_tokens:, :] @ self.w_out)
+        out = h[:, self.text_tokens:, :] @ self.w_out
+        if not np.isfinite(out).all():
+            raise ValueError("latent entries must be finite")
+        return Latent._adopt(out)
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:

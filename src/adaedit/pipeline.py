@@ -14,6 +14,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from typing import AbstractSet, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -250,6 +251,12 @@ class EditConfig:
             kw = self._default_keyword_position()
         return Conditioning(self.resolved_target_prompt(), kw)
 
+    @cached_property
+    def injection_schedule(self) -> InjectionSchedule:
+        """The config's schedule, made once by build_schedule; validate, the
+        grid and run_edit all read this one."""
+        return build_schedule(self)
+
     def validate(self) -> "EditConfig":
         """Check every field against its Spec, then the rules that span fields."""
         for name, spec in FIELD_SPECS.items():
@@ -282,7 +289,7 @@ class EditConfig:
             if kw is not None and kw >= self.text_tokens:
                 raise ConfigError(
                     kw_field, f"must lie in [0, text_tokens={self.text_tokens}), got {kw}")
-        active = active_step_count(build_schedule(self))
+        active = active_step_count(self.injection_schedule)
         if active == 0:
             raise ConfigError(
                 "activity_threshold",
@@ -504,7 +511,7 @@ def run_edit(source: Latent, c_src: Conditioning, c_tgt: Conditioning,
     made for another source, another value of an INVERSION_FIELDS field, or
     without one of the planned steps is a ValueError.
     """
-    schedule = build_schedule(cfg)
+    schedule = cfg.injection_schedule
 
     # The injection plan: per step, the per-layer ratios at which cached
     # source K/V are blended in, or None where the schedule is inactive; the
@@ -662,7 +669,7 @@ def _grid_rows(source: Latent, runs: List[Tuple[Dict, EditConfig]]
         cfgs = [runs[index][1] for index in rows]
         # active steps form a prefix, so the union of the rows' planned steps
         # is the longest row's prefix
-        longest = max(active_step_count(build_schedule(cfg)) for cfg in cfgs)
+        longest = max(active_step_count(cfg.injection_schedule) for cfg in cfgs)
         inversion = invert(source, cfgs[0].source_conditioning(), cfgs[0], range(longest))
         for index, cfg in zip(rows, cfgs):
             results[index] = run_edit(source, cfg.source_conditioning(),

@@ -95,7 +95,8 @@ def _integrate(field, z_start: Latent, grid: TimeGrid, kind: str, cond,
         evals += 1
         return field.evaluate(state, float(t), cond, hooks).data
 
-    # every later state is guarded when it is made, at the bottom of its step
+    # every later state is guarded when it is made, and the guard is its only
+    # check: a fresh, guarded array becomes a Latent without a copy
     _guard(z_start.data, order[0], phase)
     z = z_start
     states = [z]
@@ -111,12 +112,12 @@ def _integrate(field, z_start: Latent, grid: TimeGrid, kind: str, cond,
             v1 = carried if carried is not None else ev(z, t_from, hooks)
             zm = z.data + sign * 0.5 * h * v1
             _guard(zm, i, phase)
-            vm = ev(Latent(zm), t_mid, hooks)
+            vm = ev(Latent._adopt(zm), t_mid, hooks)
             z_next = z.data + sign * h * vm
             if kind == "reuse_velocity":
                 carried = vm
         _guard(z_next, i, phase)
-        z = Latent(z_next)
+        z = Latent._adopt(z_next)
         states.append(z)
 
     return Trajectory(states=states, velocity_evals=evals)

@@ -3,16 +3,22 @@ program looks them up. A renamed or removed name makes install() fail here,
 in well under a second, instead of only in the benchmark's smoke run. A
 traced ablation checks the invariants that keep the traced metrics defined:
 one run_edit span per row, the evaluation counts each phase must make, and
-every evaluation inside a phase or the velocity-jump diagnostic."""
+every evaluation inside a phase or the velocity-jump diagnostic. A traced
+default edit checks that the solver and the model hand out their checked
+arrays as Latents without constructing (copying and re-checking) them."""
 
 from __future__ import annotations
 
 import importlib
+from dataclasses import replace
 from pathlib import Path
+
+import pytest
 
 from adaedit import cli, models, perturbation, pipeline
 from adaedit.latent import Latent
 from adaedit.models import AttentionRecord, KVCache, ToyAttentionFlow
+from adaedit.solvers import SOLVER_KINDS
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 OWNERS = (pipeline, perturbation, models, cli, Latent, ToyAttentionFlow, KVCache,
@@ -55,3 +61,22 @@ def test_traced_ablation_counts_rows_and_inverts_once(monkeypatch, tmp_path):
     assert tracer.ledger_balances()
     assert tracer.calls["solvers.inversion"] == 1
     assert tracer.calls["solvers.reconstruction"] == 1
+
+
+@pytest.mark.parametrize("solver", SOLVER_KINDS)
+def test_traced_default_edit_constructs_two_latents(monkeypatch, solver):
+    monkeypatch.syspath_prepend(str(BENCH))
+    spans = importlib.import_module("spans")
+    cfg = replace(pipeline.EditConfig(), solver=solver)
+    source = pipeline.generate_source_latent(cfg)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        pipeline.run_edit(source, cfg.source_conditioning(), cfg.target_conditioning(), cfg)
+    finally:
+        tracer.uninstall()
+    # the noise latent and the perturbed latent
+    assert tracer.calls["latent.construct"] <= 2
+    assert tracer.calls["pipeline.run_edit"] == 1
+    assert tracer.mismatches == []
+    assert tracer.ledger_balances()

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
-from adaedit.diagnostics import psnr, ssim, velocity_jump, velocity_jump_between
+from adaedit.diagnostics import (SSIM_K1, SSIM_K2, _gaussian_kernel, default_ssim_window,
+                                 psnr, ssim, velocity_jump, velocity_jump_between)
 from adaedit.errors import CacheMissError
 from adaedit.latent import Latent, SeededRng, sample_gaussian
 from adaedit.models import Conditioning, InjectionHooks, KVCache, ToyAttentionFlow
@@ -84,6 +86,48 @@ def test_ssim_symmetric():
 def test_ssim_requires_square_grid():
     with pytest.raises(ValueError):
         ssim(Latent(np.zeros((1, 12, 1))), Latent(np.zeros((1, 12, 1))), peak=1.0)
+
+
+def reference_ssim(a: Latent, b: Latent, peak: float) -> float:
+    """SSIM one (batch, channel) plane at a time, five 2-d correlations each."""
+    g = math.isqrt(a.l)
+    kernel = _gaussian_kernel(default_ssim_window(g))
+    c1, c2 = (SSIM_K1 * peak) ** 2, (SSIM_K2 * peak) ** 2
+    pad = (kernel.shape[0] - 1) // 2
+    scores = []
+    for bi in range(a.b):
+        for ci in range(a.c):
+            x = a.data[bi, :, ci].reshape(g, g)
+            y = b.data[bi, :, ci].reshape(g, g)
+            filt = lambda img: ndimage.correlate(img, kernel, mode="reflect")
+            mu_x, mu_y = filt(x), filt(y)
+            sxx = filt(x * x) - mu_x * mu_x
+            syy = filt(y * y) - mu_y * mu_y
+            sxy = filt(x * y) - mu_x * mu_y
+            num = (2.0 * mu_x * mu_y + c1) * (2.0 * sxy + c2)
+            den = (mu_x ** 2 + mu_y ** 2 + c1) * (sxx + syy + c2)
+            smap = num / den
+            if pad > 0:
+                smap = smap[pad:-pad, pad:-pad]
+            scores.append(float(smap.mean()))
+    return float(np.mean(scores))
+
+
+@pytest.mark.parametrize("g", (1, 2, 3, 4, 16))
+@pytest.mark.parametrize("batch", (1, 2))
+@pytest.mark.parametrize("channels", (1, 3, 8))
+def test_ssim_equals_the_per_plane_reference_bitwise(g, batch, channels):
+    rng = SeededRng(1000 * g + 10 * batch + channels)
+    shape = (batch, g * g, channels)
+    a = rng.standard_normal(shape)
+    b = a + 0.3 * rng.standard_normal(shape)
+    # constant planes: the first channel of a, the last of b
+    a[:, :, 0] = 0.5
+    b[:, :, -1] = -1.25
+    a, b = Latent(a), Latent(b)
+    for peak in (float(np.ptp(a.data)) or 1.0, 0.7):
+        assert ssim(a, b, peak=peak) == reference_ssim(a, b, peak)
+        assert ssim(b, a, peak=peak) == reference_ssim(b, a, peak)
 
 
 # -------------------------------------------------------------- velocity jump

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from adaedit import models
 from adaedit.errors import CacheMissError
 from adaedit.latent import Latent, SeededRng, sample_gaussian
 from adaedit.models import (AnalyticLinearFlow, AttentionRecord, Conditioning,
@@ -211,6 +212,46 @@ def test_toy_flow_shape_errors():
         flow.evaluate(sample_gaussian(SeededRng(1), 1, 16, 4), 0.1, COND)
     with pytest.raises(ValueError):
         flow.evaluate(default_latent(), 0.1, Conditioning((1, 2, 3), 0))
+
+
+def test_bad_prompts_raise_on_every_call_after_a_good_one():
+    flow = default_flow()
+    z = default_latent()
+    good = flow.evaluate(z, 0.1, COND)
+    for bad in (Conditioning((1, 2, 3), 0), Conditioning((1, 2, 3, 64), 0)):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="prompt"):
+                flow.evaluate(z, 0.1, bad)
+        assert bad.prompt_token_ids not in flow._prompt_memo
+    assert np.array_equal(flow.evaluate(z, 0.1, COND).data, good.data)
+
+
+def test_overflowing_output_of_a_finite_latent_raises():
+    flow = default_flow()
+    z = Latent(np.full((1, 16, 8), 1e300))
+    with np.errstate(all="ignore"):
+        with pytest.raises(ValueError, match="finite"):
+            flow.evaluate(z, 0.3, COND)
+
+
+def test_output_is_read_only():
+    out = default_flow().evaluate(default_latent(), 0.3, COND)
+    assert not out.data.flags.writeable
+
+
+def test_memoized_inputs_equal_fresh_ones_bitwise(monkeypatch):
+    # a memo of two entries has to evict; -0.0 finds the entry of 0.0, whose
+    # +0.0 sines change no sum that also holds the cosines' nonzero terms
+    monkeypatch.setattr(models, "PROMPT_MEMO_LIMIT", 2)
+    monkeypatch.setattr(models, "TIME_MEMO_LIMIT", 2)
+    flow = default_flow()
+    z = default_latent()
+    c1, c2 = Conditioning((5, 6, 7, 8), 1), Conditioning((9, 9, 9, 9), 1)
+    for t, cond in ((0.0, COND), (-0.0, c1), (0.25, c2), (0.5, COND), (0.25, c1),
+                    (0.0, c2), (-0.0, COND)):
+        got = flow.evaluate(z, t, cond)
+        assert np.array_equal(got.data, default_flow().evaluate(z, t, cond).data)
+        assert len(flow._time_memo) <= 2 and len(flow._prompt_memo) <= 2
 
 
 def test_lipschitz_smoke():

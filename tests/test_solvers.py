@@ -178,3 +178,18 @@ def test_toy_integration_hooks_off_deterministic():
     assert np.array_equal(a.final.data, b.final.data)
     for sa, sb in zip(a.states, b.states):
         assert np.array_equal(sa.data, sb.data)
+
+
+def test_states_are_read_only_and_the_start_is_left_alone():
+    flow = ToyAttentionFlow(seed=0)
+    cond = Conditioning((1, 2, 3, 4), 2)
+    z = sample_gaussian(SeededRng(5), 1, 16, 8)
+    before = z.data.copy()
+    grid = TimeGrid.uniform(4)
+    for kind in SOLVER_KINDS:
+        for integrate in (integrate_forward, integrate_backward):
+            tr = integrate(flow, z, grid, kind, cond)
+            assert tr.states[0] is z
+            assert all(not state.data.flags.writeable for state in tr.states)
+            assert not any(np.shares_memory(state.data, z.data) for state in tr.states[1:])
+            assert np.array_equal(z.data, before)
