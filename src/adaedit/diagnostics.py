@@ -8,6 +8,7 @@ their CSV columns are emitted empty downstream.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Optional, Tuple
 
@@ -50,12 +51,17 @@ def psnr(a: Latent, b: Latent, peak: Optional[float] = None) -> float:
     return 20.0 * math.log10(peak) - 10.0 * math.log10(mse)
 
 
+@functools.cache
 def _gaussian_kernel(window: int) -> np.ndarray:
+    """The normalized window x window Gaussian, built once per window size
+    and read-only."""
     half = (window - 1) / 2.0
     x = np.arange(window) - half
     g = np.exp(-(x ** 2) / (2.0 * SSIM_SIGMA ** 2))
     k = np.outer(g, g)
-    return k / k.sum()
+    k /= k.sum()
+    k.flags.writeable = False
+    return k
 
 
 def default_ssim_window(grid_side: int) -> int:

@@ -229,11 +229,17 @@ class ToyAttentionFlow:
     to channel space as the velocity. All weights come from one Philox stream
     in a fixed draw order, so a seed pins the model.
 
+    Each layer's attention runs one batch row and head at a time, so the live
+    score block is one (n, n) array rather than (B, heads, n, n).
+
     Parameters are immutable after construction and evaluate() is pure except
     for cache/sink writes in record mode and its memos of checked prompt
     embeddings and time features (bounded, read-only, keyed by their inputs);
     a cache belongs to exactly one pipeline run, and concurrent runs use
-    separate caches.
+    separate caches. The model also owns the scratch arrays evaluate() writes
+    (one set, for the last batch size), so one model serves one evaluate() at
+    a time and concurrent runs use separate models. The returned velocity and
+    the recorded K/V and attention entries are copies that never alias them.
     """
 
     # sinusoid frequencies 2^0 .. 2^(time_freqs - 1) in the time embedding
@@ -272,6 +278,7 @@ class ToyAttentionFlow:
         self.w_out = rng.standard_normal((d, channels)) / math.sqrt(d)
         self._prompt_memo: Dict[Tuple[int, ...], np.ndarray] = {}
         self._time_memo: Dict[float, np.ndarray] = {}
+        self._scratch: Optional[_Scratch] = None
 
     def _prompt_rows(self, ids: Tuple[int, ...]) -> np.ndarray:
         """The prompt's embedding rows, (text_tokens, embed_dim), checked and
@@ -298,13 +305,13 @@ class ToyAttentionFlow:
             _memo_put(self._time_memo, TIME_MEMO_LIMIT, t, feats)
         return feats
 
-    def _split_heads(self, x: np.ndarray) -> np.ndarray:
-        b, n, d = x.shape
-        return x.reshape(b, n, self.heads, d // self.heads).transpose(0, 2, 1, 3)
-
-    def _merge_heads(self, x: np.ndarray) -> np.ndarray:
-        b, h, n, dh = x.shape
-        return x.transpose(0, 2, 1, 3).reshape(b, n, h * dh)
+    def _scratch_for(self, b: int) -> _Scratch:
+        """The evaluate arrays for batch size b, made again only when b
+        changes (a run keeps one batch size)."""
+        if self._scratch is None or self._scratch.b != b:
+            self._scratch = _Scratch(b, self.text_tokens, self.img_tokens,
+                                     self.embed_dim, 2 * self.time_freqs, self.heads)
+        return self._scratch
 
     def evaluate(self, z: Latent, t: float, cond: Conditioning,
                  hooks: Optional[InjectionHooks] = None) -> Latent:
@@ -317,42 +324,73 @@ class ToyAttentionFlow:
         # one (B, n, d + 2F) input: text rows, then image rows, then the time
         # features of every token
         b, n_txt, d = z.b, self.text_tokens, self.embed_dim
-        x = np.empty((b, n_txt + self.img_tokens, d + 2 * self.time_freqs))
+        s = self._scratch_for(b)
+        x, h, scores, row = s.x, s.h, s.scores, s.row
         x[:, :n_txt, :d] = txt
-        x[:, n_txt:, :d] = z.data @ self.w_in
+        np.matmul(z.data, self.w_in, out=x[:, n_txt:, :d])
         x[:, :, d:] = self._time_features(t)
-        h = x @ self.w_time
+        np.matmul(x, self.w_time, out=h)
 
-        scale = 1.0 / math.sqrt(self.embed_dim // self.heads)
+        record = hooks is not None and hooks.mode == "record"
+        sink = hooks.attn_sink if record else None
+        dh = d // self.heads
+        head_cols = [slice(i * dh, (i + 1) * dh) for i in range(self.heads)]
+        scale = 1.0 / math.sqrt(dh)
         for layer_idx, layer in enumerate(self.layers):
-            q = h @ layer["wq"]
-            k = h @ layer["wk"]
-            v = h @ layer["wv"]
-            if hooks is not None and hooks.mode == "record":
+            q = np.matmul(h, layer["wq"], out=s.q)
+            k = np.matmul(h, layer["wk"], out=s.k)
+            v = np.matmul(h, layer["wv"], out=s.v)
+            if record:
                 if not hooks.cache.has(hooks.step, layer_idx):
                     hooks.cache.put(hooks.step, layer_idx, k, v)
-            elif hooks is not None and hooks.mode == "inject":
+            elif hooks is not None:
                 k_src, v_src = hooks.cache.get(hooks.step, layer_idx)
                 k, v = kv_mix(k_src, v_src, k, v, hooks.mix_ratios[layer_idx],
                               hooks.background_mask, hooks.global_mix)
-            qh = self._split_heads(q)
-            kh = self._split_heads(k)
-            vh = self._split_heads(v)
-            scores = scale * (qh @ kh.transpose(0, 1, 3, 2))
-            scores -= scores.max(axis=-1, keepdims=True)
-            attn = np.exp(scores)
-            attn /= attn.sum(axis=-1, keepdims=True)
-            if (hooks is not None and hooks.mode == "record"
-                    and hooks.attn_sink is not None):
-                hooks.attn_sink.put(
-                    hooks.step, layer_idx,
-                    attn[:, :, :self.text_tokens, self.text_tokens:])
-            h = h + self._merge_heads(attn @ vh) @ layer["wo"]
+            # one (n, n) softmax(QK^T / sqrt(dh)) V per batch row and head: the
+            # same 2-d products and row reductions a stacked (B, H, n, n)
+            # attention makes, so the same bits (the ufunc reductions are
+            # max and sum without the wrappers' per-call cost)
+            for bi in range(b):
+                for hi, cols in enumerate(head_cols):
+                    np.matmul(q[bi, :, cols], k[bi, :, cols].T, out=scores)
+                    scores *= scale
+                    np.maximum.reduce(scores, axis=-1, keepdims=True, out=row)
+                    scores -= row
+                    np.exp(scores, out=scores)
+                    np.add.reduce(scores, axis=-1, keepdims=True, out=row)
+                    scores /= row
+                    if sink is not None:
+                        s.attn_txt[bi, hi] = scores[:n_txt, n_txt:]
+                    np.matmul(scores, v[bi, :, cols], out=s.attn_out[bi, :, cols])
+            if sink is not None:
+                sink.put(hooks.step, layer_idx, s.attn_txt)
+            h += np.matmul(s.attn_out, layer["wo"], out=s.proj)
 
-        out = h[:, self.text_tokens:, :] @ self.w_out
+        out = h[:, n_txt:, :] @ self.w_out
         if not np.isfinite(out).all():
             raise ValueError("latent entries must be finite")
         return Latent._adopt(out)
+
+
+class _Scratch:
+    """The arrays one ToyAttentionFlow.evaluate writes for batch size b,
+    reused by the next evaluation of that size."""
+
+    def __init__(self, b: int, n_txt: int, n_img: int, d: int, time_dim: int,
+                 heads: int):
+        n = n_txt + n_img
+        self.b = b
+        self.x = np.empty((b, n, d + time_dim))
+        self.h = np.empty((b, n, d))
+        self.q = np.empty((b, n, d))
+        self.k = np.empty((b, n, d))
+        self.v = np.empty((b, n, d))
+        self.scores = np.empty((n, n))
+        self.row = np.empty((n, 1))
+        self.attn_out = np.empty((b, n, d))
+        self.proj = np.empty((b, n, d))
+        self.attn_txt = np.empty((b, heads, n_txt, n_img))
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:

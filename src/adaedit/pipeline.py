@@ -61,13 +61,15 @@ INVERSION_FIELDS = ("seed", "layer_count", "embed_dim", "img_tokens", "text_toke
 # any work starts. They admit the stability envelope img_tokens=1024,
 # embed_dim=256, layer_count=8, heads=4, channels=16, total_steps=28.
 MAX_STEPS = 1000
-# A run keeps the K/V of every active step until sampling ends, and each
-# attention layer makes (batch, heads, n, n) float64 scores. The per-field
-# bounds admit products far beyond any desk machine (batch=16, heads=32,
-# img_tokens=4096 needs 69 GB of scores), which end in a MemoryError or an OOM
-# kill mid-run. This budget stops them before any work starts; it admits the
-# stability envelope above with a binary schedule and injection_steps=28
-# (~0.98 GB by the estimate in EditConfig.validate).
+# A run keeps the K/V of every active step until sampling ends. The estimate
+# also counts batch * heads * n * n float64 attention scores: an upper bound,
+# since evaluate holds one (n, n) block at a time, kept so that the budget
+# admits exactly the configs it admitted when all heads' scores were live at
+# once. The per-field bounds admit products far beyond any desk machine
+# (batch=16, heads=32, img_tokens=4096 counts 69 GB of scores), which end in a
+# MemoryError or an OOM kill mid-run. This budget stops them before any work
+# starts; it admits the stability envelope above with a binary schedule and
+# injection_steps=28 (~0.98 GB by the estimate in EditConfig.validate).
 MEMORY_BUDGET = 2 * 10**9
 FLOAT64_BYTES = 8
 # At subnormal temperatures d / tau overflows and the channel weights turn
@@ -296,6 +298,7 @@ class EditConfig:
                 f"no step is active: the first {self.schedule} weight does not "
                 f"exceed {self.activity_threshold}")
         n = self.img_tokens + self.text_tokens
+        # an upper bound on the live scores (see MEMORY_BUDGET)
         scores = self.batch * self.heads * n * n * FLOAT64_BYTES
         cache = active * self.layer_count * 2 * self.batch * n * self.embed_dim * FLOAT64_BYTES
         if scores + cache > MEMORY_BUDGET:

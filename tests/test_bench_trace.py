@@ -80,3 +80,31 @@ def test_traced_default_edit_constructs_two_latents(monkeypatch, solver):
     assert tracer.calls["pipeline.run_edit"] == 1
     assert tracer.mismatches == []
     assert tracer.ledger_balances()
+
+
+def test_traced_multi_head_batched_edit_puts_one_attention_block_per_layer(monkeypatch):
+    # models.attn_record.stored_ratio stays comparable only while each
+    # record-mode evaluation makes one AttentionRecord.put per layer
+    monkeypatch.syspath_prepend(str(BENCH))
+    spans = importlib.import_module("spans")
+    cfg = replace(pipeline.EditConfig(), heads=2, batch=2)
+    source = pipeline.generate_source_latent(cfg)
+    record_evals = [0]
+    evaluate = ToyAttentionFlow.evaluate
+
+    def counting(model, z, t, cond, hooks=None):
+        if hooks is not None and hooks.mode == "record":
+            record_evals[0] += 1
+        return evaluate(model, z, t, cond, hooks)
+
+    monkeypatch.setattr(ToyAttentionFlow, "evaluate", counting)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        pipeline.run_edit(source, cfg.source_conditioning(), cfg.target_conditioning(), cfg)
+    finally:
+        tracer.uninstall()
+    assert tracer.mismatches == []
+    assert tracer.ledger_balances()
+    assert record_evals[0] > 0
+    assert tracer.counts["attn_record.attempts"] == record_evals[0] * cfg.layer_count

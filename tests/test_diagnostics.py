@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from adaedit.diagnostics import (SSIM_K1, SSIM_K2, _gaussian_kernel, default_ssim_window,
-                                 psnr, ssim, velocity_jump, velocity_jump_between)
+from adaedit.diagnostics import (SSIM_K1, SSIM_K2, SSIM_SIGMA, _gaussian_kernel,
+                                 default_ssim_window, psnr, ssim, velocity_jump,
+                                 velocity_jump_between)
 from adaedit.errors import CacheMissError
 from adaedit.latent import Latent, SeededRng, sample_gaussian
 from adaedit.models import Conditioning, InjectionHooks, KVCache, ToyAttentionFlow
@@ -128,6 +129,17 @@ def test_ssim_equals_the_per_plane_reference_bitwise(g, batch, channels):
     for peak in (float(np.ptp(a.data)) or 1.0, 0.7):
         assert ssim(a, b, peak=peak) == reference_ssim(a, b, peak)
         assert ssim(b, a, peak=peak) == reference_ssim(b, a, peak)
+
+
+@pytest.mark.parametrize("window", (1, 3, 5, 7))
+def test_gaussian_kernel_is_built_once_and_read_only(window):
+    kernel = _gaussian_kernel(window)
+    assert _gaussian_kernel(window) is kernel
+    assert not kernel.flags.writeable
+    x = np.arange(window) - (window - 1) / 2.0
+    g = np.exp(-(x ** 2) / (2.0 * SSIM_SIGMA ** 2))
+    fresh = np.outer(g, g)
+    assert np.array_equal(kernel, fresh / fresh.sum())
 
 
 # -------------------------------------------------------------- velocity jump

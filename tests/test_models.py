@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from adaedit import models
+from adaedit.diagnostics import velocity_jump_between
 from adaedit.errors import CacheMissError
 from adaedit.latent import Latent, SeededRng, sample_gaussian
 from adaedit.models import (AnalyticLinearFlow, AttentionRecord, Conditioning,
@@ -262,6 +264,133 @@ def test_lipschitz_smoke():
     bumped[0, 3, 2] += 1e-6
     out = flow.evaluate(Latent(bumped), 0.3, COND)
     assert float(np.max(np.abs(out.data - base.data))) < 1e-2
+
+
+# ------------------------------------------------- per-head attention loop
+
+def stacked_evaluate(flow, z, t, cond, hooks=None):
+    """ToyAttentionFlow.evaluate with all heads stacked as (B, H, n, dh) and
+    one (B, H, n, n) score array per layer: the arithmetic that the per-head
+    loop must match bit for bit."""
+    b, n_txt, d = z.b, flow.text_tokens, flow.embed_dim
+    x = np.empty((b, n_txt + flow.img_tokens, d + 2 * flow.time_freqs))
+    x[:, :n_txt, :d] = flow.token_table[list(cond.prompt_token_ids)]
+    x[:, n_txt:, :d] = z.data @ flow.w_in
+    angles = math.pi * t * 2.0 ** np.arange(flow.time_freqs)
+    x[:, :, d:] = np.concatenate([np.sin(angles), np.cos(angles)])
+    h = x @ flow.w_time
+    dh = d // flow.heads
+    split = lambda a: a.reshape(b, -1, flow.heads, dh).transpose(0, 2, 1, 3)
+    scale = 1.0 / math.sqrt(dh)
+    for layer_idx, layer in enumerate(flow.layers):
+        q, k, v = h @ layer["wq"], h @ layer["wk"], h @ layer["wv"]
+        if hooks is not None and hooks.mode == "record":
+            if not hooks.cache.has(hooks.step, layer_idx):
+                hooks.cache.put(hooks.step, layer_idx, k, v)
+        elif hooks is not None:
+            k_src, v_src = hooks.cache.get(hooks.step, layer_idx)
+            k, v = kv_mix(k_src, v_src, k, v, hooks.mix_ratios[layer_idx],
+                          hooks.background_mask, hooks.global_mix)
+        scores = scale * (split(q) @ split(k).transpose(0, 1, 3, 2))
+        scores -= scores.max(axis=-1, keepdims=True)
+        attn = np.exp(scores)
+        attn /= attn.sum(axis=-1, keepdims=True)
+        if hooks is not None and hooks.mode == "record" and hooks.attn_sink is not None:
+            hooks.attn_sink.put(hooks.step, layer_idx, attn[:, :, :n_txt, n_txt:])
+        h = h + (attn @ split(v)).transpose(0, 2, 1, 3).reshape(h.shape) @ layer["wo"]
+    return h[:, n_txt:] @ flow.w_out
+
+
+def assert_same_records(cache_a, sink_a, cache_b, sink_b, step, layers):
+    for layer in range(layers):
+        for got, want in zip(cache_a.get(step, layer), cache_b.get(step, layer)):
+            assert np.array_equal(got, want)
+    assert np.array_equal(sink_a.stacked({step}), sink_b.stacked({step}))
+
+
+@pytest.mark.parametrize("img_tokens", (16, 100))
+@pytest.mark.parametrize("heads", (1, 2, 4))
+@pytest.mark.parametrize("batch", (1, 2))
+@pytest.mark.parametrize("hooks", ("none", "record", "inject-mask", "inject-global"))
+def test_evaluate_equals_the_stacked_heads_reference_bitwise(img_tokens, heads, batch, hooks):
+    flow = ToyAttentionFlow(seed=heads, layer_count=3, img_tokens=img_tokens, heads=heads)
+    rng = SeededRng(10 * img_tokens + batch)
+    z_src = sample_gaussian(rng, batch, img_tokens, 8)
+    z = sample_gaussian(rng, batch, img_tokens, 8)
+    cache, sink = KVCache(), AttentionRecord()
+    flow.evaluate(z_src, 0.8, COND, InjectionHooks("record", cache=cache, step=0, attn_sink=sink))
+    if hooks == "none":
+        made = (None, None)
+    elif hooks == "record":
+        made = [InjectionHooks("record", cache=KVCache(), step=4, attn_sink=AttentionRecord())
+                for _ in range(2)]
+    else:
+        # ratios 0, 0.5 and 1 in one evaluation, one per layer
+        soft = np.linspace(0.0, 1.0, img_tokens)
+        made = [InjectionHooks("inject", cache=cache, step=0, mix_ratios=(0.0, 0.5, 1.0),
+                               background_mask=EditMask(soft),
+                               global_mix=hooks == "inject-global")] * 2
+    got = flow.evaluate(z, 0.4, COND, made[0])
+    want = stacked_evaluate(flow, z, 0.4, COND, made[1])
+    assert np.array_equal(got.data, want)
+    if hooks == "record":
+        assert_same_records(made[0].cache, made[0].attn_sink, made[1].cache,
+                            made[1].attn_sink, 4, flow.layer_count)
+    ref_cache, ref_sink = KVCache(), AttentionRecord()
+    stacked_evaluate(flow, z_src, 0.8, COND,
+                     InjectionHooks("record", cache=ref_cache, step=0, attn_sink=ref_sink))
+    assert_same_records(cache, sink, ref_cache, ref_sink, 0, flow.layer_count)
+
+
+def test_reused_buffers_leave_outputs_and_records_alone():
+    flow = ToyAttentionFlow(seed=3, layer_count=2, heads=2)
+    cache, sink = KVCache(), AttentionRecord()
+    z1, z2 = default_latent(1), default_latent(2)
+    first = flow.evaluate(z1, 0.3, COND, InjectionHooks(
+        "record", cache=cache, step=0, attn_sink=sink))
+    first_copy = first.data.copy()
+    kv = [tuple(a.copy() for a in cache.get(0, layer)) for layer in range(2)]
+    blocks = sink.stacked({0})
+    second = flow.evaluate(z2, 0.6, COND, InjectionHooks(
+        "record", cache=cache, step=1, attn_sink=sink))
+    flow.evaluate(z2, 0.9, COND, InjectionHooks(
+        "inject", cache=cache, step=0, mix_ratios=(0.5, 1.0)))
+    flow.evaluate(default_latent(4), 0.1, COND)
+    assert second is not first and not np.shares_memory(first.data, second.data)
+    assert np.array_equal(first.data, first_copy)
+    for layer in range(2):
+        for got, want in zip(cache.get(0, layer), kv[layer]):
+            assert np.array_equal(got, want)
+    assert np.array_equal(sink.stacked({0}), blocks)
+
+    # another batch size gets arrays of its own shape, and back again
+    z_pair = sample_gaussian(SeededRng(8), 2, 16, 8)
+    assert np.array_equal(flow.evaluate(z_pair, 0.3, COND).data,
+                          stacked_evaluate(flow, z_pair, 0.3, COND))
+    assert np.array_equal(flow.evaluate(z1, 0.3, COND).data, first_copy)
+
+    # velocity_jump_between holds the first output while it computes the
+    # second; an output that aliased a buffer would make the jump 0
+    jump = velocity_jump_between(flow, z2, 0.5, COND, cache, 0, (0.0, 1.0), None)
+    hooks = InjectionHooks("inject", cache=cache, step=0, mix_ratios=(0.0, 1.0))
+    want = float(np.linalg.norm(stacked_evaluate(flow, z2, 0.5, COND, hooks)
+                                - stacked_evaluate(flow, z2, 0.5, COND)))
+    assert want > 0.0
+    assert jump == want
+
+
+def test_a_warm_evaluation_allocates_less_than_one_stacked_score_array():
+    flow = ToyAttentionFlow(seed=0, layer_count=4, embed_dim=128, img_tokens=256, heads=4)
+    z = sample_gaussian(SeededRng(5), 1, 256, 8)
+    flow.evaluate(z, 0.3, COND)
+    tracemalloc.start()
+    try:
+        flow.evaluate(z, 0.3, COND)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = flow.text_tokens + flow.img_tokens
+    assert peak < z.b * flow.heads * n * n * 8  # 2,163,200 B
 
 
 # ------------------------------------------------------------ mask extraction
