@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 from scipy import ndimage
@@ -70,69 +71,106 @@ def default_ssim_window(grid_side: int) -> int:
     return w if w % 2 == 1 else w - 1
 
 
-def ssim(a: Latent, b: Latent, peak: Optional[float] = None) -> float:
+@dataclass(frozen=True, eq=False)
+class SsimReference:
+    """A reference latent's filtered SSIM planes (the local means and the
+    filtered squares), made once by ssim_reference so that many latents can
+    be compared with one reference."""
+
+    latent: Latent
+    mu: np.ndarray
+    sq: np.ndarray
+
+
+def _planes(z: Latent) -> np.ndarray:
+    """z's (batch, channel) planes on the g x g token grid, (B, C, g, g)."""
+    g = math.isqrt(z.l)
+    if g * g != z.l:
+        raise ValueError(f"token count {z.l} is not a square grid")
+    return z.data.transpose(0, 2, 1).reshape(z.b, z.c, g, g)
+
+
+def _filter(planes: np.ndarray) -> np.ndarray:
+    # every (batch, channel) plane at once: the kernel's two unit axes keep
+    # each correlation inside its plane, and each output sums its window in
+    # the same order as a 2-d correlation of the plane alone
+    kernel = _gaussian_kernel(default_ssim_window(planes.shape[-1]))[None, None]
+    return ndimage.correlate(planes, kernel, mode="reflect")
+
+
+def ssim_reference(a: Latent) -> SsimReference:
+    """The filtered planes of reference a, for ssim(reference, b)."""
+    x = _planes(a)
+    return SsimReference(a, _filter(x), _filter(x * x))
+
+
+def ssim(a: Union[Latent, SsimReference], b: Latent, peak: Optional[float] = None) -> float:
     """Gaussian-window SSIM per channel on the g x g token grid, averaged.
 
     Tokens must form a square grid (L = g^2). The window is the largest odd
     size not exceeding min(7, g), and the SSIM map is cropped to the
     window-valid interior before averaging. Population (divide-by-N) local
-    statistics throughout.
+    statistics throughout. The reference a may be given as its
+    ssim_reference, which gives the same bits.
     """
+    ref = a if isinstance(a, SsimReference) else None
+    a = ref.latent if ref is not None else a
     _check_same_shape(a, b)
-    g = math.isqrt(a.l)
-    if g * g != a.l:
-        raise ValueError(f"token count {a.l} is not a square grid")
+    y = _planes(b)
     if peak is None:
         peak = _default_peak(a)
     if not peak > 0.0:
         raise ValueError(f"peak must be positive, got {peak}")
+    if ref is None:
+        ref = ssim_reference(a)
     c1 = (SSIM_K1 * peak) ** 2
     c2 = (SSIM_K2 * peak) ** 2
-    kernel = _gaussian_kernel(default_ssim_window(g))
-    # every (batch, channel) plane at once: the kernel's two unit axes keep
-    # each correlation inside its plane, and each output sums its window in
-    # the same order as a 2-d correlation of the plane alone
-    kernel = kernel[None, None]
-    filt = lambda img: ndimage.correlate(img, kernel, mode="reflect")
-    x = a.data.transpose(0, 2, 1).reshape(a.b, a.c, g, g)
-    y = b.data.transpose(0, 2, 1).reshape(a.b, a.c, g, g)
-    mu_x = filt(x)
-    mu_y = filt(y)
-    sxx = filt(x * x) - mu_x * mu_x
-    syy = filt(y * y) - mu_y * mu_y
-    sxy = filt(x * y) - mu_x * mu_y
+    x, mu_x = _planes(a), ref.mu
+    mu_y = _filter(y)
+    sxx = ref.sq - mu_x * mu_x
+    syy = _filter(y * y) - mu_y * mu_y
+    sxy = _filter(x * y) - mu_x * mu_y
     num = (2.0 * mu_x * mu_y + c1) * (2.0 * sxy + c2)
     den = (mu_x ** 2 + mu_y ** 2 + c1) * (sxx + syy + c2)
     smap = num / den
-    pad = (kernel.shape[-1] - 1) // 2
+    pad = (default_ssim_window(y.shape[-1]) - 1) // 2
     if pad > 0:
         smap = smap[..., pad:-pad, pad:-pad]
     # per-plane means, then their mean in (batch, channel) order
     return float(smap.mean(axis=(-2, -1)).ravel().mean())
 
 
-def velocity_jump_between(field, z: Latent, t: float, cond: Conditioning,
-                          cache: KVCache, step: int,
-                          ratios_a: Optional[Tuple[float, ...]],
-                          ratios_b: Optional[Tuple[float, ...]],
+def velocity_jump_between(field, z: Latent, t: float,
+                          cond: Union[Conditioning, Sequence[Conditioning]],
+                          cache: KVCache, step: int, ratios_a, ratios_b,
                           mask: Optional[EditMask] = None,
-                          global_mix: bool = False) -> float:
+                          global_mix: bool = False) -> Union[float, List[float]]:
     """L2 norm of the velocity change between two injection ratio profiles.
 
     None means no injection at all. Identical profiles give 0 exactly because
-    both evaluations follow the same arithmetic path.
+    both evaluations follow the same arithmetic path. For one Conditioning a
+    profile is a tuple of per-layer ratios, blended under mask and
+    global_mix, and the result is one norm. For a stack of rows, cond holds
+    one Conditioning per row, a profile is a tuple of per-layer LayerMix
+    blends for those rows (see mix_rows), and the result is one norm per row.
     """
+    stacked = not isinstance(cond, Conditioning)
+
     def run(ratios):
         if ratios is None:
             return field.evaluate(z, t, cond, None)
-        hooks = InjectionHooks(mode="inject", cache=cache, step=step,
-                               mix_ratios=tuple(ratios), background_mask=mask,
-                               global_mix=global_mix)
+        if stacked:
+            hooks = InjectionHooks(mode="inject", cache=cache, step=step, mixes=ratios)
+        else:
+            hooks = InjectionHooks(mode="inject", cache=cache, step=step,
+                                   mix_ratios=tuple(ratios), background_mask=mask,
+                                   global_mix=global_mix)
         return field.evaluate(z, t, cond, hooks)
 
-    va = run(ratios_a)
-    vb = run(ratios_b)
-    return float(np.linalg.norm(va.data - vb.data))
+    diff = run(ratios_a).data - run(ratios_b).data
+    if not stacked:
+        return float(np.linalg.norm(diff))
+    return [float(np.linalg.norm(row)) for row in diff.reshape(len(cond), -1)]
 
 
 def velocity_jump(field, z: Latent, t: float, cond: Conditioning, cache: KVCache,

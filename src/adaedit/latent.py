@@ -77,8 +77,9 @@ class Latent:
 
         Only for a fresh C-contiguous float64 (B, L, C) array that the caller
         made, checked finite, and holds no other reference to: the solver's
-        guarded states and the toy model's checked outputs. Everything else
-        goes through the constructor, which copies and checks.
+        guarded states and the toy model's checked outputs, or a run of
+        batch entries of such a read-only state. Everything else goes
+        through the constructor, which copies and checks.
         """
         z = object.__new__(cls)
         arr.flags.writeable = False
@@ -111,8 +112,16 @@ def sample_gaussian(rng: SeededRng, b: int, l: int, c: int) -> Latent:
 
 
 def resolve_tokens(tokens: Iterable[int], l: int) -> np.ndarray:
-    """Validate a token index set against length l; returns sorted unique indices."""
-    idx = np.unique(np.asarray(list(tokens), dtype=np.int64))
+    """Validate a token index set against length l; returns sorted unique indices.
+
+    An int64 index array that is already sorted and unique (one this function
+    returned) is range-checked and returned as it is, without a second sort.
+    """
+    if (isinstance(tokens, np.ndarray) and tokens.dtype == np.int64 and tokens.ndim == 1
+            and np.all(tokens[1:] > tokens[:-1])):
+        idx = tokens
+    else:
+        idx = np.unique(np.asarray(list(tokens), dtype=np.int64))
     if idx.size == 0:
         raise ValueError("empty token selection")
     if idx.min() < 0 or idx.max() >= l:

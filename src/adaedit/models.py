@@ -10,9 +10,10 @@ with the current ones) during sampling. No parameter is ever trained.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import AbstractSet, Dict, Optional, Tuple
+from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -121,8 +122,11 @@ class InjectionHooks:
     record: store each layer's K/V (and text-to-image attention when a sink is
     attached) under (step, layer); repeated evaluations within one solver step
     keep the first recording. inject: replace K/V with the kv_mix blend of the
-    cached source features before attention. A step without hooks (None)
-    leaves the cache alone.
+    cached source features before attention, either at one set of per-layer
+    ratios with one mask for every batch entry (mix_ratios, background_mask,
+    global_mix) or, for a stack of rows, at the per-layer LayerMix blends that
+    mix_rows made for them (mixes). A step without hooks (None) leaves the
+    cache alone.
     """
 
     mode: str
@@ -132,14 +136,23 @@ class InjectionHooks:
     background_mask: Optional[EditMask] = None
     global_mix: bool = False
     attn_sink: Optional[AttentionRecord] = None
+    mixes: Optional[Tuple["LayerMix", ...]] = None
 
     def __post_init__(self):
         if self.mode not in HOOK_MODES:
             raise ValueError(f"hook mode must be one of {HOOK_MODES}, got '{self.mode}'")
         if self.cache is None:
             raise ValueError(f"{self.mode} mode requires a cache")
-        if self.mode == "inject" and self.mix_ratios is None:
+        if self.mode == "inject" and self.mix_ratios is None and self.mixes is None:
             raise ValueError("inject mode requires per-layer mix ratios")
+
+    def layer_mixes(self, layer_count: int, n: int) -> Tuple["LayerMix", ...]:
+        """The per-layer blends of an inject step: mixes, or one row made from
+        mix_ratios, background_mask and global_mix."""
+        if self.mixes is not None:
+            return self.mixes
+        ratios = [[[self.mix_ratios[layer]] for layer in range(layer_count)]]
+        return mix_rows(ratios, [self.background_mask], [self.global_mix], n)[0]
 
 
 @dataclass(frozen=True)
@@ -169,41 +182,139 @@ class AnalyticLinearFlow:
         return Latent(g * z0.data + (self.drift / self.decay) * (g - 1.0))
 
 
+class LayerMix:
+    """How one layer's K/V mix for a stack of rows, made once by mix_rows.
+
+    weight holds, per row and K/V row, the cached source's share and keep the
+    current K/V's (1 - weight). A row either blends by them, takes the source
+    whole (ratio 1 on every K/V row), or keeps its current K/V bitwise (ratio
+    0, or a mask that leaves no row to mix); runs lists the (first, end,
+    whole) row ranges of the first two kinds, and rows of the third are never
+    touched.
+    """
+
+    def __init__(self, weight: np.ndarray, keep: np.ndarray,
+                 runs: List[Tuple[int, int, bool]], rows: int):
+        self.weight = weight  # (rows, 1, n, 1), to broadcast over (rows, B, n, d)
+        self.keep = keep
+        self.runs = runs
+        self.rows = rows
+
+    def head(self, rows: int) -> "LayerMix":
+        """The blend of the first ``rows`` rows."""
+        runs = [(lo, min(hi, rows), whole) for lo, hi, whole in self.runs if lo < rows]
+        return LayerMix(self.weight, self.keep, runs, rows)
+
+    def blend_into(self, src: np.ndarray, cur: np.ndarray, tmp: np.ndarray) -> None:
+        """Blend the cached (B, n, d) ``src`` into the stacked (rows * B, n, d)
+        ``cur`` in place, with ``tmp`` (cur's shape) for the source term."""
+        b = src.shape[0]
+        for lo, hi, whole in self.runs:
+            part, term = cur[lo * b:hi * b], tmp[lo * b:hi * b]
+            if hi - lo == 1:  # one row's (1, n, 1) weights broadcast as they are
+                weight, keep = self.weight[lo], self.keep[lo]
+            else:
+                part, term = (a.reshape(hi - lo, *src.shape) for a in (part, term))
+                weight, keep = self.weight[lo:hi], self.keep[lo:hi]
+            if whole:
+                part[...] = src
+                continue
+            # ratio * src + (1 - ratio) * cur, as kv_mix blends one row
+            np.multiply(src, weight, out=term)
+            np.multiply(part, keep, out=part)
+            np.add(term, part, out=part)
+
+
+def mix_rows(ratios, masks: Sequence[Optional[EditMask]], global_mix: Sequence[bool],
+             n: int) -> Tuple[Tuple[LayerMix, ...], ...]:
+    """The K/V blends of a stack of rows: for each injection profile (a step),
+    one LayerMix per layer.
+
+    ratios is (profiles, layers, rows): each row's per-layer ratio in [0, 1],
+    0 where the row does not inject. With global_mix[r] (or no mask) row r
+    mixes all n K/V rows at its ratio, and takes the source whole at ratio 1.
+    Otherwise its image rows -- the trailing len(mask.soft) rows -- mix at the
+    background weight ratio * (1 - soft), leaving edit tokens free, and its
+    text rows keep the target features so the target prompt stays in control.
+    A row whose weights are all 0 keeps its K/V.
+    """
+    ratios = np.asarray(ratios, dtype=np.float64)
+    profiles, layers, rows = ratios.shape
+    if len(masks) != rows or len(global_mix) != rows:
+        raise ValueError(f"{rows} rows of ratios, {len(masks)} masks, "
+                         f"{len(global_mix)} global_mix flags")
+    inside = (ratios >= 0.0) & (ratios <= 1.0)
+    if not inside.all():
+        raise ValueError(f"ratio must lie in [0, 1], got {ratios[~inside][0]}")
+    base = np.ones((rows, n))
+    whole = np.ones(rows, dtype=bool)
+    for r, (mask, flag) in enumerate(zip(masks, global_mix)):
+        if flag or mask is None:
+            continue
+        n_img = mask.soft.size
+        if n_img > n:
+            raise ValueError(f"mask covers {n_img} rows but K/V have only {n}")
+        base[r, :n - n_img] = 0.0
+        base[r, n - n_img:] = 1.0 - mask.soft
+        whole[r] = False
+    weight = ratios[..., None] * base
+    keep = 1.0 - weight
+    # per row: 0 keeps its K/V, 1 blends, 2 takes the source whole
+    kinds = np.where(whole & (ratios == 1.0), 2, weight.any(axis=-1)).tolist()
+    weight = weight[:, :, :, None, :, None]
+    keep = keep[:, :, :, None, :, None]
+    runs_of: Dict[tuple, list] = {}  # most steps and layers share one pattern
+    mixes = []
+    for p in range(profiles):
+        per_layer = []
+        for layer in range(layers):
+            pattern = tuple(kinds[p][layer])
+            runs = runs_of.get(pattern)
+            if runs is None:
+                runs, lo = runs_of.setdefault(pattern, []), 0
+                for kind, group in itertools.groupby(pattern):
+                    hi = lo + sum(1 for _ in group)
+                    if kind:
+                        runs.append((lo, hi, kind == 2))
+                    lo = hi
+            per_layer.append(LayerMix(weight[p, layer], keep[p, layer], runs, rows))
+        mixes.append(tuple(per_layer))
+    return tuple(mixes)
+
+
 def kv_mix(k_src: np.ndarray, v_src: np.ndarray, k_tgt: np.ndarray, v_tgt: np.ndarray,
-           ratio: float, mask: Optional[EditMask] = None,
-           global_mix: bool = False) -> Tuple[np.ndarray, np.ndarray]:
+           ratio: Union[float, LayerMix], mask: Optional[EditMask] = None,
+           global_mix: bool = False,
+           scratch: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
     """Convex blend ratio*src + (1-ratio)*tgt of cached and current K/V.
 
-    With global_mix (or no mask) the ratio applies to every row. Otherwise the
-    image rows -- the trailing len(mask.soft) rows -- are mixed at the
-    background weight ratio * (1 - soft), leaving edit tokens free, and text
-    rows always keep the target features so the target prompt stays in
-    control. Ratio 0 returns the target arrays bitwise.
+    With one float ratio: with global_mix (or no mask) the ratio applies to
+    every row. Otherwise the image rows -- the trailing len(mask.soft) rows --
+    are mixed at the background weight ratio * (1 - soft), leaving edit
+    tokens free, and text rows always keep the target features so the target
+    prompt stays in control. Ratio 0 returns the target arrays bitwise.
+
+    With a LayerMix (see mix_rows), k_tgt and v_tgt are a stack's current
+    K/V, rows * B entries against the cached source's B, and are blended in
+    place with ``scratch`` (their shape) for the source term; a row that keeps
+    its K/V is left bitwise as it was.
     """
+    if isinstance(ratio, LayerMix):
+        if not (k_src.shape == v_src.shape and k_tgt.shape == v_tgt.shape
+                == (ratio.rows * k_src.shape[0],) + k_src.shape[1:]):
+            raise ValueError("K/V shape mismatch between source and target")
+        ratio.blend_into(k_src, k_tgt, scratch)
+        ratio.blend_into(v_src, v_tgt, scratch)
+        return k_tgt, v_tgt
     if not (k_src.shape == v_src.shape == k_tgt.shape == v_tgt.shape):
         raise ValueError("K/V shape mismatch between source and target")
-    if not 0.0 <= ratio <= 1.0:
-        raise ValueError(f"ratio must lie in [0, 1], got {ratio}")
-    if ratio == 0.0:
+    mix = mix_rows([[[ratio]]], [mask], [global_mix], k_tgt.shape[-2])[0][0]
+    if not mix.runs:
         return k_tgt, v_tgt
-    if global_mix or mask is None:
-        if ratio == 1.0:
-            return k_src, v_src
-        k = ratio * k_src + (1.0 - ratio) * k_tgt
-        v = ratio * v_src + (1.0 - ratio) * v_tgt
-        return k, v
-    n_img = mask.soft.size
-    n_rows = k_tgt.shape[-2]
-    if n_img > n_rows:
-        raise ValueError(f"mask covers {n_img} rows but K/V have only {n_rows}")
-    row_ratio = np.zeros(n_rows)
-    row_ratio[n_rows - n_img:] = ratio * (1.0 - mask.soft)
-    if not row_ratio.any():
-        return k_tgt, v_tgt
-    r = row_ratio[:, None]
-    k = r * k_src + (1.0 - r) * k_tgt
-    v = r * v_src + (1.0 - r) * v_tgt
-    return k, v
+    if mix.runs[0][2]:
+        return k_src, v_src
+    w, keep = mix.weight[0, 0], mix.keep[0, 0]
+    return w * k_src + keep * k_tgt, w * v_src + keep * v_tgt
 
 
 # Entries a ToyAttentionFlow keeps per memo, the oldest dropped first. An edit
@@ -220,6 +331,12 @@ def _memo_put(memo: dict, limit: int, key, value) -> None:
     memo[key] = value
 
 
+# One core's L2 cache on the reference host. evaluate() runs a head's
+# attention over as many stacked batch entries at once as keep their
+# (entries, n, n) score block within it, and at least one.
+SCORE_BLOCK_BYTES = 2 * 2**20
+
+
 class ToyAttentionFlow:
     """Seeded stand-in for a transformer flow backbone.
 
@@ -229,17 +346,23 @@ class ToyAttentionFlow:
     to channel space as the velocity. All weights come from one Philox stream
     in a fixed draw order, so a seed pins the model.
 
-    Each layer's attention runs one batch row and head at a time, so the live
-    score block is one (n, n) array rather than (B, heads, n, n).
+    A latent may stack several rows (edits) along the batch axis: evaluate()
+    then takes one Conditioning per row, and inject hooks may blend each row
+    at its own ratios (see mix_rows). No step pools over batch entries, so
+    every row's velocity is bitwise the one it gets alone. Each layer's
+    attention runs one head at a time over slices of batch entries whose
+    score block fits SCORE_BLOCK_BYTES, so the live scores are at most one
+    such block rather than (B, heads, n, n).
 
     Parameters are immutable after construction and evaluate() is pure except
     for cache/sink writes in record mode and its memos of checked prompt
     embeddings and time features (bounded, read-only, keyed by their inputs);
     a cache belongs to exactly one pipeline run, and concurrent runs use
     separate caches. The model also owns the scratch arrays evaluate() writes
-    (one set, for the last batch size), so one model serves one evaluate() at
-    a time and concurrent runs use separate models. The returned velocity and
-    the recorded K/V and attention entries are copies that never alias them.
+    (one set, sized for the largest batch so far), so one model serves one
+    evaluate() at a time and concurrent runs use separate models. The returned
+    velocity and the recorded K/V and attention entries are copies that never
+    alias them.
     """
 
     # sinusoid frequencies 2^0 .. 2^(time_freqs - 1) in the time embedding
@@ -305,55 +428,76 @@ class ToyAttentionFlow:
             _memo_put(self._time_memo, TIME_MEMO_LIMIT, t, feats)
         return feats
 
-    def _scratch_for(self, b: int) -> _Scratch:
-        """The evaluate arrays for batch size b, made again only when b
-        changes (a run keeps one batch size)."""
-        if self._scratch is None or self._scratch.b != b:
-            self._scratch = _Scratch(b, self.text_tokens, self.img_tokens,
-                                     self.embed_dim, 2 * self.time_freqs, self.heads)
-        return self._scratch
+    def _scratch_for(self, b: int) -> tuple:
+        """The evaluate arrays' views for b batch entries (_Scratch.views),
+        made again only when b exceeds every batch so far."""
+        s = self._scratch
+        if s is None or s.b < b:
+            s = self._scratch = _Scratch(b, self.text_tokens, self.img_tokens,
+                                         self.embed_dim, 2 * self.time_freqs, self.heads)
+        return s.views(b)
 
-    def evaluate(self, z: Latent, t: float, cond: Conditioning,
+    def evaluate(self, z: Latent, t: float, cond: Union[Conditioning, Sequence[Conditioning]],
                  hooks: Optional[InjectionHooks] = None) -> Latent:
+        """The velocity at (z, t) under ``cond``: one Conditioning, or one per
+        row of a stack whose rows split z's batch entries evenly."""
         if z.l != self.img_tokens or z.c != self.channels:
             raise ValueError(
                 f"latent shape {z.shape} incompatible with model "
                 f"(L={self.img_tokens}, C={self.channels})")
-        txt = self._prompt_rows(cond.prompt_token_ids)
+        b, n_txt, d = z.b, self.text_tokens, self.embed_dim
+        if isinstance(cond, Conditioning):
+            prompts = [cond.prompt_token_ids]
+        elif len(cond) == 1:
+            prompts = [cond[0].prompt_token_ids]
+        else:
+            prompts = [c.prompt_token_ids for c in cond]
+            if not prompts or b % len(prompts):
+                raise ValueError(f"{b} batch entries do not split into {len(prompts)} rows")
+            if prompts.count(prompts[0]) == len(prompts):
+                prompts = prompts[:1]
 
         # one (B, n, d + 2F) input: text rows, then image rows, then the time
         # features of every token
-        b, n_txt, d = z.b, self.text_tokens, self.embed_dim
-        s = self._scratch_for(b)
-        x, h, scores, row = s.x, s.h, s.scores, s.row
-        x[:, :n_txt, :d] = txt
+        x, h, q, k, v, attn_out, proj, attn_txt, blocks = self._scratch_for(b)
+        if len(prompts) == 1:
+            x[:, :n_txt, :d] = self._prompt_rows(prompts[0])
+        else:
+            for entries, ids in zip(x.reshape(len(prompts), -1, *x.shape[1:]), prompts):
+                entries[:, :n_txt, :d] = self._prompt_rows(ids)
         np.matmul(z.data, self.w_in, out=x[:, n_txt:, :d])
         x[:, :, d:] = self._time_features(t)
         np.matmul(x, self.w_time, out=h)
 
         record = hooks is not None and hooks.mode == "record"
         sink = hooks.attn_sink if record else None
+        mixes = None
+        if hooks is not None and not record:
+            mixes = hooks.layer_mixes(self.layer_count, x.shape[1])
         dh = d // self.heads
         head_cols = [slice(i * dh, (i + 1) * dh) for i in range(self.heads)]
         scale = 1.0 / math.sqrt(dh)
         for layer_idx, layer in enumerate(self.layers):
-            q = np.matmul(h, layer["wq"], out=s.q)
-            k = np.matmul(h, layer["wk"], out=s.k)
-            v = np.matmul(h, layer["wv"], out=s.v)
+            np.matmul(h, layer["wq"], out=q)
+            np.matmul(h, layer["wk"], out=k)
+            np.matmul(h, layer["wv"], out=v)
             if record:
                 if not hooks.cache.has(hooks.step, layer_idx):
                     hooks.cache.put(hooks.step, layer_idx, k, v)
             elif hooks is not None:
                 k_src, v_src = hooks.cache.get(hooks.step, layer_idx)
-                k, v = kv_mix(k_src, v_src, k, v, hooks.mix_ratios[layer_idx],
-                              hooks.background_mask, hooks.global_mix)
-            # one (n, n) softmax(QK^T / sqrt(dh)) V per batch row and head: the
-            # same 2-d products and row reductions a stacked (B, H, n, n)
-            # attention makes, so the same bits (the ufunc reductions are
-            # max and sum without the wrappers' per-call cost)
-            for bi in range(b):
-                for hi, cols in enumerate(head_cols):
-                    np.matmul(q[bi, :, cols], k[bi, :, cols].T, out=scores)
+                kv_mix(k_src, v_src, k, v, mixes[layer_idx], scratch=proj)
+            # softmax(QK^T / sqrt(dh)) V per head over a slice of batch
+            # entries: numpy makes one 2-d product per entry with the same
+            # shapes and strides as a stacked (B, H, n, n) attention, and the
+            # row reductions work per row, so every entry gets the same bits
+            # (the ufunc reductions are max and sum without the wrappers'
+            # per-call cost)
+            for hi, cols in enumerate(head_cols):
+                for sl, scores, row in blocks:
+                    kh = k[sl, :, cols]
+                    np.matmul(q[sl, :, cols], kh.T if kh.ndim == 2 else kh.swapaxes(1, 2),
+                              out=scores)
                     scores *= scale
                     np.maximum.reduce(scores, axis=-1, keepdims=True, out=row)
                     scores -= row
@@ -361,11 +505,11 @@ class ToyAttentionFlow:
                     np.add.reduce(scores, axis=-1, keepdims=True, out=row)
                     scores /= row
                     if sink is not None:
-                        s.attn_txt[bi, hi] = scores[:n_txt, n_txt:]
-                    np.matmul(scores, v[bi, :, cols], out=s.attn_out[bi, :, cols])
+                        attn_txt[sl, hi] = scores[..., :n_txt, n_txt:]
+                    np.matmul(scores, v[sl, :, cols], out=attn_out[sl, :, cols])
             if sink is not None:
-                sink.put(hooks.step, layer_idx, s.attn_txt)
-            h += np.matmul(s.attn_out, layer["wo"], out=s.proj)
+                sink.put(hooks.step, layer_idx, attn_txt)
+            h += np.matmul(attn_out, layer["wo"], out=proj)
 
         out = h[:, n_txt:, :] @ self.w_out
         if not np.isfinite(out).all():
@@ -374,8 +518,10 @@ class ToyAttentionFlow:
 
 
 class _Scratch:
-    """The arrays one ToyAttentionFlow.evaluate writes for batch size b,
-    reused by the next evaluation of that size."""
+    """The arrays ToyAttentionFlow.evaluate writes for up to b batch
+    entries, reused by every later evaluation of at most b. The score block
+    holds as many entries' (n, n) scores as fit SCORE_BLOCK_BYTES, at least
+    one and at most b."""
 
     def __init__(self, b: int, n_txt: int, n_img: int, d: int, time_dim: int,
                  heads: int):
@@ -386,11 +532,31 @@ class _Scratch:
         self.q = np.empty((b, n, d))
         self.k = np.empty((b, n, d))
         self.v = np.empty((b, n, d))
-        self.scores = np.empty((n, n))
-        self.row = np.empty((n, 1))
+        block = min(b, max(1, SCORE_BLOCK_BYTES // (n * n * 8)))
+        self.scores = np.empty((block, n, n))
+        self.row = np.empty((block, n, 1))
         self.attn_out = np.empty((b, n, d))
         self.proj = np.empty((b, n, d))
         self.attn_txt = np.empty((b, heads, n_txt, n_img))
+        self._views: Dict[int, tuple] = {}
+
+    def views(self, b: int) -> tuple:
+        """The first b entries of x, h, q, k, v, the attention output, the
+        projection and the text-to-image block, and the attention's blocks:
+        (entries, scores, row) with the block's share of the score and row
+        arrays, an entry index and 2-d arrays for a block of one."""
+        got = self._views.get(b)
+        if got is None:
+            size = self.scores.shape[0]
+            blocks = []
+            for lo in range(0, b, size):
+                m = min(size, b - lo)
+                blocks.append((lo, self.scores[0], self.row[0]) if m == 1 else
+                              (slice(lo, lo + m), self.scores[:m], self.row[:m]))
+            got = self._views[b] = tuple(
+                a[:b] for a in (self.x, self.h, self.q, self.k, self.v, self.attn_out,
+                                self.proj, self.attn_txt)) + (blocks,)
+        return got
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:

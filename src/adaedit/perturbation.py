@@ -13,12 +13,11 @@ mostly intact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Tuple
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
-from .latent import (EPS_STD, Latent, channel_mean_over, resolve_tokens,
-                     select_tokens)
+from .latent import EPS_STD, Latent, resolve_tokens
 
 PERTURBATION_MODES = ("uniform", "channel_selective")
 
@@ -72,10 +71,17 @@ def _check_pair(z_inv: Latent, z_rand: Latent) -> None:
         raise ValueError(f"latent shape mismatch: {z_inv.shape} vs {z_rand.shape}")
 
 
+def _select(z: Latent, idx: np.ndarray) -> np.ndarray:
+    # latent.select_tokens on resolved indices: contiguity pins the reduction
+    # order of the statistics
+    return np.ascontiguousarray(z.data[:, idx, :])
+
+
 def channel_gap(z_inv: Latent, z_rand: Latent, tokens: Iterable[int]) -> np.ndarray:
     """Absolute per-channel gap of means over the edit tokens; length C."""
     _check_pair(z_inv, z_rand)
-    return np.abs(channel_mean_over(z_inv, tokens) - channel_mean_over(z_rand, tokens))
+    idx = resolve_tokens(tokens, z_inv.l)
+    return np.abs(_select(z_inv, idx).mean(axis=(0, 1)) - _select(z_rand, idx).mean(axis=(0, 1)))
 
 
 def channel_weights(d: np.ndarray, tau: float) -> ChannelWeights:
@@ -108,16 +114,16 @@ def blend_weights(cfg, weights: ChannelWeights) -> np.ndarray:
 
 
 def _shift(z_inv: Latent, z_rand: Latent, blend: np.ndarray, idx: np.ndarray) -> Latent:
-    """Blend AdaIN(z_inv, z_rand) into z_inv on the tokens idx, per channel at
-    the strengths in blend.
+    """Blend AdaIN(z_inv, z_rand) into z_inv on the resolved tokens idx, per
+    channel at the strengths in blend.
 
     AdaIN statistics are computed over the tokens idx only. Tokens outside idx
     and channels whose blend is 0 are copied through bitwise.
     """
     out = z_inv.data.copy()
     if np.any(blend > 0.0):
-        x = select_tokens(z_inv, idx)
-        y = select_tokens(z_rand, idx)
+        x = _select(z_inv, idx)
+        y = _select(z_rand, idx)
         mixed = blend * _adain_per_channel(x, y) + (1.0 - blend) * x
         out[:, idx, :] = np.where(blend > 0.0, mixed, x)
     return Latent(out)
@@ -139,13 +145,17 @@ def latents_shift_uniform(z_inv: Latent, z_rand: Latent, alpha: float,
 
 def latents_shift_channel_selective(
         z_inv: Latent, z_rand: Latent, cfg: PerturbationConfig,
-        tokens: Iterable[int]) -> Tuple[Latent, ChannelWeights]:
+        tokens: Iterable[int],
+        gaps: Optional[np.ndarray] = None) -> Tuple[Latent, ChannelWeights]:
     """Per-channel blend at strength min(alpha * alpha_c, 1); returns weights used.
 
-    alpha = 0 is the identity, and a constant gap vector reduces exactly to
-    the uniform shift.
+    gaps is channel_gap(z_inv, z_rand, tokens) when the caller already has
+    it. alpha = 0 is the identity, and a constant gap vector reduces exactly
+    to the uniform shift.
     """
     _check_pair(z_inv, z_rand)
     idx = resolve_tokens(tokens, z_inv.l)
-    weights = channel_weights(channel_gap(z_inv, z_rand, idx), cfg.tau)
+    if gaps is None:
+        gaps = channel_gap(z_inv, z_rand, idx)
+    weights = channel_weights(gaps, cfg.tau)
     return _shift(z_inv, z_rand, blend_weights(cfg, weights), idx), weights

@@ -13,18 +13,20 @@ import itertools
 import json
 import logging
 import math
+import operator
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from typing import AbstractSet, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .diagnostics import psnr, ssim, velocity_jump_between
-from .errors import ConfigError
+from .diagnostics import (SsimReference, psnr, ssim, ssim_reference,
+                          velocity_jump_between)
+from .errors import ConfigError, DivergenceError
 from .latent import (STREAM_NOISE, STREAM_SOURCE, Latent, SeededRng,
-                     sample_gaussian)
+                     resolve_tokens, sample_gaussian)
 from .models import (AttentionRecord, Conditioning, EditMask, InjectionHooks,
-                     KVCache, ToyAttentionFlow, extract_mask)
+                     KVCache, ToyAttentionFlow, extract_mask, mix_rows)
 from .perturbation import (PERTURBATION_MODES, ChannelWeights,
                            PerturbationConfig, channel_gap,
                            latents_shift_channel_selective,
@@ -297,10 +299,7 @@ class EditConfig:
                 "activity_threshold",
                 f"no step is active: the first {self.schedule} weight does not "
                 f"exceed {self.activity_threshold}")
-        n = self.img_tokens + self.text_tokens
-        # an upper bound on the live scores (see MEMORY_BUDGET)
-        scores = self.batch * self.heads * n * n * FLOAT64_BYTES
-        cache = active * self.layer_count * 2 * self.batch * n * self.embed_dim * FLOAT64_BYTES
+        scores, cache = _run_bytes(self, active)
         if scores + cache > MEMORY_BUDGET:
             raise ConfigError(
                 "img_tokens",
@@ -332,6 +331,28 @@ class EditConfig:
 
 
 FIELD_SPECS: Dict[str, Spec] = {f.name: f.metadata["spec"] for f in fields(EditConfig)}
+
+
+def _run_bytes(cfg: EditConfig, active: int) -> Tuple[int, int]:
+    """The attention scores and the K/V cache of ``active`` steps that one
+    run holds, in bytes; the scores are an upper bound (see MEMORY_BUDGET)."""
+    n = cfg.img_tokens + cfg.text_tokens
+    scores = cfg.batch * cfg.heads * n * n * FLOAT64_BYTES
+    cache = active * cfg.layer_count * 2 * cfg.batch * n * cfg.embed_dim * FLOAT64_BYTES
+    return scores, cache
+
+
+def _stack_row_bytes(cfg: EditConfig) -> int:
+    """The bytes one more row adds to a sampled stack: its batch entries'
+    evaluate scratch, text-to-image block, states and solver temporaries,
+    and its K/V blends of every step."""
+    n = cfg.img_tokens + cfg.text_tokens
+    d = cfg.embed_dim
+    per_entry = (n * (d + 2 * ToyAttentionFlow.time_freqs + 6 * d)
+                 + cfg.heads * cfg.text_tokens * cfg.img_tokens
+                 + (cfg.total_steps + 8) * cfg.img_tokens * cfg.channels)
+    blends = 2 * cfg.total_steps * cfg.layer_count * n
+    return FLOAT64_BYTES * (cfg.batch * per_entry + blends)
 
 # result.csv column -> the config field it echoes
 COLUMN_FIELDS = {spec.column: name for name, spec in FIELD_SPECS.items() if spec.column}
@@ -428,11 +449,13 @@ def _check_source(source: Latent, cfg: EditConfig) -> None:
         raise ValueError(f"source latent shape {source.shape} != config {expected}")
 
 
+_CONFIG_KEY = operator.attrgetter(*INVERSION_FIELDS[:-1])
+
+
 def inversion_key(cfg: EditConfig, c_src: Conditioning) -> tuple:
     """The values of INVERSION_FIELDS, in order, that inverting under ``cfg``
     and ``c_src`` reads."""
-    return tuple(getattr(cfg, name) for name in INVERSION_FIELDS[:-1]) + (
-        c_src.prompt_token_ids,)
+    return _CONFIG_KEY(cfg) + (c_src.prompt_token_ids,)
 
 
 @dataclass(frozen=True, eq=False)
@@ -455,6 +478,12 @@ class Inversion:
     inversion_evals: int
     reconstructed: Latent
     reconstruction_evals: int
+
+    @cached_property
+    def ssim_reference(self) -> SsimReference:
+        """The reconstruction's filtered SSIM planes, made once for every
+        edit that is compared with it."""
+        return ssim_reference(self.reconstructed)
 
 
 def invert(source: Latent, c_src: Conditioning, cfg: EditConfig,
@@ -504,101 +533,190 @@ def _check_inversion(inversion: Inversion, source: Latent, c_src: Conditioning,
         raise ValueError(f"the inversion did not record planned step {min(missing)}")
 
 
+def _injection_plan(cfg: EditConfig) -> tuple:
+    """The injection plan: per step, the per-layer ratios at which cached
+    source K/V are blended in, or None where the schedule is inactive; the
+    trailing None stands for the step after the last. Inversion caches the
+    planned steps (at least), and sampling injects exactly them."""
+    schedule = cfg.injection_schedule
+    profile = LayerRatioProfile(cfg.layer_count, cfg.layer_ratio_beta)
+    return tuple(
+        layer_ratios(profile, effective_ratio(schedule, cfg.delta_base, i))
+        if is_active(schedule, i) else None
+        for i in range(cfg.total_steps)) + (None,)
+
+
+@dataclass(frozen=True, eq=False)
+class SampledEdit:
+    """One edit of a stack that sample_edits ran: its injection plan and
+    planned step count, its mask, the perturbed latent with its channel gaps
+    and weights, and the sampled latent with the sampling's evaluation count
+    and the largest velocity jump between its consecutive planned steps."""
+
+    cfg: EditConfig
+    c_tgt: Conditioning
+    plan: tuple
+    active: int
+    mask: EditMask
+    fallback: bool
+    gaps: np.ndarray
+    weights: ChannelWeights
+    z_hat: Latent
+    edited: Optional[Latent] = None
+    sampling_evals: int = 0
+    velocity_jump: float = 0.0
+
+
+def sample_edits(source: Latent, inversion: Inversion,
+                 edits: Sequence[Tuple[Conditioning, Conditioning, EditConfig]],
+                 rows: Optional[Sequence[int]] = None) -> List[SampledEdit]:
+    """Mask, perturb and sample edits of ``source`` that share ``inversion``,
+    as one stack.
+
+    Each edit (c_src, c_tgt, cfg) is masked and perturbed on its own. The
+    perturbed latents are stacked along the batch axis, longest plan first,
+    and sampled by one integrate_forward call, each row under its own target
+    prompt, mask, global_mix and per-layer ratios: the edits' INVERSION_FIELDS
+    agree, so they share the grid, the solver and the steps, and no step
+    pools over rows. The velocity-jump pairs of a step run as one
+    velocity_jump_between call over the rows planned at that step. So every
+    row equals the edit sampled alone, bitwise. A divergence names the
+    failing edit by its entry in ``rows``, when given.
+    """
+    plans = [_injection_plan(cfg) for _, _, cfg in edits]
+    steps = [frozenset(i for i, ratios in enumerate(plan) if ratios is not None)
+             for plan in plans]
+    for (c_src, _, cfg), planned in zip(edits, steps):
+        _check_inversion(inversion, source, c_src, cfg, planned)
+    model, grid, cache = inversion.model, inversion.grid, inversion.cache
+    z_inv = inversion.z_inv
+    # the seed and the latent's shape are INVERSION_FIELDS: one noise for all
+    first = edits[0][2]
+    z_rand = sample_gaussian(SeededRng(first.seed, stream=STREAM_NOISE),
+                             first.batch, first.img_tokens, first.channels)
+
+    perturbed = []
+    for (c_src, c_tgt, cfg), plan, planned in zip(edits, plans, steps):
+        # The mask averages the planned steps' attention only, in the order a
+        # record of exactly those steps would stack it.
+        mask_cond = c_tgt if cfg.mask_keyword_source == "target" else c_src
+        mask = extract_mask(inversion.attn, mask_cond, cfg.soft_mask_gamma, planned)
+        edit_tokens, fallback = resolve_edit_tokens(mask, cfg.img_tokens)
+        idx = resolve_tokens(edit_tokens, cfg.img_tokens)
+        # Perturb the inverted latent toward noise on the edit tokens.
+        gaps = channel_gap(z_inv, z_rand, idx)
+        if cfg.perturbation_mode == "channel_selective":
+            z_hat, weights = latents_shift_channel_selective(
+                z_inv, z_rand, PerturbationConfig(cfg.alpha, cfg.tau), idx, gaps=gaps)
+        else:
+            z_hat = latents_shift_uniform(z_inv, z_rand, cfg.alpha, idx)
+            weights = ChannelWeights.uniform(cfg.channels)
+        perturbed.append(SampledEdit(cfg, c_tgt, plan, len(planned), mask, fallback,
+                                     gaps, weights, z_hat))
+
+    # Active steps form a prefix, so with the longest plan first the rows
+    # planned at a step are a leading slice of the stack.
+    order = sorted(range(len(perturbed)), key=lambda r: -perturbed[r].active)
+    stack = [perturbed[r] for r in order]
+    b = first.batch
+    conds = tuple(row.c_tgt for row in stack)
+    z = stack[0].z_hat if len(stack) == 1 else Latent._adopt(
+        np.concatenate([row.z_hat.data for row in stack]))
+    longest = stack[0].active
+    ratios = np.zeros((longest, first.layer_count, len(stack)))
+    for r, row in enumerate(stack):
+        ratios[:row.active, :, r] = row.plan[:row.active]
+    mixes = mix_rows(ratios, [row.mask for row in stack],
+                     [row.cfg.global_mix for row in stack],
+                     first.text_tokens + first.img_tokens)
+    hooks = [InjectionHooks(mode="inject", cache=cache, step=i, mixes=mixes[i])
+             for i in range(longest)]
+
+    # Sample under the target prompts, injecting cached features at the
+    # planned ratios.
+    try:
+        sampling = integrate_forward(model, z, grid, first.solver, conds,
+                                     lambda i: hooks[i] if i < longest else None,
+                                     phase="sampling")
+    except DivergenceError as exc:
+        if rows is None:
+            raise
+        row = rows[order[exc.entry // b]]
+        raise DivergenceError(exc.step, exc.detail, exc.phase, exc.entry, row) from exc
+
+    # Largest injected-velocity change between consecutive planned steps,
+    # measured along the sampling trajectory (the binary cutoff jump for the
+    # binary family).
+    jumps = [0.0] * len(stack)
+    for i in range(longest):
+        state, ra = sampling.states[i], mixes[i]
+        rb = mixes[i + 1] if i + 1 < longest else None
+        planned = sum(row.active > i for row in stack)
+        if planned < len(stack):
+            state = Latent._adopt(state.data[:planned * b])
+            ra = tuple(mix.head(planned) for mix in ra)
+            if rb is not None:
+                rb = tuple(mix.head(planned) for mix in rb)
+        got = velocity_jump_between(model, state, grid.times[i], conds[:planned],
+                                    cache, i, ra, rb)
+        for r, jump in enumerate(got):
+            jumps[r] = max(jumps[r], jump)
+
+    for r, row in enumerate(stack):
+        perturbed[order[r]] = replace(
+            row, edited=Latent._adopt(sampling.final.data[r * b:(r + 1) * b]),
+            sampling_evals=sampling.velocity_evals, velocity_jump=jumps[r])
+    return perturbed
+
+
 def run_edit(source: Latent, c_src: Conditioning, c_tgt: Conditioning,
-             cfg: EditConfig, inversion: Optional[Inversion] = None) -> EditResult:
+             cfg: EditConfig, inversion: Optional[Inversion] = None,
+             sampled: Optional[SampledEdit] = None) -> EditResult:
     """Perturb the inverted source and resample it under the target prompt
     with progressive feature injection.
 
     ``inversion`` is the source side to edit from (see invert); without one
     the edit inverts the source itself, recording its planned steps only. One
     made for another source, another value of an INVERSION_FIELDS field, or
-    without one of the planned steps is a ValueError.
+    without one of the planned steps is a ValueError. ``sampled`` is this
+    edit's row of a stack that sample_edits ran on ``inversion`` (edit_grid
+    runs its rows that way); without it the edit is sampled as a stack of
+    one.
     """
+    if sampled is None:
+        if inversion is None:
+            inversion = invert(source, c_src, cfg,
+                               range(active_step_count(cfg.injection_schedule)))
+        (sampled,) = sample_edits(source, inversion, [(c_src, c_tgt, cfg)])
+    elif inversion is None or sampled.cfg != cfg:
+        raise ValueError("a sampled edit needs its own config and the inversion "
+                         "it was sampled from")
     schedule = cfg.injection_schedule
-
-    # The injection plan: per step, the per-layer ratios at which cached
-    # source K/V are blended in, or None where the schedule is inactive; the
-    # trailing None stands for the step after the last. Inversion caches the
-    # planned steps (at least), and sampling injects exactly them.
-    profile = LayerRatioProfile(cfg.layer_count, cfg.layer_ratio_beta)
-    plan = tuple(
-        layer_ratios(profile, effective_ratio(schedule, cfg.delta_base, i))
-        if is_active(schedule, i) else None
-        for i in range(cfg.total_steps)) + (None,)
-    steps = frozenset(i for i, ratios in enumerate(plan) if ratios is not None)
-
-    # Phase 1: inversion under the source prompt.
-    if inversion is None:
-        inversion = invert(source, c_src, cfg, steps)
-    else:
-        _check_inversion(inversion, source, c_src, cfg, steps)
-    model, grid, cache = inversion.model, inversion.grid, inversion.cache
-    z_inv = inversion.z_inv
-    z_rand = sample_gaussian(
-        SeededRng(cfg.seed, stream=STREAM_NOISE), cfg.batch, cfg.img_tokens, cfg.channels)
-
-    # The mask averages the planned steps' attention only, in the order a
-    # record of exactly those steps would stack it.
-    mask_cond = c_tgt if cfg.mask_keyword_source == "target" else c_src
-    mask = extract_mask(inversion.attn, mask_cond, cfg.soft_mask_gamma, steps)
-    edit_tokens, fallback = resolve_edit_tokens(mask, cfg.img_tokens)
-
-    # Phase 2: perturb the inverted latent toward noise on the edit tokens.
-    gaps = channel_gap(z_inv, z_rand, edit_tokens)
-    if cfg.perturbation_mode == "channel_selective":
-        z_hat, weights = latents_shift_channel_selective(
-            z_inv, z_rand, PerturbationConfig(cfg.alpha, cfg.tau), edit_tokens)
-    else:
-        z_hat = latents_shift_uniform(z_inv, z_rand, cfg.alpha, edit_tokens)
-        weights = ChannelWeights.uniform(cfg.channels)
-
-    # Phase 3: sample under the target prompt, injecting cached features at
-    # the planned ratios.
-    def sample_hooks(i):
-        if plan[i] is None:
-            return None
-        return InjectionHooks(mode="inject", cache=cache, step=i, mix_ratios=plan[i],
-                              background_mask=mask, global_mix=cfg.global_mix)
-
-    sampling = integrate_forward(model, z_hat, grid, cfg.solver, c_tgt,
-                                 sample_hooks, phase="sampling")
-    edited = sampling.final
+    edited = sampled.edited
     recon = inversion.reconstructed
 
     trace = tuple(
         (weight, cfg.delta_base * weight, ratios is not None)
-        for weight, ratios in zip(schedule.weights, plan))
-
-    # Largest injected-velocity change between consecutive planned steps,
-    # measured along the sampling trajectory (the binary cutoff jump for the
-    # binary family).
-    max_jump = 0.0
-    for i, (ra, rb) in enumerate(zip(plan, plan[1:])):
-        if ra is None:
-            continue
-        jump = velocity_jump_between(
-            model, sampling.states[i], grid.times[i], c_tgt, cache, i, ra, rb,
-            mask=mask, global_mix=cfg.global_mix)
-        max_jump = max(max_jump, jump)
+        for weight, ratios in zip(schedule.weights, sampled.plan))
 
     # reference peak falls back to 1 for degenerate constant reconstructions
     peak = float(np.ptp(recon.data)) or 1.0
     diagnostics = {
         "max_step_delta": max_step_delta(schedule, cfg.delta_base),
-        "velocity_jump": max_jump,
+        "velocity_jump": sampled.velocity_jump,
         "eval_count_inversion": float(inversion.inversion_evals),
-        "eval_count_sampling": float(sampling.velocity_evals),
+        "eval_count_sampling": float(sampled.sampling_evals),
         "eval_count_reconstruction": float(inversion.reconstruction_evals),
-        "evals": float(inversion.inversion_evals + sampling.velocity_evals),
+        "evals": float(inversion.inversion_evals + sampled.sampling_evals),
         "psnr": psnr(recon, edited, peak=peak),
-        "ssim": ssim(recon, edited, peak=peak),
-        "empty_mask_fallback": 1.0 if fallback else 0.0,
+        "ssim": ssim(inversion.ssim_reference, edited, peak=peak),
+        "empty_mask_fallback": 1.0 if sampled.fallback else 0.0,
     }
 
     return EditResult(
-        edited=edited, reconstructed_source=recon, mask=mask,
-        channel_weights=weights, schedule_trace=trace, diagnostics=diagnostics,
-        channel_gaps=gaps)
+        edited=edited, reconstructed_source=recon, mask=sampled.mask,
+        channel_weights=sampled.weights, schedule_trace=trace, diagnostics=diagnostics,
+        channel_gaps=sampled.gaps)
 
 
 def run_reconstruction(source: Latent, c_src: Conditioning,
@@ -662,21 +780,29 @@ def _grid_rows(source: Latent, runs: List[Tuple[Dict, EditConfig]]
     # Rows run grouped by inversion key, each group on one Inversion that is
     # dropped before any row is handed out, so at most one K/V cache is alive
     # whatever the axis order; finished rows wait until the rows before them
-    # are done.
+    # are done. A group samples its rows as stacks of as many rows as keep
+    # the run within MEMORY_BUDGET.
     groups: Dict[tuple, List[int]] = {}
     for index, (_, cfg) in enumerate(runs):
         groups.setdefault(inversion_key(cfg, cfg.source_conditioning()), []).append(index)
     results: Dict[int, EditResult] = {}
     next_row = 0
     for rows in groups.values():
-        cfgs = [runs[index][1] for index in rows]
+        first = runs[rows[0]][1]
         # active steps form a prefix, so the union of the rows' planned steps
         # is the longest row's prefix
-        longest = max(active_step_count(cfg.injection_schedule) for cfg in cfgs)
-        inversion = invert(source, cfgs[0].source_conditioning(), cfgs[0], range(longest))
-        for index, cfg in zip(rows, cfgs):
-            results[index] = run_edit(source, cfg.source_conditioning(),
-                                      cfg.target_conditioning(), cfg, inversion)
+        longest = max(active_step_count(runs[index][1].injection_schedule)
+                      for index in rows)
+        inversion = invert(source, first.source_conditioning(), first, range(longest))
+        spare = MEMORY_BUDGET - sum(_run_bytes(first, longest))
+        size = max(1, spare // _stack_row_bytes(first))
+        for lo in range(0, len(rows), size):
+            part = rows[lo:lo + size]
+            edits = [(cfg.source_conditioning(), cfg.target_conditioning(), cfg)
+                     for cfg in (runs[index][1] for index in part)]
+            for index, edit, sampled in zip(part, edits,
+                                            sample_edits(source, inversion, edits, part)):
+                results[index] = run_edit(source, *edit, inversion, sampled)
         del inversion
         while next_row in results:
             overrides, cfg = runs[next_row]

@@ -74,9 +74,12 @@ def _guard(arr: np.ndarray, step: int, phase: str) -> None:
     # one reduction: NaN and inf propagate through max and fail the comparison
     peak = np.max(np.abs(arr))
     if not peak <= DIVERGENCE_LIMIT:
-        detail = (f"state norm exceeds {DIVERGENCE_LIMIT:g}" if np.isfinite(peak)
+        # name the first failing batch entry, by its own peak
+        peaks = np.abs(arr).reshape(arr.shape[0], -1).max(axis=1)
+        entry = int(np.flatnonzero(~(peaks <= DIVERGENCE_LIMIT))[0])
+        detail = (f"state norm exceeds {DIVERGENCE_LIMIT:g}" if np.isfinite(peaks[entry])
                   else "non-finite state")
-        raise DivergenceError(step, detail, phase)
+        raise DivergenceError(step, detail, phase, entry=entry)
 
 
 def _integrate(field, z_start: Latent, grid: TimeGrid, kind: str, cond,

@@ -3,7 +3,8 @@ program looks them up. A renamed or removed name makes install() fail here,
 in well under a second, instead of only in the benchmark's smoke run. A
 traced ablation checks the invariants that keep the traced metrics defined:
 one run_edit span per row, the evaluation counts each phase must make, and
-every evaluation inside a phase or the velocity-jump diagnostic. A traced
+every evaluation inside a phase or the velocity-jump diagnostic; and that
+the rows of one inversion group are sampled as one stack. A traced
 default edit checks that the solver and the model hand out their checked
 arrays as Latents without constructing (copying and re-checking) them."""
 
@@ -18,6 +19,7 @@ import pytest
 from adaedit import cli, models, perturbation, pipeline
 from adaedit.latent import Latent
 from adaedit.models import AttentionRecord, KVCache, ToyAttentionFlow
+from adaedit.schedules import active_step_count
 from adaedit.solvers import SOLVER_KINDS
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -59,8 +61,14 @@ def test_traced_ablation_counts_rows_and_inverts_once(monkeypatch, tmp_path):
     assert tracer.calls["pipeline.run_edit"] == 4
     assert tracer.mismatches == []
     assert tracer.ledger_balances()
+    # one inversion group: inverted, reconstructed and sampled once, and its
+    # velocity-jump pairs run once per planned step for all rows together
     assert tracer.calls["solvers.inversion"] == 1
     assert tracer.calls["solvers.reconstruction"] == 1
+    assert tracer.calls["solvers.sampling"] == 1
+    planned = max(active_step_count(pipeline.EditConfig(schedule=family).injection_schedule)
+                  for family in ("sigmoid", "binary"))
+    assert tracer.calls["diagnostics.velocity_jump"] == planned
 
 
 @pytest.mark.parametrize("solver", SOLVER_KINDS)

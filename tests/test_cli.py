@@ -245,6 +245,29 @@ def test_divergence_maps_to_exit_3(tmp_path, monkeypatch):
     assert main(["edit", "--out", str(tmp_path / "d")]) == 3
 
 
+def test_a_divergence_in_an_ablation_stack_exits_3_naming_the_row(tmp_path, monkeypatch,
+                                                                  capsys):
+    # the inversion's states peak higher than some rows' sampling states, so
+    # the limit drops only while sampling
+    from adaedit import pipeline, solvers
+
+    real_forward, limit = pipeline.integrate_forward, solvers.DIVERGENCE_LIMIT
+
+    def limited(*args, **kwargs):
+        solvers.DIVERGENCE_LIMIT = 3.5 if kwargs.get("phase") == "sampling" else limit
+        try:
+            return real_forward(*args, **kwargs)
+        finally:
+            solvers.DIVERGENCE_LIMIT = limit
+
+    monkeypatch.setattr(pipeline, "integrate_forward", limited)
+    code = main(["ablate", "--out", str(tmp_path / "a"), "--set", "seed=1",
+                 "--set", "total_steps=6", "--set", "injection_steps=3",
+                 "--axis", "alpha=0.5,1.0,0.1", "--axis", "schedule=binary,sigmoid"])
+    assert code == 3
+    assert "[sampling] divergence at step 0 in row 5:" in capsys.readouterr().err
+
+
 def test_solver_order_out_of_band_maps_to_exit_4(tmp_path, monkeypatch):
     import adaedit.cli as cli_mod
 

@@ -10,9 +10,9 @@ from adaedit import models
 from adaedit.diagnostics import velocity_jump_between
 from adaedit.errors import CacheMissError
 from adaedit.latent import Latent, SeededRng, sample_gaussian
-from adaedit.models import (AnalyticLinearFlow, AttentionRecord, Conditioning,
-                            EditMask, InjectionHooks, KVCache,
-                            ToyAttentionFlow, extract_mask, kv_mix)
+from adaedit.models import (SCORE_BLOCK_BYTES, AnalyticLinearFlow, AttentionRecord,
+                            Conditioning, EditMask, InjectionHooks, KVCache,
+                            ToyAttentionFlow, extract_mask, kv_mix, mix_rows)
 
 COND = Conditioning((1, 2, 3, 4), 2)
 
@@ -137,6 +137,34 @@ def test_kv_mix_soft_mask_partial_rows():
     k, _ = kv_mix(k_src, k_src, k_tgt, k_tgt, 1.0, mask=mask)
     # row ratio = 1 * (1 - 0.25) = 0.75 -> 3.0
     assert np.allclose(k, 3.0, atol=0, rtol=0)
+
+
+def test_kv_mix_keeps_a_ratio_zero_row_of_a_mixed_stack_bitwise():
+    # rows: blend at 0.5 under a mask, ratio 0, ratio 1 applied globally,
+    # ratio 0.3 under a mask that leaves no background row; a target entry of
+    # -0.0 would turn +0.0 in any sum with a +0.0 source term
+    n, d, b = 6, 3, 2
+    rng = SeededRng(4)
+    k_src, v_src = np.abs(rng.standard_normal((b, n, d))), rng.standard_normal((b, n, d))
+    k_tgt, v_tgt = rng.standard_normal((4 * b, n, d)), rng.standard_normal((4 * b, n, d))
+    k_tgt[:, 0, 0] = -0.0
+    v_tgt[:, 1, :] = -0.0
+    masks = [EditMask(np.array([0.0, 0.5, 1.0, 0.25])), None, None,
+             EditMask(np.ones(4))]
+    (mix,), = mix_rows([[[0.5, 0.0, 1.0, 0.3]]], masks, [False, False, True, False], n)
+    k, v = k_tgt.copy(), v_tgt.copy()
+    got = kv_mix(k_src, v_src, k, v, mix, scratch=np.empty_like(k))
+    assert got[0] is k and got[1] is v
+    for row, (ratio, mask, flag) in enumerate(zip((0.5, 0.0, 1.0, 0.3), masks,
+                                                  (False, False, True, False))):
+        rows = slice(row * b, (row + 1) * b)
+        want = kv_mix(k_src, v_src, k_tgt[rows], v_tgt[rows], ratio, mask, flag)
+        for mixed, expected in zip((k[rows], v[rows]), want):
+            assert np.array_equal(mixed, expected)
+            assert np.array_equal(np.signbit(mixed), np.signbit(expected))
+    for row in (1, 3):  # the rows that keep their K/V
+        rows = slice(row * b, (row + 1) * b)
+        assert np.signbit(k[rows, 0, 0]).all() and np.signbit(v[rows, 1]).all()
 
 
 # ------------------------------------------------------------------ toy model
@@ -377,6 +405,90 @@ def test_reused_buffers_leave_outputs_and_records_alone():
                                 - stacked_evaluate(flow, z2, 0.5, COND)))
     assert want > 0.0
     assert jump == want
+
+
+def stack_cases(flow, rows, batch, seed):
+    """Per-row latents, prompts and inject hooks that differ row by row:
+    ratios, masks, global_mix, and a row that injects nothing."""
+    rng = SeededRng(seed)
+    n_img = flow.img_tokens
+    z_src = sample_gaussian(rng, batch, n_img, 8)
+    cache = KVCache()
+    flow.evaluate(z_src, 0.7, COND, InjectionHooks("record", cache=cache, step=0))
+    latents = [sample_gaussian(rng, batch, n_img, 8) for _ in range(rows)]
+    prompts = [Conditioning((1 + r % 3, 2, 3, 4 + r), 1) for r in range(rows)]
+    layers = flow.layer_count
+    ratios = [tuple((0.2 + 0.1 * r + 0.05 * layer) % 1.0 for layer in range(layers))
+              for r in range(rows)]
+    ratios[1 % rows] = (0.0,) * layers
+    masks = [EditMask(np.linspace(0.0, 1.0, n_img)[::1 if r % 2 else -1]) for r in range(rows)]
+    flags = [r % 3 == 2 for r in range(rows)]
+    return cache, latents, prompts, ratios, masks, flags
+
+
+@pytest.mark.parametrize("dims,rows,batch", (
+    ({}, 5, 1), ({"heads": 2}, 4, 2),
+    ({"img_tokens": 256, "embed_dim": 128, "layer_count": 4, "heads": 4}, 4, 1)))
+def test_a_stacked_evaluation_equals_each_row_alone_bitwise(dims, rows, batch):
+    # the mid size holds 3 entries per score block, so 4 rows take two blocks
+    flow = ToyAttentionFlow(seed=2, **dims)
+    cache, latents, prompts, ratios, masks, flags = stack_cases(flow, rows, batch, 6)
+    n = flow.text_tokens + flow.img_tokens
+    stacked = np.array(ratios).T[None]  # (1, layers, rows)
+    hooks = InjectionHooks("inject", cache=cache, step=0,
+                           mixes=mix_rows(stacked, masks, flags, n)[0])
+    z = Latent(np.concatenate([lat.data for lat in latents]))
+    for stack_hooks in (None, hooks):
+        got = flow.evaluate(z, 0.4, prompts, stack_hooks).data
+        for r in range(rows):
+            alone = None if stack_hooks is None else InjectionHooks(
+                "inject", cache=cache, step=0, mix_ratios=ratios[r],
+                background_mask=masks[r], global_mix=flags[r])
+            want = default_flow(seed=2, **dims).evaluate(latents[r], 0.4, prompts[r], alone)
+            assert np.array_equal(got[r * batch:(r + 1) * batch], want.data)
+
+
+def test_a_stack_must_split_evenly_into_rows():
+    z = sample_gaussian(SeededRng(1), 3, 16, 8)
+    with pytest.raises(ValueError, match="do not split into 2 rows"):
+        default_flow().evaluate(z, 0.1, [COND, COND])
+
+
+def test_a_warm_stacked_evaluation_holds_no_score_block_above_the_l2_bound():
+    # 1000 default-size entries would need a 3.2 MB score block at once
+    flow = default_flow()
+    z = sample_gaussian(SeededRng(5), 1000, 16, 8)
+    n = flow.text_tokens + flow.img_tokens
+    flow.evaluate(z, 0.3, COND)
+    tracemalloc.start()
+    try:
+        flow.evaluate(z, 0.3, COND)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < z.b * n * n * 8
+    assert flow._scratch.scores.nbytes <= SCORE_BLOCK_BYTES
+
+
+def test_a_warm_injecting_evaluation_blends_without_allocating():
+    # kv_mix blends into the model's K/V arrays, so a warm evaluation that
+    # injects at every layer allocates less than one (n, d) K array
+    flow = ToyAttentionFlow(seed=0, layer_count=4, embed_dim=128, img_tokens=256, heads=4)
+    z = sample_gaussian(SeededRng(5), 1, 256, 8)
+    cache = KVCache()
+    flow.evaluate(z, 0.3, COND, InjectionHooks("record", cache=cache, step=0))
+    n = flow.text_tokens + flow.img_tokens
+    mixes = mix_rows([[[0.5]] * flow.layer_count], [EditMask(np.linspace(0.0, 1.0, 256))],
+                     [False], n)[0]
+    hooks = InjectionHooks("inject", cache=cache, step=0, mixes=mixes)
+    flow.evaluate(z, 0.6, COND, hooks)
+    tracemalloc.start()
+    try:
+        flow.evaluate(z, 0.6, COND, hooks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * flow.embed_dim * 8  # 266,240 B
 
 
 def test_a_warm_evaluation_allocates_less_than_one_stacked_score_array():

@@ -9,8 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adaedit import pipeline
-from adaedit.errors import ConfigError
+from adaedit import pipeline, solvers
+from adaedit.errors import ConfigError, DivergenceError
 from adaedit.latent import SeededRng, sample_gaussian
 from adaedit.models import (AttentionRecord, EditMask, InjectionHooks, KVCache,
                             extract_mask)
@@ -20,7 +20,8 @@ from adaedit.pipeline import (FIELD_SPECS, EditConfig, build_model, build_schedu
                               run_ablation_grid, run_edit, run_reconstruction,
                               summarize_result)
 from adaedit.schedules import active_step_count, is_active, schedule_weight
-from adaedit.solvers import TimeGrid, integrate_backward, integrate_forward
+from adaedit.solvers import (DIVERGENCE_LIMIT, TimeGrid, integrate_backward,
+                             integrate_forward)
 
 
 def run_default(seed=0, **overrides):
@@ -439,6 +440,101 @@ def test_grid_holds_one_inversion_at_a_time(monkeypatch):
             rows.append(overrides)
         assert len(made) == 3
         assert rows == [dict(zip(axes, combo)) for combo in itertools.product(*axes.values())]
+
+
+# ------------------------------------------------------------------- stacking
+
+def count_sampling(monkeypatch):
+    """Counts the sampling integrations that edits make from now on."""
+    calls = []
+    real_forward = pipeline.integrate_forward
+
+    def counted_forward(*args, **kwargs):
+        if kwargs.get("phase") == "sampling":
+            calls.append(args[1].b)
+        return real_forward(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "integrate_forward", counted_forward)
+    return calls
+
+
+@pytest.mark.parametrize("solver", ("euler", "midpoint", "reuse_velocity"))
+def test_stacked_rows_equal_standalone_edits(monkeypatch, solver):
+    # binary plans 3 steps and sigmoid 4, so at step 3 some rows inject and
+    # others do not; global_mix at delta_base 1 takes the source K/V whole;
+    # the rows' target prompts differ
+    cfg = EditConfig(seed=4, total_steps=6, injection_steps=3, batch=2, heads=2,
+                     solver=solver)
+    axes = {"schedule": ["binary", "sigmoid"], "global_mix": [False, True],
+            "delta_base": [0.6, 1.0], "target_prompt_ids": [(1, 2, 9, 4), (5, 6, 7, 8)],
+            "layer_ratio_beta": [0.0, 0.5]}
+    assert [active_step_count(build_schedule(replace(cfg, schedule=family)))
+            for family in axes["schedule"]] == [3, 4]
+    src = generate_source_latent(cfg)
+    sampled = count_sampling(monkeypatch)
+    rows = list(edit_grid(src, cfg, axes))
+    assert len(rows) == 32
+    assert sampled == [32 * cfg.batch]  # one stack for the whole group
+    for _, row_cfg, result in rows:
+        alone = run_edit(src, row_cfg.source_conditioning(),
+                         row_cfg.target_conditioning(), row_cfg)
+        assert_same_result(result, alone)
+    assert sampled[1:] == [cfg.batch] * 32
+
+
+def test_stacks_are_sliced_to_the_memory_budget(monkeypatch):
+    cfg = EditConfig(seed=6, total_steps=5, injection_steps=2)
+    active = active_step_count(build_schedule(cfg))
+    budget = sum(pipeline._run_bytes(cfg, active)) + 2 * pipeline._stack_row_bytes(cfg)
+    src = generate_source_latent(cfg)
+    axes = {"alpha": [0.1, 0.3, 0.5], "tau": [0.5, 2.0]}
+    whole = list(edit_grid(src, cfg, axes))
+    monkeypatch.setattr(pipeline, "MEMORY_BUDGET", budget)
+    sampled = count_sampling(monkeypatch)
+    sliced = list(edit_grid(src, cfg, axes))
+    assert sampled == [2, 2, 2]
+    for (_, _, a), (_, _, b) in zip(whole, sliced):
+        assert_same_result(a, b)
+
+
+def sampling_limit(monkeypatch, limit):
+    """Divergence at ``limit`` in the sampling phase only: the inversion's
+    states are larger than some rows' sampling states."""
+    real_forward = pipeline.integrate_forward
+
+    def limited(*args, **kwargs):
+        if kwargs.get("phase") != "sampling":
+            return real_forward(*args, **kwargs)
+        solvers.DIVERGENCE_LIMIT = limit
+        try:
+            return real_forward(*args, **kwargs)
+        finally:
+            solvers.DIVERGENCE_LIMIT = DIVERGENCE_LIMIT
+
+    monkeypatch.setattr(pipeline, "integrate_forward", limited)
+
+
+def test_a_divergence_in_a_stack_names_its_row_and_the_standalone_step(monkeypatch):
+    cfg = EditConfig(seed=1, total_steps=6, injection_steps=3)
+    axes = {"alpha": [0.5, 1.0, 0.1], "schedule": ["binary", "sigmoid"]}
+    src = generate_source_latent(cfg)
+    sampling_limit(monkeypatch, 3.5)
+    alone = {}
+    for index, combo in enumerate(itertools.product(*axes.values())):
+        row_cfg = replace(cfg, **dict(zip(axes, combo)))
+        try:
+            run_edit(src, row_cfg.source_conditioning(), row_cfg.target_conditioning(),
+                     row_cfg)
+        except DivergenceError as exc:
+            assert exc.row is None
+            alone[index] = exc.step
+    # some rows diverge, not the first, and not all at one step
+    assert 0 not in alone and 0 < len(alone) < 6 and len(set(alone.values())) > 1
+    with pytest.raises(DivergenceError) as exc:
+        list(edit_grid(src, cfg, axes))
+    assert exc.value.row in alone
+    assert exc.value.step == alone[exc.value.row] == min(alone.values())
+    assert f"in row {exc.value.row}:" in str(exc.value)
 
 
 # ------------------------------------------------------------- reconstruction
