@@ -15,6 +15,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -272,7 +273,10 @@ def cmd_ablate(config_path: Optional[str], out_dir: str, axis_specs: Sequence[st
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args keeps no
+    state on it, and the append actions copy their default list."""
     parser = argparse.ArgumentParser(
         prog="adaedit",
         description="Deterministic desk-scale editing runs, sweeps and solver checks.")

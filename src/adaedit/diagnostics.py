@@ -104,18 +104,24 @@ def ssim_reference(a: Latent) -> SsimReference:
     return SsimReference(a, _filter(x), _filter(x * x))
 
 
-def ssim(a: Union[Latent, SsimReference], b: Latent, peak: Optional[float] = None) -> float:
+def ssim(a: Union[Latent, SsimReference], b: Latent, peak: Optional[float] = None,
+         rows: Optional[int] = None) -> Union[float, List[float]]:
     """Gaussian-window SSIM per channel on the g x g token grid, averaged.
 
     Tokens must form a square grid (L = g^2). The window is the largest odd
     size not exceeding min(7, g), and the SSIM map is cropped to the
     window-valid interior before averaging. Population (divide-by-N) local
     statistics throughout. The reference a may be given as its
-    ssim_reference, which gives the same bits.
+    ssim_reference, which gives the same bits. With rows, b stacks that many
+    latents of a's shape along the batch axis, every plane of the stack is
+    filtered at once, and the result is one value per row, each equal to
+    ssim(a, row) bitwise.
     """
     ref = a if isinstance(a, SsimReference) else None
     a = ref.latent if ref is not None else a
-    _check_same_shape(a, b)
+    count = 1 if rows is None else rows
+    if b.shape != (count * a.b, a.l, a.c):
+        raise ValueError(f"latent shape mismatch: {a.shape} x {count} vs {b.shape}")
     y = _planes(b)
     if peak is None:
         peak = _default_peak(a)
@@ -126,18 +132,24 @@ def ssim(a: Union[Latent, SsimReference], b: Latent, peak: Optional[float] = Non
     c1 = (SSIM_K1 * peak) ** 2
     c2 = (SSIM_K2 * peak) ** 2
     x, mu_x = _planes(a), ref.mu
-    mu_y = _filter(y)
+
+    def per_row(planes):
+        # (rows, B, C, g, g): each row's planes line up with the reference's
+        return planes.reshape((count,) + x.shape)
+
+    mu_y = per_row(_filter(y))
     sxx = ref.sq - mu_x * mu_x
-    syy = _filter(y * y) - mu_y * mu_y
-    sxy = _filter(x * y) - mu_x * mu_y
+    syy = per_row(_filter(y * y)) - mu_y * mu_y
+    sxy = per_row(_filter((x * per_row(y)).reshape(y.shape))) - mu_x * mu_y
     num = (2.0 * mu_x * mu_y + c1) * (2.0 * sxy + c2)
     den = (mu_x ** 2 + mu_y ** 2 + c1) * (sxx + syy + c2)
     smap = num / den
     pad = (default_ssim_window(y.shape[-1]) - 1) // 2
     if pad > 0:
         smap = smap[..., pad:-pad, pad:-pad]
-    # per-plane means, then their mean in (batch, channel) order
-    return float(smap.mean(axis=(-2, -1)).ravel().mean())
+    # per-plane means, then each row's mean of them in (batch, channel) order
+    scores = smap.mean(axis=(-2, -1)).reshape(count, -1).mean(axis=1)
+    return float(scores[0]) if rows is None else [float(v) for v in scores]
 
 
 def velocity_jump_between(field, z: Latent, t: float,

@@ -113,49 +113,76 @@ def blend_weights(cfg, weights: ChannelWeights) -> np.ndarray:
     return np.minimum(cfg.alpha * weights.alpha, 1.0)
 
 
-def _shift(z_inv: Latent, z_rand: Latent, blend: np.ndarray, idx: np.ndarray) -> Latent:
-    """Blend AdaIN(z_inv, z_rand) into z_inv on the resolved tokens idx, per
-    channel at the strengths in blend.
+@dataclass(frozen=True, eq=False)
+class ShiftStats:
+    """What every shift of one (z_inv, z_rand) pair on one token set shares:
+    the resolved tokens idx, z_inv on them (x) and the AdaIN of x to z_rand's
+    statistics on them (target)."""
 
-    AdaIN statistics are computed over the tokens idx only. Tokens outside idx
-    and channels whose blend is 0 are copied through bitwise.
+    idx: np.ndarray
+    x: np.ndarray
+    target: np.ndarray
+
+
+def shift_stats(z_inv: Latent, z_rand: Latent, tokens: Iterable[int]) -> ShiftStats:
+    """The ShiftStats of z_inv and z_rand on the edit tokens.
+
+    AdaIN statistics are computed over the edit tokens only.
+    """
+    _check_pair(z_inv, z_rand)
+    idx = resolve_tokens(tokens, z_inv.l)
+    x = _select(z_inv, idx)
+    return ShiftStats(idx, x, _adain_per_channel(x, _select(z_rand, idx)))
+
+
+def _shift(z_inv: Latent, blend: np.ndarray, stats: ShiftStats) -> Latent:
+    """Blend stats.target into z_inv on the tokens stats.idx, per channel at
+    the strengths in blend.
+
+    Tokens outside idx and channels whose blend is 0 are copied through
+    bitwise.
     """
     out = z_inv.data.copy()
     if np.any(blend > 0.0):
-        x = _select(z_inv, idx)
-        y = _select(z_rand, idx)
-        mixed = blend * _adain_per_channel(x, y) + (1.0 - blend) * x
-        out[:, idx, :] = np.where(blend > 0.0, mixed, x)
+        x = stats.x
+        mixed = blend * stats.target + (1.0 - blend) * x
+        out[:, stats.idx, :] = np.where(blend > 0.0, mixed, x)
     return Latent(out)
 
 
 def latents_shift_uniform(z_inv: Latent, z_rand: Latent, alpha: float,
-                          tokens: Iterable[int]) -> Latent:
+                          tokens: Iterable[int],
+                          stats: Optional[ShiftStats] = None) -> Latent:
     """Blend AdaIN(z_inv, z_rand) into z_inv at strength alpha on the edit tokens.
 
     The channel-selective shift with every alpha_c = 1. alpha = 0 returns
-    z_inv unchanged.
+    z_inv unchanged. stats is shift_stats(z_inv, z_rand, tokens) when the
+    caller already has it.
     """
     _check_pair(z_inv, z_rand)
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    idx = resolve_tokens(tokens, z_inv.l)
-    return _shift(z_inv, z_rand, np.full(z_inv.c, alpha), idx)
+    if stats is None:
+        stats = shift_stats(z_inv, z_rand, tokens)
+    return _shift(z_inv, np.full(z_inv.c, alpha), stats)
 
 
 def latents_shift_channel_selective(
         z_inv: Latent, z_rand: Latent, cfg: PerturbationConfig,
         tokens: Iterable[int],
-        gaps: Optional[np.ndarray] = None) -> Tuple[Latent, ChannelWeights]:
+        gaps: Optional[np.ndarray] = None,
+        stats: Optional[ShiftStats] = None) -> Tuple[Latent, ChannelWeights]:
     """Per-channel blend at strength min(alpha * alpha_c, 1); returns weights used.
 
-    gaps is channel_gap(z_inv, z_rand, tokens) when the caller already has
-    it. alpha = 0 is the identity, and a constant gap vector reduces exactly
-    to the uniform shift.
+    gaps is channel_gap(z_inv, z_rand, tokens) and stats is
+    shift_stats(z_inv, z_rand, tokens) when the caller already has them.
+    alpha = 0 is the identity, and a constant gap vector reduces exactly to
+    the uniform shift.
     """
     _check_pair(z_inv, z_rand)
-    idx = resolve_tokens(tokens, z_inv.l)
+    if stats is None:
+        stats = shift_stats(z_inv, z_rand, tokens)
     if gaps is None:
-        gaps = channel_gap(z_inv, z_rand, idx)
+        gaps = channel_gap(z_inv, z_rand, stats.idx)
     weights = channel_weights(gaps, cfg.tau)
-    return _shift(z_inv, z_rand, blend_weights(cfg, weights), idx), weights
+    return _shift(z_inv, blend_weights(cfg, weights), stats), weights

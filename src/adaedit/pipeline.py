@@ -30,7 +30,7 @@ from .models import (AttentionRecord, Conditioning, EditMask, InjectionHooks,
 from .perturbation import (PERTURBATION_MODES, ChannelWeights,
                            PerturbationConfig, channel_gap,
                            latents_shift_channel_selective,
-                           latents_shift_uniform)
+                           latents_shift_uniform, shift_stats)
 from .schedules import (SCHEDULE_FAMILIES, InjectionSchedule,
                         LayerRatioProfile, active_step_count, effective_ratio,
                         is_active, layer_ratios, max_step_delta)
@@ -480,6 +480,12 @@ class Inversion:
     reconstruction_evals: int
 
     @cached_property
+    def peak(self) -> float:
+        """The reconstruction's value range, the peak of every edit's PSNR
+        and SSIM against it; 1 for a degenerate constant reconstruction."""
+        return float(np.ptp(self.reconstructed.data)) or 1.0
+
+    @cached_property
     def ssim_reference(self) -> SsimReference:
         """The reconstruction's filtered SSIM planes, made once for every
         edit that is compared with it."""
@@ -533,6 +539,14 @@ def _check_inversion(inversion: Inversion, source: Latent, c_src: Conditioning,
         raise ValueError(f"the inversion did not record planned step {min(missing)}")
 
 
+# The fields an injection plan reads: the schedule's, delta_base and the
+# layer profile's. Edits that agree on them share one plan.
+PLAN_FIELDS = ("schedule", "total_steps", "injection_steps", "sharpness",
+               "sigmoid_midpoint", "activity_threshold", "delta_base",
+               "layer_ratio_beta", "layer_count")
+_PLAN_KEY = operator.attrgetter(*PLAN_FIELDS)
+
+
 def _injection_plan(cfg: EditConfig) -> tuple:
     """The injection plan: per step, the per-layer ratios at which cached
     source K/V are blended in, or None where the schedule is inactive; the
@@ -550,8 +564,9 @@ def _injection_plan(cfg: EditConfig) -> tuple:
 class SampledEdit:
     """One edit of a stack that sample_edits ran: its injection plan and
     planned step count, its mask, the perturbed latent with its channel gaps
-    and weights, and the sampled latent with the sampling's evaluation count
-    and the largest velocity jump between its consecutive planned steps."""
+    and weights, and the sampled latent with the sampling's evaluation count,
+    the largest velocity jump between its consecutive planned steps and its
+    SSIM against the inversion's reconstruction."""
 
     cfg: EditConfig
     c_tgt: Conditioning
@@ -565,6 +580,7 @@ class SampledEdit:
     edited: Optional[Latent] = None
     sampling_evals: int = 0
     velocity_jump: float = 0.0
+    ssim: float = 0.0
 
 
 def sample_edits(source: Latent, inversion: Inversion,
@@ -573,21 +589,20 @@ def sample_edits(source: Latent, inversion: Inversion,
     """Mask, perturb and sample edits of ``source`` that share ``inversion``,
     as one stack.
 
-    Each edit (c_src, c_tgt, cfg) is masked and perturbed on its own. The
-    perturbed latents are stacked along the batch axis, longest plan first,
-    and sampled by one integrate_forward call, each row under its own target
-    prompt, mask, global_mix and per-layer ratios: the edits' INVERSION_FIELDS
-    agree, so they share the grid, the solver and the steps, and no step
-    pools over rows. The velocity-jump pairs of a step run as one
-    velocity_jump_between call over the rows planned at that step. So every
-    row equals the edit sampled alone, bitwise. A divergence names the
-    failing edit by its entry in ``rows``, when given.
+    What rows share is made once per distinct key: the injection plan per
+    PLAN_FIELDS value; the mask and its edit tokens per planned steps, mask
+    prompt and soft_mask_gamma; the channel gaps and the AdaIN target per
+    edit-token set. Each edit (c_src, c_tgt, cfg) then makes only its own
+    channel weights and blend. The perturbed latents are stacked along the
+    batch axis, longest plan first, and sampled by one integrate_forward
+    call, each row under its own target prompt, mask, global_mix and
+    per-layer ratios: the edits' INVERSION_FIELDS agree, so they share the
+    grid, the solver and the steps, and no step pools over rows. The
+    velocity-jump pairs of a step run as one velocity_jump_between call over
+    the rows planned at that step, and one ssim call scores the whole
+    sampled stack. So every row equals the edit sampled alone, bitwise. A
+    divergence names the failing edit by its entry in ``rows``, when given.
     """
-    plans = [_injection_plan(cfg) for _, _, cfg in edits]
-    steps = [frozenset(i for i, ratios in enumerate(plan) if ratios is not None)
-             for plan in plans]
-    for (c_src, _, cfg), planned in zip(edits, steps):
-        _check_inversion(inversion, source, c_src, cfg, planned)
     model, grid, cache = inversion.model, inversion.grid, inversion.cache
     z_inv = inversion.z_inv
     # the seed and the latent's shape are INVERSION_FIELDS: one noise for all
@@ -595,21 +610,38 @@ def sample_edits(source: Latent, inversion: Inversion,
     z_rand = sample_gaussian(SeededRng(first.seed, stream=STREAM_NOISE),
                              first.batch, first.img_tokens, first.channels)
 
+    plans: Dict[tuple, Tuple[tuple, AbstractSet[int]]] = {}
+    masks: Dict[tuple, tuple] = {}
+    token_stats: Dict[Tuple[int, ...], tuple] = {}
     perturbed = []
-    for (c_src, c_tgt, cfg), plan, planned in zip(edits, plans, steps):
-        # The mask averages the planned steps' attention only, in the order a
-        # record of exactly those steps would stack it.
+    for c_src, c_tgt, cfg in edits:
+        plan_key = _PLAN_KEY(cfg)
+        if plan_key not in plans:
+            plan = _injection_plan(cfg)
+            plans[plan_key] = plan, frozenset(
+                i for i, ratios in enumerate(plan) if ratios is not None)
+        plan, planned = plans[plan_key]
+        _check_inversion(inversion, source, c_src, cfg, planned)
         mask_cond = c_tgt if cfg.mask_keyword_source == "target" else c_src
-        mask = extract_mask(inversion.attn, mask_cond, cfg.soft_mask_gamma, planned)
-        edit_tokens, fallback = resolve_edit_tokens(mask, cfg.img_tokens)
-        idx = resolve_tokens(edit_tokens, cfg.img_tokens)
+        mask_key = (planned, mask_cond, cfg.soft_mask_gamma)
+        if mask_key not in masks:
+            # The mask averages the planned steps' attention only, in the
+            # order a record of exactly those steps would stack it.
+            mask = extract_mask(inversion.attn, mask_cond, cfg.soft_mask_gamma, planned)
+            edit_tokens, fallback = resolve_edit_tokens(mask, cfg.img_tokens)
+            if edit_tokens not in token_stats:
+                idx = resolve_tokens(edit_tokens, cfg.img_tokens)
+                token_stats[edit_tokens] = (channel_gap(z_inv, z_rand, idx),
+                                            shift_stats(z_inv, z_rand, idx))
+            masks[mask_key] = (mask, fallback) + token_stats[edit_tokens]
+        mask, fallback, gaps, stats = masks[mask_key]
         # Perturb the inverted latent toward noise on the edit tokens.
-        gaps = channel_gap(z_inv, z_rand, idx)
         if cfg.perturbation_mode == "channel_selective":
             z_hat, weights = latents_shift_channel_selective(
-                z_inv, z_rand, PerturbationConfig(cfg.alpha, cfg.tau), idx, gaps=gaps)
+                z_inv, z_rand, PerturbationConfig(cfg.alpha, cfg.tau), stats.idx,
+                gaps=gaps, stats=stats)
         else:
-            z_hat = latents_shift_uniform(z_inv, z_rand, cfg.alpha, idx)
+            z_hat = latents_shift_uniform(z_inv, z_rand, cfg.alpha, stats.idx, stats=stats)
             weights = ChannelWeights.uniform(cfg.channels)
         perturbed.append(SampledEdit(cfg, c_tgt, plan, len(planned), mask, fallback,
                                      gaps, weights, z_hat))
@@ -662,10 +694,15 @@ def sample_edits(source: Latent, inversion: Inversion,
         for r, jump in enumerate(got):
             jumps[r] = max(jumps[r], jump)
 
+    # Only the final states are read from here on; the stacked SSIM's planes
+    # take the place of the sampling's states.
+    final, evals = sampling.final, sampling.velocity_evals
+    del sampling
+    scores = ssim(inversion.ssim_reference, final, peak=inversion.peak, rows=len(stack))
     for r, row in enumerate(stack):
         perturbed[order[r]] = replace(
-            row, edited=Latent._adopt(sampling.final.data[r * b:(r + 1) * b]),
-            sampling_evals=sampling.velocity_evals, velocity_jump=jumps[r])
+            row, edited=Latent._adopt(final.data[r * b:(r + 1) * b]),
+            sampling_evals=evals, velocity_jump=jumps[r], ssim=scores[r])
     return perturbed
 
 
@@ -693,14 +730,11 @@ def run_edit(source: Latent, c_src: Conditioning, c_tgt: Conditioning,
                          "it was sampled from")
     schedule = cfg.injection_schedule
     edited = sampled.edited
-    recon = inversion.reconstructed
 
     trace = tuple(
         (weight, cfg.delta_base * weight, ratios is not None)
         for weight, ratios in zip(schedule.weights, sampled.plan))
 
-    # reference peak falls back to 1 for degenerate constant reconstructions
-    peak = float(np.ptp(recon.data)) or 1.0
     diagnostics = {
         "max_step_delta": max_step_delta(schedule, cfg.delta_base),
         "velocity_jump": sampled.velocity_jump,
@@ -708,13 +742,13 @@ def run_edit(source: Latent, c_src: Conditioning, c_tgt: Conditioning,
         "eval_count_sampling": float(sampled.sampling_evals),
         "eval_count_reconstruction": float(inversion.reconstruction_evals),
         "evals": float(inversion.inversion_evals + sampled.sampling_evals),
-        "psnr": psnr(recon, edited, peak=peak),
-        "ssim": ssim(inversion.ssim_reference, edited, peak=peak),
+        "psnr": psnr(inversion.reconstructed, edited, peak=inversion.peak),
+        "ssim": sampled.ssim,
         "empty_mask_fallback": 1.0 if sampled.fallback else 0.0,
     }
 
     return EditResult(
-        edited=edited, reconstructed_source=recon, mask=sampled.mask,
+        edited=edited, reconstructed_source=inversion.reconstructed, mask=sampled.mask,
         channel_weights=sampled.weights, schedule_trace=trace, diagnostics=diagnostics,
         channel_gaps=sampled.gaps)
 

@@ -44,7 +44,8 @@ class InjectionSchedule:
     is the soft cutoff: a step counts as active while its weight exceeds it.
     Binary weights are 1 before injection_steps and 0 from there on, and the
     threshold lies in [0, 1), so a binary schedule is active exactly on steps
-    < injection_steps, reproducing the baseline for ablations.
+    < injection_steps, reproducing the baseline for ablations. active_count,
+    the number of active steps, is counted once at construction.
     """
 
     family: str
@@ -54,6 +55,7 @@ class InjectionSchedule:
     midpoint: float = 0.7
     activity_threshold: float = 0.05
     weights: tuple = field(init=False, repr=False)
+    active_count: int = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.family not in SCHEDULE_FAMILIES:
@@ -75,6 +77,8 @@ class InjectionSchedule:
             _raw_weight(self.family, i, self.injection_steps, self.sharpness, self.midpoint)
             for i in range(self.total_steps))
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "active_count",
+                           sum(weight > self.activity_threshold for weight in w))
 
     def _check_step(self, step: int) -> None:
         if not 0 <= step < self.total_steps:
@@ -102,7 +106,7 @@ def is_active(s: InjectionSchedule, step: int) -> bool:
 
 def active_step_count(s: InjectionSchedule) -> int:
     """How many steps are active; weights never increase, so they form a prefix."""
-    return sum(is_active(s, i) for i in range(s.total_steps))
+    return s.active_count
 
 
 def max_step_delta(s: InjectionSchedule, delta_base: float) -> float:
@@ -115,10 +119,7 @@ def max_step_delta(s: InjectionSchedule, delta_base: float) -> float:
     """
     if not 0.0 <= delta_base <= 1.0:
         raise ValueError(f"delta_base must lie in [0, 1], got {delta_base}")
-    deltas = [
-        delta_base * s.weights[i] if is_active(s, i) else 0.0
-        for i in range(s.total_steps)
-    ]
+    deltas = [delta_base * w if w > s.activity_threshold else 0.0 for w in s.weights]
     if len(deltas) < 2:
         return 0.0
     return max(abs(b - a) for a, b in zip(deltas, deltas[1:]))

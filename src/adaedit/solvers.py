@@ -71,8 +71,9 @@ class Trajectory:
 
 
 def _guard(arr: np.ndarray, step: int, phase: str) -> None:
-    # one reduction: NaN and inf propagate through max and fail the comparison
-    peak = np.max(np.abs(arr))
+    # one reduction, called on the ufunc to skip np.max's Python-level dispatch:
+    # NaN and inf propagate through max and fail the comparison
+    peak = np.maximum.reduce(np.abs(arr), axis=None)
     if not peak <= DIVERGENCE_LIMIT:
         # name the first failing batch entry, by its own peak
         peaks = np.abs(arr).reshape(arr.shape[0], -1).max(axis=1)

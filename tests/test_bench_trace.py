@@ -50,15 +50,17 @@ def test_traced_ablation_counts_rows_and_inverts_once(monkeypatch, tmp_path):
     monkeypatch.syspath_prepend(str(BENCH))
     monkeypatch.delenv("ADAEDIT_SEED", raising=False)
     spans = importlib.import_module("spans")
+    axes = {"schedule": ("sigmoid", "binary"), "alpha": (0.1, 0.5),
+            "soft_mask_gamma": (None, 8.0)}
     tracer = spans.Tracer()
     tracer.install()
     try:
         code = cli.main(["ablate", "--out", str(tmp_path), "--axis", "schedule=sigmoid,binary",
-                         "--axis", "alpha=0.1,0.5"])
+                         "--axis", "alpha=0.1,0.5", "--axis", "soft_mask_gamma=none,8"])
     finally:
         tracer.uninstall()
     assert code == 0
-    assert tracer.calls["pipeline.run_edit"] == 4
+    assert tracer.calls["pipeline.run_edit"] == 8
     assert tracer.mismatches == []
     assert tracer.ledger_balances()
     # one inversion group: inverted, reconstructed and sampled once, and its
@@ -69,6 +71,18 @@ def test_traced_ablation_counts_rows_and_inverts_once(monkeypatch, tmp_path):
     planned = max(active_step_count(pipeline.EditConfig(schedule=family).injection_schedule)
                   for family in ("sigmoid", "binary"))
     assert tracer.calls["diagnostics.velocity_jump"] == planned
+    # a stack masks once per (planned steps, mask prompt, gamma), takes the
+    # token statistics once per edit-token set and scores SSIM once; only
+    # the shift runs per row
+    grid = list(pipeline.edit_grid(pipeline.generate_source_latent(pipeline.EditConfig()),
+                                   pipeline.EditConfig(), axes))
+    masks = {(active_step_count(cfg.injection_schedule), cfg.target_conditioning(),
+              cfg.soft_mask_gamma) for _, cfg, _ in grid}
+    token_sets = {result.mask.hard or tuple(range(16)) for _, _, result in grid}
+    assert tracer.calls["models.extract_mask"] == len(masks) < len(grid)
+    assert tracer.calls["perturbation.channel_gap"] == len(token_sets) < len(masks)
+    assert tracer.calls["diagnostics.ssim"] == tracer.calls["solvers.sampling"]
+    assert tracer.calls["perturbation.shift"] == len(grid)
 
 
 @pytest.mark.parametrize("solver", SOLVER_KINDS)

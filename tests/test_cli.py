@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from adaedit import cli
 from adaedit.cli import main
 from adaedit.errors import ConfigError, DivergenceError
 from adaedit.pipeline import EditConfig, build_schedule, parse_field
@@ -187,6 +188,26 @@ def test_ablate(tmp_path):
     assert [(r["schedule"], r["alpha"]) for r in rows] == [
         ("binary", "0.10000000000000001"), ("binary", "0.25"),
         ("sigmoid", "0.10000000000000001"), ("sigmoid", "0.25")]
+
+
+def test_one_parser_serves_every_call_without_carrying_options(tmp_path):
+    # the parser is built once per process; a call's --set and --axis lists
+    # must not keep the values of the call before it
+    assert cli.build_parser() is cli.build_parser()
+
+    def ablate(out, seed, axis):
+        return main(["ablate", "--out", str(tmp_path / out), "--set", f"seed={seed}",
+                     "--axis", axis])
+
+    assert ablate("first", 3, "schedule=binary,sigmoid") == 0
+    assert ablate("second", 4, "tau=0.5,2.0") == 0
+    cli.build_parser.cache_clear()
+    assert ablate("fresh", 4, "tau=0.5,2.0") == 0
+    second = (tmp_path / "second" / "ablation.csv").read_bytes()
+    assert second == (tmp_path / "fresh" / "ablation.csv").read_bytes()
+    assert second != (tmp_path / "first" / "ablation.csv").read_bytes()
+    assert (manifest_without_timestamp(tmp_path / "second" / "manifest.json")["config_hash"]
+            == manifest_without_timestamp(tmp_path / "fresh" / "manifest.json")["config_hash"])
 
 
 def test_ablate_extra_axis_column(tmp_path):

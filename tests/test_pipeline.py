@@ -376,6 +376,45 @@ def test_grid_rows_equal_standalone_edits_and_invert_once_per_key(monkeypatch):
         assert_same_result(result, alone)
 
 
+def test_grid_rows_share_masks_token_sets_and_plans_by_key(monkeypatch):
+    # one inversion group: the mask depends on the planned steps, the mask
+    # prompt and gamma; the edit tokens on the planned steps and the mask
+    # prompt only (gamma keeps the hard set); the plan on the schedule and
+    # layer_ratio_beta; perturbation_mode and global_mix on none of them
+    cfg = EditConfig(seed=7, total_steps=6, injection_steps=3, source_keyword_index=0)
+    axes = {"schedule": ["sigmoid", "binary"], "soft_mask_gamma": [None, 8.0],
+            "mask_keyword_source": ["source", "target"],
+            "perturbation_mode": ["uniform", "channel_selective"],
+            "global_mix": [False, True], "layer_ratio_beta": [0.0, 0.5]}
+    src = generate_source_latent(cfg)
+    made = {"extract_mask": 0, "channel_gap": 0, "_injection_plan": 0}
+    for name in made:
+        def counted(*args, _real=getattr(pipeline, name), _name=name, **kwargs):
+            made[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(pipeline, name, counted)
+    rows = list(edit_grid(src, cfg, axes))
+    monkeypatch.undo()
+    assert len(rows) == 64
+
+    def mask_cond(row_cfg):
+        return (row_cfg.target_conditioning() if row_cfg.mask_keyword_source == "target"
+                else row_cfg.source_conditioning())
+
+    masks = {(active_step_count(row_cfg.injection_schedule), mask_cond(row_cfg),
+              row_cfg.soft_mask_gamma) for _, row_cfg, _ in rows}
+    token_sets = {result.mask.hard or tuple(range(cfg.img_tokens))
+                  for _, _, result in rows}
+    plans = {(row_cfg.schedule, row_cfg.layer_ratio_beta) for _, row_cfg, _ in rows}
+    assert made == {"extract_mask": len(masks), "channel_gap": len(token_sets),
+                    "_injection_plan": len(plans)}
+    assert len(plans) == 4 and len(token_sets) < len(masks) == 8
+    for _, row_cfg, result in rows:
+        alone = run_edit(src, row_cfg.source_conditioning(),
+                         row_cfg.target_conditioning(), row_cfg)
+        assert_same_result(result, alone)
+
+
 def test_mask_of_a_superset_record_limited_to_the_planned_steps():
     cfg = EditConfig(seed=2)
     src = generate_source_latent(cfg)
