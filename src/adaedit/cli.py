@@ -114,13 +114,22 @@ def load_config(config_path: Optional[str], sets: Sequence[str],
     return EditConfig.from_dict(data)
 
 
+def _make_out(out_dir: str) -> Path:
+    """The output directory, created if missing; a path that cannot be one
+    (an existing file, a path under a file) is a config error."""
+    out = Path(out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("out", f"cannot create directory '{out_dir}': {exc}")
+    return out
+
+
 def _setup(config_path: Optional[str], sets: Sequence[str],
            out_dir: str) -> Tuple[EditConfig, Path, Latent]:
     """Validated config, created output directory and seeded source latent."""
     cfg = load_config(config_path, sets)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return cfg, out, generate_source_latent(cfg)
+    return cfg, _make_out(out_dir), generate_source_latent(cfg)
 
 
 def write_manifest(out_dir: Path, command: str, config_path: Optional[str],
@@ -239,8 +248,7 @@ def solver_order_table() -> List[dict]:
 
 
 def cmd_solver_order(out_dir: str) -> int:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_out(out_dir)
     table = solver_order_table()
     header = ["solver", "order"] + [f"err_{steps}" for steps in ORDER_LADDER]
     rows = [[entry["solver"], entry["order"]] + entry["errors"] for entry in table]
@@ -263,7 +271,12 @@ def _parse_axis(spec: str) -> Tuple[str, list]:
 
 def cmd_ablate(config_path: Optional[str], out_dir: str, axis_specs: Sequence[str],
                sets: Sequence[str] = ()) -> int:
-    axes = dict(_parse_axis(spec) for spec in axis_specs)
+    axes = {}
+    for spec in axis_specs:
+        key, values = _parse_axis(spec)
+        if key in axes:
+            raise ConfigError(key, "repeated --axis; give all its values in one")
+        axes[key] = values
     base, out, source = _setup(config_path, sets, out_dir)
     rows = run_ablation_grid(source, base, axes)
     extras = extra_columns(axes)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
@@ -71,17 +70,6 @@ def default_ssim_window(grid_side: int) -> int:
     return w if w % 2 == 1 else w - 1
 
 
-@dataclass(frozen=True, eq=False)
-class SsimReference:
-    """A reference latent's filtered SSIM planes (the local means and the
-    filtered squares), made once by ssim_reference so that many latents can
-    be compared with one reference."""
-
-    latent: Latent
-    mu: np.ndarray
-    sq: np.ndarray
-
-
 def _planes(z: Latent) -> np.ndarray:
     """z's (batch, channel) planes on the g x g token grid, (B, C, g, g)."""
     g = math.isqrt(z.l)
@@ -98,27 +86,18 @@ def _filter(planes: np.ndarray) -> np.ndarray:
     return ndimage.correlate(planes, kernel, mode="reflect")
 
 
-def ssim_reference(a: Latent) -> SsimReference:
-    """The filtered planes of reference a, for ssim(reference, b)."""
-    x = _planes(a)
-    return SsimReference(a, _filter(x), _filter(x * x))
-
-
-def ssim(a: Union[Latent, SsimReference], b: Latent, peak: Optional[float] = None,
+def ssim(a: Latent, b: Latent, peak: Optional[float] = None,
          rows: Optional[int] = None) -> Union[float, List[float]]:
     """Gaussian-window SSIM per channel on the g x g token grid, averaged.
 
     Tokens must form a square grid (L = g^2). The window is the largest odd
     size not exceeding min(7, g), and the SSIM map is cropped to the
     window-valid interior before averaging. Population (divide-by-N) local
-    statistics throughout. The reference a may be given as its
-    ssim_reference, which gives the same bits. With rows, b stacks that many
-    latents of a's shape along the batch axis, every plane of the stack is
-    filtered at once, and the result is one value per row, each equal to
-    ssim(a, row) bitwise.
+    statistics throughout. With rows, b stacks that many latents of a's
+    shape along the batch axis, the reference's planes are filtered once,
+    every plane of the stack is filtered at once, and the result is one
+    value per row, each equal to ssim(a, row) bitwise.
     """
-    ref = a if isinstance(a, SsimReference) else None
-    a = ref.latent if ref is not None else a
     count = 1 if rows is None else rows
     if b.shape != (count * a.b, a.l, a.c):
         raise ValueError(f"latent shape mismatch: {a.shape} x {count} vs {b.shape}")
@@ -127,18 +106,17 @@ def ssim(a: Union[Latent, SsimReference], b: Latent, peak: Optional[float] = Non
         peak = _default_peak(a)
     if not peak > 0.0:
         raise ValueError(f"peak must be positive, got {peak}")
-    if ref is None:
-        ref = ssim_reference(a)
     c1 = (SSIM_K1 * peak) ** 2
     c2 = (SSIM_K2 * peak) ** 2
-    x, mu_x = _planes(a), ref.mu
+    x = _planes(a)
+    mu_x = _filter(x)
 
     def per_row(planes):
         # (rows, B, C, g, g): each row's planes line up with the reference's
         return planes.reshape((count,) + x.shape)
 
     mu_y = per_row(_filter(y))
-    sxx = ref.sq - mu_x * mu_x
+    sxx = _filter(x * x) - mu_x * mu_x
     syy = per_row(_filter(y * y)) - mu_y * mu_y
     sxy = per_row(_filter((x * per_row(y)).reshape(y.shape))) - mu_x * mu_y
     num = (2.0 * mu_x * mu_y + c1) * (2.0 * sxy + c2)

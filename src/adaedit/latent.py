@@ -112,16 +112,8 @@ def sample_gaussian(rng: SeededRng, b: int, l: int, c: int) -> Latent:
 
 
 def resolve_tokens(tokens: Iterable[int], l: int) -> np.ndarray:
-    """Validate a token index set against length l; returns sorted unique indices.
-
-    An int64 index array that is already sorted and unique (one this function
-    returned) is range-checked and returned as it is, without a second sort.
-    """
-    if (isinstance(tokens, np.ndarray) and tokens.dtype == np.int64 and tokens.ndim == 1
-            and np.all(tokens[1:] > tokens[:-1])):
-        idx = tokens
-    else:
-        idx = np.unique(np.asarray(list(tokens), dtype=np.int64))
+    """Validate a token index set against length l; returns sorted unique indices."""
+    idx = np.unique(np.asarray(list(tokens), dtype=np.int64))
     if idx.size == 0:
         raise ValueError("empty token selection")
     if idx.min() < 0 or idx.max() >= l:

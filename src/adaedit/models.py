@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -87,10 +87,10 @@ class AttentionRecord:
         if key not in self._maps:
             self._maps[key] = np.array(block, dtype=np.float64, copy=True)
 
-    def stacked(self, steps: Optional[AbstractSet[int]] = None) -> np.ndarray:
-        """The recorded blocks in (step, layer) order, only those of ``steps``
-        if given."""
-        keys = sorted(k for k in self._maps if steps is None or k[0] in steps)
+    def stacked(self, steps: Optional[int] = None) -> np.ndarray:
+        """The recorded blocks in (step, layer) order, only those of the first
+        ``steps`` steps if given."""
+        keys = sorted(k for k in self._maps if steps is None or k[0] < steps)
         if not keys:
             raise RuntimeError("no attention maps recorded")
         return np.stack([self._maps[k] for k in keys], axis=0)
@@ -570,11 +570,11 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
 
 def extract_mask(attn_record: AttentionRecord, cond: Conditioning,
                  gamma: Optional[float] = None,
-                 steps: Optional[AbstractSet[int]] = None) -> EditMask:
+                 steps: Optional[int] = None) -> EditMask:
     """Edit mask from recorded keyword-to-image attention.
 
     The attention the keyword text token pays to each image token is averaged
-    over recorded steps (only those in ``steps``, if given), layers, heads and
+    over recorded steps (only the first ``steps``, if given), layers, heads and
     batch, min-max normalized to [0, 1], and thresholded at its mean. gamma
     sets the sigmoid sharpness of the soft mask; None requests the sharp limit
     (indicator with 0.5 at ties, matching the gamma -> infinity behavior).

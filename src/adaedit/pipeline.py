@@ -16,15 +16,13 @@ import math
 import operator
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
-from typing import AbstractSet, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .diagnostics import (SsimReference, psnr, ssim, ssim_reference,
-                          velocity_jump_between)
+from .diagnostics import psnr, ssim, velocity_jump_between
 from .errors import ConfigError, DivergenceError
-from .latent import (STREAM_NOISE, STREAM_SOURCE, Latent, SeededRng,
-                     resolve_tokens, sample_gaussian)
+from .latent import STREAM_NOISE, STREAM_SOURCE, Latent, SeededRng, sample_gaussian
 from .models import (AttentionRecord, Conditioning, EditMask, InjectionHooks,
                      KVCache, ToyAttentionFlow, extract_mask, mix_rows)
 from .perturbation import (PERTURBATION_MODES, ChannelWeights,
@@ -32,8 +30,8 @@ from .perturbation import (PERTURBATION_MODES, ChannelWeights,
                            latents_shift_channel_selective,
                            latents_shift_uniform, shift_stats)
 from .schedules import (SCHEDULE_FAMILIES, InjectionSchedule,
-                        LayerRatioProfile, active_step_count, effective_ratio,
-                        is_active, layer_ratios, max_step_delta)
+                        LayerRatioProfile, effective_ratio, is_active,
+                        layer_ratios, max_step_delta)
 from .solvers import (SOLVER_KINDS, TimeGrid, integrate_backward,
                       integrate_forward)
 
@@ -63,15 +61,15 @@ INVERSION_FIELDS = ("seed", "layer_count", "embed_dim", "img_tokens", "text_toke
 # any work starts. They admit the stability envelope img_tokens=1024,
 # embed_dim=256, layer_count=8, heads=4, channels=16, total_steps=28.
 MAX_STEPS = 1000
-# A run keeps the K/V of every active step until sampling ends. The estimate
-# also counts batch * heads * n * n float64 attention scores: an upper bound,
-# since evaluate holds one (n, n) block at a time, kept so that the budget
-# admits exactly the configs it admitted when all heads' scores were live at
-# once. The per-field bounds admit products far beyond any desk machine
-# (batch=16, heads=32, img_tokens=4096 counts 69 GB of scores), which end in a
+# A run keeps the K/V and the text-to-image attention of every active step
+# until sampling ends. The estimate also counts batch * heads * n * n float64
+# attention scores: an upper bound, since evaluate holds one (n, n) block at a
+# time, kept at what all heads' scores held when they were live at once. The
+# per-field bounds admit products far beyond any desk machine (batch=16,
+# heads=32, img_tokens=4096 counts 69 GB of scores), which end in a
 # MemoryError or an OOM kill mid-run. This budget stops them before any work
 # starts; it admits the stability envelope above with a binary schedule and
-# injection_steps=28 (~0.98 GB by the estimate in EditConfig.validate).
+# injection_steps=28 (~1.01 GB by the estimate in EditConfig.validate).
 MEMORY_BUDGET = 2 * 10**9
 FLOAT64_BYTES = 8
 # At subnormal temperatures d / tau overflows and the channel weights turn
@@ -293,19 +291,21 @@ class EditConfig:
             if kw is not None and kw >= self.text_tokens:
                 raise ConfigError(
                     kw_field, f"must lie in [0, text_tokens={self.text_tokens}), got {kw}")
-        active = active_step_count(self.injection_schedule)
+        active = self.injection_schedule.active_count
         if active == 0:
             raise ConfigError(
                 "activity_threshold",
                 f"no step is active: the first {self.schedule} weight does not "
                 f"exceed {self.activity_threshold}")
-        scores, cache = _run_bytes(self, active)
-        if scores + cache > MEMORY_BUDGET:
+        scores, cache, record = _run_bytes(self, active)
+        total = scores + cache + record
+        if total > MEMORY_BUDGET:
             raise ConfigError(
                 "img_tokens",
-                f"the run needs about {(scores + cache) / 1e9:.3g} GB (attention "
-                f"scores {scores / 1e9:.3g} GB, K/V cache of {active} active steps "
-                f"{cache / 1e9:.3g} GB), over the {MEMORY_BUDGET / 1e9:g} GB budget; "
+                f"the run needs about {total / 1e9:.3g} GB (attention scores "
+                f"{scores / 1e9:.3g} GB, K/V cache of {active} active steps "
+                f"{cache / 1e9:.3g} GB, attention record {record / 1e9:.3g} GB), "
+                f"over the {MEMORY_BUDGET / 1e9:g} GB budget; "
                 f"lower img_tokens, text_tokens, batch, heads, layer_count, "
                 f"embed_dim or the active steps")
         return self
@@ -333,13 +333,16 @@ class EditConfig:
 FIELD_SPECS: Dict[str, Spec] = {f.name: f.metadata["spec"] for f in fields(EditConfig)}
 
 
-def _run_bytes(cfg: EditConfig, active: int) -> Tuple[int, int]:
-    """The attention scores and the K/V cache of ``active`` steps that one
-    run holds, in bytes; the scores are an upper bound (see MEMORY_BUDGET)."""
+def _run_bytes(cfg: EditConfig, active: int) -> Tuple[int, int, int]:
+    """The attention scores, the K/V cache and the attention record of
+    ``active`` steps that one run holds, in bytes; the scores are an upper
+    bound (see MEMORY_BUDGET)."""
     n = cfg.img_tokens + cfg.text_tokens
     scores = cfg.batch * cfg.heads * n * n * FLOAT64_BYTES
     cache = active * cfg.layer_count * 2 * cfg.batch * n * cfg.embed_dim * FLOAT64_BYTES
-    return scores, cache
+    record = (active * cfg.layer_count * cfg.batch * cfg.heads * cfg.text_tokens
+              * cfg.img_tokens * FLOAT64_BYTES)
+    return scores, cache, record
 
 
 def _stack_row_bytes(cfg: EditConfig) -> int:
@@ -461,17 +464,17 @@ def inversion_key(cfg: EditConfig, c_src: Conditioning) -> tuple:
 @dataclass(frozen=True, eq=False)
 class Inversion:
     """The source side of an edit: the model and grid, the inverted latent,
-    the K/V cache and attention recorded on ``steps``, and the plain
-    reconstruction of the inverted latent under the source prompt, with the
-    evaluation counts of both. Any edit of ``source`` whose config gives the
-    same ``key`` (see inversion_key) and whose planned steps lie in ``steps``
-    can run on it."""
+    the K/V cache and attention recorded on the first ``steps`` steps, and
+    the plain reconstruction of the inverted latent under the source prompt,
+    with the evaluation counts of both. Any edit of ``source`` whose config
+    gives the same ``key`` (see inversion_key) and plans at most ``steps``
+    steps can run on it."""
 
     key: tuple
     source: Latent
     model: ToyAttentionFlow
     grid: TimeGrid
-    steps: AbstractSet[int]
+    steps: int
     z_inv: Latent
     cache: KVCache
     attn: AttentionRecord
@@ -485,31 +488,26 @@ class Inversion:
         and SSIM against it; 1 for a degenerate constant reconstruction."""
         return float(np.ptp(self.reconstructed.data)) or 1.0
 
-    @cached_property
-    def ssim_reference(self) -> SsimReference:
-        """The reconstruction's filtered SSIM planes, made once for every
-        edit that is compared with it."""
-        return ssim_reference(self.reconstructed)
-
 
 def invert(source: Latent, c_src: Conditioning, cfg: EditConfig,
-           steps: Iterable[int] = ()) -> Inversion:
+           steps: int = 0) -> Inversion:
     """Integrate the source backward under the source prompt, caching K/V
-    and attention on ``steps``, then resample the inverted latent under the
-    source prompt with no perturbation and no injection.
+    and attention on the first ``steps`` steps, then resample the inverted
+    latent under the source prompt with no perturbation and no injection.
 
-    Recording does not change the trajectory, so one Inversion recorded on
-    the union of several edits' planned steps serves each of them exactly.
+    Recording does not change the trajectory, and an edit's planned steps
+    are a leading prefix (schedule weights never increase), so one Inversion
+    recorded on the longest of several edits' plans serves each of them
+    exactly.
     """
     _check_source(source, cfg)
-    steps = frozenset(steps)
     model = build_model(cfg)
     grid = TimeGrid.uniform(cfg.total_steps)
     cache = KVCache()
     attn = AttentionRecord()
 
     def record_hooks(i):
-        if i in steps:
+        if i < steps:
             return InjectionHooks(mode="record", cache=cache, step=i, attn_sink=attn)
         return None
 
@@ -525,7 +523,7 @@ def invert(source: Latent, c_src: Conditioning, cfg: EditConfig,
 
 
 def _check_inversion(inversion: Inversion, source: Latent, c_src: Conditioning,
-                     cfg: EditConfig, steps: AbstractSet[int]) -> None:
+                     cfg: EditConfig, active: int) -> None:
     for name, made, needed in zip(INVERSION_FIELDS, inversion.key,
                                   inversion_key(cfg, c_src)):
         if made != needed:
@@ -534,9 +532,8 @@ def _check_inversion(inversion: Inversion, source: Latent, c_src: Conditioning,
     if inversion.source is not source and not np.array_equal(
             inversion.source.data, source.data):
         raise ValueError("the inversion was made from another source latent")
-    missing = steps - inversion.steps
-    if missing:
-        raise ValueError(f"the inversion did not record planned step {min(missing)}")
+    if active > inversion.steps:
+        raise ValueError(f"the inversion did not record planned step {inversion.steps}")
 
 
 # The fields an injection plan reads: the schedule's, delta_base and the
@@ -590,8 +587,8 @@ def sample_edits(source: Latent, inversion: Inversion,
     as one stack.
 
     What rows share is made once per distinct key: the injection plan per
-    PLAN_FIELDS value; the mask and its edit tokens per planned steps, mask
-    prompt and soft_mask_gamma; the channel gaps and the AdaIN target per
+    PLAN_FIELDS value; the mask and its edit tokens per planned step count,
+    mask prompt and soft_mask_gamma; the channel gaps and the AdaIN target per
     edit-token set. Each edit (c_src, c_tgt, cfg) then makes only its own
     channel weights and blend. The perturbed latents are stacked along the
     batch axis, longest plan first, and sampled by one integrate_forward
@@ -610,29 +607,27 @@ def sample_edits(source: Latent, inversion: Inversion,
     z_rand = sample_gaussian(SeededRng(first.seed, stream=STREAM_NOISE),
                              first.batch, first.img_tokens, first.channels)
 
-    plans: Dict[tuple, Tuple[tuple, AbstractSet[int]]] = {}
+    plans: Dict[tuple, tuple] = {}
     masks: Dict[tuple, tuple] = {}
     token_stats: Dict[Tuple[int, ...], tuple] = {}
     perturbed = []
     for c_src, c_tgt, cfg in edits:
         plan_key = _PLAN_KEY(cfg)
         if plan_key not in plans:
-            plan = _injection_plan(cfg)
-            plans[plan_key] = plan, frozenset(
-                i for i, ratios in enumerate(plan) if ratios is not None)
-        plan, planned = plans[plan_key]
-        _check_inversion(inversion, source, c_src, cfg, planned)
+            plans[plan_key] = _injection_plan(cfg)
+        plan = plans[plan_key]
+        active = cfg.injection_schedule.active_count
+        _check_inversion(inversion, source, c_src, cfg, active)
         mask_cond = c_tgt if cfg.mask_keyword_source == "target" else c_src
-        mask_key = (planned, mask_cond, cfg.soft_mask_gamma)
+        mask_key = (active, mask_cond, cfg.soft_mask_gamma)
         if mask_key not in masks:
             # The mask averages the planned steps' attention only, in the
             # order a record of exactly those steps would stack it.
-            mask = extract_mask(inversion.attn, mask_cond, cfg.soft_mask_gamma, planned)
+            mask = extract_mask(inversion.attn, mask_cond, cfg.soft_mask_gamma, active)
             edit_tokens, fallback = resolve_edit_tokens(mask, cfg.img_tokens)
             if edit_tokens not in token_stats:
-                idx = resolve_tokens(edit_tokens, cfg.img_tokens)
-                token_stats[edit_tokens] = (channel_gap(z_inv, z_rand, idx),
-                                            shift_stats(z_inv, z_rand, idx))
+                token_stats[edit_tokens] = (channel_gap(z_inv, z_rand, edit_tokens),
+                                            shift_stats(z_inv, z_rand, edit_tokens))
             masks[mask_key] = (mask, fallback) + token_stats[edit_tokens]
         mask, fallback, gaps, stats = masks[mask_key]
         # Perturb the inverted latent toward noise on the edit tokens.
@@ -643,7 +638,7 @@ def sample_edits(source: Latent, inversion: Inversion,
         else:
             z_hat = latents_shift_uniform(z_inv, z_rand, cfg.alpha, stats.idx, stats=stats)
             weights = ChannelWeights.uniform(cfg.channels)
-        perturbed.append(SampledEdit(cfg, c_tgt, plan, len(planned), mask, fallback,
+        perturbed.append(SampledEdit(cfg, c_tgt, plan, active, mask, fallback,
                                      gaps, weights, z_hat))
 
     # Active steps form a prefix, so with the longest plan first the rows
@@ -698,7 +693,7 @@ def sample_edits(source: Latent, inversion: Inversion,
     # take the place of the sampling's states.
     final, evals = sampling.final, sampling.velocity_evals
     del sampling
-    scores = ssim(inversion.ssim_reference, final, peak=inversion.peak, rows=len(stack))
+    scores = ssim(inversion.reconstructed, final, peak=inversion.peak, rows=len(stack))
     for r, row in enumerate(stack):
         perturbed[order[r]] = replace(
             row, edited=Latent._adopt(final.data[r * b:(r + 1) * b]),
@@ -722,8 +717,7 @@ def run_edit(source: Latent, c_src: Conditioning, c_tgt: Conditioning,
     """
     if sampled is None:
         if inversion is None:
-            inversion = invert(source, c_src, cfg,
-                               range(active_step_count(cfg.injection_schedule)))
+            inversion = invert(source, c_src, cfg, cfg.injection_schedule.active_count)
         (sampled,) = sample_edits(source, inversion, [(c_src, c_tgt, cfg)])
     elif inversion is None or sampled.cfg != cfg:
         raise ValueError("a sampled edit needs its own config and the inversion "
@@ -793,7 +787,7 @@ def edit_grid(source: Latent, base_cfg: EditConfig, axes: Dict[str, Sequence]
     shape; rows keep the base config's seed unless it is an axis.
 
     The rows that agree on INVERSION_FIELDS share one Inversion, recorded on
-    the union of their planned steps, so a grid inverts and reconstructs once
+    the longest of their plans, so a grid inverts and reconstructs once
     per distinct value of those fields and holds one Inversion at a time.
     Each row's result equals a standalone run_edit bitwise.
     """
@@ -823,11 +817,8 @@ def _grid_rows(source: Latent, runs: List[Tuple[Dict, EditConfig]]
     next_row = 0
     for rows in groups.values():
         first = runs[rows[0]][1]
-        # active steps form a prefix, so the union of the rows' planned steps
-        # is the longest row's prefix
-        longest = max(active_step_count(runs[index][1].injection_schedule)
-                      for index in rows)
-        inversion = invert(source, first.source_conditioning(), first, range(longest))
+        longest = max(runs[index][1].injection_schedule.active_count for index in rows)
+        inversion = invert(source, first.source_conditioning(), first, longest)
         spare = MEMORY_BUDGET - sum(_run_bytes(first, longest))
         size = max(1, spare // _stack_row_bytes(first))
         for lo in range(0, len(rows), size):

@@ -45,7 +45,8 @@ class InjectionSchedule:
     Binary weights are 1 before injection_steps and 0 from there on, and the
     threshold lies in [0, 1), so a binary schedule is active exactly on steps
     < injection_steps, reproducing the baseline for ablations. active_count,
-    the number of active steps, is counted once at construction.
+    the number of active steps, is counted once at construction; weights
+    never increase, so the active steps are the first active_count.
     """
 
     family: str
@@ -102,11 +103,6 @@ def is_active(s: InjectionSchedule, step: int) -> bool:
     """Whether injection (and inversion-side caching) applies at this step."""
     s._check_step(step)
     return s.weights[step] > s.activity_threshold
-
-
-def active_step_count(s: InjectionSchedule) -> int:
-    """How many steps are active; weights never increase, so they form a prefix."""
-    return s.active_count
 
 
 def max_step_delta(s: InjectionSchedule, delta_base: float) -> float:

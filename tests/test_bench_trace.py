@@ -19,7 +19,6 @@ import pytest
 from adaedit import cli, models, perturbation, pipeline
 from adaedit.latent import Latent
 from adaedit.models import AttentionRecord, KVCache, ToyAttentionFlow
-from adaedit.schedules import active_step_count
 from adaedit.solvers import SOLVER_KINDS
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -68,7 +67,7 @@ def test_traced_ablation_counts_rows_and_inverts_once(monkeypatch, tmp_path):
     assert tracer.calls["solvers.inversion"] == 1
     assert tracer.calls["solvers.reconstruction"] == 1
     assert tracer.calls["solvers.sampling"] == 1
-    planned = max(active_step_count(pipeline.EditConfig(schedule=family).injection_schedule)
+    planned = max(pipeline.EditConfig(schedule=family).injection_schedule.active_count
                   for family in ("sigmoid", "binary"))
     assert tracer.calls["diagnostics.velocity_jump"] == planned
     # a stack masks once per (planned steps, mask prompt, gamma), takes the
@@ -76,7 +75,7 @@ def test_traced_ablation_counts_rows_and_inverts_once(monkeypatch, tmp_path):
     # the shift runs per row
     grid = list(pipeline.edit_grid(pipeline.generate_source_latent(pipeline.EditConfig()),
                                    pipeline.EditConfig(), axes))
-    masks = {(active_step_count(cfg.injection_schedule), cfg.target_conditioning(),
+    masks = {(cfg.injection_schedule.active_count, cfg.target_conditioning(),
               cfg.soft_mask_gamma) for _, cfg, _ in grid}
     token_sets = {result.mask.hard or tuple(range(16)) for _, _, result in grid}
     assert tracer.calls["models.extract_mask"] == len(masks) < len(grid)

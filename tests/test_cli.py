@@ -344,6 +344,12 @@ BAD_INPUTS = [
     (["ablate", "--axis", "img_tokens=16,25"], None, "img_tokens"),
     (["ablate", "--axis", "batch=1,2"], None, "batch"),
     (["ablate", "--axis", "channels=4,8"], None, "channels"),
+    # a repeated axis name would silently drop the earlier values
+    (["ablate", "--axis", "alpha=0.1,0.5", "--axis", "alpha=0.3"], None, "alpha"),
+    # the attention record of 28 active steps alone is ~3.76 GB
+    (["edit"], {"img_tokens": 1024, "text_tokens": 256, "vocab_size": 512, "heads": 8,
+                "layer_count": 8, "embed_dim": 64, "total_steps": 28,
+                "injection_steps": 28, "schedule": "binary"}, "img_tokens"),
 ]
 
 
@@ -355,6 +361,17 @@ def test_bad_input_exits_2_naming_the_field(tmp_path, capsys, argv, config, fiel
         argv = argv + ["--config", str(path)]
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2
     assert f"config error: {field}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", (["edit"], ["solver-order"]))
+@pytest.mark.parametrize("under_file", (False, True))
+def test_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys, command, under_file):
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep")
+    out = blocker / "run" if under_file else blocker
+    assert main(command + ["--out", str(out)]) == 2
+    assert "config error: out:" in capsys.readouterr().err
+    assert blocker.read_text() == "keep"
 
 
 def test_module_entrypoint_subprocess(tmp_path):

@@ -333,7 +333,7 @@ def assert_same_records(cache_a, sink_a, cache_b, sink_b, step, layers):
     for layer in range(layers):
         for got, want in zip(cache_a.get(step, layer), cache_b.get(step, layer)):
             assert np.array_equal(got, want)
-    assert np.array_equal(sink_a.stacked({step}), sink_b.stacked({step}))
+    assert np.array_equal(sink_a.stacked(step + 1), sink_b.stacked(step + 1))
 
 
 @pytest.mark.parametrize("img_tokens", (16, 100))
@@ -378,7 +378,7 @@ def test_reused_buffers_leave_outputs_and_records_alone():
         "record", cache=cache, step=0, attn_sink=sink))
     first_copy = first.data.copy()
     kv = [tuple(a.copy() for a in cache.get(0, layer)) for layer in range(2)]
-    blocks = sink.stacked({0})
+    blocks = sink.stacked(1)
     second = flow.evaluate(z2, 0.6, COND, InjectionHooks(
         "record", cache=cache, step=1, attn_sink=sink))
     flow.evaluate(z2, 0.9, COND, InjectionHooks(
@@ -389,7 +389,7 @@ def test_reused_buffers_leave_outputs_and_records_alone():
     for layer in range(2):
         for got, want in zip(cache.get(0, layer), kv[layer]):
             assert np.array_equal(got, want)
-    assert np.array_equal(sink.stacked({0}), blocks)
+    assert np.array_equal(sink.stacked(1), blocks)
 
     # another batch size gets arrays of its own shape, and back again
     z_pair = sample_gaussian(SeededRng(8), 2, 16, 8)

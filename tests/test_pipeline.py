@@ -19,7 +19,7 @@ from adaedit.pipeline import (FIELD_SPECS, EditConfig, build_model, build_schedu
                               inversion_key, invert, resolve_edit_tokens,
                               run_ablation_grid, run_edit, run_reconstruction,
                               summarize_result)
-from adaedit.schedules import active_step_count, is_active, schedule_weight
+from adaedit.schedules import is_active, schedule_weight
 from adaedit.solvers import (DIVERGENCE_LIMIT, TimeGrid, integrate_backward,
                              integrate_forward)
 
@@ -100,6 +100,13 @@ def test_memory_product_is_a_config_error():
     EditConfig(**envelope)
     with pytest.raises(ConfigError):
         EditConfig(**dict(envelope, layer_count=20))
+    # K/V ~0.29 GB and scores ~0.10 GB fit, but the attention record of 28
+    # active steps is ~3.76 GB
+    with pytest.raises(ConfigError) as exc:
+        EditConfig(img_tokens=1024, text_tokens=256, vocab_size=512, heads=8, layer_count=8,
+                   embed_dim=64, total_steps=28, injection_steps=28, schedule="binary")
+    assert exc.value.field == "img_tokens"
+    assert "attention record 3.76 GB" in str(exc.value)
 
 
 def test_readme_config_section_lists_every_field():
@@ -354,7 +361,7 @@ def test_grid_rows_equal_standalone_edits_and_invert_once_per_key(monkeypatch):
             "soft_mask_gamma": [None, 8.0], "mask_keyword_source": ["source", "target"],
             "perturbation_mode": ["uniform", "channel_selective"],
             "solver": ["euler", "reuse_velocity"]}
-    assert [active_step_count(build_schedule(replace(cfg, schedule=family)))
+    assert [build_schedule(replace(cfg, schedule=family)).active_count
             for family in axes["schedule"]] == [4, 3]
     src = generate_source_latent(cfg)
     backward = []
@@ -401,7 +408,7 @@ def test_grid_rows_share_masks_token_sets_and_plans_by_key(monkeypatch):
         return (row_cfg.target_conditioning() if row_cfg.mask_keyword_source == "target"
                 else row_cfg.source_conditioning())
 
-    masks = {(active_step_count(row_cfg.injection_schedule), mask_cond(row_cfg),
+    masks = {(row_cfg.injection_schedule.active_count, mask_cond(row_cfg),
               row_cfg.soft_mask_gamma) for _, row_cfg, _ in rows}
     token_sets = {result.mask.hard or tuple(range(cfg.img_tokens))
                   for _, _, result in rows}
@@ -419,15 +426,15 @@ def test_mask_of_a_superset_record_limited_to_the_planned_steps():
     cfg = EditConfig(seed=2)
     src = generate_source_latent(cfg)
     c_src = cfg.source_conditioning()
-    superset = invert(src, c_src, cfg, range(cfg.total_steps))
+    superset = invert(src, c_src, cfg, cfg.total_steps)
     # recording leaves the trajectory and the reconstruction unchanged
     plain = invert(src, c_src, cfg)
     assert np.array_equal(superset.z_inv.data, plain.z_inv.data)
     assert np.array_equal(superset.reconstructed.data, plain.reconstructed.data)
     for count in (1, 3, 6):
-        own = invert(src, c_src, cfg, range(count))
+        own = invert(src, c_src, cfg, count)
         for gamma in (None, 8.0):
-            limited = extract_mask(superset.attn, c_src, gamma, frozenset(range(count)))
+            limited = extract_mask(superset.attn, c_src, gamma, count)
             exact = extract_mask(own.attn, c_src, gamma)
             assert np.array_equal(limited.soft, exact.soft)
 
@@ -436,8 +443,7 @@ def test_run_edit_rejects_a_foreign_inversion():
     cfg = EditConfig(seed=3)
     src = generate_source_latent(cfg)
     c_src, c_tgt = cfg.source_conditioning(), cfg.target_conditioning()
-    planned = range(active_step_count(build_schedule(cfg)))
-    inversion = invert(src, c_src, cfg, planned)
+    inversion = invert(src, c_src, cfg, build_schedule(cfg).active_count)
     assert_same_result(run_edit(src, c_src, c_tgt, cfg, inversion),
                        run_edit(src, c_src, c_tgt, cfg))
     # the first field of INVERSION_FIELDS that differs is named
@@ -449,7 +455,7 @@ def test_run_edit_rejects_a_foreign_inversion():
             run_edit(src, other.source_conditioning(), other.target_conditioning(), other,
                      inversion)
     with pytest.raises(ValueError, match="did not record planned step 1"):
-        run_edit(src, c_src, c_tgt, cfg, invert(src, c_src, cfg, range(1)))
+        run_edit(src, c_src, c_tgt, cfg, invert(src, c_src, cfg, 1))
     other_src = generate_source_latent(replace(cfg, seed=4))
     with pytest.raises(ValueError, match="another source latent"):
         run_edit(other_src, c_src, c_tgt, cfg, inversion)
@@ -507,7 +513,7 @@ def test_stacked_rows_equal_standalone_edits(monkeypatch, solver):
     axes = {"schedule": ["binary", "sigmoid"], "global_mix": [False, True],
             "delta_base": [0.6, 1.0], "target_prompt_ids": [(1, 2, 9, 4), (5, 6, 7, 8)],
             "layer_ratio_beta": [0.0, 0.5]}
-    assert [active_step_count(build_schedule(replace(cfg, schedule=family)))
+    assert [build_schedule(replace(cfg, schedule=family)).active_count
             for family in axes["schedule"]] == [3, 4]
     src = generate_source_latent(cfg)
     sampled = count_sampling(monkeypatch)
@@ -523,7 +529,7 @@ def test_stacked_rows_equal_standalone_edits(monkeypatch, solver):
 
 def test_stacks_are_sliced_to_the_memory_budget(monkeypatch):
     cfg = EditConfig(seed=6, total_steps=5, injection_steps=2)
-    active = active_step_count(build_schedule(cfg))
+    active = build_schedule(cfg).active_count
     budget = sum(pipeline._run_bytes(cfg, active)) + 2 * pipeline._stack_row_bytes(cfg)
     src = generate_source_latent(cfg)
     axes = {"alpha": [0.1, 0.3, 0.5], "tau": [0.5, 2.0]}
