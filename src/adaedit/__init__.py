@@ -2,7 +2,7 @@
 flow-based editing, exercised at desk scale with seeded toy models."""
 
 from .errors import CacheMissError, ConfigError, DivergenceError
-from .latent import EPS_STD, Latent, SeededRng, channel_mean_over, sample_gaussian
+from .latent import EPS_STD, Latent, SeededRng, sample_gaussian
 from .models import (AnalyticLinearFlow, AttentionRecord, Conditioning,
                      EditMask, InjectionHooks, KVCache, ToyAttentionFlow,
                      extract_mask, kv_mix)
@@ -26,8 +26,8 @@ __all__ = [
     "EditResult", "EPS_STD", "InjectionHooks", "InjectionSchedule", "Inversion", "KVCache",
     "Latent", "LayerRatioProfile", "PerturbationConfig", "SeededRng", "TimeGrid",
     "ToyAttentionFlow", "Trajectory", "build_model", "build_schedule",
-    "channel_gap", "channel_mean_over", "channel_weights", "config_hash",
-    "effective_ratio", "extract_mask", "generate_source_latent",
+    "channel_gap", "channel_weights", "config_hash", "effective_ratio",
+    "extract_mask", "generate_source_latent",
     "integrate_backward", "integrate_forward", "invert", "is_active", "kv_mix",
     "latents_shift_channel_selective", "latents_shift_uniform",
     "layer_multiplier", "max_step_delta", "psnr", "run_ablation_grid",

@@ -80,10 +80,18 @@ def fmt(value) -> str:
     return str(value)
 
 
+def _write_artifact(path: Path, text: str) -> None:
+    """Write one artifact; a path that cannot take it is a config error."""
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise ConfigError("out", f"cannot write '{path}': {exc}")
+
+
 def write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
     lines = [",".join(header)]
     lines.extend(",".join(fmt(v) for v in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+    _write_artifact(path, "\n".join(lines) + "\n")
 
 
 def _split_assignment(item: str, option: str) -> Tuple[str, str]:
@@ -143,8 +151,8 @@ def write_manifest(out_dir: Path, command: str, config_path: Optional[str],
         version=__version__,
         outputs=sorted(outputs),
     )
-    (out_dir / "manifest.json").write_text(
-        json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n")
+    _write_artifact(out_dir / "manifest.json",
+                    json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n")
 
 
 def _result_row(summary: dict, extras: Sequence[str] = ()) -> list:

@@ -16,7 +16,7 @@ import numpy as np
 from scipy import ndimage
 
 from .latent import Latent
-from .models import Conditioning, EditMask, InjectionHooks, KVCache
+from .models import Conditioning, EditMask, InjectionHooks, KVCache, mix_rows
 
 SSIM_K1 = 0.01
 SSIM_K2 = 0.03
@@ -130,37 +130,23 @@ def ssim(a: Latent, b: Latent, peak: Optional[float] = None,
     return float(scores[0]) if rows is None else [float(v) for v in scores]
 
 
-def velocity_jump_between(field, z: Latent, t: float,
-                          cond: Union[Conditioning, Sequence[Conditioning]],
-                          cache: KVCache, step: int, ratios_a, ratios_b,
-                          mask: Optional[EditMask] = None,
-                          global_mix: bool = False) -> Union[float, List[float]]:
-    """L2 norm of the velocity change between two injection ratio profiles.
+def velocity_jump_between(field, z: Latent, t: float, conds: Sequence[Conditioning],
+                          cache: KVCache, step: int, mixes_a, mixes_b) -> List[float]:
+    """L2 norm of each row's velocity change between two injection profiles.
 
-    None means no injection at all. Identical profiles give 0 exactly because
-    both evaluations follow the same arithmetic path. For one Conditioning a
-    profile is a tuple of per-layer ratios, blended under mask and
-    global_mix, and the result is one norm. For a stack of rows, cond holds
-    one Conditioning per row, a profile is a tuple of per-layer LayerMix
-    blends for those rows (see mix_rows), and the result is one norm per row.
+    z stacks one row per Conditioning in conds, and a profile is the tuple of
+    per-layer LayerMix blends that mix_rows made for those rows, or None for
+    no injection at all. Identical profiles give 0 exactly because both
+    evaluations follow the same arithmetic path.
     """
-    stacked = not isinstance(cond, Conditioning)
 
-    def run(ratios):
-        if ratios is None:
-            return field.evaluate(z, t, cond, None)
-        if stacked:
-            hooks = InjectionHooks(mode="inject", cache=cache, step=step, mixes=ratios)
-        else:
-            hooks = InjectionHooks(mode="inject", cache=cache, step=step,
-                                   mix_ratios=tuple(ratios), background_mask=mask,
-                                   global_mix=global_mix)
-        return field.evaluate(z, t, cond, hooks)
+    def run(mixes):
+        hooks = None if mixes is None else InjectionHooks(
+            mode="inject", cache=cache, step=step, mixes=mixes)
+        return field.evaluate(z, t, conds, hooks)
 
-    diff = run(ratios_a).data - run(ratios_b).data
-    if not stacked:
-        return float(np.linalg.norm(diff))
-    return [float(np.linalg.norm(row)) for row in diff.reshape(len(cond), -1)]
+    diff = run(mixes_a).data - run(mixes_b).data
+    return [float(np.linalg.norm(row)) for row in diff.reshape(len(conds), -1)]
 
 
 def velocity_jump(field, z: Latent, t: float, cond: Conditioning, cache: KVCache,
@@ -171,6 +157,6 @@ def velocity_jump(field, z: Latent, t: float, cond: Conditioning, cache: KVCache
     delta = 0 yields 0 exactly: a zero mixing ratio leaves K/V bitwise
     untouched, so both evaluations coincide.
     """
-    ratios = tuple(delta for _ in range(field.layer_count))
-    return velocity_jump_between(field, z, t, cond, cache, step, ratios, None,
-                                 mask=mask, global_mix=global_mix)
+    (mixes,) = mix_rows([[[delta]] * field.layer_count], [mask], [global_mix],
+                        field.text_tokens + field.img_tokens)
+    return velocity_jump_between(field, z, t, [cond], cache, step, mixes, None)[0]

@@ -1,7 +1,7 @@
-"""Latent tensors, seeded random streams, and per-channel statistics.
+"""Latent tensors, seeded random streams, and token index checks.
 
 A latent is an immutable float64 array of shape B x L x C (batch, tokens,
-channels). All statistics here are population statistics (divide by N), the
+channels). Its statistics are population statistics (divide by N), the
 convention used by instance-normalization style transfer; any standard
 deviation used as a divisor receives the EPS_STD guard so constant channels
 never divide by zero.
@@ -120,18 +120,3 @@ def resolve_tokens(tokens: Iterable[int], l: int) -> np.ndarray:
         bad = idx[(idx < 0) | (idx >= l)][0]
         raise IndexError(f"token index {bad} out of range [0, {l})")
     return idx
-
-
-def select_tokens(z: Latent, tokens: Iterable[int]) -> np.ndarray:
-    """C-contiguous copy of the selected tokens, shape (B, |S|, C).
-
-    Contiguity pins numpy's reduction order, so statistics over the full token
-    set match statistics over the unsliced array bitwise.
-    """
-    idx = resolve_tokens(tokens, z.l)
-    return np.ascontiguousarray(z.data[:, idx, :])
-
-
-def channel_mean_over(z: Latent, tokens: Iterable[int]) -> np.ndarray:
-    """Per-channel arithmetic mean over batch x token subset; length C."""
-    return select_tokens(z, tokens).mean(axis=(0, 1))

@@ -121,12 +121,12 @@ class InjectionHooks:
 
     record: store each layer's K/V (and text-to-image attention when a sink is
     attached) under (step, layer); repeated evaluations within one solver step
-    keep the first recording. inject: replace K/V with the kv_mix blend of the
-    cached source features before attention, either at one set of per-layer
-    ratios with one mask for every batch entry (mix_ratios, background_mask,
-    global_mix) or, for a stack of rows, at the per-layer LayerMix blends that
-    mix_rows made for them (mixes). A step without hooks (None) leaves the
-    cache alone.
+    keep the first recording. inject: blend the cached source K/V into the
+    current ones with kv_mix before attention, at the per-layer LayerMix
+    blends that mix_rows made for a stack's rows (mixes), or at one set of
+    per-layer ratios with one mask for a single row (mix_ratios,
+    background_mask, global_mix), which layer_mixes turns into a one-row
+    LayerMix. A step without hooks (None) leaves the cache alone.
     """
 
     mode: str
@@ -219,7 +219,6 @@ class LayerMix:
             if whole:
                 part[...] = src
                 continue
-            # ratio * src + (1 - ratio) * cur, as kv_mix blends one row
             np.multiply(src, weight, out=term)
             np.multiply(part, keep, out=part)
             np.add(term, part, out=part)
@@ -283,38 +282,20 @@ def mix_rows(ratios, masks: Sequence[Optional[EditMask]], global_mix: Sequence[b
 
 
 def kv_mix(k_src: np.ndarray, v_src: np.ndarray, k_tgt: np.ndarray, v_tgt: np.ndarray,
-           ratio: Union[float, LayerMix], mask: Optional[EditMask] = None,
-           global_mix: bool = False,
-           scratch: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
-    """Convex blend ratio*src + (1-ratio)*tgt of cached and current K/V.
+           mix: LayerMix, scratch: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Blend cached source K/V into a stack's current K/V at ``mix`` (see
+    mix_rows): ratio*src + (1-ratio)*tgt per row and K/V row.
 
-    With one float ratio: with global_mix (or no mask) the ratio applies to
-    every row. Otherwise the image rows -- the trailing len(mask.soft) rows --
-    are mixed at the background weight ratio * (1 - soft), leaving edit
-    tokens free, and text rows always keep the target features so the target
-    prompt stays in control. Ratio 0 returns the target arrays bitwise.
-
-    With a LayerMix (see mix_rows), k_tgt and v_tgt are a stack's current
-    K/V, rows * B entries against the cached source's B, and are blended in
-    place with ``scratch`` (their shape) for the source term; a row that keeps
-    its K/V is left bitwise as it was.
+    k_tgt and v_tgt hold rows * B entries against the cached source's B and
+    are blended in place, with ``scratch`` (their shape) for the source term;
+    a row that keeps its K/V is left bitwise as it was.
     """
-    if isinstance(ratio, LayerMix):
-        if not (k_src.shape == v_src.shape and k_tgt.shape == v_tgt.shape
-                == (ratio.rows * k_src.shape[0],) + k_src.shape[1:]):
-            raise ValueError("K/V shape mismatch between source and target")
-        ratio.blend_into(k_src, k_tgt, scratch)
-        ratio.blend_into(v_src, v_tgt, scratch)
-        return k_tgt, v_tgt
-    if not (k_src.shape == v_src.shape == k_tgt.shape == v_tgt.shape):
+    if not (k_src.shape == v_src.shape and k_tgt.shape == v_tgt.shape
+            == (mix.rows * k_src.shape[0],) + k_src.shape[1:]):
         raise ValueError("K/V shape mismatch between source and target")
-    mix = mix_rows([[[ratio]]], [mask], [global_mix], k_tgt.shape[-2])[0][0]
-    if not mix.runs:
-        return k_tgt, v_tgt
-    if mix.runs[0][2]:
-        return k_src, v_src
-    w, keep = mix.weight[0, 0], mix.keep[0, 0]
-    return w * k_src + keep * k_tgt, w * v_src + keep * v_tgt
+    mix.blend_into(k_src, k_tgt, scratch)
+    mix.blend_into(v_src, v_tgt, scratch)
+    return k_tgt, v_tgt
 
 
 # Entries a ToyAttentionFlow keeps per memo, the oldest dropped first. An edit
@@ -448,8 +429,6 @@ class ToyAttentionFlow:
         b, n_txt, d = z.b, self.text_tokens, self.embed_dim
         if isinstance(cond, Conditioning):
             prompts = [cond.prompt_token_ids]
-        elif len(cond) == 1:
-            prompts = [cond[0].prompt_token_ids]
         else:
             prompts = [c.prompt_token_ids for c in cond]
             if not prompts or b % len(prompts):

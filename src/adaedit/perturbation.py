@@ -72,8 +72,9 @@ def _check_pair(z_inv: Latent, z_rand: Latent) -> None:
 
 
 def _select(z: Latent, idx: np.ndarray) -> np.ndarray:
-    # latent.select_tokens on resolved indices: contiguity pins the reduction
-    # order of the statistics
+    # a C-contiguous copy of the resolved tokens: contiguity pins the
+    # reduction order, so statistics over every token equal those of the
+    # unsliced latent bitwise
     return np.ascontiguousarray(z.data[:, idx, :])
 
 

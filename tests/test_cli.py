@@ -363,15 +363,28 @@ def test_bad_input_exits_2_naming_the_field(tmp_path, capsys, argv, config, fiel
     assert f"config error: {field}:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", (["edit"], ["solver-order"]))
-@pytest.mark.parametrize("under_file", (False, True))
-def test_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys, command, under_file):
+ARTIFACTS = {"edit": "result.csv", "solver-order": "orders.csv", "ablate": "ablation.csv"}
+
+
+@pytest.mark.parametrize("command", (["edit"], ["solver-order"], ["ablate", "--axis", "tau=1.0"]))
+@pytest.mark.parametrize("blocked", (False, True, "artifact"))
+def test_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys, command, blocked):
+    # False: --out is a file; True: --out lies under a file; "artifact": the
+    # command's artifact path is a directory, found only after the run
     blocker = tmp_path / "taken"
-    blocker.write_text("keep")
-    out = blocker / "run" if under_file else blocker
+    if blocked == "artifact":
+        out = tmp_path / "run"
+        blocker = out / ARTIFACTS[command[0]]
+        blocker.mkdir(parents=True)
+    else:
+        blocker.write_text("keep")
+        out = blocker / "run" if blocked else blocker
     assert main(command + ["--out", str(out)]) == 2
     assert "config error: out:" in capsys.readouterr().err
-    assert blocker.read_text() == "keep"
+    if blocked == "artifact":
+        assert blocker.is_dir() and not any(blocker.iterdir())
+    else:
+        assert blocker.read_text() == "keep"
 
 
 def test_module_entrypoint_subprocess(tmp_path):

@@ -11,7 +11,8 @@ from adaedit.diagnostics import (SSIM_K1, SSIM_K2, SSIM_SIGMA, _gaussian_kernel,
                                  velocity_jump_between)
 from adaedit.errors import CacheMissError
 from adaedit.latent import Latent, SeededRng, sample_gaussian
-from adaedit.models import Conditioning, InjectionHooks, KVCache, ToyAttentionFlow
+from adaedit.models import (Conditioning, InjectionHooks, KVCache, ToyAttentionFlow,
+                            mix_rows)
 from adaedit.solvers import TimeGrid, integrate_forward
 
 COND = Conditioning((1, 2, 3, 4), 2)
@@ -197,9 +198,8 @@ def test_velocity_jump_cache_miss():
 
 def test_velocity_jump_between_equal_profiles_zero():
     flow, z, cache = recorded_state()
-    ratios = (0.4, 0.4)
-    assert velocity_jump_between(
-        flow, z, 0.25, COND, cache, 3, ratios, ratios, global_mix=True) == 0.0
+    (mixes,) = mix_rows([[[0.4], [0.4]]], [None], [True], flow.text_tokens + flow.img_tokens)
+    assert velocity_jump_between(flow, z, 0.25, [COND], cache, 3, mixes, mixes) == [0.0]
 
 
 def test_velocity_jump_matches_two_explicit_calls_bitwise():

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from adaedit.latent import Latent, SeededRng, channel_mean_over, sample_gaussian
+from adaedit.latent import Latent, SeededRng, sample_gaussian
 
 
 def test_sample_gaussian_same_seed_bitwise_identical():
@@ -48,34 +48,6 @@ def test_latent_is_immutable():
     z = Latent(np.zeros((1, 2, 2)))
     with pytest.raises(ValueError):
         z.data[0, 0, 0] = 1.0
-
-
-def test_channel_mean_over_singleton():
-    z = Latent(np.array([[[1.0, 2.0], [9.0, 9.0]]]))
-    assert np.array_equal(channel_mean_over(z, (0,)), [1.0, 2.0])
-
-
-def test_channel_mean_over_two_tokens():
-    z = Latent(np.array([[[0.0, 4.0], [2.0, 0.0]]]))
-    assert np.array_equal(channel_mean_over(z, (0, 1)), [1.0, 2.0])
-
-
-def test_channel_mean_over_empty():
-    z = Latent(np.zeros((1, 4, 2)))
-    with pytest.raises(ValueError):
-        channel_mean_over(z, ())
-
-
-def test_channel_mean_over_out_of_range_token():
-    z = Latent(np.zeros((1, 4, 2)))
-    with pytest.raises(IndexError):
-        channel_mean_over(z, {5})
-
-
-def test_channel_mean_over_all_tokens_matches_unsliced_mean():
-    # the contiguous token copy pins numpy's reduction order
-    z = sample_gaussian(SeededRng(11), 2, 6, 3)
-    assert np.array_equal(channel_mean_over(z, range(6)), z.data.mean(axis=(0, 1)))
 
 
 def test_seeded_rng_rejects_out_of_range_seed():

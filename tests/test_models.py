@@ -89,52 +89,79 @@ def test_analytic_flow_closed_form():
 
 # --------------------------------------------------------------------- kv_mix
 
+def reference_kv_mix(k_src, v_src, k_tgt, v_tgt, ratio, mask=None, global_mix=False):
+    """One row's blend ratio*src + (1-ratio)*tgt, written out plainly: with
+    global_mix (or no mask) every K/V row mixes at ratio, and ratio 1 returns
+    the source; otherwise the image rows -- the trailing len(mask.soft) rows --
+    mix at ratio * (1 - soft) and the text rows keep the target. All-zero
+    weights return the target arrays themselves."""
+    if not 0.0 <= ratio <= 1.0:
+        raise ValueError(f"ratio must lie in [0, 1], got {ratio}")
+    n = k_tgt.shape[-2]
+    base = np.ones(n)
+    if not (global_mix or mask is None):
+        base[:n - mask.soft.size] = 0.0
+        base[n - mask.soft.size:] = 1.0 - mask.soft
+    elif ratio == 1.0:
+        return k_src, v_src
+    w = (ratio * base)[:, None]
+    if not w.any():
+        return k_tgt, v_tgt
+    return w * k_src + (1.0 - w) * k_tgt, w * v_src + (1.0 - w) * v_tgt
+
+
+def blend(k_src, v_src, k_tgt, v_tgt, ratio, mask=None, global_mix=False):
+    """kv_mix at one row's ratio, through mix_rows."""
+    (mix,), = mix_rows([[[ratio]]], [mask], [global_mix], k_tgt.shape[-2])
+    return kv_mix(k_src, v_src, k_tgt, v_tgt, mix, np.empty_like(k_tgt))
+
+
 def test_kv_mix_ratio_zero_returns_target_bitwise():
     rng = SeededRng(1)
     k_src, v_src = rng.standard_normal((1, 6, 4)), rng.standard_normal((1, 6, 4))
     k_tgt, v_tgt = rng.standard_normal((1, 6, 4)), rng.standard_normal((1, 6, 4))
-    k, v = kv_mix(k_src, v_src, k_tgt, v_tgt, 0.0)
+    k_was, v_was = k_tgt.copy(), v_tgt.copy()
+    k, v = blend(k_src, v_src, k_tgt, v_tgt, 0.0)
     assert k is k_tgt and v is v_tgt
+    assert np.array_equal(k, k_was) and np.array_equal(v, v_was)
 
 
 def test_kv_mix_ratio_one_global_returns_source():
     rng = SeededRng(2)
     arrs = [rng.standard_normal((1, 6, 4)) for _ in range(4)]
-    k, v = kv_mix(*arrs, 1.0, global_mix=True)
+    k, v = blend(*arrs, 1.0, global_mix=True)
     assert np.array_equal(k, arrs[0])
     assert np.array_equal(v, arrs[1])
 
 
 def test_kv_mix_midpoint_blend():
     k_src = np.full((1, 6, 4), 2.0)
-    k_tgt = np.zeros((1, 6, 4))
-    k, _ = kv_mix(k_src, k_src, k_tgt, k_tgt, 0.5, global_mix=True)
+    k, _ = blend(k_src, k_src, np.zeros((1, 6, 4)), np.zeros((1, 6, 4)), 0.5,
+                 global_mix=True)
     assert np.all(k == 1.0)
 
 
 def test_kv_mix_ratio_domain_error():
     a = np.zeros((1, 2, 2))
     with pytest.raises(ValueError):
-        kv_mix(a, a, a, a, 1.5)
+        blend(a, a, a, a, 1.5)
 
 
 def test_kv_mix_background_rows_only():
     # 2 text rows + 4 image rows; mask marks image rows 1, 2 as edit region
     mask = EditMask(np.array([0.0, 1.0, 1.0, 0.0]))
-    k_src = np.full((6, 3), 2.0)
-    k_tgt = np.zeros((6, 3))
-    k, _ = kv_mix(k_src, k_src, k_tgt, k_tgt, 1.0, mask=mask)
-    assert np.all(k[0:2] == 0.0)      # text rows stay target
-    assert np.all(k[2] == 2.0)        # background image row fully source
-    assert np.all(k[3:5] == 0.0)      # edit rows stay target
-    assert np.all(k[5] == 2.0)
+    k_src = np.full((1, 6, 3), 2.0)
+    k, _ = blend(k_src, k_src, np.zeros((1, 6, 3)), np.zeros((1, 6, 3)), 1.0, mask=mask)
+    assert np.all(k[0, 0:2] == 0.0)      # text rows stay target
+    assert np.all(k[0, 2] == 2.0)        # background image row fully source
+    assert np.all(k[0, 3:5] == 0.0)      # edit rows stay target
+    assert np.all(k[0, 5] == 2.0)
 
 
 def test_kv_mix_soft_mask_partial_rows():
     mask = EditMask(np.array([0.25]))
-    k_src = np.full((1, 2), 4.0)
-    k_tgt = np.zeros((1, 2))
-    k, _ = kv_mix(k_src, k_src, k_tgt, k_tgt, 1.0, mask=mask)
+    k_src = np.full((1, 1, 2), 4.0)
+    k, _ = blend(k_src, k_src, np.zeros((1, 1, 2)), np.zeros((1, 1, 2)), 1.0, mask=mask)
     # row ratio = 1 * (1 - 0.25) = 0.75 -> 3.0
     assert np.allclose(k, 3.0, atol=0, rtol=0)
 
@@ -158,7 +185,7 @@ def test_kv_mix_keeps_a_ratio_zero_row_of_a_mixed_stack_bitwise():
     for row, (ratio, mask, flag) in enumerate(zip((0.5, 0.0, 1.0, 0.3), masks,
                                                   (False, False, True, False))):
         rows = slice(row * b, (row + 1) * b)
-        want = kv_mix(k_src, v_src, k_tgt[rows], v_tgt[rows], ratio, mask, flag)
+        want = reference_kv_mix(k_src, v_src, k_tgt[rows], v_tgt[rows], ratio, mask, flag)
         for mixed, expected in zip((k[rows], v[rows]), want):
             assert np.array_equal(mixed, expected)
             assert np.array_equal(np.signbit(mixed), np.signbit(expected))
@@ -317,8 +344,8 @@ def stacked_evaluate(flow, z, t, cond, hooks=None):
                 hooks.cache.put(hooks.step, layer_idx, k, v)
         elif hooks is not None:
             k_src, v_src = hooks.cache.get(hooks.step, layer_idx)
-            k, v = kv_mix(k_src, v_src, k, v, hooks.mix_ratios[layer_idx],
-                          hooks.background_mask, hooks.global_mix)
+            k, v = reference_kv_mix(k_src, v_src, k, v, hooks.mix_ratios[layer_idx],
+                                    hooks.background_mask, hooks.global_mix)
         scores = scale * (split(q) @ split(k).transpose(0, 1, 3, 2))
         scores -= scores.max(axis=-1, keepdims=True)
         attn = np.exp(scores)
@@ -399,7 +426,8 @@ def test_reused_buffers_leave_outputs_and_records_alone():
 
     # velocity_jump_between holds the first output while it computes the
     # second; an output that aliased a buffer would make the jump 0
-    jump = velocity_jump_between(flow, z2, 0.5, COND, cache, 0, (0.0, 1.0), None)
+    (mixes,) = mix_rows([[[0.0], [1.0]]], [None], [False], flow.text_tokens + flow.img_tokens)
+    (jump,) = velocity_jump_between(flow, z2, 0.5, [COND], cache, 0, mixes, None)
     hooks = InjectionHooks("inject", cache=cache, step=0, mix_ratios=(0.0, 1.0))
     want = float(np.linalg.norm(stacked_evaluate(flow, z2, 0.5, COND, hooks)
                                 - stacked_evaluate(flow, z2, 0.5, COND)))

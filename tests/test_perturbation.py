@@ -87,6 +87,36 @@ def test_channel_gap_constant_channels():
     assert d[1] == 0.0
 
 
+def test_channel_gap_of_one_token():
+    z = Latent(np.array([[[1.0, 2.0], [9.0, 9.0]]]))
+    assert np.array_equal(channel_gap(z, Latent(np.zeros((1, 2, 2))), (0,)), [1.0, 2.0])
+
+
+def test_channel_gap_of_two_tokens():
+    z = Latent(np.array([[[0.0, 4.0], [2.0, 0.0]]]))
+    assert np.array_equal(channel_gap(z, Latent(np.zeros((1, 2, 2))), (0, 1)), [1.0, 2.0])
+
+
+def test_channel_gap_rejects_an_empty_selection():
+    z = Latent(np.zeros((1, 4, 2)))
+    with pytest.raises(ValueError):
+        channel_gap(z, z, ())
+
+
+def test_channel_gap_rejects_an_out_of_range_token():
+    z = Latent(np.zeros((1, 4, 2)))
+    with pytest.raises(IndexError):
+        channel_gap(z, z, {5})
+
+
+def test_channel_gap_over_all_tokens_matches_the_unsliced_means():
+    # the contiguous token copy pins numpy's reduction order
+    z_inv = sample_gaussian(SeededRng(11), 2, 6, 3)
+    z_rand = sample_gaussian(SeededRng(12), 2, 6, 3)
+    want = np.abs(z_inv.data.mean(axis=(0, 1)) - z_rand.data.mean(axis=(0, 1)))
+    assert np.array_equal(channel_gap(z_inv, z_rand, range(6)), want)
+
+
 def test_channel_gap_symmetric_in_arguments():
     z_inv, z_rand = make_pair()
     tokens = (0, 4, 9)

@@ -283,7 +283,7 @@ def test_binary_velocity_jump_matches_primitive():
     # for the binary family the max consecutive jump is the cutoff jump,
     # i.e. the velocity change of dropping delta_base to zero at the last
     # injected step
-    from adaedit.diagnostics import velocity_jump_between
+    from adaedit.diagnostics import velocity_jump
 
     cfg = EditConfig(schedule="binary", seed=8)
     src = generate_source_latent(cfg)
@@ -321,9 +321,8 @@ def test_binary_velocity_jump_matches_primitive():
     sampling = integrate_forward(model, z_hat, grid, cfg.solver,
                                  cfg.target_conditioning(), inject_hooks)
     cut = cfg.injection_steps - 1
-    jump = velocity_jump_between(
-        model, sampling.states[cut], grid.times[cut], cfg.target_conditioning(),
-        cache, cut, (cfg.delta_base, cfg.delta_base), None, mask=mask)
+    jump = velocity_jump(model, sampling.states[cut], grid.times[cut],
+                         cfg.target_conditioning(), cache, cut, cfg.delta_base, mask=mask)
     assert result.diagnostics["velocity_jump"] == jump
 
 
