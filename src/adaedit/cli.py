@@ -109,7 +109,7 @@ def load_config(config_path: Optional[str], sets: Sequence[str],
             data = json.loads(Path(config_path).read_text())
         except OSError as exc:
             raise ConfigError("config", f"cannot read '{config_path}': {exc}")
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, bad UTF-8, an int past 4300 digits
             raise ConfigError("config", f"invalid JSON in '{config_path}': {exc}")
         if not isinstance(data, dict):
             raise ConfigError("config", "top-level JSON value must be an object")

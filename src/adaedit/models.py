@@ -190,37 +190,28 @@ class LayerMix:
     whole (ratio 1 on every K/V row), or keeps its current K/V bitwise (ratio
     0, or a mask that leaves no row to mix); runs lists the (first, end,
     whole) row ranges of the first two kinds, and rows of the third are never
-    touched.
+    touched. end is the end of the last run: a stack of at least end rows can
+    be blended, and its rows from end on are left as they are.
     """
 
     def __init__(self, weight: np.ndarray, keep: np.ndarray,
-                 runs: List[Tuple[int, int, bool]], rows: int):
+                 runs: List[Tuple[int, int, bool]]):
         self.weight = weight  # (rows, 1, n, 1), to broadcast over (rows, B, n, d)
         self.keep = keep
         self.runs = runs
-        self.rows = rows
-
-    def head(self, rows: int) -> "LayerMix":
-        """The blend of the first ``rows`` rows."""
-        runs = [(lo, min(hi, rows), whole) for lo, hi, whole in self.runs if lo < rows]
-        return LayerMix(self.weight, self.keep, runs, rows)
+        self.end = runs[-1][1] if runs else 0
 
     def blend_into(self, src: np.ndarray, cur: np.ndarray, tmp: np.ndarray) -> None:
         """Blend the cached (B, n, d) ``src`` into the stacked (rows * B, n, d)
         ``cur`` in place, with ``tmp`` (cur's shape) for the source term."""
         b = src.shape[0]
         for lo, hi, whole in self.runs:
-            part, term = cur[lo * b:hi * b], tmp[lo * b:hi * b]
-            if hi - lo == 1:  # one row's (1, n, 1) weights broadcast as they are
-                weight, keep = self.weight[lo], self.keep[lo]
-            else:
-                part, term = (a.reshape(hi - lo, *src.shape) for a in (part, term))
-                weight, keep = self.weight[lo:hi], self.keep[lo:hi]
+            part, term = (a[lo * b:hi * b].reshape(hi - lo, *src.shape) for a in (cur, tmp))
             if whole:
                 part[...] = src
                 continue
-            np.multiply(src, weight, out=term)
-            np.multiply(part, keep, out=part)
+            np.multiply(src, self.weight[lo:hi], out=term)
+            np.multiply(part, self.keep[lo:hi], out=part)
             np.add(term, part, out=part)
 
 
@@ -276,7 +267,7 @@ def mix_rows(ratios, masks: Sequence[Optional[EditMask]], global_mix: Sequence[b
                     if kind:
                         runs.append((lo, hi, kind == 2))
                     lo = hi
-            per_layer.append(LayerMix(weight[p, layer], keep[p, layer], runs, rows))
+            per_layer.append(LayerMix(weight[p, layer], keep[p, layer], runs))
         mixes.append(tuple(per_layer))
     return tuple(mixes)
 
@@ -286,12 +277,15 @@ def kv_mix(k_src: np.ndarray, v_src: np.ndarray, k_tgt: np.ndarray, v_tgt: np.nd
     """Blend cached source K/V into a stack's current K/V at ``mix`` (see
     mix_rows): ratio*src + (1-ratio)*tgt per row and K/V row.
 
-    k_tgt and v_tgt hold rows * B entries against the cached source's B and
-    are blended in place, with ``scratch`` (their shape) for the source term;
-    a row that keeps its K/V is left bitwise as it was.
+    k_tgt and v_tgt stack rows of the cached source's B entries each, at
+    least mix.end rows, and are blended in place, with ``scratch`` (their
+    shape) for the source term; a row that keeps its K/V, and every row from
+    mix.end on, is left bitwise as it was.
     """
+    b = k_src.shape[0]
     if not (k_src.shape == v_src.shape and k_tgt.shape == v_tgt.shape
-            == (mix.rows * k_src.shape[0],) + k_src.shape[1:]):
+            and k_tgt.shape[1:] == k_src.shape[1:]
+            and k_tgt.shape[0] % b == 0 and k_tgt.shape[0] >= mix.end * b):
         raise ValueError("K/V shape mismatch between source and target")
     mix.blend_into(k_src, k_tgt, scratch)
     mix.blend_into(v_src, v_tgt, scratch)

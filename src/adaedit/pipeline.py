@@ -14,6 +14,7 @@ import json
 import logging
 import math
 import operator
+import sys
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -61,15 +62,17 @@ INVERSION_FIELDS = ("seed", "layer_count", "embed_dim", "img_tokens", "text_toke
 # any work starts. They admit the stability envelope img_tokens=1024,
 # embed_dim=256, layer_count=8, heads=4, channels=16, total_steps=28.
 MAX_STEPS = 1000
-# A run keeps the K/V and the text-to-image attention of every active step
-# until sampling ends. The estimate also counts batch * heads * n * n float64
-# attention scores: an upper bound, since evaluate holds one (n, n) block at a
-# time, kept at what all heads' scores held when they were live at once. The
-# per-field bounds admit products far beyond any desk machine (batch=16,
-# heads=32, img_tokens=4096 counts 69 GB of scores), which end in a
-# MemoryError or an OOM kill mid-run. This budget stops them before any work
-# starts; it admits the stability envelope above with a binary schedule and
-# injection_steps=28 (~1.01 GB by the estimate in EditConfig.validate).
+# A run keeps the model's weights, and the K/V and the text-to-image attention
+# of every active step until sampling ends. The estimate also counts batch *
+# heads * n * n float64 attention scores: an upper bound, since evaluate holds
+# one (n, n) block at a time, kept at what all heads' scores held when they
+# were live at once. The per-field bounds admit products far beyond any desk
+# machine (batch=16, heads=32, img_tokens=4096 counts 69 GB of scores;
+# vocab_size=65536 and layer_count=32 at embed_dim=1024 take 1.62 GB of
+# weights), which end in a MemoryError or an OOM kill mid-run. This budget
+# stops them before any work starts; it admits the stability envelope above
+# with a binary schedule and injection_steps=28 (~1.02 GB by the estimate in
+# EditConfig.validate).
 MEMORY_BUDGET = 2 * 10**9
 FLOAT64_BYTES = 8
 # At subnormal temperatures d / tau overflows and the channel weights turn
@@ -95,8 +98,9 @@ class Spec:
 
     kind is int, float, bool, str (one of choices) or tuple (a list of integer
     token ids). Numbers lie between lo and hi, open at an end whose flag is
-    set; floats must be finite. optional admits None. column names the
-    result.csv column that echoes the field, if any.
+    set; floats must be finite, and an int given for one must lie within
+    float range. optional admits None. column names the result.csv column
+    that echoes the field, if any.
     """
 
     kind: type
@@ -136,7 +140,7 @@ class Spec:
             if not _is_int(value):
                 return False
         elif (not isinstance(value, (int, float)) or isinstance(value, bool)
-              or not math.isfinite(value)):
+              or not abs(value) <= sys.float_info.max):  # NaN, inf, or an int past float
             return False
         above = value > self.lo if self.lo_open else value >= self.lo
         below = self.hi is None or (value < self.hi if self.hi_open else value <= self.hi)
@@ -297,17 +301,18 @@ class EditConfig:
                 "activity_threshold",
                 f"no step is active: the first {self.schedule} weight does not "
                 f"exceed {self.activity_threshold}")
-        scores, cache, record = _run_bytes(self, active)
-        total = scores + cache + record
+        weights, scores, cache, record = _run_bytes(self, active)
+        total = weights + scores + cache + record
         if total > MEMORY_BUDGET:
             raise ConfigError(
                 "img_tokens",
-                f"the run needs about {total / 1e9:.3g} GB (attention scores "
-                f"{scores / 1e9:.3g} GB, K/V cache of {active} active steps "
-                f"{cache / 1e9:.3g} GB, attention record {record / 1e9:.3g} GB), "
+                f"the run needs about {total / 1e9:.3g} GB (model weights "
+                f"{weights / 1e9:.3g} GB, attention scores {scores / 1e9:.3g} GB, "
+                f"K/V cache of {active} active steps {cache / 1e9:.3g} GB, "
+                f"attention record {record / 1e9:.3g} GB), "
                 f"over the {MEMORY_BUDGET / 1e9:g} GB budget; "
                 f"lower img_tokens, text_tokens, batch, heads, layer_count, "
-                f"embed_dim or the active steps")
+                f"embed_dim, vocab_size or the active steps")
         return self
 
     def resolved_dict(self) -> dict:
@@ -333,16 +338,20 @@ class EditConfig:
 FIELD_SPECS: Dict[str, Spec] = {f.name: f.metadata["spec"] for f in fields(EditConfig)}
 
 
-def _run_bytes(cfg: EditConfig, active: int) -> Tuple[int, int, int]:
-    """The attention scores, the K/V cache and the attention record of
-    ``active`` steps that one run holds, in bytes; the scores are an upper
-    bound (see MEMORY_BUDGET)."""
-    n = cfg.img_tokens + cfg.text_tokens
+def _run_bytes(cfg: EditConfig, active: int) -> Tuple[int, int, int, int]:
+    """The model weights, the attention scores, the K/V cache and the
+    attention record of ``active`` steps that one run holds, in bytes; the
+    scores are an upper bound (see MEMORY_BUDGET)."""
+    n, d = cfg.img_tokens + cfg.text_tokens, cfg.embed_dim
+    # the shapes ToyAttentionFlow.__init__ draws
+    weights = FLOAT64_BYTES * d * (cfg.vocab_size + 2 * cfg.channels
+                                   + d + 2 * ToyAttentionFlow.time_freqs
+                                   + 4 * cfg.layer_count * d)
     scores = cfg.batch * cfg.heads * n * n * FLOAT64_BYTES
-    cache = active * cfg.layer_count * 2 * cfg.batch * n * cfg.embed_dim * FLOAT64_BYTES
+    cache = active * cfg.layer_count * 2 * cfg.batch * n * d * FLOAT64_BYTES
     record = (active * cfg.layer_count * cfg.batch * cfg.heads * cfg.text_tokens
               * cfg.img_tokens * FLOAT64_BYTES)
-    return scores, cache, record
+    return weights, scores, cache, record
 
 
 def _stack_row_bytes(cfg: EditConfig) -> int:
@@ -464,17 +473,14 @@ def inversion_key(cfg: EditConfig, c_src: Conditioning) -> tuple:
 @dataclass(frozen=True, eq=False)
 class Inversion:
     """The source side of an edit: the model and grid, the inverted latent,
-    the K/V cache and attention recorded on the first ``steps`` steps, and
-    the plain reconstruction of the inverted latent under the source prompt,
-    with the evaluation counts of both. Any edit of ``source`` whose config
-    gives the same ``key`` (see inversion_key) and plans at most ``steps``
-    steps can run on it."""
+    the K/V cache and attention recorded on the steps invert was asked for,
+    and the plain reconstruction of the inverted latent under the source
+    prompt, with the evaluation counts of both. An edit of the same source
+    whose config gives the same inversion_key, and that plans no more steps
+    than were recorded, can run on it."""
 
-    key: tuple
-    source: Latent
     model: ToyAttentionFlow
     grid: TimeGrid
-    steps: int
     z_inv: Latent
     cache: KVCache
     attn: AttentionRecord
@@ -516,24 +522,9 @@ def invert(source: Latent, c_src: Conditioning, cfg: EditConfig,
     reconstruction = integrate_forward(model, inversion.final, grid, cfg.solver,
                                        c_src, None, phase="reconstruction")
     return Inversion(
-        key=inversion_key(cfg, c_src), source=source, model=model, grid=grid,
-        steps=steps, z_inv=inversion.final, cache=cache, attn=attn,
+        model=model, grid=grid, z_inv=inversion.final, cache=cache, attn=attn,
         inversion_evals=inversion.velocity_evals, reconstructed=reconstruction.final,
         reconstruction_evals=reconstruction.velocity_evals)
-
-
-def _check_inversion(inversion: Inversion, source: Latent, c_src: Conditioning,
-                     cfg: EditConfig, active: int) -> None:
-    for name, made, needed in zip(INVERSION_FIELDS, inversion.key,
-                                  inversion_key(cfg, c_src)):
-        if made != needed:
-            raise ValueError(f"the inversion was made with {name}={made!r}, "
-                             f"this edit needs {needed!r}")
-    if inversion.source is not source and not np.array_equal(
-            inversion.source.data, source.data):
-        raise ValueError("the inversion was made from another source latent")
-    if active > inversion.steps:
-        raise ValueError(f"the inversion did not record planned step {inversion.steps}")
 
 
 # The fields an injection plan reads: the schedule's, delta_base and the
@@ -545,30 +536,28 @@ _PLAN_KEY = operator.attrgetter(*PLAN_FIELDS)
 
 
 def _injection_plan(cfg: EditConfig) -> tuple:
-    """The injection plan: per step, the per-layer ratios at which cached
-    source K/V are blended in, or None where the schedule is inactive; the
-    trailing None stands for the step after the last. Inversion caches the
-    planned steps (at least), and sampling injects exactly them."""
+    """The injection plan: per active step, the per-layer ratios at which
+    cached source K/V are blended in. Schedule weights never increase, so the
+    active steps are the first active_count; inversion caches them (at
+    least), and sampling injects exactly them."""
     schedule = cfg.injection_schedule
     profile = LayerRatioProfile(cfg.layer_count, cfg.layer_ratio_beta)
-    return tuple(
-        layer_ratios(profile, effective_ratio(schedule, cfg.delta_base, i))
-        if is_active(schedule, i) else None
-        for i in range(cfg.total_steps)) + (None,)
+    return tuple(layer_ratios(profile, effective_ratio(schedule, cfg.delta_base, i))
+                 for i in range(schedule.active_count))
 
 
 @dataclass(frozen=True, eq=False)
 class SampledEdit:
-    """One edit of a stack that sample_edits ran: its injection plan and
-    planned step count, its mask, the perturbed latent with its channel gaps
-    and weights, and the sampled latent with the sampling's evaluation count,
-    the largest velocity jump between its consecutive planned steps and its
-    SSIM against the inversion's reconstruction."""
+    """One edit of a stack that _sample_edits ran: the Inversion it was
+    sampled from, its injection plan, its mask, the perturbed latent with its
+    channel gaps and weights, and the sampled latent with the sampling's
+    evaluation count, the largest velocity jump between its consecutive
+    planned steps and its SSIM against the inversion's reconstruction."""
 
     cfg: EditConfig
     c_tgt: Conditioning
+    inversion: Inversion
     plan: tuple
-    active: int
     mask: EditMask
     fallback: bool
     gaps: np.ndarray
@@ -580,26 +569,29 @@ class SampledEdit:
     ssim: float = 0.0
 
 
-def sample_edits(source: Latent, inversion: Inversion,
-                 edits: Sequence[Tuple[Conditioning, Conditioning, EditConfig]],
-                 rows: Optional[Sequence[int]] = None) -> List[SampledEdit]:
-    """Mask, perturb and sample edits of ``source`` that share ``inversion``,
-    as one stack.
+def _sample_edits(inversion: Inversion,
+                  edits: Sequence[Tuple[Conditioning, Conditioning, EditConfig]]
+                  ) -> List[SampledEdit]:
+    """Mask, perturb and sample edits that share ``inversion``, as one stack,
+    in the order given, which must be longest plan first.
 
     What rows share is made once per distinct key: the injection plan per
     PLAN_FIELDS value; the mask and its edit tokens per planned step count,
     mask prompt and soft_mask_gamma; the channel gaps and the AdaIN target per
     edit-token set. Each edit (c_src, c_tgt, cfg) then makes only its own
     channel weights and blend. The perturbed latents are stacked along the
-    batch axis, longest plan first, and sampled by one integrate_forward
-    call, each row under its own target prompt, mask, global_mix and
-    per-layer ratios: the edits' INVERSION_FIELDS agree, so they share the
-    grid, the solver and the steps, and no step pools over rows. The
-    velocity-jump pairs of a step run as one velocity_jump_between call over
-    the rows planned at that step, and one ssim call scores the whole
-    sampled stack. So every row equals the edit sampled alone, bitwise. A
-    divergence names the failing edit by its entry in ``rows``, when given.
+    batch axis and sampled by one integrate_forward call, each row under its
+    own target prompt, mask, global_mix and per-layer ratios: the edits'
+    INVERSION_FIELDS agree, so they share the grid, the solver and the steps,
+    and no step pools over rows. Active steps form a prefix, so the rows
+    planned at a step are a leading slice of the stack, and the velocity-jump
+    pairs of a step run as one velocity_jump_between call over them; one ssim
+    call scores the whole sampled stack. So every row equals the edit sampled
+    alone, bitwise. A divergence names the failing batch entry of the stack.
     """
+    counts = [cfg.injection_schedule.active_count for _, _, cfg in edits]
+    if counts != sorted(counts, reverse=True):
+        raise ValueError(f"edits must come longest plan first, got plan lengths {counts}")
     model, grid, cache = inversion.model, inversion.grid, inversion.cache
     z_inv = inversion.z_inv
     # the seed and the latent's shape are INVERSION_FIELDS: one noise for all
@@ -610,20 +602,18 @@ def sample_edits(source: Latent, inversion: Inversion,
     plans: Dict[tuple, tuple] = {}
     masks: Dict[tuple, tuple] = {}
     token_stats: Dict[Tuple[int, ...], tuple] = {}
-    perturbed = []
+    stack = []
     for c_src, c_tgt, cfg in edits:
         plan_key = _PLAN_KEY(cfg)
         if plan_key not in plans:
             plans[plan_key] = _injection_plan(cfg)
         plan = plans[plan_key]
-        active = cfg.injection_schedule.active_count
-        _check_inversion(inversion, source, c_src, cfg, active)
         mask_cond = c_tgt if cfg.mask_keyword_source == "target" else c_src
-        mask_key = (active, mask_cond, cfg.soft_mask_gamma)
+        mask_key = (len(plan), mask_cond, cfg.soft_mask_gamma)
         if mask_key not in masks:
             # The mask averages the planned steps' attention only, in the
             # order a record of exactly those steps would stack it.
-            mask = extract_mask(inversion.attn, mask_cond, cfg.soft_mask_gamma, active)
+            mask = extract_mask(inversion.attn, mask_cond, cfg.soft_mask_gamma, len(plan))
             edit_tokens, fallback = resolve_edit_tokens(mask, cfg.img_tokens)
             if edit_tokens not in token_stats:
                 token_stats[edit_tokens] = (channel_gap(z_inv, z_rand, edit_tokens),
@@ -638,21 +628,16 @@ def sample_edits(source: Latent, inversion: Inversion,
         else:
             z_hat = latents_shift_uniform(z_inv, z_rand, cfg.alpha, stats.idx, stats=stats)
             weights = ChannelWeights.uniform(cfg.channels)
-        perturbed.append(SampledEdit(cfg, c_tgt, plan, active, mask, fallback,
-                                     gaps, weights, z_hat))
+        stack.append(SampledEdit(cfg, c_tgt, inversion, plan, mask, fallback,
+                                 gaps, weights, z_hat))
 
-    # Active steps form a prefix, so with the longest plan first the rows
-    # planned at a step are a leading slice of the stack.
-    order = sorted(range(len(perturbed)), key=lambda r: -perturbed[r].active)
-    stack = [perturbed[r] for r in order]
     b = first.batch
     conds = tuple(row.c_tgt for row in stack)
-    z = stack[0].z_hat if len(stack) == 1 else Latent._adopt(
-        np.concatenate([row.z_hat.data for row in stack]))
-    longest = stack[0].active
+    z = Latent._adopt(np.concatenate([row.z_hat.data for row in stack]))
+    longest = counts[0]
     ratios = np.zeros((longest, first.layer_count, len(stack)))
     for r, row in enumerate(stack):
-        ratios[:row.active, :, r] = row.plan[:row.active]
+        ratios[:counts[r], :, r] = row.plan
     mixes = mix_rows(ratios, [row.mask for row in stack],
                      [row.cfg.global_mix for row in stack],
                      first.text_tokens + first.img_tokens)
@@ -661,31 +646,22 @@ def sample_edits(source: Latent, inversion: Inversion,
 
     # Sample under the target prompts, injecting cached features at the
     # planned ratios.
-    try:
-        sampling = integrate_forward(model, z, grid, first.solver, conds,
-                                     lambda i: hooks[i] if i < longest else None,
-                                     phase="sampling")
-    except DivergenceError as exc:
-        if rows is None:
-            raise
-        row = rows[order[exc.entry // b]]
-        raise DivergenceError(exc.step, exc.detail, exc.phase, exc.entry, row) from exc
+    sampling = integrate_forward(model, z, grid, first.solver, conds,
+                                 lambda i: hooks[i] if i < longest else None,
+                                 phase="sampling")
 
     # Largest injected-velocity change between consecutive planned steps,
     # measured along the sampling trajectory (the binary cutoff jump for the
-    # binary family).
+    # binary family). A row whose plan has ended has ratio 0, so no run of a
+    # step's blends reaches past the rows planned at that step.
     jumps = [0.0] * len(stack)
     for i in range(longest):
-        state, ra = sampling.states[i], mixes[i]
-        rb = mixes[i + 1] if i + 1 < longest else None
-        planned = sum(row.active > i for row in stack)
+        planned = sum(count > i for count in counts)
+        state = sampling.states[i]
         if planned < len(stack):
             state = Latent._adopt(state.data[:planned * b])
-            ra = tuple(mix.head(planned) for mix in ra)
-            if rb is not None:
-                rb = tuple(mix.head(planned) for mix in rb)
-        got = velocity_jump_between(model, state, grid.times[i], conds[:planned],
-                                    cache, i, ra, rb)
+        got = velocity_jump_between(model, state, grid.times[i], conds[:planned], cache, i,
+                                    mixes[i], mixes[i + 1] if i + 1 < longest else None)
         for r, jump in enumerate(got):
             jumps[r] = max(jumps[r], jump)
 
@@ -694,40 +670,32 @@ def sample_edits(source: Latent, inversion: Inversion,
     final, evals = sampling.final, sampling.velocity_evals
     del sampling
     scores = ssim(inversion.reconstructed, final, peak=inversion.peak, rows=len(stack))
-    for r, row in enumerate(stack):
-        perturbed[order[r]] = replace(
-            row, edited=Latent._adopt(final.data[r * b:(r + 1) * b]),
-            sampling_evals=evals, velocity_jump=jumps[r], ssim=scores[r])
-    return perturbed
+    return [replace(row, edited=Latent._adopt(final.data[r * b:(r + 1) * b]),
+                    sampling_evals=evals, velocity_jump=jumps[r], ssim=scores[r])
+            for r, row in enumerate(stack)]
 
 
 def run_edit(source: Latent, c_src: Conditioning, c_tgt: Conditioning,
-             cfg: EditConfig, inversion: Optional[Inversion] = None,
-             sampled: Optional[SampledEdit] = None) -> EditResult:
+             cfg: EditConfig, sampled: Optional[SampledEdit] = None) -> EditResult:
     """Perturb the inverted source and resample it under the target prompt
     with progressive feature injection.
 
-    ``inversion`` is the source side to edit from (see invert); without one
-    the edit inverts the source itself, recording its planned steps only. One
-    made for another source, another value of an INVERSION_FIELDS field, or
-    without one of the planned steps is a ValueError. ``sampled`` is this
-    edit's row of a stack that sample_edits ran on ``inversion`` (edit_grid
-    runs its rows that way); without it the edit is sampled as a stack of
-    one.
+    ``sampled`` is this edit's row of a stack that _sample_edits ran
+    (edit_grid runs its rows that way); one sampled under another config is
+    a ValueError. Without it the edit inverts the source itself, recording
+    its planned steps only, and is sampled as a stack of one.
     """
     if sampled is None:
-        if inversion is None:
-            inversion = invert(source, c_src, cfg, cfg.injection_schedule.active_count)
-        (sampled,) = sample_edits(source, inversion, [(c_src, c_tgt, cfg)])
-    elif inversion is None or sampled.cfg != cfg:
-        raise ValueError("a sampled edit needs its own config and the inversion "
-                         "it was sampled from")
+        active = cfg.injection_schedule.active_count
+        (sampled,) = _sample_edits(invert(source, c_src, cfg, active), [(c_src, c_tgt, cfg)])
+    elif sampled.cfg != cfg:
+        raise ValueError("a sampled edit must be run under its own config")
+    inversion = sampled.inversion
     schedule = cfg.injection_schedule
     edited = sampled.edited
 
-    trace = tuple(
-        (weight, cfg.delta_base * weight, ratios is not None)
-        for weight, ratios in zip(schedule.weights, sampled.plan))
+    trace = tuple((weight, cfg.delta_base * weight, is_active(schedule, i))
+                  for i, weight in enumerate(schedule.weights))
 
     diagnostics = {
         "max_step_delta": max_step_delta(schedule, cfg.delta_base),
@@ -808,16 +776,18 @@ def _grid_rows(source: Latent, runs: List[Tuple[Dict, EditConfig]]
     # Rows run grouped by inversion key, each group on one Inversion that is
     # dropped before any row is handed out, so at most one K/V cache is alive
     # whatever the axis order; finished rows wait until the rows before them
-    # are done. A group samples its rows as stacks of as many rows as keep
-    # the run within MEMORY_BUDGET.
+    # are done. A group samples its rows longest plan first, as stacks of as
+    # many rows as keep the run within MEMORY_BUDGET.
     groups: Dict[tuple, List[int]] = {}
     for index, (_, cfg) in enumerate(runs):
         groups.setdefault(inversion_key(cfg, cfg.source_conditioning()), []).append(index)
     results: Dict[int, EditResult] = {}
     next_row = 0
     for rows in groups.values():
+        rows.sort(key=lambda index: runs[index][1].injection_schedule.active_count,
+                  reverse=True)
         first = runs[rows[0]][1]
-        longest = max(runs[index][1].injection_schedule.active_count for index in rows)
+        longest = first.injection_schedule.active_count
         inversion = invert(source, first.source_conditioning(), first, longest)
         spare = MEMORY_BUDGET - sum(_run_bytes(first, longest))
         size = max(1, spare // _stack_row_bytes(first))
@@ -825,10 +795,15 @@ def _grid_rows(source: Latent, runs: List[Tuple[Dict, EditConfig]]
             part = rows[lo:lo + size]
             edits = [(cfg.source_conditioning(), cfg.target_conditioning(), cfg)
                      for cfg in (runs[index][1] for index in part)]
-            for index, edit, sampled in zip(part, edits,
-                                            sample_edits(source, inversion, edits, part)):
-                results[index] = run_edit(source, *edit, inversion, sampled)
-        del inversion
+            try:
+                stack = _sample_edits(inversion, edits)
+            except DivergenceError as exc:
+                row = part[exc.entry // first.batch]
+                raise DivergenceError(exc.step, exc.detail, exc.phase, exc.entry, row) from exc
+            for index, edit, sampled in zip(part, edits, stack):
+                results[index] = run_edit(source, *edit, sampled)
+        # every SampledEdit holds the Inversion
+        del inversion, stack, sampled
         while next_row in results:
             overrides, cfg = runs[next_row]
             yield overrides, cfg, results.pop(next_row)

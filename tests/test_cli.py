@@ -80,6 +80,16 @@ def test_edit_malformed_json_exits_2(tmp_path, capsys):
     assert main(["edit", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("text", (b"\xff\xfe{", b'{"tau": 1' + b"0" * 5000 + b"}"),
+                         ids=("not-utf8", "int-past-4300-digits"))
+def test_unreadable_json_exits_2(tmp_path, capsys, text):
+    # bytes that are not UTF-8, and an integer past Python's 4300-digit limit
+    config = tmp_path / "cfg.json"
+    config.write_bytes(text)
+    assert main(["edit", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert "config error: config: invalid JSON" in capsys.readouterr().err
+
+
 def test_edit_deterministic_across_invocations(tmp_path):
     out = tmp_path / "run"
     assert main(["edit", "--out", str(out)]) == 0
@@ -350,6 +360,13 @@ BAD_INPUTS = [
     (["edit"], {"img_tokens": 1024, "text_tokens": 256, "vocab_size": 512, "heads": 8,
                 "layer_count": 8, "embed_dim": 64, "total_steps": 28,
                 "injection_steps": 28, "schedule": "binary"}, "img_tokens"),
+    # the model's weights alone are ~1.62 GB
+    (["edit"], {"layer_count": 32, "embed_dim": 1024, "vocab_size": 65536,
+                "img_tokens": 1024, "text_tokens": 256, "total_steps": 4,
+                "injection_steps": 1, "schedule": "binary"}, "img_tokens"),
+    # JSON integers past float range in float fields
+    (["edit"], {"tau": 10**400}, "tau"),
+    (["edit"], {"soft_mask_gamma": -10**400}, "soft_mask_gamma"),
 ]
 
 

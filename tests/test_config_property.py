@@ -29,6 +29,7 @@ SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=N
 
 JUNK = st.one_of(st.text(max_size=4), st.booleans(), st.none(),
                  st.floats(allow_nan=True, allow_infinity=True),
+                 st.integers(min_value=2**1024),  # past float range, as JSON can hold
                  st.lists(st.integers(-3, 3), max_size=3),
                  st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
 

@@ -194,6 +194,43 @@ def test_kv_mix_keeps_a_ratio_zero_row_of_a_mixed_stack_bitwise():
         assert np.signbit(k[rows, 0, 0]).all() and np.signbit(v[rows, 1]).all()
 
 
+@pytest.mark.parametrize("stack_rows", (2, 4))
+def test_kv_mix_keeps_every_row_from_the_mix_end_on_bitwise(stack_rows):
+    # three rows of weights of which only the first blends, so the runs end
+    # at row 1: a stack of fewer rows than the weights (a velocity-jump
+    # pair's planned rows) or of more is blended alike, and its rows from 1
+    # on keep their signed zeros
+    n, d, b = 5, 2, 2
+    rng = SeededRng(9)
+    k_src, v_src = rng.standard_normal((b, n, d)), rng.standard_normal((b, n, d))
+    mask = EditMask(np.array([0.0, 0.5, 1.0]))
+    (mix,), = mix_rows([[[0.5, 0.0, 0.0]]], [mask, None, None], [False] * 3, n)
+    assert mix.end == 1
+    k_tgt, v_tgt = (rng.standard_normal((stack_rows * b, n, d)) for _ in range(2))
+    k_tgt[b:, 0] = -0.0
+    v_tgt[b:, :, 1] = -0.0
+    k, v = k_tgt.copy(), v_tgt.copy()
+    kv_mix(k_src, v_src, k, v, mix, scratch=np.empty_like(k))
+    want = reference_kv_mix(k_src, v_src, k_tgt[:b], v_tgt[:b], 0.5, mask)
+    for mixed, kept, expected in zip((k, v), (k_tgt, v_tgt), want):
+        assert np.array_equal(mixed[:b], expected)
+        assert np.array_equal(mixed[b:], kept[b:])
+        assert np.array_equal(np.signbit(mixed[b:]), np.signbit(kept[b:]))
+    assert np.signbit(k[b:, 0]).all() and np.signbit(v[b:, :, 1]).all()
+
+
+def test_kv_mix_rejects_a_stack_its_mix_does_not_fit():
+    n, d, b = 5, 2, 2
+    a = np.zeros((b, n, d))
+    (mix,), = mix_rows([[[0.0, 0.5]]], [None, None], [False, False], n)
+    assert mix.end == 2
+    for k_tgt in (np.zeros((b, n, d)),          # runs reach past a stack of one row
+                  np.zeros((3, n, d)),          # not a whole number of source batches
+                  np.zeros((2 * b, n, d + 1))):  # trailing shapes differ
+        with pytest.raises(ValueError, match="shape mismatch"):
+            kv_mix(a, a, k_tgt, k_tgt.copy(), mix, np.empty_like(k_tgt))
+
+
 # ------------------------------------------------------------------ toy model
 
 def test_toy_flow_deterministic():

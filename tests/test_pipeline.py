@@ -107,6 +107,13 @@ def test_memory_product_is_a_config_error():
                    embed_dim=64, total_steps=28, injection_steps=28, schedule="binary")
     assert exc.value.field == "img_tokens"
     assert "attention record 3.76 GB" in str(exc.value)
+    # one active step's K/V, scores and record take ~0.75 GB, and the weights
+    # of 32 layers at embed_dim=1024 with a 65536-token table ~1.62 GB
+    with pytest.raises(ConfigError) as exc:
+        EditConfig(layer_count=32, embed_dim=1024, vocab_size=65536, img_tokens=1024,
+                   text_tokens=256, total_steps=4, injection_steps=1, schedule="binary")
+    assert exc.value.field == "img_tokens"
+    assert "2.37 GB (model weights 1.62 GB" in str(exc.value)
 
 
 def test_readme_config_section_lists_every_field():
@@ -438,26 +445,19 @@ def test_mask_of_a_superset_record_limited_to_the_planned_steps():
             assert np.array_equal(limited.soft, exact.soft)
 
 
-def test_run_edit_rejects_a_foreign_inversion():
-    cfg = EditConfig(seed=3)
+def test_sample_edits_takes_edits_longest_plan_first():
+    cfg = EditConfig(seed=3, total_steps=6, injection_steps=3)
+    short = replace(cfg, schedule="binary")
+    assert cfg.injection_schedule.active_count > short.injection_schedule.active_count
     src = generate_source_latent(cfg)
-    c_src, c_tgt = cfg.source_conditioning(), cfg.target_conditioning()
-    inversion = invert(src, c_src, cfg, build_schedule(cfg).active_count)
-    assert_same_result(run_edit(src, c_src, c_tgt, cfg, inversion),
-                       run_edit(src, c_src, c_tgt, cfg))
-    # the first field of INVERSION_FIELDS that differs is named
-    for change, name in (({"seed": 4}, "seed"),
-                         ({"solver": "euler", "total_steps": 10}, "total_steps"),
-                         ({"source_prompt_ids": (1, 2, 3, 5)}, "source_prompt_ids")):
-        other = replace(cfg, **change)
-        with pytest.raises(ValueError, match=f"made with {name}="):
-            run_edit(src, other.source_conditioning(), other.target_conditioning(), other,
-                     inversion)
-    with pytest.raises(ValueError, match="did not record planned step 1"):
-        run_edit(src, c_src, c_tgt, cfg, invert(src, c_src, cfg, 1))
-    other_src = generate_source_latent(replace(cfg, seed=4))
-    with pytest.raises(ValueError, match="another source latent"):
-        run_edit(other_src, c_src, c_tgt, cfg, inversion)
+    inversion = invert(src, cfg.source_conditioning(), cfg, 6)
+    edits = [(c.source_conditioning(), c.target_conditioning(), c) for c in (short, cfg)]
+    with pytest.raises(ValueError, match="longest plan first"):
+        pipeline._sample_edits(inversion, edits)
+    # in that order the rows come back in the order given
+    rows = pipeline._sample_edits(inversion, edits[::-1])
+    assert [row.cfg for row in rows] == [cfg, short]
+    assert [len(row.plan) for row in rows] == [4, 3]
 
 
 def test_grid_holds_one_inversion_at_a_time(monkeypatch):
