@@ -1,6 +1,9 @@
 """Command-line drivers: single edits, reconstructions, schedule/temperature
 sweeps, solver-order studies, and ablation grids.
 
+A config command maps the validated config, the seeded source latent and its
+one parsed option to its artifacts; one driver writes them and the manifest.
+
 All commands are deterministic byte-for-byte given the config (the manifest
 timestamp is the one exception). Exit codes: 0 success, 2 config error,
 3 runtime divergence, 4 acceptance-check failure.
@@ -19,10 +22,10 @@ import functools
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,21 +54,11 @@ ORDER_LADDER = (10, 20, 40)
 EULER_ORDER_BAND = (0.7, 1.3)
 MIDPOINT_ORDER_BAND = (1.7, 2.3)
 
-# result.csv trails the reserved perceptual-metric columns, emitted empty
+# result tables trail the reserved perceptual-metric columns, emitted empty
 RESERVED_COLUMNS = ("lpips", "clip")
 
-
-@dataclass
-class RunManifest:
-    """Provenance for one command invocation; timestamp excluded from hashes."""
-
-    command: str
-    config_path: Optional[str]
-    out_dir: str
-    config_hash: str
-    timestamp: str
-    version: str
-    outputs: List[str]
+# A command's artifacts in write order: file name -> (header, rows).
+Artifacts = Dict[str, Tuple[Sequence[str], Sequence[Sequence]]]
 
 
 def fmt(value) -> str:
@@ -122,6 +115,18 @@ def load_config(config_path: Optional[str], sets: Sequence[str],
     return EditConfig.from_dict(data)
 
 
+def _parse_axes(specs: Sequence[str]) -> Dict[str, list]:
+    """The --axis items as {field: values}; a repeated field is a config error."""
+    axes = {}
+    for spec in specs:
+        key, raw = _split_assignment(spec, "axis")
+        values = parse_axis(key, raw)
+        if key in axes:
+            raise ConfigError(key, "repeated --axis; give all its values in one")
+        axes[key] = values
+    return axes
+
+
 def _make_out(out_dir: str) -> Path:
     """The output directory, created if missing; a path that cannot be one
     (an existing file, a path under a file) is a config error."""
@@ -133,109 +138,94 @@ def _make_out(out_dir: str) -> Path:
     return out
 
 
-def _setup(config_path: Optional[str], sets: Sequence[str],
-           out_dir: str) -> Tuple[EditConfig, Path, Latent]:
-    """Validated config, created output directory and seeded source latent."""
-    cfg = load_config(config_path, sets)
-    return cfg, _make_out(out_dir), generate_source_latent(cfg)
+def write_artifacts(out: Path, command: str, config_path: Optional[str],
+                    cfg: EditConfig, artifacts: Artifacts) -> None:
+    """Write each artifact as CSV in order, then the manifest listing them;
+    the manifest's timestamp is excluded from every hash."""
+    for name, (header, rows) in artifacts.items():
+        write_csv(out / name, header, rows)
+    manifest = {"command": command, "config_path": config_path, "out_dir": str(out),
+                "config_hash": config_hash(cfg),
+                "timestamp": datetime.now(timezone.utc).isoformat(),
+                "version": __version__, "outputs": sorted(artifacts)}
+    _write_artifact(out / "manifest.json",
+                    json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def write_manifest(out_dir: Path, command: str, config_path: Optional[str],
-                   cfg_hash: str, outputs: List[str]) -> None:
-    manifest = RunManifest(
-        command=command,
-        config_path=config_path,
-        out_dir=str(out_dir),
-        config_hash=cfg_hash,
-        timestamp=datetime.now(timezone.utc).isoformat(),
-        version=__version__,
-        outputs=sorted(outputs),
-    )
-    _write_artifact(out_dir / "manifest.json",
-                    json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n")
+def _result_table(summaries: Sequence[dict], extras: Sequence[str] = ()) -> tuple:
+    """Header and rows of the result columns, any axis columns, then the
+    reserved columns, empty."""
+    columns = list(RESULT_COLUMNS) + list(extras)
+    blank = ["" for _ in RESERVED_COLUMNS]
+    return (columns + list(RESERVED_COLUMNS),
+            [[summary.get(col, "") for col in columns] + blank for summary in summaries])
 
 
-def _result_row(summary: dict, extras: Sequence[str] = ()) -> list:
-    row = [summary.get(col, "") for col in RESULT_COLUMNS]
-    row.extend(summary.get(name, "") for name in extras)
-    row.extend("" for _ in RESERVED_COLUMNS)
-    return row
+def _single_result(summary: dict) -> Artifacts:
+    return {"result.csv": _result_table([summary])}
 
 
-def _result_header(extras: Sequence[str] = ()) -> list:
-    return list(RESULT_COLUMNS) + list(extras) + list(RESERVED_COLUMNS)
-
-
-def _write_mask_csv(path: Path, mask) -> None:
-    hard = set(mask.hard)
-    rows = [(i, mask.soft[i], int(i in hard)) for i in range(mask.soft.size)]
-    write_csv(path, ["token", "soft", "hard"], rows)
-
-
-def _write_channels_csv(path: Path, result, cfg: EditConfig) -> None:
-    weights = result.channel_weights.alpha
-    blend = blend_weights(cfg, result.channel_weights)
-    rows = [(c, result.channel_gaps[c], weights[c], blend[c]) for c in range(weights.size)]
-    write_csv(path, ["channel", "d_c", "alpha_c", "blend_weight"], rows)
-
-
-def cmd_edit(config_path: Optional[str], out_dir: str, sets: Sequence[str] = ()) -> int:
-    cfg, out, source = _setup(config_path, sets, out_dir)
+def cmd_edit(cfg: EditConfig, source: Latent, option: None) -> Artifacts:
     result = run_edit(source, cfg.source_conditioning(), cfg.target_conditioning(), cfg)
+    hard = set(result.mask.hard)
+    alpha = result.channel_weights.alpha
+    blend = blend_weights(cfg, result.channel_weights)
+    return {
+        **_single_result(summarize_result("000", cfg, result)),
+        "mask.csv": (["token", "soft", "hard"],
+                     [(i, soft, int(i in hard)) for i, soft in enumerate(result.mask.soft)]),
+        "channels.csv": (["channel", "d_c", "alpha_c", "blend_weight"],
+                         [(c, result.channel_gaps[c], alpha[c], blend[c])
+                          for c in range(alpha.size)]),
+        "schedule.csv": (["step", "weight", "active"],
+                         [(step, weight, active) for step, (weight, _, active)
+                          in enumerate(result.schedule_trace)]),
+    }
 
-    summary = summarize_result("000", cfg, result)
-    write_csv(out / "result.csv", _result_header(), [_result_row(summary)])
-    _write_mask_csv(out / "mask.csv", result.mask)
-    _write_channels_csv(out / "channels.csv", result, cfg)
-    write_csv(out / "schedule.csv", ["step", "weight", "active"],
-              [(step, weight, active)
-               for step, (weight, _, active) in enumerate(result.schedule_trace)])
-    write_manifest(out, "edit", config_path, config_hash(cfg),
-                   ["result.csv", "mask.csv", "channels.csv", "schedule.csv"])
-    return EXIT_OK
 
-
-def cmd_reconstruct(config_path: Optional[str], out_dir: str,
-                    sets: Sequence[str] = ()) -> int:
-    cfg, out, source = _setup(config_path, sets, out_dir)
+def cmd_reconstruct(cfg: EditConfig, source: Latent, option: None) -> Artifacts:
     recon = run_reconstruction(source, cfg.source_conditioning(), cfg)
-
     peak = float(np.ptp(source.data)) or 1.0
     summary = config_columns("000", cfg)
     summary.update(psnr=psnr(source, recon, peak=peak), ssim=ssim(source, recon, peak=peak))
-    write_csv(out / "result.csv", _result_header(), [_result_row(summary)])
-    write_manifest(out, "reconstruct", config_path, config_hash(cfg), ["result.csv"])
-    return EXIT_OK
+    return _single_result(summary)
 
 
-def cmd_sweep_schedule(config_path: Optional[str], out_dir: str,
-                       sets: Sequence[str] = ()) -> int:
-    base, out, source = _setup(config_path, sets, out_dir)
+def cmd_sweep_schedule(base: EditConfig, source: Latent, option: None) -> Artifacts:
     rows = run_ablation_grid(source, base, {"schedule": SWEEP_FAMILIES})
     curve_rows = []
     for family in SWEEP_FAMILIES:
         weights = replace(base, schedule=family).injection_schedule.weights
         curve_rows.extend((step, family, weight) for step, weight in enumerate(weights))
-    write_csv(out / "sweep.csv", _result_header(), [_result_row(row) for row in rows])
-    write_csv(out / "schedule_curves.csv", ["step", "family", "weight"], curve_rows)
-    write_manifest(out, "sweep-schedule", config_path, config_hash(base),
-                   ["sweep.csv", "schedule_curves.csv"])
-    return EXIT_OK
+    return {"sweep.csv": _result_table(rows),
+            "schedule_curves.csv": (["step", "family", "weight"], curve_rows)}
 
 
-def cmd_sweep_temperature(config_path: Optional[str], out_dir: str,
-                          taus: Sequence[float], sets: Sequence[str] = ()) -> int:
-    base, out, source = _setup(config_path, sets, out_dir)
+def cmd_sweep_temperature(base: EditConfig, source: Latent,
+                          taus: Sequence[float]) -> Artifacts:
     header = (["run_id", "tau", "alpha_var"]
               + [f"alpha_{c}" for c in range(base.channels)])
     rows = []
-    for index, (_, cfg, result) in enumerate(
-            edit_grid(source, base, {"tau": taus})):
+    for index, (_, cfg, result) in enumerate(edit_grid(source, base, {"tau": taus})):
         alpha = result.channel_weights.alpha
         rows.append([f"{index:03d}", float(cfg.tau), float(alpha.var())] + list(alpha))
-    write_csv(out / "temperature.csv", header, rows)
-    write_manifest(out, "sweep-temperature", config_path, config_hash(base),
-                   ["temperature.csv"])
+    return {"temperature.csv": (header, rows)}
+
+
+def cmd_ablate(base: EditConfig, source: Latent, axes: Dict[str, list]) -> Artifacts:
+    rows = run_ablation_grid(source, base, axes)
+    return {"ablation.csv": _result_table(rows, extra_columns(axes))}
+
+
+def run_config_command(args: argparse.Namespace, command: Callable,
+                       option_of: Callable) -> int:
+    """Run one config command: parse its option, validate the config, make
+    --out, seed the source latent, then write what the command returns."""
+    option = option_of(args)
+    cfg = load_config(args.config, args.set)
+    out = _make_out(args.out)
+    write_artifacts(out, args.command, args.config, cfg,
+                    command(cfg, generate_source_latent(cfg), option))
     return EXIT_OK
 
 
@@ -255,13 +245,13 @@ def solver_order_table() -> List[dict]:
     return table
 
 
-def cmd_solver_order(out_dir: str) -> int:
-    out = _make_out(out_dir)
+def cmd_solver_order(args: argparse.Namespace) -> int:
+    """Takes no config, so ADAEDIT_SEED is ignored; the manifest hashes EditConfig()."""
+    out = _make_out(args.out)
     table = solver_order_table()
     header = ["solver", "order"] + [f"err_{steps}" for steps in ORDER_LADDER]
     rows = [[entry["solver"], entry["order"]] + entry["errors"] for entry in table]
-    write_csv(out / "orders.csv", header, rows)
-    write_manifest(out, "solver-order", None, config_hash(EditConfig()), ["orders.csv"])
+    write_artifacts(out, args.command, None, EditConfig(), {"orders.csv": (header, rows)})
     orders = {entry["solver"]: entry["order"] for entry in table}
     euler_ok = EULER_ORDER_BAND[0] <= orders["euler"] <= EULER_ORDER_BAND[1]
     midpoint_ok = MIDPOINT_ORDER_BAND[0] <= orders["midpoint"] <= MIDPOINT_ORDER_BAND[1]
@@ -272,55 +262,37 @@ def cmd_solver_order(out_dir: str) -> int:
     return EXIT_OK
 
 
-def _parse_axis(spec: str) -> Tuple[str, list]:
-    key, raw = _split_assignment(spec, "axis")
-    return key, parse_axis(key, raw)
-
-
-def cmd_ablate(config_path: Optional[str], out_dir: str, axis_specs: Sequence[str],
-               sets: Sequence[str] = ()) -> int:
-    axes = {}
-    for spec in axis_specs:
-        key, values = _parse_axis(spec)
-        if key in axes:
-            raise ConfigError(key, "repeated --axis; give all its values in one")
-        axes[key] = values
-    base, out, source = _setup(config_path, sets, out_dir)
-    rows = run_ablation_grid(source, base, axes)
-    extras = extra_columns(axes)
-    write_csv(out / "ablation.csv", _result_header(extras),
-              [_result_row(row, extras) for row in rows])
-    write_manifest(out, "ablate", config_path, config_hash(base), ["ablation.csv"])
-    return EXIT_OK
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: parse_args keeps no
-    state on it, and the append actions copy their default list."""
+    state on it, and the append actions copy their default list. Each
+    command's parsed args carry ``run``, the function that runs it."""
     parser = argparse.ArgumentParser(
         prog="adaedit",
         description="Deterministic desk-scale editing runs, sweeps and solver checks.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True):
-        if config:
-            p.add_argument("--config", default=None, help="JSON config path")
-            p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                           help="override one config field")
+    def config_command(name, command, help_text, option_of=lambda args: None):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", default=None, help="JSON config path")
+        p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                       help="override one config field")
         p.add_argument("--out", required=True, help="output directory")
+        p.set_defaults(run=lambda args: run_config_command(args, command, option_of))
+        return p
 
-    common(sub.add_parser("edit", help="run one edit"))
-    common(sub.add_parser("reconstruct", help="invert and resample the source"))
-    common(sub.add_parser("sweep-schedule", help="compare all schedule families"))
-    p_tau = sub.add_parser("sweep-temperature", help="sweep the channel softmax temperature")
-    common(p_tau)
-    p_tau.add_argument("--taus", default="0.5,1.0,2.0",
-                       help="comma-separated temperatures")
-    common(sub.add_parser("solver-order", help="convergence orders on the analytic flow"),
-           config=False)
-    p_ab = sub.add_parser("ablate", help="Cartesian product over config axes")
-    common(p_ab)
+    config_command("edit", cmd_edit, "run one edit")
+    config_command("reconstruct", cmd_reconstruct, "invert and resample the source")
+    config_command("sweep-schedule", cmd_sweep_schedule, "compare all schedule families")
+    p_tau = config_command("sweep-temperature", cmd_sweep_temperature,
+                           "sweep the channel softmax temperature",
+                           lambda args: parse_axis("tau", args.taus))
+    p_tau.add_argument("--taus", default="0.5,1.0,2.0", help="comma-separated temperatures")
+    p_order = sub.add_parser("solver-order", help="convergence orders on the analytic flow")
+    p_order.add_argument("--out", required=True, help="output directory")
+    p_order.set_defaults(run=cmd_solver_order)
+    p_ab = config_command("ablate", cmd_ablate, "Cartesian product over config axes",
+                          lambda args: _parse_axes(args.axis))
     p_ab.add_argument("--axis", action="append", default=[], metavar="KEY=V1,V2",
                       help="axis values, repeatable; token-id lists use ';' "
                            "between values, as in KEY=1,2,3,4;1,2,9,4")
@@ -330,20 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "edit":
-            return cmd_edit(args.config, args.out, args.set)
-        if args.command == "reconstruct":
-            return cmd_reconstruct(args.config, args.out, args.set)
-        if args.command == "sweep-schedule":
-            return cmd_sweep_schedule(args.config, args.out, args.set)
-        if args.command == "sweep-temperature":
-            return cmd_sweep_temperature(args.config, args.out,
-                                         parse_axis("tau", args.taus), args.set)
-        if args.command == "solver-order":
-            return cmd_solver_order(args.out)
-        if args.command == "ablate":
-            return cmd_ablate(args.config, args.out, args.axis, args.set)
-        raise AssertionError(f"unhandled command {args.command}")
+        return args.run(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

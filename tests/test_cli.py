@@ -404,6 +404,24 @@ def test_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys, command, block
         assert blocker.read_text() == "keep"
 
 
+MANIFEST_KEYS = {"command", "config_path", "out_dir", "config_hash", "timestamp",
+                 "version", "outputs"}
+
+
+@pytest.mark.parametrize("command", (["edit"], ["reconstruct"], ["sweep-schedule"],
+                                     ["sweep-temperature", "--taus", "0.5,2"],
+                                     ["solver-order"], ["ablate", "--axis", "tau=1.0"]),
+                         ids=lambda command: command[0])
+def test_manifest_lists_exactly_the_files_written(tmp_path, command):
+    out = tmp_path / "run"
+    assert main(command + ["--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest) == MANIFEST_KEYS
+    assert manifest["command"] == command[0]
+    written = sorted(path.name for path in out.iterdir() if path.name != "manifest.json")
+    assert manifest["outputs"] == written
+
+
 def test_module_entrypoint_subprocess(tmp_path):
     import subprocess
     import sys

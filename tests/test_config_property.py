@@ -1,6 +1,8 @@
 """Property: every JSON config and every --set override, typed correctly or
 not, makes ``adaedit edit`` exit 0 or 2, and so does every set of --axis
-items for ``adaedit ablate``; nothing raises.
+items for ``adaedit ablate``, every JSON config for ``reconstruct`` and
+``sweep-schedule``, and every config with any --taus text for
+``sweep-temperature``; nothing raises.
 
 Strategies are built from the same field specs that validate configs, with
 model sizes and step counts capped small so each run stays fast.
@@ -12,7 +14,8 @@ import json
 import tempfile
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+import pytest
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from adaedit.cli import main
@@ -94,6 +97,10 @@ def axis_item(name: str):
 
 
 AXIS_ITEMS = st.lists(FIELD_NAMES.flatmap(axis_item), min_size=1, max_size=2)
+TAUS_TEXT = st.one_of(
+    st.lists(any_value("tau"), min_size=1, max_size=3).map(
+        lambda values: ",".join(as_text(v) for v in values)),
+    st.text(max_size=8))
 
 
 def run_cli(command: str, config: dict, options: list) -> int:
@@ -106,10 +113,12 @@ def run_cli(command: str, config: dict, options: list) -> int:
         return main(argv + options)
 
 
-# the --set=ITEM and --axis=ITEM forms keep argparse from reading '-x' as an option
+# the --set=ITEM, --axis=ITEM and --taus=TEXT forms keep argparse from reading
+# '-x' as an option
 
 @SETTINGS
 @given(config=CONFIGS)
+@example(config={"layer_ratio_beta": 2**1024})  # an int past float range, float field
 def test_any_json_config_exits_0_or_2(config):
     assert run_cli("edit", config, []) in (0, 2)
 
@@ -124,3 +133,16 @@ def test_any_set_override_exits_0_or_2(sets):
 @given(axes=AXIS_ITEMS)
 def test_any_ablation_axis_exits_0_or_2(axes):
     assert run_cli("ablate", {}, [f"--axis={item}" for item in axes]) in (0, 2)
+
+
+@pytest.mark.parametrize("command", ("reconstruct", "sweep-schedule"))
+@settings(SETTINGS, max_examples=30)
+@given(config=CONFIGS)
+def test_any_json_config_exits_0_or_2_in_every_config_command(command, config):
+    assert run_cli(command, config, []) in (0, 2)
+
+
+@settings(SETTINGS, max_examples=30)
+@given(config=CONFIGS, taus=TAUS_TEXT)
+def test_any_temperature_sweep_exits_0_or_2(config, taus):
+    assert run_cli("sweep-temperature", config, [f"--taus={taus}"]) in (0, 2)
