@@ -10,6 +10,7 @@ with the current ones) during sampling. No parameter is ever trained.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -204,9 +205,10 @@ class LayerMix:
     def blend_into(self, src: np.ndarray, cur: np.ndarray, tmp: np.ndarray) -> None:
         """Blend the cached (B, n, d) ``src`` into the stacked (rows * B, n, d)
         ``cur`` in place, with ``tmp`` (cur's shape) for the source term."""
-        b = src.shape[0]
+        shape = (-1, *src.shape)
+        parts, terms = cur.reshape(shape), tmp.reshape(shape)
         for lo, hi, whole in self.runs:
-            part, term = (a[lo * b:hi * b].reshape(hi - lo, *src.shape) for a in (cur, tmp))
+            part, term = parts[lo:hi], terms[lo:hi]
             if whole:
                 part[...] = src
                 continue
@@ -292,18 +294,33 @@ def kv_mix(k_src: np.ndarray, v_src: np.ndarray, k_tgt: np.ndarray, v_tgt: np.nd
     return k_tgt, v_tgt
 
 
-# Entries a ToyAttentionFlow keeps per memo, the oldest dropped first. An edit
-# evaluates two prompts, and an integration over the largest grid (1000
-# steps) 2001 distinct times; a prompt's rows can reach 2 MB, a time's
-# features are 16 floats.
+# Entries a memo keeps, the oldest (prompts) or least recently used (times)
+# dropped first. An edit evaluates two prompts, and an integration over the
+# largest grid (1000 steps) 2001 distinct times; a prompt's rows can reach
+# 2 MB, a time's features are 16 floats. Each ToyAttentionFlow keeps its own
+# prompt memo, since the rows come from its token table; the time features
+# depend on t alone, so every model in the process shares one memo of them.
 PROMPT_MEMO_LIMIT = 16
 TIME_MEMO_LIMIT = 4096
+
+# sinusoid frequencies 2^0 .. 2^(TIME_FREQS - 1) in the time embedding
+TIME_FREQS = 8
 
 
 def _memo_put(memo: dict, limit: int, key, value) -> None:
     if len(memo) >= limit:
         memo.pop(next(iter(memo)))
     memo[key] = value
+
+
+@functools.lru_cache(maxsize=TIME_MEMO_LIMIT)
+def _time_features(t: float) -> np.ndarray:
+    """Sinusoidal features of t, (2 * TIME_FREQS,), read-only and made once
+    per t for every model."""
+    angles = math.pi * t * 2.0 ** np.arange(TIME_FREQS)
+    feats = np.concatenate([np.sin(angles), np.cos(angles)])
+    feats.flags.writeable = False
+    return feats
 
 
 # One core's L2 cache on the reference host. evaluate() runs a head's
@@ -327,21 +344,22 @@ class ToyAttentionFlow:
     every row's velocity is bitwise the one it gets alone. Each layer's
     attention runs one head at a time over slices of batch entries whose
     score block fits SCORE_BLOCK_BYTES, so the live scores are at most one
-    such block rather than (B, heads, n, n).
+    such block rather than (B, heads, n, n). The views each (head, block)
+    unit works on are made once per batch size (_Scratch.views), so an
+    evaluation slices no array per head.
 
     Parameters are immutable after construction and evaluate() is pure except
     for cache/sink writes in record mode and its memos of checked prompt
-    embeddings and time features (bounded, read-only, keyed by their inputs);
-    a cache belongs to exactly one pipeline run, and concurrent runs use
-    separate caches. The model also owns the scratch arrays evaluate() writes
-    (one set, sized for the largest batch so far), so one model serves one
-    evaluate() at a time and concurrent runs use separate models. The returned
-    velocity and the recorded K/V and attention entries are copies that never
-    alias them.
+    embeddings and time features (bounded, read-only, keyed by their inputs;
+    the time features' memo is shared by every model); a cache belongs to
+    exactly one pipeline run, and concurrent runs use separate caches. The
+    model also owns the scratch arrays evaluate() writes (one set, sized for
+    the largest batch so far), so one model serves one evaluate() at a time
+    and concurrent runs use separate models. The returned velocity and the
+    recorded K/V and attention entries are copies that never alias them.
     """
 
-    # sinusoid frequencies 2^0 .. 2^(time_freqs - 1) in the time embedding
-    time_freqs = 8
+    time_freqs = TIME_FREQS
 
     def __init__(self, seed: int = 0, layer_count: int = 2, embed_dim: int = 32,
                  img_tokens: int = 16, text_tokens: int = 4, channels: int = 8,
@@ -374,8 +392,8 @@ class ToyAttentionFlow:
                 for name in ("wq", "wk", "wv", "wo")
             })
         self.w_out = rng.standard_normal((d, channels)) / math.sqrt(d)
+        self._scale = 1.0 / math.sqrt(d // heads)
         self._prompt_memo: Dict[Tuple[int, ...], np.ndarray] = {}
-        self._time_memo: Dict[float, np.ndarray] = {}
         self._scratch: Optional[_Scratch] = None
 
     def _prompt_rows(self, ids: Tuple[int, ...]) -> np.ndarray:
@@ -392,16 +410,6 @@ class ToyAttentionFlow:
             rows.flags.writeable = False
             _memo_put(self._prompt_memo, PROMPT_MEMO_LIMIT, ids, rows)
         return rows
-
-    def _time_features(self, t: float) -> np.ndarray:
-        """Sinusoidal features of t, (2 * time_freqs,), made once per t."""
-        feats = self._time_memo.get(t)
-        if feats is None:
-            angles = math.pi * t * 2.0 ** np.arange(self.time_freqs)
-            feats = np.concatenate([np.sin(angles), np.cos(angles)])
-            feats.flags.writeable = False
-            _memo_put(self._time_memo, TIME_MEMO_LIMIT, t, feats)
-        return feats
 
     def _scratch_for(self, b: int) -> tuple:
         """The evaluate arrays' views for b batch entries (_Scratch.views),
@@ -432,14 +440,15 @@ class ToyAttentionFlow:
 
         # one (B, n, d + 2F) input: text rows, then image rows, then the time
         # features of every token
-        x, h, q, k, v, attn_out, proj, attn_txt, blocks = self._scratch_for(b)
+        x, x_txt, x_img, x_time, h, h_img, q, k, v, attn_out, proj, attn_txt, units = \
+            self._scratch_for(b)
         if len(prompts) == 1:
-            x[:, :n_txt, :d] = self._prompt_rows(prompts[0])
+            x_txt[...] = self._prompt_rows(prompts[0])
         else:
             for entries, ids in zip(x.reshape(len(prompts), -1, *x.shape[1:]), prompts):
                 entries[:, :n_txt, :d] = self._prompt_rows(ids)
-        np.matmul(z.data, self.w_in, out=x[:, n_txt:, :d])
-        x[:, :, d:] = self._time_features(t)
+        np.matmul(z.data, self.w_in, out=x_img)
+        x_time[...] = _time_features(t)
         np.matmul(x, self.w_time, out=h)
 
         record = hooks is not None and hooks.mode == "record"
@@ -447,9 +456,7 @@ class ToyAttentionFlow:
         mixes = None
         if hooks is not None and not record:
             mixes = hooks.layer_mixes(self.layer_count, x.shape[1])
-        dh = d // self.heads
-        head_cols = [slice(i * dh, (i + 1) * dh) for i in range(self.heads)]
-        scale = 1.0 / math.sqrt(dh)
+        scale = self._scale
         for layer_idx, layer in enumerate(self.layers):
             np.matmul(h, layer["wq"], out=q)
             np.matmul(h, layer["wk"], out=k)
@@ -466,40 +473,39 @@ class ToyAttentionFlow:
             # row reductions work per row, so every entry gets the same bits
             # (the ufunc reductions are max and sum without the wrappers'
             # per-call cost)
-            for hi, cols in enumerate(head_cols):
-                for sl, scores, row in blocks:
-                    kh = k[sl, :, cols]
-                    np.matmul(q[sl, :, cols], kh.T if kh.ndim == 2 else kh.swapaxes(1, 2),
-                              out=scores)
-                    scores *= scale
-                    np.maximum.reduce(scores, axis=-1, keepdims=True, out=row)
-                    scores -= row
-                    np.exp(scores, out=scores)
-                    np.add.reduce(scores, axis=-1, keepdims=True, out=row)
-                    scores /= row
-                    if sink is not None:
-                        attn_txt[sl, hi] = scores[..., :n_txt, n_txt:]
-                    np.matmul(scores, v[sl, :, cols], out=attn_out[sl, :, cols])
+            for qh, kt, vh, out_cols, scores, row, txt, txt_out in units:
+                np.matmul(qh, kt, out=scores)
+                scores *= scale
+                np.maximum.reduce(scores, axis=-1, keepdims=True, out=row)
+                scores -= row
+                np.exp(scores, out=scores)
+                np.add.reduce(scores, axis=-1, keepdims=True, out=row)
+                scores /= row
+                if sink is not None:
+                    txt_out[...] = txt
+                np.matmul(scores, vh, out=out_cols)
             if sink is not None:
                 sink.put(hooks.step, layer_idx, attn_txt)
             h += np.matmul(attn_out, layer["wo"], out=proj)
 
-        out = h[:, n_txt:, :] @ self.w_out
-        if not np.isfinite(out).all():
+        out = h_img @ self.w_out
+        if not np.logical_and.reduce(np.isfinite(out), axis=None):
             raise ValueError("latent entries must be finite")
         return Latent._adopt(out)
 
 
 class _Scratch:
     """The arrays ToyAttentionFlow.evaluate writes for up to b batch
-    entries, reused by every later evaluation of at most b. The score block
-    holds as many entries' (n, n) scores as fit SCORE_BLOCK_BYTES, at least
-    one and at most b."""
+    entries, reused by every later evaluation of at most b, and their views
+    per batch size, made once each. The score block holds as many entries'
+    (n, n) scores as fit SCORE_BLOCK_BYTES, at least one and at most b."""
 
     def __init__(self, b: int, n_txt: int, n_img: int, d: int, time_dim: int,
                  heads: int):
         n = n_txt + n_img
         self.b = b
+        self.n_txt = n_txt
+        self.head_dim = d // heads
         self.x = np.empty((b, n, d + time_dim))
         self.h = np.empty((b, n, d))
         self.q = np.empty((b, n, d))
@@ -514,21 +520,34 @@ class _Scratch:
         self._views: Dict[int, tuple] = {}
 
     def views(self, b: int) -> tuple:
-        """The first b entries of x, h, q, k, v, the attention output, the
-        projection and the text-to-image block, and the attention's blocks:
-        (entries, scores, row) with the block's share of the score and row
-        arrays, an entry index and 2-d arrays for a block of one."""
+        """For the first b entries: x and its text, image and time parts, h
+        and its image rows, q, k, v, the attention output, the projection,
+        the text-to-image block, and the attention's units, one per head and
+        score block in that order. A unit holds the block's q, k^T and v
+        columns of its head, the attention output's columns, the block's
+        share of the score and row arrays, the scores' text-to-image part and
+        its place in the text-to-image block: 2-d arrays of one entry for a
+        block of one."""
         got = self._views.get(b)
         if got is None:
-            size = self.scores.shape[0]
-            blocks = []
-            for lo in range(0, b, size):
-                m = min(size, b - lo)
-                blocks.append((lo, self.scores[0], self.row[0]) if m == 1 else
-                              (slice(lo, lo + m), self.scores[:m], self.row[:m]))
-            got = self._views[b] = tuple(
-                a[:b] for a in (self.x, self.h, self.q, self.k, self.v, self.attn_out,
-                                self.proj, self.attn_txt)) + (blocks,)
+            n_txt, dh, size = self.n_txt, self.head_dim, self.scores.shape[0]
+            x, h, q, k, v, attn_out = (a[:b] for a in (self.x, self.h, self.q, self.k,
+                                                        self.v, self.attn_out))
+            d = h.shape[-1]
+            units = []
+            for head in range(self.attn_txt.shape[1]):
+                cols = slice(head * dh, (head + 1) * dh)
+                for lo in range(0, b, size):
+                    m = min(size, b - lo)
+                    at = lo if m == 1 else slice(lo, lo + m)
+                    scores, row = ((self.scores[0], self.row[0]) if m == 1 else
+                                   (self.scores[:m], self.row[:m]))
+                    units.append((q[at, :, cols], np.swapaxes(k[at, :, cols], -1, -2),
+                                  v[at, :, cols], attn_out[at, :, cols], scores, row,
+                                  scores[..., :n_txt, n_txt:], self.attn_txt[at, head]))
+            got = self._views[b] = (
+                x, x[:, :n_txt, :d], x[:, n_txt:, :d], x[:, :, d:], h, h[:, n_txt:],
+                q, k, v, attn_out, self.proj[:b], self.attn_txt[:b], units)
         return got
 
 

@@ -87,7 +87,9 @@ def _integrate(field, z_start: Latent, grid: TimeGrid, kind: str, cond,
                hooks_fn: HooksFn, forward: bool, phase: str) -> Trajectory:
     if kind not in SOLVER_KINDS:
         raise ValueError(f"solver kind must be one of {SOLVER_KINDS}, got '{kind}'")
-    times = grid.times
+    # Python floats, the same doubles as the grid's: the step arithmetic below
+    # then makes no numpy scalar
+    times = grid.times.tolist()
     t_count = grid.steps
     order = range(t_count) if forward else range(t_count - 1, -1, -1)
     sign = 1.0 if forward else -1.0
@@ -97,7 +99,7 @@ def _integrate(field, z_start: Latent, grid: TimeGrid, kind: str, cond,
     def ev(state: Latent, t: float, hooks) -> np.ndarray:
         nonlocal evals
         evals += 1
-        return field.evaluate(state, float(t), cond, hooks).data
+        return field.evaluate(state, t, cond, hooks).data
 
     # every later state is guarded when it is made, and the guard is its only
     # check: a fresh, guarded array becomes a Latent without a copy

@@ -2,7 +2,8 @@
 not, makes ``adaedit edit`` exit 0 or 2, and so does every set of --axis
 items for ``adaedit ablate``, every JSON config for ``reconstruct`` and
 ``sweep-schedule``, and every config with any --taus text for
-``sweep-temperature``; nothing raises.
+``sweep-temperature``; nothing raises. Every valid config makes ``edit`` and
+``reconstruct`` exit 0.
 
 Strategies are built from the same field specs that validate configs, with
 model sizes and step counts capped small so each run stays fast.
@@ -11,6 +12,7 @@ model sizes and step counts capped small so each run stays fast.
 from __future__ import annotations
 
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -103,6 +105,38 @@ TAUS_TEXT = st.one_of(
     st.text(max_size=8))
 
 
+# fields valid_configs leaves at their defaults: the prompts, and the
+# schedule shape, whose defaults give every family an active first step
+DEFAULT_FIELDS = ("source_prompt_ids", "target_prompt_ids", "sharpness",
+                  "sigmoid_midpoint", "activity_threshold")
+
+
+@st.composite
+def valid_configs(draw):
+    """A config that passes every field spec and cross-field rule: heads
+    divides embed_dim, img_tokens is a square, injection_steps is at most
+    total_steps, the vocabulary holds the default prompts' ids (up to
+    text_tokens + 5) and the keyword indices lie below text_tokens."""
+    heads = draw(st.integers(1, SMALL["heads"]))
+    text_tokens = draw(st.integers(1, SMALL["text_tokens"]))
+    total_steps = draw(st.integers(1, SMALL["total_steps"]))
+    keyword = st.none() | st.integers(0, text_tokens - 1)
+    config = {
+        "heads": heads,
+        "embed_dim": heads * draw(st.integers(1, SMALL["embed_dim"] // heads)),
+        "img_tokens": draw(st.integers(1, math.isqrt(SMALL["img_tokens"]))) ** 2,
+        "text_tokens": text_tokens,
+        "vocab_size": draw(st.integers(text_tokens + 6, SMALL["vocab_size"])),
+        "total_steps": total_steps,
+        "injection_steps": draw(st.integers(1, total_steps)),
+        "source_keyword_index": draw(keyword),
+        "target_keyword_index": draw(keyword),
+    }
+    for name in sorted(set(FIELD_SPECS) - set(config) - set(DEFAULT_FIELDS)):
+        config[name] = draw(valid_value(name, FIELD_SPECS[name]))
+    return config
+
+
 def run_cli(command: str, config: dict, options: list) -> int:
     with tempfile.TemporaryDirectory() as scratch:
         argv = [command, "--out", str(Path(scratch) / "out")]
@@ -146,3 +180,10 @@ def test_any_json_config_exits_0_or_2_in_every_config_command(command, config):
 @given(config=CONFIGS, taus=TAUS_TEXT)
 def test_any_temperature_sweep_exits_0_or_2(config, taus):
     assert run_cli("sweep-temperature", config, [f"--taus={taus}"]) in (0, 2)
+
+
+@pytest.mark.parametrize("command", ("edit", "reconstruct"))
+@settings(SETTINGS, max_examples=25)
+@given(config=valid_configs())
+def test_every_valid_config_exits_0(command, config):
+    assert run_cli(command, config, []) == 0

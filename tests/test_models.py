@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import math
 import tracemalloc
 
@@ -334,10 +335,12 @@ def test_output_is_read_only():
 
 
 def test_memoized_inputs_equal_fresh_ones_bitwise(monkeypatch):
-    # a memo of two entries has to evict; -0.0 finds the entry of 0.0, whose
-    # +0.0 sines change no sum that also holds the cosines' nonzero terms
+    # memos of two entries have to evict; -0.0 finds the entry of 0.0, whose
+    # +0.0 sines change no sum that also holds the cosines' nonzero terms.
+    # The reference makes its prompt rows and time features afresh.
     monkeypatch.setattr(models, "PROMPT_MEMO_LIMIT", 2)
-    monkeypatch.setattr(models, "TIME_MEMO_LIMIT", 2)
+    time_memo = functools.lru_cache(maxsize=2)(models._time_features.__wrapped__)
+    monkeypatch.setattr(models, "_time_features", time_memo)
     flow = default_flow()
     z = default_latent()
     c1, c2 = Conditioning((5, 6, 7, 8), 1), Conditioning((9, 9, 9, 9), 1)
@@ -345,7 +348,35 @@ def test_memoized_inputs_equal_fresh_ones_bitwise(monkeypatch):
                     (0.0, c2), (-0.0, COND)):
         got = flow.evaluate(z, t, cond)
         assert np.array_equal(got.data, default_flow().evaluate(z, t, cond).data)
-        assert len(flow._time_memo) <= 2 and len(flow._prompt_memo) <= 2
+        assert np.array_equal(got.data, stacked_evaluate(default_flow(), z, t, cond))
+        assert time_memo.cache_info().currsize <= 2 and len(flow._prompt_memo) <= 2
+    assert time_memo.cache_info().misses > 3  # more than the distinct times: it evicted
+
+
+def test_models_share_one_bounded_time_feature_memo(monkeypatch):
+    memo, seen = models._time_features, []
+
+    def spy(t):
+        seen.append(memo(t))
+        return seen[-1]
+
+    monkeypatch.setattr(models, "_time_features", spy)
+    z = default_latent()
+    default_flow(seed=1).evaluate(z, 0.37, COND)
+    default_flow(seed=2).evaluate(z, 0.37, COND)
+    assert seen[0] is seen[1] and not seen[0].flags.writeable
+    assert memo.cache_info().maxsize == models.TIME_MEMO_LIMIT
+
+    # fill the memo past its limit: it evicts 0.37 and stays bounded, and
+    # the evaluation that makes 0.37's features again is bitwise unchanged
+    flow = default_flow(seed=1)
+    first = flow.evaluate(z, 0.37, COND).data
+    for i in range(models.TIME_MEMO_LIMIT + 3):
+        memo(1.0 + i / 8192)
+        assert memo.cache_info().currsize <= models.TIME_MEMO_LIMIT
+    misses = memo.cache_info().misses
+    assert np.array_equal(flow.evaluate(z, 0.37, COND).data, first)
+    assert memo.cache_info().misses == misses + 1
 
 
 def test_lipschitz_smoke():
@@ -511,6 +542,47 @@ def test_a_stacked_evaluation_equals_each_row_alone_bitwise(dims, rows, batch):
                 background_mask=masks[r], global_mix=flags[r])
             want = default_flow(seed=2, **dims).evaluate(latents[r], 0.4, prompts[r], alone)
             assert np.array_equal(got[r * batch:(r + 1) * batch], want.data)
+
+
+@pytest.mark.parametrize("mode", ("record", "inject"))
+def test_the_cached_views_follow_the_scratch_as_it_regrows(monkeypatch, mode):
+    # two entries per score block: a stack of 5 runs blocks of 2, 2 and 1
+    n = 4 + 16
+    monkeypatch.setattr(models, "SCORE_BLOCK_BYTES", 2 * n * n * 8)
+    flow = ToyAttentionFlow(seed=4, heads=2)
+    for rows in (1, 5, 2):
+        # a model of the same seed records the source K/V, so that only the
+        # stacks below pass through flow's scratch
+        cache, latents, prompts, ratios, masks, flags = stack_cases(
+            ToyAttentionFlow(seed=4, heads=2), rows, 1, rows)
+        z = Latent(np.concatenate([lat.data for lat in latents]))
+        if mode == "record":
+            hooks = InjectionHooks("record", cache=KVCache(), step=3,
+                                   attn_sink=AttentionRecord())
+        else:
+            stacked = np.array(ratios).T[None]  # (1, layers, rows)
+            hooks = InjectionHooks("inject", cache=cache, step=0,
+                                   mixes=mix_rows(stacked, masks, flags, n)[0])
+        got = flow.evaluate(z, 0.6, prompts, hooks).data
+        for r in range(rows):
+            if mode == "record":
+                alone = InjectionHooks("record", cache=KVCache(), step=3,
+                                       attn_sink=AttentionRecord())
+            else:
+                alone = InjectionHooks("inject", cache=cache, step=0, mix_ratios=ratios[r],
+                                       background_mask=masks[r], global_mix=flags[r])
+            want = stacked_evaluate(flow, latents[r], 0.6, prompts[r], alone)
+            assert np.array_equal(got[r:r + 1], want)
+            if mode == "record":
+                row_cache, row_sink = KVCache(), AttentionRecord()
+                blocks = hooks.attn_sink.stacked(4)  # (layers, rows, heads, ...)
+                for layer in range(flow.layer_count):
+                    k, v = hooks.cache.get(3, layer)
+                    row_cache.put(3, layer, k[r:r + 1], v[r:r + 1])
+                    row_sink.put(3, layer, blocks[layer, r:r + 1])
+                assert_same_records(row_cache, row_sink, alone.cache, alone.attn_sink, 3,
+                                    flow.layer_count)
+    assert flow._scratch.b == 5 and flow._scratch.scores.shape[0] == 2
 
 
 def test_a_stack_must_split_evenly_into_rows():
