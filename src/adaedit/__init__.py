@@ -10,8 +10,9 @@ from .perturbation import (ChannelWeights, PerturbationConfig, channel_gap,
                            channel_weights, latents_shift_channel_selective,
                            latents_shift_uniform)
 from .pipeline import (EditConfig, EditResult, Inversion, build_model,
-                       build_schedule, config_hash, generate_source_latent,
-                       invert, run_ablation_grid, run_edit, run_reconstruction)
+                       build_schedule, config_hash, edit_grid,
+                       generate_source_latent, invert, run_edit,
+                       run_reconstruction)
 from .schedules import (InjectionSchedule, LayerRatioProfile, effective_ratio,
                         is_active, layer_multiplier, max_step_delta,
                         schedule_weight)
@@ -26,11 +27,11 @@ __all__ = [
     "EditResult", "EPS_STD", "InjectionHooks", "InjectionSchedule", "Inversion", "KVCache",
     "Latent", "LayerRatioProfile", "PerturbationConfig", "SeededRng", "TimeGrid",
     "ToyAttentionFlow", "Trajectory", "build_model", "build_schedule",
-    "channel_gap", "channel_weights", "config_hash", "effective_ratio",
-    "extract_mask", "generate_source_latent",
+    "channel_gap", "channel_weights", "config_hash", "edit_grid",
+    "effective_ratio", "extract_mask", "generate_source_latent",
     "integrate_backward", "integrate_forward", "invert", "is_active", "kv_mix",
     "latents_shift_channel_selective", "latents_shift_uniform",
-    "layer_multiplier", "max_step_delta", "psnr", "run_ablation_grid",
-    "run_edit", "run_reconstruction", "sample_gaussian", "schedule_weight",
+    "layer_multiplier", "max_step_delta", "psnr", "run_edit",
+    "run_reconstruction", "sample_gaussian", "schedule_weight",
     "ssim", "velocity_jump", "velocity_jump_between",
 ]

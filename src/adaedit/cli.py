@@ -3,6 +3,8 @@ sweeps, solver-order studies, and ablation grids.
 
 A config command maps the validated config, the seeded source latent and its
 one parsed option to its artifacts; one driver writes them and the manifest.
+The result tables' columns are laid out here alone; the pipeline returns
+results.
 
 All commands are deterministic byte-for-byte given the config (the manifest
 timestamp is the one exception). Exit codes: 0 success, 2 config error,
@@ -35,11 +37,9 @@ from .errors import ConfigError, DivergenceError
 from .models import AnalyticLinearFlow
 from .latent import Latent
 from .perturbation import blend_weights
-from .pipeline import (RESULT_COLUMNS, EditConfig,
-                       config_columns, config_hash, edit_grid, extra_columns,
+from .pipeline import (EditConfig, EditResult, config_hash, edit_grid,
                        generate_source_latent, parse_axis, parse_field,
-                       run_ablation_grid, run_edit, run_reconstruction,
-                       summarize_result)
+                       run_edit, run_reconstruction)
 from .solvers import SOLVER_KINDS, TimeGrid, integrate_forward
 
 EXIT_OK = 0
@@ -54,7 +54,13 @@ ORDER_LADDER = (10, 20, 40)
 EULER_ORDER_BAND = (0.7, 1.3)
 MIDPOINT_ORDER_BAND = (1.7, 2.3)
 
-# result tables trail the reserved perceptual-metric columns, emitted empty
+# A result table's columns: the run id, the config fields it echoes (column
+# -> field), the measurements (empty where a command makes none), any axis
+# that no column echoes, then the reserved perceptual-metric columns, empty.
+CONFIG_COLUMNS = {"schedule": "schedule", "T": "total_steps", "T_inj": "injection_steps",
+                  "delta_base": "delta_base", "alpha": "alpha", "tau": "tau",
+                  "solver": "solver"}
+MEASUREMENT_COLUMNS = ("psnr", "ssim", "max_step_delta", "velocity_jump", "evals")
 RESERVED_COLUMNS = ("lpips", "clip")
 
 # A command's artifacts in write order: file name -> (header, rows).
@@ -94,12 +100,25 @@ def _split_assignment(item: str, option: str) -> Tuple[str, str]:
     return key, raw
 
 
+def _object_without_repeats(pairs: List[Tuple[str, object]]) -> dict:
+    """A JSON object as a dict; a key given twice is a config error."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ConfigError(key, "repeated key in the config file")
+        data[key] = value
+    return data
+
+
 def load_config(config_path: Optional[str], sets: Sequence[str],
                 env=os.environ) -> EditConfig:
     data = {}
     if config_path is not None:
         try:
-            data = json.loads(Path(config_path).read_text())
+            data = json.loads(Path(config_path).read_text(),
+                              object_pairs_hook=_object_without_repeats)
+        except ConfigError:  # a repeated key, named as itself
+            raise
         except OSError as exc:
             raise ConfigError("config", f"cannot read '{config_path}': {exc}")
         except ValueError as exc:  # bad JSON, bad UTF-8, an int past 4300 digits
@@ -152,17 +171,29 @@ def write_artifacts(out: Path, command: str, config_path: Optional[str],
                     json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _result_table(summaries: Sequence[dict], extras: Sequence[str] = ()) -> tuple:
-    """Header and rows of the result columns, any axis columns, then the
-    reserved columns, empty."""
-    columns = list(RESULT_COLUMNS) + list(extras)
+def _result_table(runs: Sequence[Tuple[str, EditConfig, dict, dict]],
+                  extras: Sequence[str] = ()) -> tuple:
+    """Header and rows of one result table, a row per (run id, config,
+    measurements, axis values); ``extras`` names the axis columns."""
+    header = ["run_id", *CONFIG_COLUMNS, *MEASUREMENT_COLUMNS, *extras, *RESERVED_COLUMNS]
     blank = ["" for _ in RESERVED_COLUMNS]
-    return (columns + list(RESERVED_COLUMNS),
-            [[summary.get(col, "") for col in columns] + blank for summary in summaries])
+    return header, [[run_id, *(getattr(cfg, name) for name in CONFIG_COLUMNS.values()),
+                     *(measured.get(col, "") for col in MEASUREMENT_COLUMNS),
+                     *(axis_values[name] for name in extras), *blank]
+                    for run_id, cfg, measured, axis_values in runs]
 
 
-def _single_result(summary: dict) -> Artifacts:
-    return {"result.csv": _result_table([summary])}
+def _measurements(result: EditResult) -> dict:
+    return {col: result.diagnostics[col] for col in MEASUREMENT_COLUMNS}
+
+
+def run_ablation_grid(source: Latent, base: EditConfig, axes: Dict[str, Sequence]) -> tuple:
+    """The result table of edit_grid's rows; each axis that no result column
+    echoes gets a column of its own."""
+    grid = edit_grid(source, base, axes)
+    extras = [name for name in axes if name not in CONFIG_COLUMNS.values()]
+    return _result_table([(f"{index:03d}", cfg, _measurements(result), overrides)
+                          for index, (overrides, cfg, result) in enumerate(grid)], extras)
 
 
 def cmd_edit(cfg: EditConfig, source: Latent, option: None) -> Artifacts:
@@ -171,7 +202,7 @@ def cmd_edit(cfg: EditConfig, source: Latent, option: None) -> Artifacts:
     alpha = result.channel_weights.alpha
     blend = blend_weights(cfg, result.channel_weights)
     return {
-        **_single_result(summarize_result("000", cfg, result)),
+        "result.csv": _result_table([("000", cfg, _measurements(result), {})]),
         "mask.csv": (["token", "soft", "hard"],
                      [(i, soft, int(i in hard)) for i, soft in enumerate(result.mask.soft)]),
         "channels.csv": (["channel", "d_c", "alpha_c", "blend_weight"],
@@ -186,18 +217,17 @@ def cmd_edit(cfg: EditConfig, source: Latent, option: None) -> Artifacts:
 def cmd_reconstruct(cfg: EditConfig, source: Latent, option: None) -> Artifacts:
     recon = run_reconstruction(source, cfg.source_conditioning(), cfg)
     peak = float(np.ptp(source.data)) or 1.0
-    summary = config_columns("000", cfg)
-    summary.update(psnr=psnr(source, recon, peak=peak), ssim=ssim(source, recon, peak=peak))
-    return _single_result(summary)
+    measured = {"psnr": psnr(source, recon, peak=peak), "ssim": ssim(source, recon, peak=peak)}
+    return {"result.csv": _result_table([("000", cfg, measured, {})])}
 
 
 def cmd_sweep_schedule(base: EditConfig, source: Latent, option: None) -> Artifacts:
-    rows = run_ablation_grid(source, base, {"schedule": SWEEP_FAMILIES})
+    table = run_ablation_grid(source, base, {"schedule": SWEEP_FAMILIES})
     curve_rows = []
     for family in SWEEP_FAMILIES:
         weights = replace(base, schedule=family).injection_schedule.weights
         curve_rows.extend((step, family, weight) for step, weight in enumerate(weights))
-    return {"sweep.csv": _result_table(rows),
+    return {"sweep.csv": table,
             "schedule_curves.csv": (["step", "family", "weight"], curve_rows)}
 
 
@@ -213,8 +243,7 @@ def cmd_sweep_temperature(base: EditConfig, source: Latent,
 
 
 def cmd_ablate(base: EditConfig, source: Latent, axes: Dict[str, list]) -> Artifacts:
-    rows = run_ablation_grid(source, base, axes)
-    return {"ablation.csv": _result_table(rows, extra_columns(axes))}
+    return {"ablation.csv": run_ablation_grid(source, base, axes)}
 
 
 def run_config_command(args: argparse.Namespace, command: Callable,

@@ -17,7 +17,7 @@ import operator
 import sys
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,11 +37,6 @@ from .solvers import (SOLVER_KINDS, TimeGrid, integrate_backward,
                       integrate_forward)
 
 logger = logging.getLogger("adaedit.pipeline")
-
-RESULT_COLUMNS = (
-    "run_id", "schedule", "T", "T_inj", "delta_base", "alpha", "tau", "solver",
-    "psnr", "ssim", "max_step_delta", "velocity_jump", "evals",
-)
 
 MASK_KEYWORD_SOURCES = ("source", "target")
 
@@ -99,8 +94,7 @@ class Spec:
     kind is int, float, bool, str (one of choices) or tuple (a list of integer
     token ids). Numbers lie between lo and hi, open at an end whose flag is
     set; floats must be finite, and an int given for one must lie within
-    float range. optional admits None. column names the result.csv column
-    that echoes the field, if any.
+    float range. optional admits None.
     """
 
     kind: type
@@ -110,7 +104,6 @@ class Spec:
     hi_open: bool = False
     choices: Tuple[str, ...] = ()
     optional: bool = False
-    column: Optional[str] = None
 
     def describe(self) -> str:
         if self.kind is bool:
@@ -193,13 +186,13 @@ class EditConfig:
     hand is valid.
     """
 
-    total_steps: int = _knob(15, int, lo=1, hi=MAX_STEPS, column="T")
-    injection_steps: int = _knob(4, int, lo=1, hi=MAX_STEPS, column="T_inj")
-    schedule: str = _knob("sigmoid", str, choices=SCHEDULE_FAMILIES, column="schedule")
-    delta_base: float = _knob(0.9, float, lo=0.0, hi=1.0, column="delta_base")
-    alpha: float = _knob(0.25, float, lo=0.0, hi=1.0, column="alpha")
-    tau: float = _knob(1.0, float, lo=MIN_TAU, column="tau")
-    solver: str = _knob("reuse_velocity", str, choices=SOLVER_KINDS, column="solver")
+    total_steps: int = _knob(15, int, lo=1, hi=MAX_STEPS)
+    injection_steps: int = _knob(4, int, lo=1, hi=MAX_STEPS)
+    schedule: str = _knob("sigmoid", str, choices=SCHEDULE_FAMILIES)
+    delta_base: float = _knob(0.9, float, lo=0.0, hi=1.0)
+    alpha: float = _knob(0.25, float, lo=0.0, hi=1.0)
+    tau: float = _knob(1.0, float, lo=MIN_TAU)
+    solver: str = _knob("reuse_velocity", str, choices=SOLVER_KINDS)
     perturbation_mode: str = _knob("channel_selective", str, choices=PERTURBATION_MODES)
     soft_mask_gamma: Optional[float] = _knob(None, float, lo=0.0, lo_open=True,
                                              optional=True)
@@ -365,9 +358,6 @@ def _stack_row_bytes(cfg: EditConfig) -> int:
                  + (cfg.total_steps + 8) * cfg.img_tokens * cfg.channels)
     blends = 2 * cfg.total_steps * cfg.layer_count * n
     return FLOAT64_BYTES * (cfg.batch * per_entry + blends)
-
-# result.csv column -> the config field it echoes
-COLUMN_FIELDS = {spec.column: name for name, spec in FIELD_SPECS.items() if spec.column}
 
 
 def _spec(name: str) -> Spec:
@@ -722,33 +712,11 @@ def run_reconstruction(source: Latent, c_src: Conditioning,
     return invert(source, c_src, cfg).reconstructed
 
 
-def config_columns(run_id: str, cfg: EditConfig) -> dict:
-    """The run id and the config fields that result.csv echoes, in column order."""
-    row = {"run_id": run_id}
-    row.update((col, getattr(cfg, COLUMN_FIELDS[col]))
-               for col in RESULT_COLUMNS if col in COLUMN_FIELDS)
-    return row
-
-
-def summarize_result(run_id: str, cfg: EditConfig, result: EditResult) -> dict:
-    """One result row in the pipeline CSV schema."""
-    d = result.diagnostics
-    row = config_columns(run_id, cfg)
-    row.update(psnr=d["psnr"], ssim=d["ssim"], max_step_delta=d["max_step_delta"],
-               velocity_jump=d["velocity_jump"], evals=int(d["evals"]))
-    return row
-
-
-def extra_columns(axis_names: Sequence[str]) -> List[str]:
-    """The axes that result.csv does not already echo, in axis order."""
-    return [name for name in axis_names if _spec(name).column is None]
-
-
 def edit_grid(source: Latent, base_cfg: EditConfig, axes: Dict[str, Sequence]
-              ) -> Iterator[Tuple[Dict, EditConfig, EditResult]]:
+              ) -> List[Tuple[Dict, EditConfig, EditResult]]:
     """One edit run per combination of axis values, in itertools.product order.
 
-    Returns an iterator of (overrides, config, result). Each row runs on its
+    Returns a list of (overrides, config, result). Each row runs on its
     own config, prompts included, and every row's config is made before the
     first run, so a bad axis value or name fails fast as a config error.
     All rows share the one source latent, so an axis cannot change its
@@ -768,21 +736,14 @@ def edit_grid(source: Latent, base_cfg: EditConfig, axes: Dict[str, Sequence]
             raise ConfigError(name, "axis has no values")
     combos = [dict(zip(values, combo)) for combo in itertools.product(*values.values())]
     runs = [(overrides, replace(base_cfg, **overrides)) for overrides in combos]
-    return _grid_rows(source, runs)
-
-
-def _grid_rows(source: Latent, runs: List[Tuple[Dict, EditConfig]]
-               ) -> Iterator[Tuple[Dict, EditConfig, EditResult]]:
     # Rows run grouped by inversion key, each group on one Inversion that is
-    # dropped before any row is handed out, so at most one K/V cache is alive
-    # whatever the axis order; finished rows wait until the rows before them
-    # are done. A group samples its rows longest plan first, as stacks of as
-    # many rows as keep the run within MEMORY_BUDGET.
+    # dropped before the next group inverts, so at most one K/V cache is
+    # alive whatever the axis order. A group samples its rows longest plan
+    # first, as stacks of as many rows as keep the run within MEMORY_BUDGET.
     groups: Dict[tuple, List[int]] = {}
     for index, (_, cfg) in enumerate(runs):
         groups.setdefault(inversion_key(cfg, cfg.source_conditioning()), []).append(index)
-    results: Dict[int, EditResult] = {}
-    next_row = 0
+    results: List[Optional[EditResult]] = [None] * len(runs)
     for rows in groups.values():
         rows.sort(key=lambda index: runs[index][1].injection_schedule.active_count,
                   reverse=True)
@@ -804,21 +765,4 @@ def _grid_rows(source: Latent, runs: List[Tuple[Dict, EditConfig]]
                 results[index] = run_edit(source, *edit, sampled)
         # every SampledEdit holds the Inversion
         del inversion, stack, sampled
-        while next_row in results:
-            overrides, cfg = runs[next_row]
-            yield overrides, cfg, results.pop(next_row)
-            next_row += 1
-
-
-def run_ablation_grid(source: Latent, base_cfg: EditConfig,
-                      axes: Dict[str, Sequence]) -> List[dict]:
-    """Result rows of edit_grid; axes that no result column echoes get a
-    column of their own."""
-    runs = edit_grid(source, base_cfg, axes)
-    extras = extra_columns(axes)
-    rows = []
-    for index, (overrides, cfg, result) in enumerate(runs):
-        row = summarize_result(f"{index:03d}", cfg, result)
-        row.update((name, overrides[name]) for name in extras)
-        rows.append(row)
-    return rows
+    return [(overrides, cfg, result) for (overrides, cfg), result in zip(runs, results)]

@@ -8,7 +8,7 @@ import pytest
 from adaedit import cli
 from adaedit.cli import main
 from adaedit.errors import ConfigError, DivergenceError
-from adaedit.pipeline import EditConfig, build_schedule, parse_field
+from adaedit.pipeline import EditConfig, build_schedule, generate_source_latent, parse_field
 from adaedit.schedules import schedule_weight
 
 
@@ -230,6 +230,29 @@ def test_ablate_extra_axis_column(tmp_path):
     assert [r["soft_mask_gamma"] for r in rows] == ["5", "15"]
 
 
+def test_ablate_optional_and_token_list_axis_cells(tmp_path):
+    # a None value and a token-id list each write one cell; axes that no
+    # result column echoes follow the result columns in axis order
+    out = tmp_path / "abl"
+    assert main(["ablate", "--out", str(out), "--axis", "soft_mask_gamma=none,8",
+                 "--axis", "target_prompt_ids=1,2,9,4;5,6,7,8"]) == 0
+    header, rows = read_csv(out / "ablation.csv")
+    assert ",".join(header) == RESULT_HEADER.replace(
+        "evals,", "evals,soft_mask_gamma,target_prompt_ids,")
+    assert [(row["soft_mask_gamma"], row["target_prompt_ids"]) for row in rows] == [
+        ("None", "1 2 9 4"), ("None", "5 6 7 8"), ("8", "1 2 9 4"), ("8", "5 6 7 8")]
+    assert [row["run_id"] for row in rows] == ["000", "001", "002", "003"]
+
+
+def test_reconstruct_leaves_the_edit_measurements_empty(tmp_path):
+    out = tmp_path / "rec"
+    assert main(["reconstruct", "--out", str(out)]) == 0
+    _, (row,) = read_csv(out / "result.csv")
+    assert [row[col] for col in ("max_step_delta", "velocity_jump", "evals",
+                                 "lpips", "clip")] == ["", "", "", "", ""]
+    assert row["run_id"] == "000" and row["schedule"] == "sigmoid" and row["T"] == "15"
+
+
 def test_ablation_row_runs_its_own_config(tmp_path):
     # row k of an axis over a prompt field equals an edit with that value set;
     # token-id lists separate their values with ';'
@@ -264,6 +287,44 @@ def test_ablate_unknown_axis_exits_2(tmp_path, capsys):
     assert main(["ablate", "--out", str(tmp_path / "x"),
                  "--axis", "bogus=1,2"]) == 2
     assert "bogus" in capsys.readouterr().err
+
+
+def ablation_rows(cfg, axes):
+    header, rows = cli.run_ablation_grid(generate_source_latent(cfg), cfg, axes)
+    return [dict(zip(header, row)) for row in rows]
+
+
+def test_ablation_schedule_axis():
+    cfg = EditConfig(seed=1)
+    rows = ablation_rows(cfg, {"schedule": ["binary", "sigmoid"]})
+    assert len(rows) == 2
+    assert rows[0]["schedule"] == "binary"
+    assert rows[0]["max_step_delta"] == cfg.delta_base
+    assert rows[1]["max_step_delta"] < cfg.delta_base
+
+
+def test_ablation_tau_axis_variance_monotone():
+    cfg = EditConfig(seed=1)
+    rows = ablation_rows(cfg, {"tau": [0.25, 1.0, 4.0]})
+    assert [row["tau"] for row in rows] == [0.25, 1.0, 4.0]
+
+
+def test_ablation_empty_axes_single_row():
+    rows = ablation_rows(EditConfig(seed=1), {})
+    assert len(rows) == 1
+    assert rows[0]["run_id"] == "000"
+
+
+def test_ablation_unknown_axis():
+    with pytest.raises(ConfigError):
+        ablation_rows(EditConfig(seed=1), {"bogus_field": [1, 2]})
+
+
+def test_result_table_schema():
+    cfg = EditConfig(seed=0)
+    header, (row,) = cli.run_ablation_grid(generate_source_latent(cfg), cfg, {})
+    assert ",".join(header) == RESULT_HEADER
+    assert len(row) == len(header)
 
 
 def test_divergence_maps_to_exit_3(tmp_path, monkeypatch):
@@ -329,8 +390,8 @@ def test_set_value_parsing():
 
 
 # Inputs that must end in exit 2 with an error naming the field: (argv before
-# --out, JSON config or None, field). None may end in a traceback or be
-# silently coerced.
+# --out, JSON config as a dict or raw text, or None, field). None may end in
+# a traceback or be silently coerced.
 BAD_INPUTS = [
     (["edit", "--set", "total_steps=abc"], None, "total_steps"),
     (["edit", "--set", "source_prompt_ids=1,2,x,4"], None, "source_prompt_ids"),
@@ -367,6 +428,9 @@ BAD_INPUTS = [
     # JSON integers past float range in float fields
     (["edit"], {"tau": 10**400}, "tau"),
     (["edit"], {"soft_mask_gamma": -10**400}, "soft_mask_gamma"),
+    # a repeated key would silently keep only its last value; raw JSON text,
+    # since a dict cannot repeat a key
+    (["edit"], '{"alpha": 2, "alpha": 0.1}', "alpha"),
 ]
 
 
@@ -374,7 +438,7 @@ BAD_INPUTS = [
 def test_bad_input_exits_2_naming_the_field(tmp_path, capsys, argv, config, field):
     if config is not None:
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(config))
+        path.write_text(config if isinstance(config, str) else json.dumps(config))
         argv = argv + ["--config", str(path)]
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2
     assert f"config error: {field}:" in capsys.readouterr().err

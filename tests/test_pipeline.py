@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adaedit import pipeline, solvers
+from adaedit import models, pipeline, solvers
 from adaedit.errors import ConfigError, DivergenceError
 from adaedit.latent import SeededRng, sample_gaussian
 from adaedit.models import (AttentionRecord, EditMask, InjectionHooks, KVCache,
@@ -17,8 +17,7 @@ from adaedit.models import (AttentionRecord, EditMask, InjectionHooks, KVCache,
 from adaedit.pipeline import (FIELD_SPECS, EditConfig, build_model, build_schedule,
                               config_hash, edit_grid, generate_source_latent,
                               inversion_key, invert, resolve_edit_tokens,
-                              run_ablation_grid, run_edit, run_reconstruction,
-                              summarize_result)
+                              run_edit, run_reconstruction)
 from adaedit.schedules import is_active, schedule_weight
 from adaedit.solvers import (DIVERGENCE_LIMIT, TimeGrid, integrate_backward,
                              integrate_forward)
@@ -114,6 +113,33 @@ def test_memory_product_is_a_config_error():
                    text_tokens=256, total_steps=4, injection_steps=1, schedule="binary")
     assert exc.value.field == "img_tokens"
     assert "2.37 GB (model weights 1.62 GB" in str(exc.value)
+
+
+SCRATCH_ARRAYS = ("x", "h", "q", "k", "v", "attn_out", "proj", "attn_txt")
+
+
+@pytest.mark.parametrize("dims", ({}, dict(img_tokens=64, embed_dim=64, heads=4, layer_count=3),
+                                  dict(img_tokens=36, text_tokens=6, embed_dim=48, heads=3,
+                                       channels=4, vocab_size=100)),
+                         ids=("default", "wide", "odd"))
+def test_memory_budget_counts_the_models_arrays(dims):
+    # the estimates follow the model's real arrays, so a change to the block
+    # that adds a weight or a scratch array shows here
+    cfg = EditConfig(**dims)
+    model = build_model(cfg)
+    params = [a for a in vars(model).values() if isinstance(a, np.ndarray)]
+    params += [w for layer in model.layers for w in layer.values()]
+    assert pipeline._run_bytes(cfg, 1)[0] == sum(a.nbytes for a in params)
+    one, two = (models._Scratch(b, cfg.text_tokens, cfg.img_tokens, cfg.embed_dim,
+                                2 * model.time_freqs, cfg.heads) for b in (1, 2))
+    growth = sum(getattr(two, name).nbytes - getattr(one, name).nbytes
+                 for name in SCRATCH_ARRAYS)
+    # _stack_row_bytes per batch entry: the evaluate scratch, then the
+    # states and solver temporaries
+    per_entry = (pipeline._stack_row_bytes(replace(cfg, batch=2))
+                 - pipeline._stack_row_bytes(cfg))
+    states = pipeline.FLOAT64_BYTES * (cfg.total_steps + 8) * cfg.img_tokens * cfg.channels
+    assert per_entry - states == growth
 
 
 def test_readme_config_section_lists_every_field():
@@ -598,44 +624,3 @@ def test_generate_source_latent_deterministic_and_seed_sensitive():
     assert np.array_equal(a.data, b.data)
     c = generate_source_latent(EditConfig(seed=6))
     assert np.any(a.data != c.data)
-
-
-# ------------------------------------------------------------------- ablation
-
-def test_ablation_schedule_axis():
-    cfg = EditConfig(seed=1)
-    src = generate_source_latent(cfg)
-    rows = run_ablation_grid(src, cfg, {"schedule": ["binary", "sigmoid"]})
-    assert len(rows) == 2
-    assert rows[0]["schedule"] == "binary"
-    assert rows[0]["max_step_delta"] == cfg.delta_base
-    assert rows[1]["max_step_delta"] < cfg.delta_base
-
-
-def test_ablation_tau_axis_variance_monotone():
-    cfg = EditConfig(seed=1)
-    src = generate_source_latent(cfg)
-    rows = run_ablation_grid(src, cfg, {"tau": [0.25, 1.0, 4.0]})
-    assert [row["tau"] for row in rows] == [0.25, 1.0, 4.0]
-
-
-def test_ablation_empty_axes_single_row():
-    cfg = EditConfig(seed=1)
-    src = generate_source_latent(cfg)
-    rows = run_ablation_grid(src, cfg, {})
-    assert len(rows) == 1
-    assert rows[0]["run_id"] == "000"
-
-
-def test_ablation_unknown_axis():
-    cfg = EditConfig(seed=1)
-    src = generate_source_latent(cfg)
-    with pytest.raises(ConfigError):
-        run_ablation_grid(src, cfg, {"bogus_field": [1, 2]})
-
-
-def test_summarize_result_schema():
-    cfg, _, result = run_default(seed=0)
-    row = summarize_result("000", cfg, result)
-    from adaedit.pipeline import RESULT_COLUMNS
-    assert tuple(row) == RESULT_COLUMNS
