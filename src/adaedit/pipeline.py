@@ -40,16 +40,16 @@ logger = logging.getLogger("adaedit.pipeline")
 
 MASK_KEYWORD_SOURCES = ("source", "target")
 
-# The fields that fix the source latent's shape (B, L, C). An ablation grid
-# runs every row on one source latent, so none of them can be an axis.
-SOURCE_SHAPE_FIELDS = ("batch", "img_tokens", "channels")
+# The fields that fix the source latent's shape (1, L, C): one latent, one
+# edit. An ablation grid runs every row on one source latent, so none of them
+# can be an axis.
+SOURCE_SHAPE_FIELDS = ("img_tokens", "channels")
 
-# The fields an inversion reads: the seed and the model dimensions, the batch,
-# the time grid and solver, and the source prompt (resolved, as the
-# Conditioning carries it). Edits of one source that agree on them can share
-# one Inversion.
+# The fields an inversion reads: the seed and the model dimensions, the time
+# grid and solver, and the source prompt (resolved, as the Conditioning
+# carries it). Edits of one source that agree on them can share one Inversion.
 INVERSION_FIELDS = ("seed", "layer_count", "embed_dim", "img_tokens", "text_tokens",
-                    "channels", "heads", "vocab_size", "batch", "total_steps", "solver",
+                    "channels", "heads", "vocab_size", "total_steps", "solver",
                     "source_prompt_ids")
 
 # The upper bounds on total_steps and the model dimensions stop one runaway
@@ -58,16 +58,15 @@ INVERSION_FIELDS = ("seed", "layer_count", "embed_dim", "img_tokens", "text_toke
 # embed_dim=256, layer_count=8, heads=4, channels=16, total_steps=28.
 MAX_STEPS = 1000
 # A run keeps the model's weights, and the K/V and the text-to-image attention
-# of every active step until sampling ends. The estimate also counts batch *
-# heads * n * n float64 attention scores: an upper bound, since evaluate holds
-# one (n, n) block at a time, kept at what all heads' scores held when they
-# were live at once. The per-field bounds admit products far beyond any desk
-# machine (batch=16, heads=32, img_tokens=4096 counts 69 GB of scores;
-# vocab_size=65536 and layer_count=32 at embed_dim=1024 take 1.62 GB of
-# weights), which end in a MemoryError or an OOM kill mid-run. This budget
-# stops them before any work starts; it admits the stability envelope above
-# with a binary schedule and injection_steps=28 (~1.02 GB by the estimate in
-# EditConfig.validate).
+# of every active step until sampling ends. The estimate also counts heads *
+# n * n float64 attention scores: an upper bound, since evaluate holds one
+# (n, n) block at a time, kept at what all heads' scores held when they were
+# live at once. The per-field bounds admit products far beyond any desk
+# machine (heads=32, img_tokens=4096 counts 4.3 GB of scores; vocab_size=65536
+# and layer_count=32 at embed_dim=1024 take 1.62 GB of weights), which end in
+# a MemoryError or an OOM kill mid-run. This budget stops them before any work
+# starts; it admits the stability envelope above with a binary schedule and
+# injection_steps=28 (~1.02 GB by the estimate in EditConfig.validate).
 MEMORY_BUDGET = 2 * 10**9
 FLOAT64_BYTES = 8
 # At subnormal temperatures d / tau overflows and the channel weights turn
@@ -211,7 +210,6 @@ class EditConfig:
     channels: int = _knob(8, int, lo=1, hi=64)
     heads: int = _knob(1, int, lo=1, hi=32)
     vocab_size: int = _knob(64, int, lo=1, hi=65536)
-    batch: int = _knob(1, int, lo=1, hi=16)
     # conditioning; None picks deterministic defaults sized to text_tokens
     source_prompt_ids: Optional[Tuple[int, ...]] = _knob(None, tuple, optional=True)
     target_prompt_ids: Optional[Tuple[int, ...]] = _knob(None, tuple, optional=True)
@@ -304,7 +302,7 @@ class EditConfig:
                 f"K/V cache of {active} active steps {cache / 1e9:.3g} GB, "
                 f"attention record {record / 1e9:.3g} GB), "
                 f"over the {MEMORY_BUDGET / 1e9:g} GB budget; "
-                f"lower img_tokens, text_tokens, batch, heads, layer_count, "
+                f"lower img_tokens, text_tokens, heads, layer_count, "
                 f"embed_dim, vocab_size or the active steps")
         return self
 
@@ -340,24 +338,24 @@ def _run_bytes(cfg: EditConfig, active: int) -> Tuple[int, int, int, int]:
     weights = FLOAT64_BYTES * d * (cfg.vocab_size + 2 * cfg.channels
                                    + d + 2 * ToyAttentionFlow.time_freqs
                                    + 4 * cfg.layer_count * d)
-    scores = cfg.batch * cfg.heads * n * n * FLOAT64_BYTES
-    cache = active * cfg.layer_count * 2 * cfg.batch * n * d * FLOAT64_BYTES
-    record = (active * cfg.layer_count * cfg.batch * cfg.heads * cfg.text_tokens
-              * cfg.img_tokens * FLOAT64_BYTES)
+    scores = cfg.heads * n * n * FLOAT64_BYTES
+    cache = active * cfg.layer_count * 2 * n * d * FLOAT64_BYTES
+    record = (active * cfg.layer_count * cfg.heads * cfg.text_tokens * cfg.img_tokens
+              * FLOAT64_BYTES)
     return weights, scores, cache, record
 
 
 def _stack_row_bytes(cfg: EditConfig) -> int:
-    """The bytes one more row adds to a sampled stack: its batch entries'
-    evaluate scratch, text-to-image block, states and solver temporaries,
-    and its K/V blends of every step."""
+    """The bytes one more row adds to a sampled stack: its evaluate scratch,
+    text-to-image block, states and solver temporaries, and its K/V blends of
+    every step."""
     n = cfg.img_tokens + cfg.text_tokens
     d = cfg.embed_dim
-    per_entry = (n * (d + 2 * ToyAttentionFlow.time_freqs + 6 * d)
-                 + cfg.heads * cfg.text_tokens * cfg.img_tokens
-                 + (cfg.total_steps + 8) * cfg.img_tokens * cfg.channels)
+    arrays = (n * (d + 2 * ToyAttentionFlow.time_freqs + 6 * d)
+              + cfg.heads * cfg.text_tokens * cfg.img_tokens
+              + (cfg.total_steps + 8) * cfg.img_tokens * cfg.channels)
     blends = 2 * cfg.total_steps * cfg.layer_count * n
-    return FLOAT64_BYTES * (cfg.batch * per_entry + blends)
+    return FLOAT64_BYTES * (arrays + blends)
 
 
 def _spec(name: str) -> Spec:
@@ -418,17 +416,16 @@ def generate_source_latent(cfg: EditConfig) -> Latent:
     rng = SeededRng(cfg.seed, stream=STREAM_SOURCE)
     g = math.isqrt(cfg.img_tokens)
     ys, xs = np.meshgrid(np.arange(g), np.arange(g), indexing="ij")
-    arr = np.empty((cfg.batch, cfg.img_tokens, cfg.channels))
-    for bi in range(cfg.batch):
-        for ci in range(cfg.channels):
-            plane = 0.3 * rng.standard_normal(())
-            for k in range(1, 4):
-                amp = rng.standard_normal(()) * 0.8 / k
-                fx, fy = rng.integers(1, 4, (2,))
-                phase = rng.uniform(0.0, 2.0 * math.pi, ())
-                plane = plane + amp * np.sin(
-                    2.0 * math.pi * (fx * xs + fy * ys) / g + phase)
-            arr[bi, :, ci] = plane.reshape(-1)
+    arr = np.empty((1, cfg.img_tokens, cfg.channels))
+    for ci in range(cfg.channels):
+        plane = 0.3 * rng.standard_normal(())
+        for k in range(1, 4):
+            amp = rng.standard_normal(()) * 0.8 / k
+            fx, fy = rng.integers(1, 4, (2,))
+            phase = rng.uniform(0.0, 2.0 * math.pi, ())
+            plane = plane + amp * np.sin(
+                2.0 * math.pi * (fx * xs + fy * ys) / g + phase)
+        arr[0, :, ci] = plane.reshape(-1)
     return Latent(arr)
 
 
@@ -446,7 +443,7 @@ def resolve_edit_tokens(mask: EditMask, token_count: int) -> Tuple[Tuple[int, ..
 
 
 def _check_source(source: Latent, cfg: EditConfig) -> None:
-    expected = tuple(getattr(cfg, name) for name in SOURCE_SHAPE_FIELDS)
+    expected = (1, cfg.img_tokens, cfg.channels)
     if source.shape != expected:
         raise ValueError(f"source latent shape {source.shape} != config {expected}")
 
@@ -569,15 +566,16 @@ def _sample_edits(inversion: Inversion,
     PLAN_FIELDS value; the mask and its edit tokens per planned step count,
     mask prompt and soft_mask_gamma; the channel gaps and the AdaIN target per
     edit-token set. Each edit (c_src, c_tgt, cfg) then makes only its own
-    channel weights and blend. The perturbed latents are stacked along the
-    batch axis and sampled by one integrate_forward call, each row under its
-    own target prompt, mask, global_mix and per-layer ratios: the edits'
-    INVERSION_FIELDS agree, so they share the grid, the solver and the steps,
-    and no step pools over rows. Active steps form a prefix, so the rows
-    planned at a step are a leading slice of the stack, and the velocity-jump
-    pairs of a step run as one velocity_jump_between call over them; one ssim
-    call scores the whole sampled stack. So every row equals the edit sampled
-    alone, bitwise. A divergence names the failing batch entry of the stack.
+    channel weights and blend. The perturbed latents, one entry per row, are
+    stacked along the batch axis and sampled by one integrate_forward call,
+    each row under its own target prompt, mask, global_mix and per-layer
+    ratios: the edits' INVERSION_FIELDS agree, so they share the grid, the
+    solver and the steps, and no step pools over rows. Active steps form a
+    prefix, so the rows planned at a step are a leading slice of the stack,
+    and the velocity-jump pairs of a step run as one velocity_jump_between
+    call over them; one ssim call scores the whole sampled stack. So every
+    row equals the edit sampled alone, bitwise. A divergence names the
+    failing row of the stack as its entry.
     """
     counts = [cfg.injection_schedule.active_count for _, _, cfg in edits]
     if counts != sorted(counts, reverse=True):
@@ -587,7 +585,7 @@ def _sample_edits(inversion: Inversion,
     # the seed and the latent's shape are INVERSION_FIELDS: one noise for all
     first = edits[0][2]
     z_rand = sample_gaussian(SeededRng(first.seed, stream=STREAM_NOISE),
-                             first.batch, first.img_tokens, first.channels)
+                             1, first.img_tokens, first.channels)
 
     plans: Dict[tuple, tuple] = {}
     masks: Dict[tuple, tuple] = {}
@@ -621,7 +619,6 @@ def _sample_edits(inversion: Inversion,
         stack.append(SampledEdit(cfg, c_tgt, inversion, plan, mask, fallback,
                                  gaps, weights, z_hat))
 
-    b = first.batch
     conds = tuple(row.c_tgt for row in stack)
     z = Latent._adopt(np.concatenate([row.z_hat.data for row in stack]))
     longest = counts[0]
@@ -649,7 +646,7 @@ def _sample_edits(inversion: Inversion,
         planned = sum(count > i for count in counts)
         state = sampling.states[i]
         if planned < len(stack):
-            state = Latent._adopt(state.data[:planned * b])
+            state = Latent._adopt(state.data[:planned])
         got = velocity_jump_between(model, state, grid.times[i], conds[:planned], cache, i,
                                     mixes[i], mixes[i + 1] if i + 1 < longest else None)
         for r, jump in enumerate(got):
@@ -660,7 +657,7 @@ def _sample_edits(inversion: Inversion,
     final, evals = sampling.final, sampling.velocity_evals
     del sampling
     scores = ssim(inversion.reconstructed, final, peak=inversion.peak, rows=len(stack))
-    return [replace(row, edited=Latent._adopt(final.data[r * b:(r + 1) * b]),
+    return [replace(row, edited=Latent._adopt(final.data[r:r + 1]),
                     sampling_evals=evals, velocity_jump=jumps[r], ssim=scores[r])
             for r, row in enumerate(stack)]
 
@@ -759,7 +756,7 @@ def edit_grid(source: Latent, base_cfg: EditConfig, axes: Dict[str, Sequence]
             try:
                 stack = _sample_edits(inversion, edits)
             except DivergenceError as exc:
-                row = part[exc.entry // first.batch]
+                row = part[exc.entry]
                 raise DivergenceError(exc.step, exc.detail, exc.phase, exc.entry, row) from exc
             for index, edit, sampled in zip(part, edits, stack):
                 results[index] = run_edit(source, *edit, sampled)

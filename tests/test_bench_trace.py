@@ -103,12 +103,12 @@ def test_traced_default_edit_constructs_two_latents(monkeypatch, solver):
     assert tracer.ledger_balances()
 
 
-def test_traced_multi_head_batched_edit_puts_one_attention_block_per_layer(monkeypatch):
+def test_traced_multi_head_edit_puts_one_attention_block_per_layer(monkeypatch):
     # models.attn_record.stored_ratio stays comparable only while each
     # record-mode evaluation makes one AttentionRecord.put per layer
     monkeypatch.syspath_prepend(str(BENCH))
     spans = importlib.import_module("spans")
-    cfg = replace(pipeline.EditConfig(), heads=2, batch=2)
+    cfg = replace(pipeline.EditConfig(), heads=2)
     source = pipeline.generate_source_latent(cfg)
     record_evals = [0]
     evaluate = ToyAttentionFlow.evaluate

@@ -413,6 +413,7 @@ BAD_INPUTS = [
     (["sweep-temperature", "--taus", "0.5,inf"], None, "tau"),
     # every ablation row shares one source latent, so its shape is fixed
     (["ablate", "--axis", "img_tokens=16,25"], None, "img_tokens"),
+    # a source latent is one image, so batch is an unknown field (see the end)
     (["ablate", "--axis", "batch=1,2"], None, "batch"),
     (["ablate", "--axis", "channels=4,8"], None, "channels"),
     # a repeated axis name would silently drop the earlier values
@@ -431,6 +432,9 @@ BAD_INPUTS = [
     # a repeated key would silently keep only its last value; raw JSON text,
     # since a dict cannot repeat a key
     (["edit"], '{"alpha": 2, "alpha": 0.1}', "alpha"),
+    # batch set or read from a file is an unknown field too
+    (["edit", "--set", "batch=2"], None, "batch"),
+    (["edit"], {"batch": 2}, "batch"),
 ]
 
 

@@ -26,7 +26,7 @@ from adaedit.pipeline import FIELD_SPECS, Spec
 # Upper ends for valid draws of the size fields.
 SMALL = {"total_steps": 6, "injection_steps": 6, "layer_count": 3, "embed_dim": 16,
          "img_tokens": 16, "text_tokens": 6, "channels": 4, "heads": 4,
-         "vocab_size": 80, "batch": 2, "source_keyword_index": 6,
+         "vocab_size": 80, "source_keyword_index": 6,
          "target_keyword_index": 6}
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None,

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adaedit import models, pipeline, solvers
 from adaedit.errors import ConfigError, DivergenceError
@@ -18,9 +20,9 @@ from adaedit.pipeline import (FIELD_SPECS, EditConfig, build_model, build_schedu
                               config_hash, edit_grid, generate_source_latent,
                               inversion_key, invert, resolve_edit_tokens,
                               run_edit, run_reconstruction)
-from adaedit.schedules import is_active, schedule_weight
-from adaedit.solvers import (DIVERGENCE_LIMIT, TimeGrid, integrate_backward,
-                             integrate_forward)
+from adaedit.schedules import SCHEDULE_FAMILIES, is_active, schedule_weight
+from adaedit.solvers import (DIVERGENCE_LIMIT, SOLVER_KINDS, TimeGrid,
+                             integrate_backward, integrate_forward)
 
 
 def run_default(seed=0, **overrides):
@@ -73,7 +75,7 @@ def test_config_from_dict_types():
     assert config_hash(cfg) == config_hash(EditConfig(
         total_steps=8, source_prompt_ids=(1, 2, 3, 4)))
     for bad in ({"alpha": "0.5"}, {"global_mix": 0}, {"schedule": 3},
-                {"tau": float("inf")}, {"batch": False}):
+                {"tau": float("inf")}, {"heads": False}):
         with pytest.raises(ConfigError) as exc:
             EditConfig.from_dict(bad)
         assert exc.value.field == next(iter(bad))
@@ -89,9 +91,9 @@ def test_no_active_step_is_a_config_error():
 def test_memory_product_is_a_config_error():
     # construction only: no run is started, so nothing is allocated
     with pytest.raises(ConfigError) as exc:
-        EditConfig(batch=16, heads=32, img_tokens=4096, embed_dim=1024)
+        EditConfig(heads=32, img_tokens=4096, embed_dim=1024)
     assert exc.value.field == "img_tokens"
-    assert "68.9 GB" in str(exc.value) and "2 GB budget" in str(exc.value)
+    assert "5.24 GB" in str(exc.value) and "2 GB budget" in str(exc.value)
     # the K/V of 28 active steps at the stability envelope's size is ~0.94 GB;
     # with 20 layers instead of 8 it is ~2.4 GB
     envelope = dict(img_tokens=1024, embed_dim=256, layer_count=8, heads=4, channels=16,
@@ -134,12 +136,12 @@ def test_memory_budget_counts_the_models_arrays(dims):
                                 2 * model.time_freqs, cfg.heads) for b in (1, 2))
     growth = sum(getattr(two, name).nbytes - getattr(one, name).nbytes
                  for name in SCRATCH_ARRAYS)
-    # _stack_row_bytes per batch entry: the evaluate scratch, then the
-    # states and solver temporaries
-    per_entry = (pipeline._stack_row_bytes(replace(cfg, batch=2))
-                 - pipeline._stack_row_bytes(cfg))
+    # _stack_row_bytes: the evaluate scratch, then the K/V blends of every
+    # step and the states and solver temporaries
+    n = cfg.img_tokens + cfg.text_tokens
+    blends = pipeline.FLOAT64_BYTES * 2 * cfg.total_steps * cfg.layer_count * n
     states = pipeline.FLOAT64_BYTES * (cfg.total_steps + 8) * cfg.img_tokens * cfg.channels
-    assert per_entry - states == growth
+    assert pipeline._stack_row_bytes(cfg) - blends - states == growth
 
 
 def test_readme_config_section_lists_every_field():
@@ -237,12 +239,6 @@ def test_run_edit_multi_head_model():
     assert np.all(np.isfinite(result.edited.data))
 
 
-def test_run_edit_batch_of_two():
-    cfg, _, result = run_default(seed=3, batch=2, total_steps=6, injection_steps=2)
-    assert result.edited.shape == (2, cfg.img_tokens, cfg.channels)
-    assert result.mask.soft.size == cfg.img_tokens
-
-
 def test_run_edit_degenerate_dims():
     # one image token and one channel: mask and metrics stay defined
     _, _, result = run_default(seed=2, img_tokens=1, channels=1, embed_dim=8,
@@ -280,10 +276,12 @@ def test_run_edit_layer_profile_active():
 
 
 def test_run_edit_source_shape_checked():
+    # one source latent is one edit: a second entry is a wrong shape too
     cfg = EditConfig()
-    bad = sample_gaussian(SeededRng(0), 1, 16, 4)
-    with pytest.raises(ValueError):
-        run_edit(bad, cfg.source_conditioning(), cfg.target_conditioning(), cfg)
+    for shape in ((1, 16, 4), (2, 16, 8)):
+        bad = sample_gaussian(SeededRng(0), *shape)
+        with pytest.raises(ValueError):
+            run_edit(bad, cfg.source_conditioning(), cfg.target_conditioning(), cfg)
 
 
 def test_self_reconstruction_error_decreases_with_steps():
@@ -533,8 +531,7 @@ def test_stacked_rows_equal_standalone_edits(monkeypatch, solver):
     # binary plans 3 steps and sigmoid 4, so at step 3 some rows inject and
     # others do not; global_mix at delta_base 1 takes the source K/V whole;
     # the rows' target prompts differ
-    cfg = EditConfig(seed=4, total_steps=6, injection_steps=3, batch=2, heads=2,
-                     solver=solver)
+    cfg = EditConfig(seed=4, total_steps=6, injection_steps=3, heads=2, solver=solver)
     axes = {"schedule": ["binary", "sigmoid"], "global_mix": [False, True],
             "delta_base": [0.6, 1.0], "target_prompt_ids": [(1, 2, 9, 4), (5, 6, 7, 8)],
             "layer_ratio_beta": [0.0, 0.5]}
@@ -544,12 +541,12 @@ def test_stacked_rows_equal_standalone_edits(monkeypatch, solver):
     sampled = count_sampling(monkeypatch)
     rows = list(edit_grid(src, cfg, axes))
     assert len(rows) == 32
-    assert sampled == [32 * cfg.batch]  # one stack for the whole group
+    assert sampled == [32]  # one stack for the whole group
     for _, row_cfg, result in rows:
         alone = run_edit(src, row_cfg.source_conditioning(),
                          row_cfg.target_conditioning(), row_cfg)
         assert_same_result(result, alone)
-    assert sampled[1:] == [cfg.batch] * 32
+    assert sampled[1:] == [1] * 32
 
 
 def test_stacks_are_sliced_to_the_memory_budget(monkeypatch):
@@ -565,6 +562,50 @@ def test_stacks_are_sliced_to_the_memory_budget(monkeypatch):
     assert sampled == [2, 2, 2]
     for (_, _, a), (_, _, b) in zip(whole, sliced):
         assert_same_result(a, b)
+
+
+# Axis values that keep every row valid at embed_dim=8, total_steps=5 and the
+# default prompt size (text_tokens=4, vocab_size=64).
+GRID_AXES = {
+    "schedule": st.sampled_from(SCHEDULE_FAMILIES),
+    "injection_steps": st.integers(1, 5),
+    "solver": st.sampled_from(SOLVER_KINDS),
+    "heads": st.sampled_from((1, 2, 4, 8)),
+    "soft_mask_gamma": st.none() | st.floats(0.5, 16.0),
+    "global_mix": st.booleans(),
+    "layer_ratio_beta": st.floats(0.0, 1.9),
+    "delta_base": st.floats(0.0, 1.0),
+    "target_prompt_ids": st.lists(st.integers(0, 63), min_size=4, max_size=4).map(tuple),
+}
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_drawn_grid_rows_equal_standalone_edits(data):
+    # any grid over fields that do and do not split inversion groups, with
+    # stacks sliced to the memory budget, gives each row its edit alone
+    names = data.draw(st.lists(st.sampled_from(sorted(GRID_AXES)), min_size=1, max_size=3,
+                               unique=True))
+    axes = {name: data.draw(st.lists(GRID_AXES[name], min_size=1, max_size=2, unique=True))
+            for name in names}
+    cfg = EditConfig(seed=data.draw(st.integers(0, 2**16)), embed_dim=8, total_steps=5)
+    extra = data.draw(st.integers(0, 2))
+    src = generate_source_latent(cfg)
+    row_cfgs = [replace(cfg, **dict(zip(axes, combo)))
+                for combo in itertools.product(*axes.values())]
+    budget = pipeline.MEMORY_BUDGET
+    try:
+        # the heaviest row's group gets stacks of max(1, extra) rows
+        pipeline.MEMORY_BUDGET = max(
+            sum(pipeline._run_bytes(c, c.injection_schedule.active_count))
+            + extra * pipeline._stack_row_bytes(c) for c in row_cfgs)
+        rows = edit_grid(src, cfg, axes)
+    finally:
+        pipeline.MEMORY_BUDGET = budget
+    for _, row_cfg, result in rows:
+        alone = run_edit(src, row_cfg.source_conditioning(),
+                         row_cfg.target_conditioning(), row_cfg)
+        assert_same_result(result, alone)
 
 
 def sampling_limit(monkeypatch, limit):
@@ -584,10 +625,18 @@ def sampling_limit(monkeypatch, limit):
     monkeypatch.setattr(pipeline, "integrate_forward", limited)
 
 
-def test_a_divergence_in_a_stack_names_its_row_and_the_standalone_step(monkeypatch):
+def grid_divergence(monkeypatch, extra=None):
+    """The DivergenceError of a six-row grid sampled whole, or in stacks of
+    ``extra`` rows, and the step at which each row diverges alone."""
     cfg = EditConfig(seed=1, total_steps=6, injection_steps=3)
     axes = {"alpha": [0.5, 1.0, 0.1], "schedule": ["binary", "sigmoid"]}
     src = generate_source_latent(cfg)
+    if extra is not None:
+        longest = replace(cfg, schedule="sigmoid")
+        active = longest.injection_schedule.active_count
+        monkeypatch.setattr(pipeline, "MEMORY_BUDGET",
+                            sum(pipeline._run_bytes(longest, active))
+                            + extra * pipeline._stack_row_bytes(longest))
     sampling_limit(monkeypatch, 3.5)
     alone = {}
     for index, combo in enumerate(itertools.product(*axes.values())):
@@ -598,13 +647,28 @@ def test_a_divergence_in_a_stack_names_its_row_and_the_standalone_step(monkeypat
         except DivergenceError as exc:
             assert exc.row is None
             alone[index] = exc.step
+    with pytest.raises(DivergenceError) as exc:
+        edit_grid(src, cfg, axes)
+    assert f"in row {exc.value.row}:" in str(exc.value)
+    return exc.value, alone
+
+
+def test_a_divergence_in_a_stack_names_its_row_and_the_standalone_step(monkeypatch):
+    exc, alone = grid_divergence(monkeypatch)
     # some rows diverge, not the first, and not all at one step
     assert 0 not in alone and 0 < len(alone) < 6 and len(set(alone.values())) > 1
-    with pytest.raises(DivergenceError) as exc:
-        list(edit_grid(src, cfg, axes))
-    assert exc.value.row in alone
-    assert exc.value.step == alone[exc.value.row] == min(alone.values())
-    assert f"in row {exc.value.row}:" in str(exc.value)
+    assert exc.row in alone
+    assert exc.step == alone[exc.row] == min(alone.values())
+
+
+@pytest.mark.parametrize("extra,row", ((1, 3), (2, 3), (3, 5)))
+def test_a_divergence_in_a_later_stack_slice_names_its_row(monkeypatch, extra, row):
+    # the sigmoid rows 1, 3, 5 plan more steps and run first; row 3 diverges
+    # alone at step 4 and row 5 at step 0, so in stacks of one row 3 fails in
+    # the second stack, in stacks of two it is the second entry of the first
+    exc, alone = grid_divergence(monkeypatch, extra)
+    assert exc.row == row
+    assert exc.step == alone[row]
 
 
 # ------------------------------------------------------------- reconstruction
