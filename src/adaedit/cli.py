@@ -34,7 +34,7 @@ import numpy as np
 from . import __version__
 from .diagnostics import psnr, ssim
 from .errors import ConfigError, DivergenceError
-from .models import AnalyticLinearFlow
+from .models import AnalyticLinearFlow, evaluation_lanes
 from .latent import Latent
 from .perturbation import blend_weights
 from .pipeline import (EditConfig, EditResult, config_hash, edit_grid,
@@ -157,6 +157,26 @@ def _make_out(out_dir: str) -> Path:
     return out
 
 
+def _environment() -> dict:
+    """What an artifact's bytes may depend on besides the config: the numpy
+    and (when importable) scipy versions, the BLAS build numpy links and its
+    thread setting, and the evaluation lanes this process may use (1 or 2;
+    the outputs are the same on either)."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    env = {"numpy": np.__version__,
+           "blas": {"name": blas.get("name"), "version": blas.get("version"),
+                    "config": blas.get("openblas configuration")},
+           "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+           "evaluation_lanes": evaluation_lanes()}
+    try:
+        import scipy
+    except ImportError:
+        pass
+    else:
+        env["scipy"] = scipy.__version__
+    return env
+
+
 def write_artifacts(out: Path, command: str, config_path: Optional[str],
                     cfg: EditConfig, artifacts: Artifacts) -> None:
     """Write each artifact as CSV in order, then the manifest listing them;
@@ -166,7 +186,8 @@ def write_artifacts(out: Path, command: str, config_path: Optional[str],
     manifest = {"command": command, "config_path": config_path, "out_dir": str(out),
                 "config_hash": config_hash(cfg),
                 "timestamp": datetime.now(timezone.utc).isoformat(),
-                "version": __version__, "outputs": sorted(artifacts)}
+                "version": __version__, "outputs": sorted(artifacts),
+                "environment": _environment()}
     _write_artifact(out / "manifest.json",
                     json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 

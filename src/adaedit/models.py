@@ -10,9 +10,13 @@ with the current ones) during sampling. No parameter is ever trained.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import itertools
 import math
+import os
+import signal
+import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -328,6 +332,188 @@ def _time_features(t: float) -> np.ndarray:
 # (entries, n, n) score block within it, and at least one.
 SCORE_BLOCK_BYTES = 2 * 2**20
 
+# evaluate() splits each layer between two lanes, the calling thread and one
+# helper thread that the process shares, when one entry's (n, n) score block
+# takes at least this many bytes (n >= 210 tokens) and the layer has at least
+# two attention units. Below it, on the narrowest heads, a fork-join and the
+# threads' turns at the GIL cost more than the second core gives back (see
+# README, "Evaluation lanes").
+LANE_SCORE_BYTES = 350_000
+
+
+@functools.lru_cache(maxsize=None)
+def evaluation_lanes() -> int:
+    """The lanes evaluate() may use in this process: 2 when the process may
+    run on at least two CPUs, else 1."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        cpus = os.cpu_count() or 1
+    return 2 if cpus >= 2 else 1
+
+
+def _block_entries(n: int) -> int:
+    """The most entries of n tokens whose scores one lane's block holds."""
+    return max(1, SCORE_BLOCK_BYTES // (n * n * 8))
+
+
+def _size_lanes(n: int) -> int:
+    """2 when n tokens are worth two lanes. Each lane then projects at least
+    2 of the n token rows: numpy takes a one-row product through gemv, whose
+    sums differ from gemm's in the last bit."""
+    return 2 if n >= 4 and n * n * 8 >= LANE_SCORE_BYTES else 1
+
+
+def score_buffer_bytes(n: int) -> int:
+    """The most bytes of attention scores and row sums that evaluate() holds
+    at once for n tokens, at any batch size: one score block per lane."""
+    return _size_lanes(n) * _block_entries(n) * n * (n + 1) * 8
+
+
+# The interval timers' signals, which samplers and timers handle. Python
+# runs a handler on the main thread between two bytecodes, so one that ran
+# while the helper computes would share the core with it and time the
+# helper's work as its own; the holder of the helper lane keeps them waiting
+# until it lets go (_Lane.claim and release).
+_TIMER_SIGNALS = {getattr(signal, name) for name in ("SIGALRM", "SIGVTALRM", "SIGPROF")
+                  if hasattr(signal, name)} if hasattr(signal, "pthread_sigmask") else set()
+
+
+class _Lane:
+    """The process's helper thread: evaluate()'s second lane. One evaluate()
+    at a time holds it (claim and release), and its thread's timer signals
+    wait while it does; the holder runs each piece of work on both lanes
+    with both()."""
+
+    def __init__(self):
+        self._held = threading.Lock()
+        self._go, self._done = threading.Lock(), threading.Lock()
+        self._go.acquire()
+        self._done.acquire()
+        self._task = self._error = self._mask = None
+        threading.Thread(target=self._serve, name="adaedit-lane", daemon=True).start()
+
+    def _serve(self) -> None:
+        if hasattr(signal, "pthread_sigmask"):  # signals go to the other threads
+            signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
+        while True:
+            self._go.acquire()
+            context, fn, args = self._task
+            try:
+                context.run(fn, *args)
+            except BaseException as exc:
+                self._error = exc
+            self._done.release()
+
+    def claim(self) -> bool:
+        if not self._held.acquire(blocking=False):
+            return False
+        if _TIMER_SIGNALS:
+            self._mask = signal.pthread_sigmask(signal.SIG_BLOCK, _TIMER_SIGNALS)
+        return True
+
+    def release(self) -> None:
+        if _TIMER_SIGNALS:
+            signal.pthread_sigmask(signal.SIG_SETMASK, self._mask)
+        self._held.release()
+
+    def both(self, context: contextvars.Context, fn, mine, theirs, *args) -> None:
+        """fn(theirs, *args) on the helper thread, in ``context`` (the
+        caller's, so np.errstate holds there too), while fn(mine, *args) runs
+        here. Returns, or raises this thread's error or else the helper's,
+        only once the helper is done, so no lane writes after the call."""
+        self._task = (context, fn, (theirs, *args))
+        self._go.release()
+        try:
+            fn(mine, *args)
+        finally:
+            interrupt = None
+            while True:
+                try:
+                    self._done.acquire()
+                    break
+                except BaseException as exc:  # a signal handler's: wait on first
+                    interrupt = exc
+            error, self._error, self._task = self._error, None, None
+            if interrupt is not None:
+                raise interrupt
+        if error is not None:
+            raise error
+
+
+_lane: Optional[_Lane] = None
+_lane_start = threading.Lock()
+
+
+def _claim_lane() -> Optional[_Lane]:
+    """The process's helper lane, started on first use, or None while
+    another thread's evaluate() holds it."""
+    global _lane
+    if _lane is None:
+        with _lane_start:
+            if _lane is None:
+                _lane = _Lane()
+    return _lane if _lane.claim() else None
+
+
+def _forget_lane() -> None:
+    """A forked child has no helper thread: it starts its own when needed."""
+    global _lane, _lane_start
+    _lane, _lane_start = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_lane)
+
+
+def _use_hooks(hooks: InjectionHooks, layer_idx: int, k: np.ndarray, v: np.ndarray,
+               scratch: np.ndarray, mixes: Optional[Tuple[LayerMix, ...]]) -> None:
+    """Record mode keeps a layer's K/V (a step's first evaluation does);
+    inject mode (mixes given) blends the cached ones into k and v in place."""
+    if mixes is None:
+        if not hooks.cache.has(hooks.step, layer_idx):
+            hooks.cache.put(hooks.step, layer_idx, k, v)
+    else:
+        k_src, v_src = hooks.cache.get(hooks.step, layer_idx)
+        kv_mix(k_src, v_src, k, v, mixes[layer_idx], scratch=scratch)
+
+
+def _project_rows(part: tuple, w_time: np.ndarray, wo: Optional[np.ndarray],
+                  layer: Optional[dict]) -> None:
+    """One lane's share of the projections between two layers' attention,
+    for the token rows of ``part`` (x, h, q, k, v, attention output,
+    projection): h = x @ w_time before the first layer or h += attention
+    output @ wo after one, then the next layer's q, k and v. Each row's
+    products are the same as in one product over all rows."""
+    x, h, q, k, v, attn_out, proj = part
+    if wo is None:
+        np.matmul(x, w_time, out=h)
+    else:
+        h += np.matmul(attn_out, wo, out=proj)
+    if layer is not None:
+        np.matmul(h, layer["wq"], out=q)
+        np.matmul(h, layer["wk"], out=k)
+        np.matmul(h, layer["wv"], out=v)
+
+
+def _attend(units: Sequence[tuple], scale: float, record: bool) -> None:
+    """softmax(QK^T / sqrt(dh)) V per unit of _Scratch.views, each with its
+    own score block: numpy makes one 2-d product per entry with the same
+    shapes and strides as a stacked (B, H, n, n) attention, and the row
+    reductions work per row, so every entry gets the same bits (the ufunc
+    reductions are max and sum without the wrappers' per-call cost)."""
+    for qh, kt, vh, out_cols, scores, row, txt, txt_out in units:
+        np.matmul(qh, kt, out=scores)
+        scores *= scale
+        np.maximum.reduce(scores, axis=-1, keepdims=True, out=row)
+        scores -= row
+        np.exp(scores, out=scores)
+        np.add.reduce(scores, axis=-1, keepdims=True, out=row)
+        scores /= row
+        if record:
+            txt_out[...] = txt
+        np.matmul(scores, vh, out=out_cols)
+
 
 class ToyAttentionFlow:
     """Seeded stand-in for a transformer flow backbone.
@@ -348,6 +534,15 @@ class ToyAttentionFlow:
     unit works on are made once per batch size (_Scratch.views), so an
     evaluation slices no array per head.
 
+    From LANE_SCORE_BYTES on, with at least two units and two usable CPUs, a
+    layer runs on two lanes: the calling thread and one helper thread that
+    the whole process shares, started on first use. The lanes take every
+    other unit, each with a score block of its own, and the two halves of
+    the token rows for the projections. Each array comes from the same numpy
+    call on the same operands as on one lane, so the outputs are bitwise the
+    same. Whatever a hook reads or writes stays on the calling thread. While
+    one evaluate() holds the helper, another thread's runs serially.
+
     Parameters are immutable after construction and evaluate() is pure except
     for cache/sink writes in record mode and its memos of checked prompt
     embeddings and time features (bounded, read-only, keyed by their inputs;
@@ -355,8 +550,9 @@ class ToyAttentionFlow:
     exactly one pipeline run, and concurrent runs use separate caches. The
     model also owns the scratch arrays evaluate() writes (one set, sized for
     the largest batch so far), so one model serves one evaluate() at a time
-    and concurrent runs use separate models. The returned velocity and the
-    recorded K/V and attention entries are copies that never alias them.
+    and concurrent runs use separate models; the helper lane is the
+    process's, not the model's. The returned velocity and the recorded K/V
+    and attention entries are copies that never alias them.
     """
 
     time_freqs = TIME_FREQS
@@ -440,7 +636,7 @@ class ToyAttentionFlow:
 
         # one (B, n, d + 2F) input: text rows, then image rows, then the time
         # features of every token
-        x, x_txt, x_img, x_time, h, h_img, q, k, v, attn_out, proj, attn_txt, units = \
+        x, x_txt, x_img, x_time, h, h_img, q, k, v, attn_out, proj, attn_txt, units, split = \
             self._scratch_for(b)
         if len(prompts) == 1:
             x_txt[...] = self._prompt_rows(prompts[0])
@@ -449,44 +645,43 @@ class ToyAttentionFlow:
                 entries[:, :n_txt, :d] = self._prompt_rows(ids)
         np.matmul(z.data, self.w_in, out=x_img)
         x_time[...] = _time_features(t)
-        np.matmul(x, self.w_time, out=h)
 
         record = hooks is not None and hooks.mode == "record"
         sink = hooks.attn_sink if record else None
         mixes = None
         if hooks is not None and not record:
             mixes = hooks.layer_mixes(self.layer_count, x.shape[1])
-        scale = self._scale
-        for layer_idx, layer in enumerate(self.layers):
-            np.matmul(h, layer["wq"], out=q)
-            np.matmul(h, layer["wk"], out=k)
-            np.matmul(h, layer["wv"], out=v)
-            if record:
-                if not hooks.cache.has(hooks.step, layer_idx):
-                    hooks.cache.put(hooks.step, layer_idx, k, v)
-            elif hooks is not None:
-                k_src, v_src = hooks.cache.get(hooks.step, layer_idx)
-                kv_mix(k_src, v_src, k, v, mixes[layer_idx], scratch=proj)
-            # softmax(QK^T / sqrt(dh)) V per head over a slice of batch
-            # entries: numpy makes one 2-d product per entry with the same
-            # shapes and strides as a stacked (B, H, n, n) attention, and the
-            # row reductions work per row, so every entry gets the same bits
-            # (the ufunc reductions are max and sum without the wrappers'
-            # per-call cost)
-            for qh, kt, vh, out_cols, scores, row, txt, txt_out in units:
-                np.matmul(qh, kt, out=scores)
-                scores *= scale
-                np.maximum.reduce(scores, axis=-1, keepdims=True, out=row)
-                scores -= row
-                np.exp(scores, out=scores)
-                np.add.reduce(scores, axis=-1, keepdims=True, out=row)
-                scores /= row
+        lane = None if split is None else _claim_lane()
+        if lane is None:
+            np.matmul(x, self.w_time, out=h)
+            for layer_idx, layer in enumerate(self.layers):
+                np.matmul(h, layer["wq"], out=q)
+                np.matmul(h, layer["wk"], out=k)
+                np.matmul(h, layer["wv"], out=v)
+                if hooks is not None:
+                    _use_hooks(hooks, layer_idx, k, v, proj, mixes)
+                _attend(units, self._scale, sink is not None)
                 if sink is not None:
-                    txt_out[...] = txt
-                np.matmul(scores, vh, out=out_cols)
-            if sink is not None:
-                sink.put(hooks.step, layer_idx, attn_txt)
-            h += np.matmul(attn_out, layer["wo"], out=proj)
+                    sink.put(hooks.step, layer_idx, attn_txt)
+                h += np.matmul(attn_out, layer["wo"], out=proj)
+        else:
+            # the projections between two attentions, then each attention,
+            # split between the lanes; what a hook reads or writes runs here
+            try:
+                both = functools.partial(lane.both, contextvars.copy_context())
+                (top, bottom), (mine, theirs) = split
+                wo = None
+                for layer_idx, layer in enumerate(self.layers):
+                    both(_project_rows, top, bottom, self.w_time, wo, layer)
+                    if hooks is not None:
+                        _use_hooks(hooks, layer_idx, k, v, proj, mixes)
+                    both(_attend, mine, theirs, self._scale, sink is not None)
+                    if sink is not None:
+                        sink.put(hooks.step, layer_idx, attn_txt)
+                    wo = layer["wo"]
+                both(_project_rows, top, bottom, self.w_time, wo, None)
+            finally:
+                lane.release()
 
         out = h_img @ self.w_out
         if not np.logical_and.reduce(np.isfinite(out), axis=None):
@@ -497,8 +692,11 @@ class ToyAttentionFlow:
 class _Scratch:
     """The arrays ToyAttentionFlow.evaluate writes for up to b batch
     entries, reused by every later evaluation of at most b, and their views
-    per batch size, made once each. The score block holds as many entries'
-    (n, n) scores as fit SCORE_BLOCK_BYTES, at least one and at most b."""
+    per batch size, made once each. Each lane (lanes is 1, or 2 when b
+    entries may take two) has a score block of its own, holding as many
+    entries' (n, n) scores as fit SCORE_BLOCK_BYTES, at least one and at most
+    b, and its row sums. The arrays belong to one model, so the helper lane
+    works on them only inside that model's evaluate()."""
 
     def __init__(self, b: int, n_txt: int, n_img: int, d: int, time_dim: int,
                  heads: int):
@@ -511,9 +709,12 @@ class _Scratch:
         self.q = np.empty((b, n, d))
         self.k = np.empty((b, n, d))
         self.v = np.empty((b, n, d))
-        block = min(b, max(1, SCORE_BLOCK_BYTES // (n * n * 8)))
-        self.scores = np.empty((block, n, n))
-        self.row = np.empty((block, n, 1))
+        block = min(b, _block_entries(n))
+        two = (_size_lanes(n) == 2 and evaluation_lanes() == 2
+               and heads * -(-b // block) >= 2)
+        self.lanes = 2 if two else 1
+        self.scores = np.empty((self.lanes, block, n, n))
+        self.row = np.empty((self.lanes, block, n, 1))
         self.attn_out = np.empty((b, n, d))
         self.proj = np.empty((b, n, d))
         self.attn_txt = np.empty((b, heads, n_txt, n_img))
@@ -522,17 +723,22 @@ class _Scratch:
     def views(self, b: int) -> tuple:
         """For the first b entries: x and its text, image and time parts, h
         and its image rows, q, k, v, the attention output, the projection,
-        the text-to-image block, and the attention's units, one per head and
-        score block in that order. A unit holds the block's q, k^T and v
-        columns of its head, the attention output's columns, the block's
-        share of the score and row arrays, the scores' text-to-image part and
-        its place in the text-to-image block: 2-d arrays of one entry for a
-        block of one."""
+        the text-to-image block, the attention's units, one per head and
+        score block in that order, and the two lanes' shares, or None when b
+        entries take one lane. A unit holds the block's q, k^T and v columns
+        of its head, the attention output's columns, its lane's share of the
+        score and row arrays, the scores' text-to-image part and its place in
+        the text-to-image block: 2-d arrays of one entry for a block of one.
+        The lanes' shares are a pair: the first and the last half of the
+        token rows of x, h, q, k, v, the attention output and the projection
+        (_project_rows), and every other unit, from the first and from the
+        second."""
         got = self._views.get(b)
         if got is None:
-            n_txt, dh, size = self.n_txt, self.head_dim, self.scores.shape[0]
-            x, h, q, k, v, attn_out = (a[:b] for a in (self.x, self.h, self.q, self.k,
-                                                        self.v, self.attn_out))
+            n_txt, dh, size = self.n_txt, self.head_dim, self.scores.shape[1]
+            whole = tuple(a[:b] for a in (self.x, self.h, self.q, self.k, self.v,
+                                          self.attn_out, self.proj))
+            x, h, q, k, v, attn_out, proj = whole
             d = h.shape[-1]
             units = []
             for head in range(self.attn_txt.shape[1]):
@@ -540,14 +746,21 @@ class _Scratch:
                 for lo in range(0, b, size):
                     m = min(size, b - lo)
                     at = lo if m == 1 else slice(lo, lo + m)
-                    scores, row = ((self.scores[0], self.row[0]) if m == 1 else
-                                   (self.scores[:m], self.row[:m]))
+                    lane = len(units) % self.lanes
+                    scores, row = ((self.scores[lane, 0], self.row[lane, 0]) if m == 1 else
+                                   (self.scores[lane, :m], self.row[lane, :m]))
                     units.append((q[at, :, cols], np.swapaxes(k[at, :, cols], -1, -2),
                                   v[at, :, cols], attn_out[at, :, cols], scores, row,
                                   scores[..., :n_txt, n_txt:], self.attn_txt[at, head]))
+            split = None
+            if self.lanes == 2 and len(units) >= 2:
+                half = h.shape[1] // 2
+                split = (tuple(tuple(a[:, rows] for a in whole)
+                               for rows in (slice(0, half), slice(half, None))),
+                         (units[0::2], units[1::2]))
             got = self._views[b] = (
                 x, x[:, :n_txt, :d], x[:, n_txt:, :d], x[:, :, d:], h, h[:, n_txt:],
-                q, k, v, attn_out, self.proj[:b], self.attn_txt[:b], units)
+                q, k, v, attn_out, proj, self.attn_txt[:b], units, split)
         return got
 
 

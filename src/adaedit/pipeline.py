@@ -25,7 +25,8 @@ from .diagnostics import psnr, ssim, velocity_jump_between
 from .errors import ConfigError, DivergenceError
 from .latent import STREAM_NOISE, STREAM_SOURCE, Latent, SeededRng, sample_gaussian
 from .models import (AttentionRecord, Conditioning, EditMask, InjectionHooks,
-                     KVCache, ToyAttentionFlow, extract_mask, mix_rows)
+                     KVCache, ToyAttentionFlow, extract_mask, mix_rows,
+                     score_buffer_bytes)
 from .perturbation import (PERTURBATION_MODES, ChannelWeights,
                            PerturbationConfig, channel_gap,
                            latents_shift_channel_selective,
@@ -58,15 +59,17 @@ INVERSION_FIELDS = ("seed", "layer_count", "embed_dim", "img_tokens", "text_toke
 # embed_dim=256, layer_count=8, heads=4, channels=16, total_steps=28.
 MAX_STEPS = 1000
 # A run keeps the model's weights, and the K/V and the text-to-image attention
-# of every active step until sampling ends. The estimate also counts heads *
-# n * n float64 attention scores: an upper bound, since evaluate holds one
-# (n, n) block at a time, kept at what all heads' scores held when they were
-# live at once. The per-field bounds admit products far beyond any desk
-# machine (heads=32, img_tokens=4096 counts 4.3 GB of scores; vocab_size=65536
-# and layer_count=32 at embed_dim=1024 take 1.62 GB of weights), which end in
-# a MemoryError or an OOM kill mid-run. This budget stops them before any work
-# starts; it admits the stability envelope above with a binary schedule and
-# injection_steps=28 (~1.02 GB by the estimate in EditConfig.validate).
+# of every active step until sampling ends. The estimate also counts the
+# attention scores: the larger of heads * n * n float64 scores, kept at what
+# all heads' scores held when they were live at once, and the score blocks
+# and row sums that evaluate's lanes hold at once (score_buffer_bytes, two
+# lanes from n >= 210 tokens). The per-field bounds admit products far beyond
+# any desk machine (heads=32, img_tokens=4096 counts 4.3 GB of scores;
+# vocab_size=65536 and layer_count=32 at embed_dim=1024 take 1.62 GB of
+# weights), which end in a MemoryError or an OOM kill mid-run. This budget
+# stops them before any work starts; it admits the stability envelope above
+# with a binary schedule and injection_steps=28 (~1.02 GB by the estimate in
+# EditConfig.validate).
 MEMORY_BUDGET = 2 * 10**9
 FLOAT64_BYTES = 8
 # At subnormal temperatures d / tau overflows and the channel weights turn
@@ -338,7 +341,7 @@ def _run_bytes(cfg: EditConfig, active: int) -> Tuple[int, int, int, int]:
     weights = FLOAT64_BYTES * d * (cfg.vocab_size + 2 * cfg.channels
                                    + d + 2 * ToyAttentionFlow.time_freqs
                                    + 4 * cfg.layer_count * d)
-    scores = cfg.heads * n * n * FLOAT64_BYTES
+    scores = max(cfg.heads * n * n * FLOAT64_BYTES, score_buffer_bytes(n))
     cache = active * cfg.layer_count * 2 * n * d * FLOAT64_BYTES
     record = (active * cfg.layer_count * cfg.heads * cfg.text_tokens * cfg.img_tokens
               * FLOAT64_BYTES)

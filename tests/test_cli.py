@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from adaedit import cli
@@ -473,7 +475,7 @@ def test_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys, command, block
 
 
 MANIFEST_KEYS = {"command", "config_path", "out_dir", "config_hash", "timestamp",
-                 "version", "outputs"}
+                 "version", "outputs", "environment"}
 
 
 @pytest.mark.parametrize("command", (["edit"], ["reconstruct"], ["sweep-schedule"],
@@ -488,6 +490,21 @@ def test_manifest_lists_exactly_the_files_written(tmp_path, command):
     assert manifest["command"] == command[0]
     written = sorted(path.name for path in out.iterdir() if path.name != "manifest.json")
     assert manifest["outputs"] == written
+
+
+def test_manifest_records_the_numeric_environment(tmp_path):
+    import scipy
+
+    out = tmp_path / "run"
+    assert main(["solver-order", "--out", str(out)]) == 0
+    env = json.loads((out / "manifest.json").read_text())["environment"]
+    assert set(env) == {"numpy", "scipy", "blas", "OPENBLAS_NUM_THREADS", "evaluation_lanes"}
+    assert env["numpy"] == np.__version__ and env["scipy"] == scipy.__version__
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert env["blas"] == {"name": blas["name"], "version": blas["version"],
+                           "config": blas.get("openblas configuration")}
+    assert env["OPENBLAS_NUM_THREADS"] == os.environ.get("OPENBLAS_NUM_THREADS")
+    assert env["evaluation_lanes"] in (1, 2)
 
 
 def test_module_entrypoint_subprocess(tmp_path):

@@ -582,7 +582,7 @@ def test_the_cached_views_follow_the_scratch_as_it_regrows(monkeypatch, mode):
                     row_sink.put(3, layer, blocks[layer, r:r + 1])
                 assert_same_records(row_cache, row_sink, alone.cache, alone.attn_sink, 3,
                                     flow.layer_count)
-    assert flow._scratch.b == 5 and flow._scratch.scores.shape[0] == 2
+    assert flow._scratch.b == 5 and flow._scratch.scores.shape[1] == 2
 
 
 def test_a_stack_must_split_evenly_into_rows():
@@ -640,6 +640,234 @@ def test_a_warm_evaluation_allocates_less_than_one_stacked_score_array():
         tracemalloc.stop()
     n = flow.text_tokens + flow.img_tokens
     assert peak < z.b * flow.heads * n * n * 8  # 2,163,200 B
+
+
+# ----------------------------------------------------------- evaluation lanes
+
+MID = {"img_tokens": 256, "embed_dim": 128, "layer_count": 4, "heads": 4}
+
+
+def force_lanes(monkeypatch, lanes):
+    """Models made from now on run on ``lanes`` lanes at every size, on any
+    number of CPUs."""
+    monkeypatch.setattr(models, "evaluation_lanes", lambda: 2)
+    monkeypatch.setattr(models, "LANE_SCORE_BYTES", 0 if lanes == 2 else 2**62)
+
+
+def two_lane(flow, b):
+    return flow._scratch.views(b)[-1] is not None
+
+
+@pytest.mark.parametrize("heads", (2, 3, 4))
+@pytest.mark.parametrize("rows", (1, 2, 3))
+@pytest.mark.parametrize("block", ("one", "several"))
+def test_two_lanes_equal_one_lane_bitwise(monkeypatch, heads, rows, block):
+    # n = 40; a score block of one entry, or of all of a stack's entries
+    dims = dict(img_tokens=36, embed_dim=48, layer_count=3, heads=heads)
+    n = 4 + 36
+    if block == "one":
+        monkeypatch.setattr(models, "SCORE_BLOCK_BYTES", n * n * 8)
+    results = []
+    for lanes in (1, 2):
+        force_lanes(monkeypatch, lanes)
+        flow = ToyAttentionFlow(seed=heads, **dims)
+        cache, latents, prompts, ratios, masks, flags = stack_cases(flow, rows, 1, rows)
+        z = Latent(np.concatenate([lat.data for lat in latents]))
+        record = InjectionHooks("record", cache=KVCache(), step=2, attn_sink=AttentionRecord())
+        inject = InjectionHooks("inject", cache=cache, step=0,
+                                mixes=mix_rows(np.array(ratios).T[None], masks, flags, n)[0])
+        got = [flow.evaluate(z, 0.4, prompts, hooks).data for hooks in (None, record, inject)]
+        got += [a for layer in range(3) for a in record.cache.get(2, layer)]
+        got.append(record.attn_sink.stacked())
+        assert two_lane(flow, rows) == (lanes == 2)
+        results.append(got)
+    for serial, split in zip(*results):
+        assert np.array_equal(serial, split)
+
+
+def test_the_default_and_grid_shapes_take_one_lane(monkeypatch):
+    # n = 20 and one head: one unit per layer, whatever the stack size
+    monkeypatch.setattr(models, "evaluation_lanes", lambda: 2)
+    flow = default_flow()
+    for b in (1, 2, 36):
+        flow.evaluate(sample_gaussian(SeededRng(b), b, 16, 8), 0.5, COND)
+        assert not two_lane(flow, b)
+    assert flow._scratch.lanes == 1
+
+
+def test_a_process_that_runs_only_small_edits_starts_no_thread(tmp_path):
+    import subprocess
+    import sys
+
+    code = ("import threading; from adaedit import cli, pipeline; "
+            "cfg = pipeline.EditConfig(); "
+            "pipeline.run_edit(pipeline.generate_source_latent(cfg), "
+            "cfg.source_conditioning(), cfg.target_conditioning(), cfg); "
+            f"cli.main(['ablate', '--out', {str(tmp_path)!r}, '--axis', 'alpha=0.1,0.2']); "
+            "print(threading.active_count())")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-1] == "1"
+
+
+@pytest.mark.parametrize("lanes", (1, 2))
+def test_an_overflow_under_errstate_raises_on_either_path(monkeypatch, lanes):
+    force_lanes(monkeypatch, lanes)
+    flow = ToyAttentionFlow(seed=0, **MID)
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError):
+            flow.evaluate(Latent(np.full((1, 256, 8), 1e160)), 0.3, COND)
+    assert two_lane(flow, 1) == (lanes == 2)
+    z = sample_gaussian(SeededRng(2), 1, 256, 8)
+    assert np.array_equal(flow.evaluate(z, 0.3, COND).data,
+                          ToyAttentionFlow(seed=0, **MID).evaluate(z, 0.3, COND).data)
+
+
+def test_the_helper_lane_runs_in_the_callers_errstate():
+    import contextvars
+
+    def square(a):
+        np.multiply(a, a)
+
+    lane = models._claim_lane()
+    assert lane is not None
+    try:
+        with np.errstate(over="raise"):
+            # only the helper's half overflows
+            with pytest.raises(FloatingPointError):
+                lane.both(contextvars.copy_context(), square, np.ones(4), np.full(4, 1e300))
+        with np.errstate(over="ignore"):
+            lane.both(contextvars.copy_context(), square, np.ones(4), np.full(4, 1e300))
+    finally:
+        lane.release()
+
+
+def test_an_interrupt_while_the_helper_works_waits_for_it():
+    import contextvars
+    import signal
+    import threading
+    import time
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    def work(done):
+        if done is not None:  # the helper's half
+            time.sleep(0.3)
+            done.append(True)
+
+    done = []
+    previous = signal.signal(signal.SIGUSR1, interrupt)
+    lane = models._claim_lane()
+    assert lane is not None
+    try:
+        threading.Timer(0.05, signal.pthread_kill,
+                        (threading.main_thread().ident, signal.SIGUSR1)).start()
+        with pytest.raises(KeyboardInterrupt):
+            lane.both(contextvars.copy_context(), work, None, done)
+        assert done == [True]
+        lane.both(contextvars.copy_context(), work, None, None)
+    finally:
+        lane.release()
+        signal.signal(signal.SIGUSR1, previous)
+
+
+def test_timer_signals_wait_while_the_helper_lane_is_held():
+    import contextvars
+    import signal
+    import time
+
+    working, seen = [], []
+
+    def work(flag):
+        if flag is not None:  # the helper's half
+            flag.append(True)
+            time.sleep(0.3)
+            flag.clear()
+
+    # the timer fires while the helper sleeps and this thread waits for it;
+    # its handler runs only once the helper is done
+    previous = signal.signal(signal.SIGALRM, lambda signum, frame: seen.append(bool(working)))
+    lane = models._claim_lane()
+    assert lane is not None
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.05)
+        lane.both(contextvars.copy_context(), work, None, working)
+    finally:
+        lane.release()
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert seen == [False]
+
+
+def _evaluate_mid(conn):
+    z = sample_gaussian(SeededRng(2), 1, 256, 8)
+    conn.send(ToyAttentionFlow(seed=1, **MID).evaluate(z, 0.3, COND).data)
+    conn.close()
+
+
+@pytest.mark.filterwarnings("ignore:.*fork.*:DeprecationWarning")
+def test_a_forked_child_evaluates_on_a_lane_of_its_own(monkeypatch):
+    import multiprocessing
+
+    force_lanes(monkeypatch, 2)
+    flow = ToyAttentionFlow(seed=1, **MID)
+    want = flow.evaluate(sample_gaussian(SeededRng(2), 1, 256, 8), 0.3, COND).data
+    assert two_lane(flow, 1) and models._lane is not None
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_evaluate_mid, args=(send,))
+    child.start()
+    send.close()
+    try:
+        assert receive.poll(120), "the forked child's evaluation hung"
+        got = receive.recv()
+    finally:
+        child.join(30)
+        if child.is_alive():
+            child.kill()
+    assert child.exitcode == 0
+    assert np.array_equal(got, want)
+
+
+def test_concurrent_evaluations_share_one_helper_and_keep_their_bits(monkeypatch):
+    # more threads than cores, switching often: whichever holds the helper
+    # runs on two lanes and the others on one, and each keeps its bits
+    import sys
+    import threading
+
+    times = (0.2, 0.5, 0.8)
+    latents = [sample_gaussian(SeededRng(seed), 1, 256, 8) for seed in (3, 4, 5)]
+    force_lanes(monkeypatch, 1)
+    want = [[ToyAttentionFlow(seed=seed, **MID).evaluate(z, t, COND).data for t in times]
+            for seed, z in enumerate(latents)]
+    force_lanes(monkeypatch, 2)
+    flows = [ToyAttentionFlow(seed=seed, **MID) for seed in range(3)]
+    got = [[] for _ in flows]
+    start = threading.Barrier(len(flows))
+
+    def run(i):
+        start.wait()
+        for _ in range(3):
+            got[i].extend(flows[i].evaluate(latents[i], t, COND).data for t in times)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(flows))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for i in range(len(flows)):
+        assert len(got[i]) == 9
+        for k, out in enumerate(got[i]):
+            assert np.array_equal(out, want[i][k % 3])
+    assert [t.name for t in threading.enumerate()].count("adaedit-lane") == 1
 
 
 # ------------------------------------------------------------ mask extraction

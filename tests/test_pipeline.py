@@ -108,13 +108,14 @@ def test_memory_product_is_a_config_error():
                    embed_dim=64, total_steps=28, injection_steps=28, schedule="binary")
     assert exc.value.field == "img_tokens"
     assert "attention record 3.76 GB" in str(exc.value)
-    # one active step's K/V, scores and record take ~0.75 GB, and the weights
-    # of 32 layers at embed_dim=1024 with a 65536-token table ~1.62 GB
+    # one active step's K/V, two lanes' scores and the record take ~0.76 GB,
+    # and the weights of 32 layers at embed_dim=1024 with a 65536-token table
+    # ~1.62 GB
     with pytest.raises(ConfigError) as exc:
         EditConfig(layer_count=32, embed_dim=1024, vocab_size=65536, img_tokens=1024,
                    text_tokens=256, total_steps=4, injection_steps=1, schedule="binary")
     assert exc.value.field == "img_tokens"
-    assert "2.37 GB (model weights 1.62 GB" in str(exc.value)
+    assert "2.38 GB (model weights 1.62 GB" in str(exc.value)
 
 
 SCRATCH_ARRAYS = ("x", "h", "q", "k", "v", "attn_out", "proj", "attn_txt")
@@ -122,9 +123,10 @@ SCRATCH_ARRAYS = ("x", "h", "q", "k", "v", "attn_out", "proj", "attn_txt")
 
 @pytest.mark.parametrize("dims", ({}, dict(img_tokens=64, embed_dim=64, heads=4, layer_count=3),
                                   dict(img_tokens=36, text_tokens=6, embed_dim=48, heads=3,
-                                       channels=4, vocab_size=100)),
-                         ids=("default", "wide", "odd"))
-def test_memory_budget_counts_the_models_arrays(dims):
+                                       channels=4, vocab_size=100),
+                                  dict(img_tokens=256, embed_dim=128, heads=4, layer_count=4)),
+                         ids=("default", "wide", "odd", "mid"))
+def test_memory_budget_counts_the_models_arrays(monkeypatch, dims):
     # the estimates follow the model's real arrays, so a change to the block
     # that adds a weight or a scratch array shows here
     cfg = EditConfig(**dims)
@@ -142,6 +144,17 @@ def test_memory_budget_counts_the_models_arrays(dims):
     blends = pipeline.FLOAT64_BYTES * 2 * cfg.total_steps * cfg.layer_count * n
     states = pipeline.FLOAT64_BYTES * (cfg.total_steps + 8) * cfg.img_tokens * cfg.channels
     assert pipeline._stack_row_bytes(cfg) - blends - states == growth
+    # the scores term bounds the score blocks and row sums of every lane at
+    # any stack size: the largest are a full block on each lane (at the mid
+    # size, 3 entries on each of two lanes)
+    monkeypatch.setattr(models, "evaluation_lanes", lambda: 2)
+    block = models._block_entries(n)
+    live = max(s.scores.nbytes + s.row.nbytes
+               for s in (models._Scratch(b, cfg.text_tokens, cfg.img_tokens, cfg.embed_dim,
+                                         2 * model.time_freqs, cfg.heads)
+                         for b in (1, 2, block, block + 1)))
+    assert live == models.score_buffer_bytes(n)
+    assert pipeline._run_bytes(cfg, 1)[1] == max(cfg.heads * n * n * 8, live)
 
 
 def test_readme_config_section_lists_every_field():
