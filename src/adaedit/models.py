@@ -383,7 +383,10 @@ class _Lane:
     """The process's helper thread: evaluate()'s second lane. One evaluate()
     at a time holds it (claim and release), and its thread's timer signals
     wait while it does; the holder runs each piece of work on both lanes
-    with both()."""
+    with both(). That wait is best effort: OpenBLAS's worker threads
+    (OPENBLAS_NUM_THREADS unset or above 1) do not block the signals, so one
+    may take a signal whose handler then runs on the main thread at once;
+    bench/run.py pins one BLAS thread, which starts no such workers."""
 
     def __init__(self):
         self._held = threading.Lock()
@@ -417,12 +420,13 @@ class _Lane:
             signal.pthread_sigmask(signal.SIG_SETMASK, self._mask)
         self._held.release()
 
-    def both(self, context: contextvars.Context, fn, mine, theirs, *args) -> None:
-        """fn(theirs, *args) on the helper thread, in ``context`` (the
-        caller's, so np.errstate holds there too), while fn(mine, *args) runs
-        here. Returns, or raises this thread's error or else the helper's,
-        only once the helper is done, so no lane writes after the call."""
-        self._task = (context, fn, (theirs, *args))
+    def both(self, fn, shares: Sequence, *args) -> None:
+        """fn(theirs, *args) on the helper thread, in a copy of the caller's
+        context (so np.errstate holds there), while fn(mine, *args) runs here,
+        for shares (mine, theirs). Returns, or raises this thread's error or
+        else the helper's, only once the helper is done: no lane writes later."""
+        mine, theirs = shares
+        self._task = (contextvars.copy_context(), fn, (theirs, *args))
         self._go.release()
         try:
             fn(mine, *args)
@@ -466,6 +470,12 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_lane)
 
 
+def _serially(fn, shares: Sequence, *args) -> None:
+    """fn(share, *args) for each share in turn, on this thread."""
+    for share in shares:
+        fn(share, *args)
+
+
 def _use_hooks(hooks: InjectionHooks, layer_idx: int, k: np.ndarray, v: np.ndarray,
                scratch: np.ndarray, mixes: Optional[Tuple[LayerMix, ...]]) -> None:
     """Record mode keeps a layer's K/V (a step's first evaluation does);
@@ -480,8 +490,8 @@ def _use_hooks(hooks: InjectionHooks, layer_idx: int, k: np.ndarray, v: np.ndarr
 
 def _project_rows(part: tuple, w_time: np.ndarray, wo: Optional[np.ndarray],
                   layer: Optional[dict]) -> None:
-    """One lane's share of the projections between two layers' attention,
-    for the token rows of ``part`` (x, h, q, k, v, attention output,
+    """One share of the projections between two layers' attention, for
+    the token rows of ``part`` (x, h, q, k, v, attention output,
     projection): h = x @ w_time before the first layer or h += attention
     output @ wo after one, then the next layer's q, k and v. Each row's
     products are the same as in one product over all rows."""
@@ -534,14 +544,14 @@ class ToyAttentionFlow:
     unit works on are made once per batch size (_Scratch.views), so an
     evaluation slices no array per head.
 
-    From LANE_SCORE_BYTES on, with at least two units and two usable CPUs, a
-    layer runs on two lanes: the calling thread and one helper thread that
-    the whole process shares, started on first use. The lanes take every
-    other unit, each with a score block of its own, and the two halves of
-    the token rows for the projections. Each array comes from the same numpy
-    call on the same operands as on one lane, so the outputs are bitwise the
-    same. Whatever a hook reads or writes stays on the calling thread. While
-    one evaluate() holds the helper, another thread's runs serially.
+    One layer loop runs the projections and the attention share by share.
+    From LANE_SCORE_BYTES on, with at least two units and two usable CPUs,
+    views splits both in two (every other unit, each with a score block of
+    its own; the two halves of the token rows), which run on the calling
+    thread and the process's one helper thread, or one after the other while
+    another thread's evaluate() holds it. Each array comes from the same
+    numpy call on the same operands either way, so the outputs are bitwise
+    the same. Whatever a hook reads or writes stays on the calling thread.
 
     Parameters are immutable after construction and evaluate() is pure except
     for cache/sink writes in record mode and its memos of checked prompt
@@ -592,6 +602,16 @@ class ToyAttentionFlow:
         self._prompt_memo: Dict[Tuple[int, ...], np.ndarray] = {}
         self._scratch: Optional[_Scratch] = None
 
+    @classmethod
+    def array_bytes(cls, layer_count: int, embed_dim: int, img_tokens: int, text_tokens: int,
+                    channels: int, heads: int, vocab_size: int) -> Tuple[int, int]:
+        """The bytes of the weights __init__ draws for these dimensions, and
+        of the scratch arrays one batch entry adds (_Scratch, but scores)."""
+        n, d, t_in = img_tokens + text_tokens, embed_dim, embed_dim + 2 * cls.time_freqs
+        weights = d * (vocab_size + 2 * channels + t_in + 4 * layer_count * d)
+        entry = n * (t_in + 6 * d) + heads * text_tokens * img_tokens
+        return 8 * weights, 8 * entry
+
     def _prompt_rows(self, ids: Tuple[int, ...]) -> np.ndarray:
         """The prompt's embedding rows, (text_tokens, embed_dim), checked and
         looked up once per prompt; a prompt that fails its check is not kept."""
@@ -636,7 +656,7 @@ class ToyAttentionFlow:
 
         # one (B, n, d + 2F) input: text rows, then image rows, then the time
         # features of every token
-        x, x_txt, x_img, x_time, h, h_img, q, k, v, attn_out, proj, attn_txt, units, split = \
+        x, x_txt, x_img, x_time, h_img, k, v, proj, attn_txt, rows, units = \
             self._scratch_for(b)
         if len(prompts) == 1:
             x_txt[...] = self._prompt_rows(prompts[0])
@@ -651,36 +671,23 @@ class ToyAttentionFlow:
         mixes = None
         if hooks is not None and not record:
             mixes = hooks.layer_mixes(self.layer_count, x.shape[1])
-        lane = None if split is None else _claim_lane()
-        if lane is None:
-            np.matmul(x, self.w_time, out=h)
+        # the projections between two attentions, then each attention, share
+        # by share on the lanes; what a hook reads or writes runs here
+        lane = _claim_lane() if len(units) == 2 else None
+        run = _serially if lane is None else lane.both
+        try:
+            wo = None
             for layer_idx, layer in enumerate(self.layers):
-                np.matmul(h, layer["wq"], out=q)
-                np.matmul(h, layer["wk"], out=k)
-                np.matmul(h, layer["wv"], out=v)
+                run(_project_rows, rows, self.w_time, wo, layer)
                 if hooks is not None:
                     _use_hooks(hooks, layer_idx, k, v, proj, mixes)
-                _attend(units, self._scale, sink is not None)
+                run(_attend, units, self._scale, sink is not None)
                 if sink is not None:
                     sink.put(hooks.step, layer_idx, attn_txt)
-                h += np.matmul(attn_out, layer["wo"], out=proj)
-        else:
-            # the projections between two attentions, then each attention,
-            # split between the lanes; what a hook reads or writes runs here
-            try:
-                both = functools.partial(lane.both, contextvars.copy_context())
-                (top, bottom), (mine, theirs) = split
-                wo = None
-                for layer_idx, layer in enumerate(self.layers):
-                    both(_project_rows, top, bottom, self.w_time, wo, layer)
-                    if hooks is not None:
-                        _use_hooks(hooks, layer_idx, k, v, proj, mixes)
-                    both(_attend, mine, theirs, self._scale, sink is not None)
-                    if sink is not None:
-                        sink.put(hooks.step, layer_idx, attn_txt)
-                    wo = layer["wo"]
-                both(_project_rows, top, bottom, self.w_time, wo, None)
-            finally:
+                wo = layer["wo"]
+            run(_project_rows, rows, self.w_time, wo, None)
+        finally:
+            if lane is not None:
                 lane.release()
 
         out = h_img @ self.w_out
@@ -692,8 +699,8 @@ class ToyAttentionFlow:
 class _Scratch:
     """The arrays ToyAttentionFlow.evaluate writes for up to b batch
     entries, reused by every later evaluation of at most b, and their views
-    per batch size, made once each. Each lane (lanes is 1, or 2 when b
-    entries may take two) has a score block of its own, holding as many
+    per batch size, made once each. Each lane (scores.shape[0]: 1, or 2 when
+    b entries may take two) has a score block of its own, holding as many
     entries' (n, n) scores as fit SCORE_BLOCK_BYTES, at least one and at most
     b, and its row sums. The arrays belong to one model, so the helper lane
     works on them only inside that model's evaluate()."""
@@ -704,6 +711,7 @@ class _Scratch:
         self.b = b
         self.n_txt = n_txt
         self.head_dim = d // heads
+        # ToyAttentionFlow.array_bytes counts the per-entry arrays
         self.x = np.empty((b, n, d + time_dim))
         self.h = np.empty((b, n, d))
         self.q = np.empty((b, n, d))
@@ -712,30 +720,29 @@ class _Scratch:
         block = min(b, _block_entries(n))
         two = (_size_lanes(n) == 2 and evaluation_lanes() == 2
                and heads * -(-b // block) >= 2)
-        self.lanes = 2 if two else 1
-        self.scores = np.empty((self.lanes, block, n, n))
-        self.row = np.empty((self.lanes, block, n, 1))
+        lanes = 2 if two else 1
+        self.scores = np.empty((lanes, block, n, n))
+        self.row = np.empty((lanes, block, n, 1))
         self.attn_out = np.empty((b, n, d))
         self.proj = np.empty((b, n, d))
         self.attn_txt = np.empty((b, heads, n_txt, n_img))
         self._views: Dict[int, tuple] = {}
 
     def views(self, b: int) -> tuple:
-        """For the first b entries: x and its text, image and time parts, h
-        and its image rows, q, k, v, the attention output, the projection,
-        the text-to-image block, the attention's units, one per head and
-        score block in that order, and the two lanes' shares, or None when b
-        entries take one lane. A unit holds the block's q, k^T and v columns
+        """For the first b entries: x and its text, image and time parts, h's
+        image rows, k, v, the projection, the text-to-image block, and the
+        shares of the token rows (x, h, q, k, v, the attention output and the
+        projection at those rows; _project_rows) and of the units (_attend):
+        all rows and all units, or, with two lanes and at least two units,
+        the two halves of the rows and every other unit. A unit, one per head
+        and score block in that order, holds the block's q, k^T and v columns
         of its head, the attention output's columns, its lane's share of the
         score and row arrays, the scores' text-to-image part and its place in
-        the text-to-image block: 2-d arrays of one entry for a block of one.
-        The lanes' shares are a pair: the first and the last half of the
-        token rows of x, h, q, k, v, the attention output and the projection
-        (_project_rows), and every other unit, from the first and from the
-        second."""
+        the text-to-image block: 2-d arrays of one entry for a block of one."""
         got = self._views.get(b)
         if got is None:
-            n_txt, dh, size = self.n_txt, self.head_dim, self.scores.shape[1]
+            n_txt, dh = self.n_txt, self.head_dim
+            lanes, size = self.scores.shape[:2]
             whole = tuple(a[:b] for a in (self.x, self.h, self.q, self.k, self.v,
                                           self.attn_out, self.proj))
             x, h, q, k, v, attn_out, proj = whole
@@ -746,21 +753,21 @@ class _Scratch:
                 for lo in range(0, b, size):
                     m = min(size, b - lo)
                     at = lo if m == 1 else slice(lo, lo + m)
-                    lane = len(units) % self.lanes
+                    lane = len(units) % lanes
                     scores, row = ((self.scores[lane, 0], self.row[lane, 0]) if m == 1 else
                                    (self.scores[lane, :m], self.row[lane, :m]))
                     units.append((q[at, :, cols], np.swapaxes(k[at, :, cols], -1, -2),
                                   v[at, :, cols], attn_out[at, :, cols], scores, row,
                                   scores[..., :n_txt, n_txt:], self.attn_txt[at, head]))
-            split = None
-            if self.lanes == 2 and len(units) >= 2:
+            rows, unit_shares = (whole,), (units,)
+            if lanes == 2 and len(units) >= 2:
                 half = h.shape[1] // 2
-                split = (tuple(tuple(a[:, rows] for a in whole)
-                               for rows in (slice(0, half), slice(half, None))),
-                         (units[0::2], units[1::2]))
+                rows = tuple(tuple(a[:, part] for a in whole)
+                             for part in (slice(0, half), slice(half, None)))
+                unit_shares = (units[0::2], units[1::2])
             got = self._views[b] = (
-                x, x[:, :n_txt, :d], x[:, n_txt:, :d], x[:, :, d:], h, h[:, n_txt:],
-                q, k, v, attn_out, proj, self.attn_txt[:b], units, split)
+                x, x[:, :n_txt, :d], x[:, n_txt:, :d], x[:, :, d:], h[:, n_txt:], k, v,
+                proj, self.attn_txt[:b], rows, unit_shares)
         return got
 
 

@@ -337,10 +337,7 @@ def _run_bytes(cfg: EditConfig, active: int) -> Tuple[int, int, int, int]:
     attention record of ``active`` steps that one run holds, in bytes; the
     scores are an upper bound (see MEMORY_BUDGET)."""
     n, d = cfg.img_tokens + cfg.text_tokens, cfg.embed_dim
-    # the shapes ToyAttentionFlow.__init__ draws
-    weights = FLOAT64_BYTES * d * (cfg.vocab_size + 2 * cfg.channels
-                                   + d + 2 * ToyAttentionFlow.time_freqs
-                                   + 4 * cfg.layer_count * d)
+    weights = ToyAttentionFlow.array_bytes(**_model_dims(cfg))[0]
     scores = max(cfg.heads * n * n * FLOAT64_BYTES, score_buffer_bytes(n))
     cache = active * cfg.layer_count * 2 * n * d * FLOAT64_BYTES
     record = (active * cfg.layer_count * cfg.heads * cfg.text_tokens * cfg.img_tokens
@@ -350,15 +347,12 @@ def _run_bytes(cfg: EditConfig, active: int) -> Tuple[int, int, int, int]:
 
 def _stack_row_bytes(cfg: EditConfig) -> int:
     """The bytes one more row adds to a sampled stack: its evaluate scratch,
-    text-to-image block, states and solver temporaries, and its K/V blends of
-    every step."""
+    states and solver temporaries, and its K/V blends of every step."""
     n = cfg.img_tokens + cfg.text_tokens
-    d = cfg.embed_dim
-    arrays = (n * (d + 2 * ToyAttentionFlow.time_freqs + 6 * d)
-              + cfg.heads * cfg.text_tokens * cfg.img_tokens
-              + (cfg.total_steps + 8) * cfg.img_tokens * cfg.channels)
+    states = (cfg.total_steps + 8) * cfg.img_tokens * cfg.channels
     blends = 2 * cfg.total_steps * cfg.layer_count * n
-    return FLOAT64_BYTES * (arrays + blends)
+    return (ToyAttentionFlow.array_bytes(**_model_dims(cfg))[1]
+            + FLOAT64_BYTES * (states + blends))
 
 
 def _spec(name: str) -> Spec:
@@ -398,11 +392,14 @@ class EditResult:
     channel_gaps: np.ndarray
 
 
+def _model_dims(cfg: EditConfig) -> dict:
+    return dict(layer_count=cfg.layer_count, embed_dim=cfg.embed_dim,
+                img_tokens=cfg.img_tokens, text_tokens=cfg.text_tokens,
+                channels=cfg.channels, heads=cfg.heads, vocab_size=cfg.vocab_size)
+
+
 def build_model(cfg: EditConfig) -> ToyAttentionFlow:
-    return ToyAttentionFlow(
-        seed=cfg.seed, layer_count=cfg.layer_count, embed_dim=cfg.embed_dim,
-        img_tokens=cfg.img_tokens, text_tokens=cfg.text_tokens,
-        channels=cfg.channels, heads=cfg.heads, vocab_size=cfg.vocab_size)
+    return ToyAttentionFlow(seed=cfg.seed, **_model_dims(cfg))
 
 
 def build_schedule(cfg: EditConfig) -> InjectionSchedule:

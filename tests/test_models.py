@@ -655,20 +655,22 @@ def force_lanes(monkeypatch, lanes):
 
 
 def two_lane(flow, b):
-    return flow._scratch.views(b)[-1] is not None
+    return len(flow._scratch.views(b)[-1]) == 2
 
 
 @pytest.mark.parametrize("heads", (2, 3, 4))
 @pytest.mark.parametrize("rows", (1, 2, 3))
 @pytest.mark.parametrize("block", ("one", "several"))
 def test_two_lanes_equal_one_lane_bitwise(monkeypatch, heads, rows, block):
-    # n = 40; a score block of one entry, or of all of a stack's entries
+    # n = 40; a score block of one entry, or of all of a stack's entries. A
+    # two-share model runs on both lanes, and, while this thread holds the
+    # helper, both shares here one after the other
     dims = dict(img_tokens=36, embed_dim=48, layer_count=3, heads=heads)
     n = 4 + 36
     if block == "one":
         monkeypatch.setattr(models, "SCORE_BLOCK_BYTES", n * n * 8)
     results = []
-    for lanes in (1, 2):
+    for lanes, held in ((1, False), (2, False), (2, True)):
         force_lanes(monkeypatch, lanes)
         flow = ToyAttentionFlow(seed=heads, **dims)
         cache, latents, prompts, ratios, masks, flags = stack_cases(flow, rows, 1, rows)
@@ -676,13 +678,21 @@ def test_two_lanes_equal_one_lane_bitwise(monkeypatch, heads, rows, block):
         record = InjectionHooks("record", cache=KVCache(), step=2, attn_sink=AttentionRecord())
         inject = InjectionHooks("inject", cache=cache, step=0,
                                 mixes=mix_rows(np.array(ratios).T[None], masks, flags, n)[0])
-        got = [flow.evaluate(z, 0.4, prompts, hooks).data for hooks in (None, record, inject)]
+        lane = models._claim_lane() if held else None
+        assert (lane is not None) == held
+        try:
+            got = [flow.evaluate(z, 0.4, prompts, hooks).data
+                   for hooks in (None, record, inject)]
+        finally:
+            if lane is not None:
+                lane.release()
         got += [a for layer in range(3) for a in record.cache.get(2, layer)]
         got.append(record.attn_sink.stacked())
         assert two_lane(flow, rows) == (lanes == 2)
         results.append(got)
-    for serial, split in zip(*results):
-        assert np.array_equal(serial, split)
+    for serial, *split in zip(*results):
+        for other in split:
+            assert np.array_equal(serial, other)
 
 
 def test_the_default_and_grid_shapes_take_one_lane(monkeypatch):
@@ -692,7 +702,7 @@ def test_the_default_and_grid_shapes_take_one_lane(monkeypatch):
     for b in (1, 2, 36):
         flow.evaluate(sample_gaussian(SeededRng(b), b, 16, 8), 0.5, COND)
         assert not two_lane(flow, b)
-    assert flow._scratch.lanes == 1
+    assert flow._scratch.scores.shape[0] == 1
 
 
 def test_a_process_that_runs_only_small_edits_starts_no_thread(tmp_path):
@@ -725,8 +735,6 @@ def test_an_overflow_under_errstate_raises_on_either_path(monkeypatch, lanes):
 
 
 def test_the_helper_lane_runs_in_the_callers_errstate():
-    import contextvars
-
     def square(a):
         np.multiply(a, a)
 
@@ -736,15 +744,14 @@ def test_the_helper_lane_runs_in_the_callers_errstate():
         with np.errstate(over="raise"):
             # only the helper's half overflows
             with pytest.raises(FloatingPointError):
-                lane.both(contextvars.copy_context(), square, np.ones(4), np.full(4, 1e300))
+                lane.both(square, (np.ones(4), np.full(4, 1e300)))
         with np.errstate(over="ignore"):
-            lane.both(contextvars.copy_context(), square, np.ones(4), np.full(4, 1e300))
+            lane.both(square, (np.ones(4), np.full(4, 1e300)))
     finally:
         lane.release()
 
 
 def test_an_interrupt_while_the_helper_works_waits_for_it():
-    import contextvars
     import signal
     import threading
     import time
@@ -765,16 +772,15 @@ def test_an_interrupt_while_the_helper_works_waits_for_it():
         threading.Timer(0.05, signal.pthread_kill,
                         (threading.main_thread().ident, signal.SIGUSR1)).start()
         with pytest.raises(KeyboardInterrupt):
-            lane.both(contextvars.copy_context(), work, None, done)
+            lane.both(work, (None, done))
         assert done == [True]
-        lane.both(contextvars.copy_context(), work, None, None)
+        lane.both(work, (None, None))
     finally:
         lane.release()
         signal.signal(signal.SIGUSR1, previous)
 
 
 def test_timer_signals_wait_while_the_helper_lane_is_held():
-    import contextvars
     import signal
     import time
 
@@ -793,7 +799,7 @@ def test_timer_signals_wait_while_the_helper_lane_is_held():
     assert lane is not None
     try:
         signal.setitimer(signal.ITIMER_REAL, 0.05)
-        lane.both(contextvars.copy_context(), work, None, working)
+        lane.both(work, (None, working))
     finally:
         lane.release()
         signal.setitimer(signal.ITIMER_REAL, 0)
