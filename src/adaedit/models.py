@@ -492,18 +492,19 @@ def _project_rows(part: tuple, w_time: np.ndarray, wo: Optional[np.ndarray],
                   layer: Optional[dict]) -> None:
     """One share of the projections between two layers' attention, for
     the token rows of ``part`` (x, h, q, k, v, attention output,
-    projection): h = x @ w_time before the first layer or h += attention
-    output @ wo after one, then the next layer's q, k and v. Each row's
-    products are the same as in one product over all rows."""
-    x, h, q, k, v, attn_out, proj = part
+    projection, and the product function for them; _Scratch.views): h =
+    x @ w_time before the first layer or h += attention output @ wo after
+    one, then the next layer's q, k and v. Each row's products are the same
+    as in one product over all rows."""
+    x, h, q, k, v, attn_out, proj, dot = part
     if wo is None:
-        np.matmul(x, w_time, out=h)
+        dot(x, w_time, out=h)
     else:
-        h += np.matmul(attn_out, wo, out=proj)
+        h += dot(attn_out, wo, out=proj)
     if layer is not None:
-        np.matmul(h, layer["wq"], out=q)
-        np.matmul(h, layer["wk"], out=k)
-        np.matmul(h, layer["wv"], out=v)
+        dot(h, layer["wq"], out=q)
+        dot(h, layer["wk"], out=k)
+        dot(h, layer["wv"], out=v)
 
 
 def _attend(units: Sequence[tuple], scale: float, record: bool) -> None:
@@ -511,8 +512,11 @@ def _attend(units: Sequence[tuple], scale: float, record: bool) -> None:
     own score block: numpy makes one 2-d product per entry with the same
     shapes and strides as a stacked (B, H, n, n) attention, and the row
     reductions work per row, so every entry gets the same bits (the ufunc
-    reductions are max and sum without the wrappers' per-call cost)."""
-    for qh, kt, vh, out_cols, scores, row, txt, txt_out in units:
+    reductions are max and sum without the wrappers' per-call cost). AV
+    takes the unit's product function (_Scratch.views); QK^T stays on
+    np.matmul, since np.dot first copies the strided q and K columns of one
+    of several heads, and the product then differs in the last bit."""
+    for qh, kt, vh, out_cols, scores, row, txt, txt_out, av in units:
         np.matmul(qh, kt, out=scores)
         scores *= scale
         np.maximum.reduce(scores, axis=-1, keepdims=True, out=row)
@@ -522,7 +526,7 @@ def _attend(units: Sequence[tuple], scale: float, record: bool) -> None:
         scores /= row
         if record:
             txt_out[...] = txt
-        np.matmul(scores, vh, out=out_cols)
+        av(scores, vh, out=out_cols)
 
 
 class ToyAttentionFlow:
@@ -656,7 +660,7 @@ class ToyAttentionFlow:
 
         # one (B, n, d + 2F) input: text rows, then image rows, then the time
         # features of every token
-        x, x_txt, x_img, x_time, h_img, k, v, proj, attn_txt, rows, units = \
+        x, x_txt, x_img, x_time, h_img, dot, k, v, proj, attn_txt, rows, units = \
             self._scratch_for(b)
         if len(prompts) == 1:
             x_txt[...] = self._prompt_rows(prompts[0])
@@ -690,7 +694,7 @@ class ToyAttentionFlow:
             if lane is not None:
                 lane.release()
 
-        out = h_img @ self.w_out
+        out = dot(h_img, self.w_out).reshape(z.data.shape)
         if not np.logical_and.reduce(np.isfinite(out), axis=None):
             raise ValueError("latent entries must be finite")
         return Latent._adopt(out)
@@ -730,15 +734,30 @@ class _Scratch:
 
     def views(self, b: int) -> tuple:
         """For the first b entries: x and its text, image and time parts, h's
-        image rows, k, v, the projection, the text-to-image block, and the
-        shares of the token rows (x, h, q, k, v, the attention output and the
-        projection at those rows; _project_rows) and of the units (_attend):
+        image rows and the product function for them, k, v, the projection,
+        the text-to-image block, and the shares of the token rows (x, h, q,
+        k, v, the attention output and the projection at those rows, and
+        their product function; _project_rows) and of the units (_attend):
         all rows and all units, or, with two lanes and at least two units,
         the two halves of the rows and every other unit. A unit, one per head
         and score block in that order, holds the block's q, k^T and v columns
         of its head, the attention output's columns, its lane's share of the
-        score and row arrays, the scores' text-to-image part and its place in
-        the text-to-image block: 2-d arrays of one entry for a block of one."""
+        score and row arrays, the scores' text-to-image part, its place in
+        the text-to-image block and the AV product function: 2-d arrays of
+        one entry for a block of one.
+
+        For one entry (b == 1) the token rows and h's image rows are 2-d
+        too. On one lane their products, and AV of a single head (whose
+        columns are whole), then go through np.dot, which calls gemm
+        directly and skips np.matmul's ufunc dispatch, ~0.6 us a product at
+        the default size. Everything else stays on np.matmul: QK^T
+        (_attend), the write of the image rows into x (its output rows are
+        strided), a stack's 3-d products (one small gemm per entry; one
+        folded product was 35-60% slower), the column slices of several
+        heads, and the two-lane row halves, whose outputs are large enough
+        that np.dot's zero fill of its output costs more than the dispatch
+        saves (see README). Both functions run the same gemm on the same
+        operands, so every output keeps its bits."""
         got = self._views.get(b)
         if got is None:
             n_txt, dh = self.n_txt, self.head_dim
@@ -746,6 +765,8 @@ class _Scratch:
             whole = tuple(a[:b] for a in (self.x, self.h, self.q, self.k, self.v,
                                           self.attn_out, self.proj))
             x, h, q, k, v, attn_out, proj = whole
+            flat = tuple(a[0] for a in whole) if b == 1 else whole
+            av = np.dot if b == 1 and self.attn_txt.shape[1] == 1 else np.matmul
             d = h.shape[-1]
             units = []
             for head in range(self.attn_txt.shape[1]):
@@ -758,16 +779,18 @@ class _Scratch:
                                    (self.scores[lane, :m], self.row[lane, :m]))
                     units.append((q[at, :, cols], np.swapaxes(k[at, :, cols], -1, -2),
                                   v[at, :, cols], attn_out[at, :, cols], scores, row,
-                                  scores[..., :n_txt, n_txt:], self.attn_txt[at, head]))
-            rows, unit_shares = (whole,), (units,)
+                                  scores[..., :n_txt, n_txt:], self.attn_txt[at, head], av))
+            shares, unit_shares = (flat,), (units,)
             if lanes == 2 and len(units) >= 2:
                 half = h.shape[1] // 2
-                rows = tuple(tuple(a[:, part] for a in whole)
-                             for part in (slice(0, half), slice(half, None)))
+                shares = tuple(tuple(a[..., part, :] for a in flat)
+                               for part in (slice(0, half), slice(half, None)))
                 unit_shares = (units[0::2], units[1::2])
+            dot = np.dot if b == 1 and len(shares) == 1 else np.matmul
+            rows = tuple((*share, dot) for share in shares)
             got = self._views[b] = (
-                x, x[:, :n_txt, :d], x[:, n_txt:, :d], x[:, :, d:], h[:, n_txt:], k, v,
-                proj, self.attn_txt[:b], rows, unit_shares)
+                x, x[:, :n_txt, :d], x[:, n_txt:, :d], x[:, :, d:], flat[1][..., n_txt:, :], dot,
+                k, v, proj, self.attn_txt[:b], rows, unit_shares)
         return got
 
 

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adaedit import models
 from adaedit.diagnostics import velocity_jump_between
@@ -524,7 +526,8 @@ def stack_cases(flow, rows, batch, seed):
 
 @pytest.mark.parametrize("dims,rows,batch", (
     ({}, 5, 1), ({"heads": 2}, 4, 2),
-    ({"img_tokens": 256, "embed_dim": 128, "layer_count": 4, "heads": 4}, 4, 1)))
+    ({"img_tokens": 256, "embed_dim": 128, "layer_count": 4, "heads": 4}, 4, 1),
+    ({"heads": 2}, 3, 1), ({"heads": 3, "embed_dim": 48}, 3, 1)))
 def test_a_stacked_evaluation_equals_each_row_alone_bitwise(dims, rows, batch):
     # the mid size holds 3 entries per score block, so 4 rows take two blocks
     flow = ToyAttentionFlow(seed=2, **dims)
@@ -693,6 +696,61 @@ def test_two_lanes_equal_one_lane_bitwise(monkeypatch, heads, rows, block):
     for serial, *split in zip(*results):
         for other in split:
             assert np.array_equal(serial, other)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_one_entry_equals_row_0_of_a_pair_bitwise(data):
+    # one entry's products run through np.dot on 2-d rows (np.matmul on 2-d
+    # row halves on two lanes), a pair's through np.matmul on 3-d stacks:
+    # the same gemm on the same operands, so the same bits for the output,
+    # the recorded K/V and attention, and a blend
+    heads = data.draw(st.integers(1, 3), label="heads")
+    dims = dict(heads=heads, embed_dim=heads * data.draw(st.integers(1, 40), label="dh"),
+                img_tokens=data.draw(st.integers(1, 40), label="img_tokens"),
+                text_tokens=data.draw(st.integers(1, 5), label="text_tokens"),
+                layer_count=data.draw(st.integers(1, 3), label="layers"),
+                channels=data.draw(st.integers(1, 6), label="channels"))
+    lanes = data.draw(st.sampled_from((1, 2)), label="lanes")
+    # with one head on two lanes, a pair of one-entry blocks splits its token
+    # rows in halves while a single entry does not; halves and whole rows
+    # need not agree in the last bit at embedding widths below 4
+    one_block = (lanes == 1 or heads > 1) and data.draw(st.booleans(),
+                                                         label="one entry per score block")
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    n_txt, n_img, layers = dims["text_tokens"], dims["img_tokens"], dims["layer_count"]
+    n = n_txt + n_img
+    rng = np.random.default_rng(seed)
+    z_src, z0, z1 = (sample_gaussian(SeededRng(seed + i), 1, n_img, dims["channels"])
+                     for i in range(3))
+    pair = Latent(np.concatenate([z0.data, z1.data]))
+    conds = [Conditioning(tuple(int(i) for i in rng.integers(0, 64, n_txt)), 0)
+             for _ in range(2)]
+    ratios = rng.choice([0.0, 0.3, 1.0], size=(2, layers))
+    masks = [EditMask(rng.random(n_img)) for _ in range(2)]
+    flags = [bool(f) for f in rng.integers(0, 2, 2)]
+    with pytest.MonkeyPatch.context() as mp:
+        force_lanes(mp, lanes)
+        if one_block:
+            mp.setattr(models, "SCORE_BLOCK_BYTES", n * n * 8)
+        flow = ToyAttentionFlow(seed=seed, **dims)
+        cache = KVCache()
+        flow.evaluate(z_src, 0.8, conds[0], InjectionHooks("record", cache=cache, step=0))
+        records = [InjectionHooks("record", cache=KVCache(), step=1, attn_sink=AttentionRecord())
+                   for _ in range(2)]
+        inject_one = InjectionHooks("inject", cache=cache, step=0, mix_ratios=tuple(ratios[0]),
+                                    background_mask=masks[0], global_mix=flags[0])
+        inject_pair = InjectionHooks("inject", cache=cache, step=0,
+                                     mixes=mix_rows(ratios.T[None], masks, flags, n)[0])
+        for one_hooks, pair_hooks in ((None, None), tuple(records), (inject_one, inject_pair)):
+            one = flow.evaluate(z0, 0.4, conds[0], one_hooks).data
+            both = flow.evaluate(pair, 0.4, conds, pair_hooks).data
+            assert np.array_equal(one, both[:1])
+        assert (flow._scratch.views(1)[5] is np.dot) == (not two_lane(flow, 1))
+    for layer in range(layers):
+        for got, want in zip(records[0].cache.get(1, layer), records[1].cache.get(1, layer)):
+            assert np.array_equal(got, want[:1])
+    assert np.array_equal(records[0].attn_sink.stacked(), records[1].attn_sink.stacked()[:, :1])
 
 
 def test_the_default_and_grid_shapes_take_one_lane(monkeypatch):
