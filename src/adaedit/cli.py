@@ -160,8 +160,8 @@ def _make_out(out_dir: str) -> Path:
 def _environment() -> dict:
     """What an artifact's bytes may depend on besides the config: the numpy
     and (when importable) scipy versions, the BLAS build numpy links and its
-    thread setting, and the evaluation lanes this process may use (1 or 2;
-    the outputs are the same on either)."""
+    thread setting; and evaluation_lanes, who ran a split layer's second
+    share (2: the helper thread, 1: the calling thread; the same bytes)."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     env = {"numpy": np.__version__,
            "blas": {"name": blas.get("name"), "version": blas.get("version"),

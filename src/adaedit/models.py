@@ -332,10 +332,10 @@ def _time_features(t: float) -> np.ndarray:
 # (entries, n, n) score block within it, and at least one.
 SCORE_BLOCK_BYTES = 2 * 2**20
 
-# evaluate() splits each layer between two lanes, the calling thread and one
-# helper thread that the process shares, when one entry's (n, n) score block
-# takes at least this many bytes (n >= 210 tokens) and the layer has at least
-# two attention units. Below it, on the narrowest heads, a fork-join and the
+# _Scratch splits each layer's work into two shares, one per lane, when one
+# entry's (n, n) score block takes at least this many bytes (n >= 210
+# tokens); on two CPUs the second share runs on a helper thread that the
+# process shares. Below it, on the narrowest heads, a fork-join and the
 # threads' turns at the GIL cost more than the second core gives back (see
 # README, "Evaluation lanes").
 LANE_SCORE_BYTES = 350_000
@@ -343,8 +343,8 @@ LANE_SCORE_BYTES = 350_000
 
 @functools.lru_cache(maxsize=None)
 def evaluation_lanes() -> int:
-    """The lanes evaluate() may use in this process: 2 when the process may
-    run on at least two CPUs, else 1."""
+    """2 when the process may run on at least two CPUs, else 1: who runs a
+    split layer's second share (the helper thread, or the calling thread)."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # a platform without CPU affinity
@@ -549,13 +549,13 @@ class ToyAttentionFlow:
     evaluation slices no array per head.
 
     One layer loop runs the projections and the attention share by share.
-    From LANE_SCORE_BYTES on, with at least two units and two usable CPUs,
-    views splits both in two (every other unit, each with a score block of
-    its own; the two halves of the token rows), which run on the calling
-    thread and the process's one helper thread, or one after the other while
-    another thread's evaluate() holds it. Each array comes from the same
-    numpy call on the same operands either way, so the outputs are bitwise
-    the same. Whatever a hook reads or writes stays on the calling thread.
+    From LANE_SCORE_BYTES on, views splits both in two by n alone (the two
+    halves of the token rows; every other unit, each with a score block of
+    its own). The process's one helper thread runs the second share on two
+    CPUs while it is free, else the calling thread does after the first.
+    Each array comes from the same numpy call on the same operands either
+    way, so the outputs are bitwise the same on any CPU count and at any
+    stack size. Whatever a hook reads or writes stays on the calling thread.
 
     Parameters are immutable after construction and evaluate() is pure except
     for cache/sink writes in record mode and its memos of checked prompt
@@ -676,8 +676,9 @@ class ToyAttentionFlow:
         if hooks is not None and not record:
             mixes = hooks.layer_mixes(self.layer_count, x.shape[1])
         # the projections between two attentions, then each attention, share
-        # by share on the lanes; what a hook reads or writes runs here
-        lane = _claim_lane() if len(units) == 2 else None
+        # by share: on both lanes with two CPUs and the helper free, else in
+        # turn here; what a hook reads or writes runs here
+        lane = _claim_lane() if len(units) == 2 and evaluation_lanes() == 2 else None
         run = _serially if lane is None else lane.both
         try:
             wo = None
@@ -703,11 +704,11 @@ class ToyAttentionFlow:
 class _Scratch:
     """The arrays ToyAttentionFlow.evaluate writes for up to b batch
     entries, reused by every later evaluation of at most b, and their views
-    per batch size, made once each. Each lane (scores.shape[0]: 1, or 2 when
-    b entries may take two) has a score block of its own, holding as many
-    entries' (n, n) scores as fit SCORE_BLOCK_BYTES, at least one and at most
-    b, and its row sums. The arrays belong to one model, so the helper lane
-    works on them only inside that model's evaluate()."""
+    per batch size, made once each. Each lane (scores.shape[0]: _size_lanes(n),
+    whatever b and the CPU count) has a score block of its own, holding as
+    many entries' (n, n) scores as fit SCORE_BLOCK_BYTES, at least one and
+    at most b, and its row sums. The arrays belong to one model, so the
+    helper lane works on them only inside that model's evaluate()."""
 
     def __init__(self, b: int, n_txt: int, n_img: int, d: int, time_dim: int,
                  heads: int):
@@ -722,9 +723,7 @@ class _Scratch:
         self.k = np.empty((b, n, d))
         self.v = np.empty((b, n, d))
         block = min(b, _block_entries(n))
-        two = (_size_lanes(n) == 2 and evaluation_lanes() == 2
-               and heads * -(-b // block) >= 2)
-        lanes = 2 if two else 1
+        lanes = _size_lanes(n)
         self.scores = np.empty((lanes, block, n, n))
         self.row = np.empty((lanes, block, n, 1))
         self.attn_out = np.empty((b, n, d))
@@ -738,13 +737,13 @@ class _Scratch:
         the text-to-image block, and the shares of the token rows (x, h, q,
         k, v, the attention output and the projection at those rows, and
         their product function; _project_rows) and of the units (_attend):
-        all rows and all units, or, with two lanes and at least two units,
-        the two halves of the rows and every other unit. A unit, one per head
-        and score block in that order, holds the block's q, k^T and v columns
-        of its head, the attention output's columns, its lane's share of the
-        score and row arrays, the scores' text-to-image part, its place in
-        the text-to-image block and the AV product function: 2-d arrays of
-        one entry for a block of one.
+        all rows and all units, or from LANE_SCORE_BYTES on, at every b, the
+        two halves of the rows and every other unit (none for one head and
+        one block). A unit, one per head and score block in that order, holds
+        the block's q, k^T and v columns of its head, the attention output's
+        columns, its lane's share of the score and row arrays, the scores'
+        text-to-image part, its place in the text-to-image block and the AV
+        product function: 2-d arrays of one entry for a block of one.
 
         For one entry (b == 1) the token rows and h's image rows are 2-d
         too. On one lane their products, and AV of a single head (whose
@@ -781,12 +780,12 @@ class _Scratch:
                                   v[at, :, cols], attn_out[at, :, cols], scores, row,
                                   scores[..., :n_txt, n_txt:], self.attn_txt[at, head], av))
             shares, unit_shares = (flat,), (units,)
-            if lanes == 2 and len(units) >= 2:
+            if lanes == 2:
                 half = h.shape[1] // 2
                 shares = tuple(tuple(a[..., part, :] for a in flat)
                                for part in (slice(0, half), slice(half, None)))
                 unit_shares = (units[0::2], units[1::2])
-            dot = np.dot if b == 1 and len(shares) == 1 else np.matmul
+            dot = np.dot if b == 1 and lanes == 1 else np.matmul
             rows = tuple((*share, dot) for share in shares)
             got = self._views[b] = (
                 x, x[:, :n_txt, :d], x[:, n_txt:, :d], x[:, :, d:], flat[1][..., n_txt:, :], dot,

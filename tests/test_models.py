@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adaedit import models
+from adaedit import models, pipeline
 from adaedit.diagnostics import velocity_jump_between
 from adaedit.errors import CacheMissError
 from adaedit.latent import Latent, SeededRng, sample_gaussian
@@ -712,11 +712,7 @@ def test_one_entry_equals_row_0_of_a_pair_bitwise(data):
                 layer_count=data.draw(st.integers(1, 3), label="layers"),
                 channels=data.draw(st.integers(1, 6), label="channels"))
     lanes = data.draw(st.sampled_from((1, 2)), label="lanes")
-    # with one head on two lanes, a pair of one-entry blocks splits its token
-    # rows in halves while a single entry does not; halves and whole rows
-    # need not agree in the last bit at embedding widths below 4
-    one_block = (lanes == 1 or heads > 1) and data.draw(st.booleans(),
-                                                         label="one entry per score block")
+    one_block = data.draw(st.booleans(), label="one entry per score block")
     seed = data.draw(st.integers(0, 2**16), label="seed")
     n_txt, n_img, layers = dims["text_tokens"], dims["img_tokens"], dims["layer_count"]
     n = n_txt + n_img
@@ -753,14 +749,48 @@ def test_one_entry_equals_row_0_of_a_pair_bitwise(data):
     assert np.array_equal(records[0].attn_sink.stacked(), records[1].attn_sink.stacked()[:, :1])
 
 
-def test_the_default_and_grid_shapes_take_one_lane(monkeypatch):
-    # n = 20 and one head: one unit per layer, whatever the stack size
-    monkeypatch.setattr(models, "evaluation_lanes", lambda: 2)
+def test_the_default_and_grid_shapes_take_one_lane():
+    # n = 20: one share of the token rows and of the units, whatever the
+    # stack size
     flow = default_flow()
     for b in (1, 2, 36):
         flow.evaluate(sample_gaussian(SeededRng(b), b, 16, 8), 0.5, COND)
         assert not two_lane(flow, b)
     assert flow._scratch.scores.shape[0] == 1
+
+
+def layout(flow, b):
+    """The shapes of the token-row shares in ``flow``'s views for b
+    entries, the unit count of each unit share and the score array's shape."""
+    *_, rows, units = flow._scratch.views(b)
+    return ([tuple(a.shape for a in share[:-1]) for share in rows],
+            [len(share) for share in units], flow._scratch.scores.shape)
+
+
+@pytest.mark.parametrize("embed_dim, heads", ((2, 2), (3, 3)))
+def test_the_cpu_count_changes_no_view_and_no_bit(monkeypatch, embed_dim, heads):
+    # n = 260 splits the token rows in halves on any number of CPUs, which
+    # only picks who runs the second half: the helper, or this thread after
+    # the first. Row halves and whole rows differ in the last bit at
+    # embedding widths below 4, so a split that followed the CPU count
+    # would show here
+    cfg = pipeline.EditConfig(img_tokens=256, embed_dim=embed_dim, heads=heads)
+    src = pipeline.generate_source_latent(cfg)
+    runs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(models, "evaluation_lanes", lambda cpus=cpus: cpus)
+        flow = pipeline.build_model(cfg)
+        flow.evaluate(src, 0.5, cfg.source_conditioning())
+        result = pipeline.run_edit(src, cfg.source_conditioning(), cfg.target_conditioning(),
+                                   cfg)
+        runs.append((layout(flow, 1), result.diagnostics, result.edited.data,
+                     result.reconstructed_source.data, result.mask.soft,
+                     result.channel_weights.alpha, result.channel_gaps))
+    (views, diagnostics, *arrays), (other_views, other_diagnostics, *others) = runs
+    assert views == other_views and len(views[0]) == 2
+    assert diagnostics == other_diagnostics
+    for got, want in zip(arrays, others):
+        assert np.array_equal(got, want)
 
 
 def test_a_process_that_runs_only_small_edits_starts_no_thread(tmp_path):

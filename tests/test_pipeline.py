@@ -126,7 +126,7 @@ SCRATCH_ARRAYS = ("x", "h", "q", "k", "v", "attn_out", "proj", "attn_txt")
                                        channels=4, vocab_size=100),
                                   dict(img_tokens=256, embed_dim=128, heads=4, layer_count=4)),
                          ids=("default", "wide", "odd", "mid"))
-def test_memory_budget_counts_the_models_arrays(monkeypatch, dims):
+def test_memory_budget_counts_the_models_arrays(dims):
     # the estimates follow the model's real arrays, so a change to the block
     # that adds a weight or a scratch array shows here
     cfg = EditConfig(**dims)
@@ -147,7 +147,6 @@ def test_memory_budget_counts_the_models_arrays(monkeypatch, dims):
     # the scores term bounds the score blocks and row sums of every lane at
     # any stack size: the largest are a full block on each lane (at the mid
     # size, 3 entries on each of two lanes)
-    monkeypatch.setattr(models, "evaluation_lanes", lambda: 2)
     block = models._block_entries(n)
     live = max(s.scores.nbytes + s.row.nbytes
                for s in (models._Scratch(b, cfg.text_tokens, cfg.img_tokens, cfg.embed_dim,
@@ -603,18 +602,42 @@ def test_drawn_grid_rows_equal_standalone_edits(data):
             for name in names}
     cfg = EditConfig(seed=data.draw(st.integers(0, 2**16)), embed_dim=8, total_steps=5)
     extra = data.draw(st.integers(0, 2))
+    split = data.draw(st.booleans(), label="token rows in halves")
     src = generate_source_latent(cfg)
     row_cfgs = [replace(cfg, **dict(zip(axes, combo)))
                 for combo in itertools.product(*axes.values())]
-    budget = pipeline.MEMORY_BUDGET
-    try:
-        # the heaviest row's group gets stacks of max(1, extra) rows
-        pipeline.MEMORY_BUDGET = max(
-            sum(pipeline._run_bytes(c, c.injection_schedule.active_count))
-            + extra * pipeline._stack_row_bytes(c) for c in row_cfgs)
-        rows = edit_grid(src, cfg, axes)
-    finally:
-        pipeline.MEMORY_BUDGET = budget
+    with pytest.MonkeyPatch.context() as mp:
+        if split:  # n = 20 takes the two-lane layout, in the grid and alone
+            mp.setattr(models, "LANE_SCORE_BYTES", 0)
+        budget = pipeline.MEMORY_BUDGET
+        try:
+            # the heaviest row's group gets stacks of max(1, extra) rows
+            pipeline.MEMORY_BUDGET = max(
+                sum(pipeline._run_bytes(c, c.injection_schedule.active_count))
+                + extra * pipeline._stack_row_bytes(c) for c in row_cfgs)
+            rows = edit_grid(src, cfg, axes)
+        finally:
+            pipeline.MEMORY_BUDGET = budget
+        for _, row_cfg, result in rows:
+            alone = run_edit(src, row_cfg.source_conditioning(),
+                             row_cfg.target_conditioning(), row_cfg)
+            assert_same_result(result, alone)
+
+
+@pytest.mark.parametrize("cpus", (1, 2))
+@pytest.mark.parametrize("embed_dim", (2, 3))
+def test_grid_rows_at_the_two_lane_size_equal_standalone_edits(monkeypatch, embed_dim, cpus):
+    # n = 260 and one head: a single entry has one attention unit and a
+    # stack of 4 has two (score blocks of 3 entries and 1), and both split
+    # their token rows in halves on any number of CPUs. Row halves and whole
+    # rows differ in the last bit at embedding widths below 4, so a split
+    # that followed the unit count would show here
+    monkeypatch.setattr(models, "evaluation_lanes", lambda: cpus)
+    cfg = EditConfig(img_tokens=256, heads=1, embed_dim=embed_dim, total_steps=5,
+                     injection_steps=2)
+    src = generate_source_latent(cfg)
+    rows = edit_grid(src, cfg, {"alpha": [0.1, 0.5, 0.9, 0.3]})
+    assert len(rows) == 4
     for _, row_cfg, result in rows:
         alone = run_edit(src, row_cfg.source_conditioning(),
                          row_cfg.target_conditioning(), row_cfg)
