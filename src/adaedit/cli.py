@@ -20,6 +20,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import json
 import os
@@ -125,8 +126,12 @@ def load_config(config_path: Optional[str], sets: Sequence[str],
             raise ConfigError("config", f"invalid JSON in '{config_path}': {exc}")
         if not isinstance(data, dict):
             raise ConfigError("config", "top-level JSON value must be an object")
+    given = set()
     for item in sets:
         key, raw = _split_assignment(item, "set")
+        if key in given:
+            raise ConfigError(key, "repeated --set; give it once")
+        given.add(key)
         data[key] = parse_field(key, raw)
     seed_env = env.get("ADAEDIT_SEED")
     if seed_env is not None:
@@ -157,16 +162,37 @@ def _make_out(out_dir: str) -> Path:
     return out
 
 
+@functools.cache
+def _openblas() -> Optional[ctypes.CDLL]:
+    """The OpenBLAS that numpy's wheels bundle (numpy.libs), already loaded
+    by numpy; None for a numpy without it."""
+    libs = sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs")
+                  .glob("libscipy_openblas64_-*.so"))
+    try:
+        return ctypes.CDLL(str(libs[0])) if libs else None
+    except OSError:
+        return None
+
+
+def _openblas_threads() -> Optional[int]:
+    """The thread count the bundled OpenBLAS runs with, read from the
+    library; None without the library or its query."""
+    get = getattr(_openblas(), "scipy_openblas_get_num_threads64_", None)
+    return None if get is None else int(get())
+
+
 def _environment() -> dict:
     """What an artifact's bytes may depend on besides the config: the numpy
-    and (when importable) scipy versions, the BLAS build numpy links and its
-    thread setting; and evaluation_lanes, who ran a split layer's second
-    share (2: the helper thread, 1: the calling thread; the same bytes)."""
+    and (when importable) scipy versions, the BLAS build numpy links, its
+    thread setting and the thread count it runs with; and evaluation_lanes,
+    who ran a split layer's second share (2: the helper thread, 1: the
+    calling thread; the same bytes)."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     env = {"numpy": np.__version__,
            "blas": {"name": blas.get("name"), "version": blas.get("version"),
                     "config": blas.get("openblas configuration")},
            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+           "openblas_threads": _openblas_threads(),
            "evaluation_lanes": evaluation_lanes()}
     try:
         import scipy

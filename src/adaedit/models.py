@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import contextvars
 import functools
-import itertools
 import math
 import os
 import signal
@@ -187,20 +186,26 @@ class AnalyticLinearFlow:
         return Latent(g * z0.data + (self.drift / self.decay) * (g - 1.0))
 
 
+# How a LayerMix run blends its rows (mix_rows)
+BLEND, SHARED, WHOLE = range(3)
+
+
 class LayerMix:
     """How one layer's K/V mix for a stack of rows, made once by mix_rows.
 
     weight holds, per row and K/V row, the cached source's share and keep the
     current K/V's (1 - weight). A row either blends by them, takes the source
     whole (ratio 1 on every K/V row), or keeps its current K/V bitwise (ratio
-    0, or a mask that leaves no row to mix); runs lists the (first, end,
-    whole) row ranges of the first two kinds, and rows of the third are never
-    touched. end is the end of the last run: a stack of at least end rows can
-    be blended, and its rows from end on are left as they are.
+    0, or a mask that leaves no row to mix); runs lists the (first, end, how)
+    row ranges of the first two kinds, and rows of the third are never
+    touched. A WHOLE run takes the source; a SHARED run is two or more rows
+    with one weight row, whose source term is made once; a BLEND run's rows
+    each make their own. end is the end of the last run: a stack of at least
+    end rows can be blended, and its rows from end on are left as they are.
     """
 
     def __init__(self, weight: np.ndarray, keep: np.ndarray,
-                 runs: List[Tuple[int, int, bool]]):
+                 runs: List[Tuple[int, int, int]]):
         self.weight = weight  # (rows, 1, n, 1), to broadcast over (rows, B, n, d)
         self.keep = keep
         self.runs = runs
@@ -208,17 +213,46 @@ class LayerMix:
 
     def blend_into(self, src: np.ndarray, cur: np.ndarray, tmp: np.ndarray) -> None:
         """Blend the cached (B, n, d) ``src`` into the stacked (rows * B, n, d)
-        ``cur`` in place, with ``tmp`` (cur's shape) for the source term."""
+        ``cur`` in place, with ``tmp`` (cur's shape) for the source term. A
+        shared term is added as part + term: IEEE addition commutes, so each
+        row keeps the bits of its own term + part."""
         shape = (-1, *src.shape)
         parts, terms = cur.reshape(shape), tmp.reshape(shape)
-        for lo, hi, whole in self.runs:
-            part, term = parts[lo:hi], terms[lo:hi]
-            if whole:
+        for lo, hi, how in self.runs:
+            part = parts[lo:hi]
+            if how == WHOLE:
                 part[...] = src
-                continue
-            np.multiply(src, self.weight[lo:hi], out=term)
-            np.multiply(part, self.keep[lo:hi], out=part)
-            np.add(term, part, out=part)
+            elif how == SHARED:
+                term = terms[0]
+                np.multiply(src, self.weight[lo], out=term)
+                np.multiply(part, self.keep[lo:lo + 1], out=part)
+                np.add(part, term, out=part)
+            else:
+                term = terms[lo:hi]
+                np.multiply(src, self.weight[lo:hi], out=term)
+                np.multiply(part, self.keep[lo:hi], out=part)
+                np.add(term, part, out=part)
+
+
+def _runs(kinds: Sequence[int]) -> List[Tuple[int, int, int]]:
+    """The LayerMix runs of one layer's row kinds (mix_rows): a row that
+    repeats the weight row before it makes the two a SHARED run, every other
+    blending row joins its blending neighbours in a BLEND run, and rows that
+    take the source whole form WHOLE runs."""
+    groups = []  # [first, end, how]: one row, or rows of one weight row
+    for r, kind in enumerate(kinds):
+        if kind == 3:
+            groups[-1][1:] = r + 1, SHARED
+        elif kind == 2 and groups and groups[-1][1:] == [r, WHOLE]:
+            groups[-1][1] = r + 1
+        elif kind:
+            groups.append([r, r + 1, WHOLE if kind == 2 else BLEND])
+    runs = []
+    for lo, hi, how in groups:
+        if how == BLEND and runs and runs[-1][1:] == (lo, BLEND):
+            lo = runs.pop()[0]
+        runs.append((lo, hi, how))
+    return runs
 
 
 def mix_rows(ratios, masks: Sequence[Optional[EditMask]], global_mix: Sequence[bool],
@@ -233,6 +267,11 @@ def mix_rows(ratios, masks: Sequence[Optional[EditMask]], global_mix: Sequence[b
     background weight ratio * (1 - soft), leaving edit tokens free, and its
     text rows keep the target features so the target prompt stays in control.
     A row whose weights are all 0 keeps its K/V.
+
+    A blend run is split wherever the weight row changes: consecutive
+    blending rows whose weight rows have the same bits (the same plan, mask
+    and global_mix) form one SHARED run, whose source term is made once and
+    added to each of its rows.
     """
     ratios = np.asarray(ratios, dtype=np.float64)
     profiles, layers, rows = ratios.shape
@@ -255,8 +294,14 @@ def mix_rows(ratios, masks: Sequence[Optional[EditMask]], global_mix: Sequence[b
         whole[r] = False
     weight = ratios[..., None] * base
     keep = 1.0 - weight
-    # per row: 0 keeps its K/V, 1 blends, 2 takes the source whole
-    kinds = np.where(whole & (ratios == 1.0), 2, weight.any(axis=-1)).tolist()
+    # per row: 0 keeps its K/V, 1 blends, 2 takes the source whole, 3 blends
+    # by the bits of the weight row of the blending row before it
+    kinds = np.where(whole & (ratios == 1.0), 2, weight.any(axis=-1))
+    bits = weight.view(np.int64)
+    repeats = np.zeros(kinds.shape, dtype=bool)
+    repeats[..., 1:] = (bits[..., 1:, :] == bits[..., :-1, :]).all(axis=-1)
+    repeats[..., 1:] &= (kinds[..., 1:] == 1) & (kinds[..., :-1] == 1)
+    kinds = np.where(repeats, 3, kinds).tolist()
     weight = weight[:, :, :, None, :, None]
     keep = keep[:, :, :, None, :, None]
     runs_of: Dict[tuple, list] = {}  # most steps and layers share one pattern
@@ -267,12 +312,7 @@ def mix_rows(ratios, masks: Sequence[Optional[EditMask]], global_mix: Sequence[b
             pattern = tuple(kinds[p][layer])
             runs = runs_of.get(pattern)
             if runs is None:
-                runs, lo = runs_of.setdefault(pattern, []), 0
-                for kind, group in itertools.groupby(pattern):
-                    hi = lo + sum(1 for _ in group)
-                    if kind:
-                        runs.append((lo, hi, kind == 2))
-                    lo = hi
+                runs = runs_of[pattern] = _runs(pattern)
             per_layer.append(LayerMix(weight[p, layer], keep[p, layer], runs))
         mixes.append(tuple(per_layer))
     return tuple(mixes)

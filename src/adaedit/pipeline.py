@@ -565,17 +565,22 @@ def _sample_edits(inversion: Inversion,
     What rows share is made once per distinct key: the injection plan per
     PLAN_FIELDS value; the mask and its edit tokens per planned step count,
     mask prompt and soft_mask_gamma; the channel gaps and the AdaIN target per
-    edit-token set. Each edit (c_src, c_tgt, cfg) then makes only its own
-    channel weights and blend. The perturbed latents, one entry per row, are
-    stacked along the batch axis and sampled by one integrate_forward call,
-    each row under its own target prompt, mask, global_mix and per-layer
-    ratios: the edits' INVERSION_FIELDS agree, so they share the grid, the
-    solver and the steps, and no step pools over rows. Active steps form a
-    prefix, so the rows planned at a step are a leading slice of the stack,
-    and the velocity-jump pairs of a step run as one velocity_jump_between
-    call over them; one ssim call scores the whole sampled stack. So every
-    row equals the edit sampled alone, bitwise. A divergence names the
-    failing row of the stack as its entry.
+    edit-token set; the perturbed latent and its channel weights per
+    perturbation mode, alpha, tau (channel-selective only) and edit-token set.
+    The perturbed latents, one entry per row, are stacked along the batch
+    axis and sampled by one integrate_forward call, each row under its own
+    target prompt, mask, global_mix and per-layer ratios: the edits'
+    INVERSION_FIELDS agree, so they share the grid, the solver and the
+    steps, and no step pools over rows. Rows next to each other with one
+    plan, mask and global_mix blend one source K/V term (mix_rows). Active
+    steps form a prefix, so the rows planned at a step are a leading slice
+    of the stack. A row's velocity jump at a step is exactly 0 when its
+    per-layer ratios equal those of the next step (0 past its plan), so one
+    velocity_jump_between call runs over the leading slice when each of its
+    rows moves, over the gathered moving rows under their own mix_rows pair
+    when only some do, and none runs when no row moves; one ssim call scores
+    the whole sampled stack. So every row equals the edit sampled alone,
+    bitwise. A divergence names the failing row of the stack as its entry.
     """
     counts = [cfg.injection_schedule.active_count for _, _, cfg in edits]
     if counts != sorted(counts, reverse=True):
@@ -590,6 +595,7 @@ def _sample_edits(inversion: Inversion,
     plans: Dict[tuple, tuple] = {}
     masks: Dict[tuple, tuple] = {}
     token_stats: Dict[Tuple[int, ...], tuple] = {}
+    shifts: Dict[tuple, tuple] = {}
     stack = []
     for c_src, c_tgt, cfg in edits:
         plan_key = _PLAN_KEY(cfg)
@@ -606,28 +612,37 @@ def _sample_edits(inversion: Inversion,
             if edit_tokens not in token_stats:
                 token_stats[edit_tokens] = (channel_gap(z_inv, z_rand, edit_tokens),
                                             shift_stats(z_inv, z_rand, edit_tokens))
-            masks[mask_key] = (mask, fallback) + token_stats[edit_tokens]
-        mask, fallback, gaps, stats = masks[mask_key]
+            masks[mask_key] = (mask, fallback, edit_tokens)
+        mask, fallback, edit_tokens = masks[mask_key]
+        gaps, stats = token_stats[edit_tokens]
         # Perturb the inverted latent toward noise on the edit tokens.
-        if cfg.perturbation_mode == "channel_selective":
-            z_hat, weights = latents_shift_channel_selective(
-                z_inv, z_rand, PerturbationConfig(cfg.alpha, cfg.tau), stats.idx,
-                gaps=gaps, stats=stats)
-        else:
-            z_hat = latents_shift_uniform(z_inv, z_rand, cfg.alpha, stats.idx, stats=stats)
-            weights = ChannelWeights.uniform(cfg.channels)
+        selective = cfg.perturbation_mode == "channel_selective"
+        shift_key = (cfg.perturbation_mode, cfg.alpha, cfg.tau if selective else None,
+                     edit_tokens)
+        if shift_key not in shifts:
+            if selective:
+                shifts[shift_key] = latents_shift_channel_selective(
+                    z_inv, z_rand, PerturbationConfig(cfg.alpha, cfg.tau), stats.idx,
+                    gaps=gaps, stats=stats)
+            else:
+                shifts[shift_key] = (
+                    latents_shift_uniform(z_inv, z_rand, cfg.alpha, stats.idx, stats=stats),
+                    ChannelWeights.uniform(cfg.channels))
+        z_hat, weights = shifts[shift_key]
         stack.append(SampledEdit(cfg, c_tgt, inversion, plan, mask, fallback,
                                  gaps, weights, z_hat))
 
     conds = tuple(row.c_tgt for row in stack)
     z = Latent._adopt(np.concatenate([row.z_hat.data for row in stack]))
     longest = counts[0]
-    ratios = np.zeros((longest, first.layer_count, len(stack)))
+    # each row's per-layer ratios per step, and 0 at the step after the last
+    ratios = np.zeros((longest + 1, first.layer_count, len(stack)))
     for r, row in enumerate(stack):
         ratios[:counts[r], :, r] = row.plan
-    mixes = mix_rows(ratios, [row.mask for row in stack],
-                     [row.cfg.global_mix for row in stack],
-                     first.text_tokens + first.img_tokens)
+    n = first.text_tokens + first.img_tokens
+    row_masks = [row.mask for row in stack]
+    row_global = [row.cfg.global_mix for row in stack]
+    mixes = mix_rows(ratios[:longest], row_masks, row_global, n)
     hooks = [InjectionHooks(mode="inject", cache=cache, step=i, mixes=mixes[i])
              for i in range(longest)]
 
@@ -640,16 +655,33 @@ def _sample_edits(inversion: Inversion,
     # Largest injected-velocity change between consecutive planned steps,
     # measured along the sampling trajectory (the binary cutoff jump for the
     # binary family). A row whose plan has ended has ratio 0, so no run of a
-    # step's blends reaches past the rows planned at that step.
+    # step's blends reaches past the rows planned at that step; a row whose
+    # ratios do not change at a step has the same blend on both sides and
+    # jumps by exactly 0 there, so it is not evaluated.
+    moves = (ratios[1:] != ratios[:-1]).any(axis=1)
+    gathered: Dict[tuple, tuple] = {}  # the mixes of each set of moving rows
     jumps = [0.0] * len(stack)
     for i in range(longest):
         planned = sum(count > i for count in counts)
+        moving = np.flatnonzero(moves[i, :planned])
         state = sampling.states[i]
-        if planned < len(stack):
-            state = Latent._adopt(state.data[:planned])
-        got = velocity_jump_between(model, state, grid.times[i], conds[:planned], cache, i,
-                                    mixes[i], mixes[i + 1] if i + 1 < longest else None)
-        for r, jump in enumerate(got):
+        if len(moving) == planned:
+            rows, own = range(planned), mixes
+            if planned < len(stack):
+                state = Latent._adopt(state.data[:planned])
+        elif len(moving):
+            rows = moving.tolist()
+            own = gathered.get(tuple(rows))
+            if own is None:
+                own = gathered[tuple(rows)] = mix_rows(
+                    ratios[:, :, rows], [row_masks[r] for r in rows],
+                    [row_global[r] for r in rows], n)
+            state = Latent._adopt(state.data[rows])
+        else:
+            continue
+        got = velocity_jump_between(model, state, grid.times[i], [conds[r] for r in rows],
+                                    cache, i, own[i], own[i + 1] if i + 1 < longest else None)
+        for r, jump in zip(rows, got):
             jumps[r] = max(jumps[r], jump)
 
     # Only the final states are read from here on; the stacked SSIM's planes

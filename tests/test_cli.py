@@ -437,6 +437,8 @@ BAD_INPUTS = [
     # batch set or read from a file is an unknown field too
     (["edit", "--set", "batch=2"], None, "batch"),
     (["edit"], {"batch": 2}, "batch"),
+    # a repeated --set would silently keep only its last value
+    (["edit", "--set", "alpha=0.1", "--set", "alpha=0.4"], None, "alpha"),
 ]
 
 
@@ -498,13 +500,27 @@ def test_manifest_records_the_numeric_environment(tmp_path):
     out = tmp_path / "run"
     assert main(["solver-order", "--out", str(out)]) == 0
     env = json.loads((out / "manifest.json").read_text())["environment"]
-    assert set(env) == {"numpy", "scipy", "blas", "OPENBLAS_NUM_THREADS", "evaluation_lanes"}
+    assert set(env) == {"numpy", "scipy", "blas", "OPENBLAS_NUM_THREADS", "openblas_threads",
+                        "evaluation_lanes"}
     assert env["numpy"] == np.__version__ and env["scipy"] == scipy.__version__
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     assert env["blas"] == {"name": blas["name"], "version": blas["version"],
                            "config": blas.get("openblas configuration")}
     assert env["OPENBLAS_NUM_THREADS"] == os.environ.get("OPENBLAS_NUM_THREADS")
+    assert env["openblas_threads"] is None or env["openblas_threads"] >= 1
     assert env["evaluation_lanes"] in (1, 2)
+
+
+def test_the_openblas_thread_count_follows_the_variable_at_one():
+    # the count is read from the bundled library, so it says how many
+    # threads ran where OPENBLAS_NUM_THREADS is unset; None without one
+    import subprocess
+    import sys
+
+    code = "from adaedit import cli; print(cli._openblas_threads())"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "OPENBLAS_NUM_THREADS": "1"}, check=True)
+    assert proc.stdout.strip() in ("1", "None")
 
 
 def test_module_entrypoint_subprocess(tmp_path):

@@ -222,6 +222,45 @@ def test_kv_mix_keeps_every_row_from_the_mix_end_on_bitwise(stack_rows):
     assert np.signbit(k[b:, 0]).all() and np.signbit(v[b:, :, 1]).all()
 
 
+@pytest.mark.parametrize("stack_rows", (11, 14))
+def test_kv_mix_shares_the_source_term_of_rows_with_one_weight_row_bitwise(stack_rows):
+    # rows 0-2 share a mask and a ratio (one weight row), row 3 has their
+    # ratio under another mask and blends alone like row 4, row 5 keeps its
+    # K/V, rows 6-7 take the source whole, rows 8-9 mix globally at one
+    # ratio, row 10 blends alone and row 11 keeps: the runs end at row 11,
+    # and a stack of 11 rows (fewer than the weights) or 14 is blended alike;
+    # signed zeros in the source and the targets show the order of each sum
+    n, d, b = 6, 3, 2
+    rng = SeededRng(12)
+    first, second = EditMask(np.array([0.0, 0.5, 1.0, 0.25])), EditMask(np.full(4, 0.5))
+    rows = [(0.5, first, False)] * 3 + [(0.5, second, False), (0.3, second, False),
+                                        (0.0, None, False), (1.0, None, True),
+                                        (1.0, None, True), (0.5, None, True),
+                                        (0.5, None, True), (0.7, first, False),
+                                        (0.0, first, False)]
+    ratios, masks, flags = zip(*rows)
+    (mix,), = mix_rows([[list(ratios)]], masks, flags, n)
+    assert mix.runs == [(0, 3, models.SHARED), (3, 5, models.BLEND), (6, 8, models.WHOLE),
+                        (8, 10, models.SHARED), (10, 11, models.BLEND)]
+    assert mix.end == 11
+    k_src, v_src = rng.standard_normal((b, n, d)), rng.standard_normal((b, n, d))
+    k_src[:, 2, 0] = -0.0
+    k_tgt, v_tgt = (rng.standard_normal((stack_rows * b, n, d)) for _ in range(2))
+    k_tgt[:, :, 1] = -0.0
+    v_tgt[:, 3, :] = -0.0
+    k, v = k_tgt.copy(), v_tgt.copy()
+    kv_mix(k_src, v_src, k, v, mix, scratch=np.empty_like(k))
+    for row in range(stack_rows):
+        at = slice(row * b, (row + 1) * b)
+        if row < len(rows):
+            want = reference_kv_mix(k_src, v_src, k_tgt[at], v_tgt[at], *rows[row])
+        else:
+            want = k_tgt[at], v_tgt[at]
+        for mixed, expected in zip((k[at], v[at]), want):
+            assert np.array_equal(mixed, expected), row
+            assert np.array_equal(np.signbit(mixed), np.signbit(expected)), row
+
+
 def test_kv_mix_rejects_a_stack_its_mix_does_not_fit():
     n, d, b = 5, 2, 2
     a = np.zeros((b, n, d))

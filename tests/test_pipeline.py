@@ -16,6 +16,7 @@ from adaedit.errors import ConfigError, DivergenceError
 from adaedit.latent import SeededRng, sample_gaussian
 from adaedit.models import (AttentionRecord, EditMask, InjectionHooks, KVCache,
                             extract_mask)
+from adaedit.perturbation import PERTURBATION_MODES
 from adaedit.pipeline import (FIELD_SPECS, EditConfig, build_model, build_schedule,
                               config_hash, edit_grid, generate_source_latent,
                               inversion_key, invert, resolve_edit_tokens,
@@ -587,6 +588,9 @@ GRID_AXES = {
     "global_mix": st.booleans(),
     "layer_ratio_beta": st.floats(0.0, 1.9),
     "delta_base": st.floats(0.0, 1.0),
+    "alpha": st.sampled_from((0.0, 0.1, 0.25, 0.5, 1.0)),
+    "tau": st.sampled_from((0.5, 1.0, 2.0)),
+    "perturbation_mode": st.sampled_from(PERTURBATION_MODES),
     "target_prompt_ids": st.lists(st.integers(0, 63), min_size=4, max_size=4).map(tuple),
 }
 
@@ -622,6 +626,30 @@ def test_drawn_grid_rows_equal_standalone_edits(data):
             alone = run_edit(src, row_cfg.source_conditioning(),
                              row_cfg.target_conditioning(), row_cfg)
             assert_same_result(result, alone)
+
+
+def test_grid_rows_that_share_perturbations_and_skip_jumps_equal_standalone_edits(
+        monkeypatch):
+    # sigmoid plans steps 0-4 and moves at each; binary and cosine plan 0-3,
+    # and binary keeps its ratios over steps 0-2, so those steps evaluate the
+    # 8 other rows gathered around the binary rows, step 3 the whole stack
+    # and step 4 the sigmoid rows; binary and cosine rows of one mode and
+    # alpha share one mask, so they share one perturbation
+    cfg = EditConfig(seed=3, total_steps=5, embed_dim=8)
+    axes = {"schedule": ["sigmoid", "binary", "cosine"], "alpha": [0.1, 0.5],
+            "perturbation_mode": ["uniform", "channel_selective"]}
+    src = generate_source_latent(cfg)
+    jump_rows = []
+    jump = pipeline.velocity_jump_between
+    monkeypatch.setattr(pipeline, "velocity_jump_between",
+                        lambda field, z, *args: jump_rows.append(z.b) or jump(field, z, *args))
+    rows = edit_grid(src, cfg, axes)
+    assert jump_rows == [8, 8, 8, 12, 4]
+    assert len(rows) == 12
+    for _, row_cfg, result in rows:
+        alone = run_edit(src, row_cfg.source_conditioning(),
+                         row_cfg.target_conditioning(), row_cfg)
+        assert_same_result(result, alone)
 
 
 @pytest.mark.parametrize("cpus", (1, 2))
