@@ -88,9 +88,24 @@ def _write_artifact(path: Path, text: str) -> None:
         raise ConfigError("out", f"cannot write '{path}': {exc}")
 
 
+def _int_cell(value) -> str:
+    return str(int(value))
+
+
+def _float_cell(value) -> str:
+    return FLOAT_FMT.format(float(value))
+
+
+# fmt's text for the cell types the tables hold, looked up by exact type;
+# any other type goes through fmt
+_CELL_TEXT = {str: str, int: str, bool: _int_cell, np.int64: _int_cell,
+             float: FLOAT_FMT.format, np.float64: _float_cell}
+
+
 def write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
     lines = [",".join(header)]
-    lines.extend(",".join(fmt(v) for v in row) for row in rows)
+    text = _CELL_TEXT.get
+    lines.extend(",".join(text(type(v), fmt)(v) for v in row) for row in rows)
     _write_artifact(path, "\n".join(lines) + "\n")
 
 
@@ -388,8 +403,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def entrypoint() -> None:
+    """The console script: main on one thread of the bundled OpenBLAS,
+    whatever OPENBLAS_NUM_THREADS says. The artifacts' bytes at the mid size
+    and up depend on the BLAS thread count, and the evaluation lanes already
+    use the cores that more threads would take."""
+    set_threads = getattr(_openblas(), "scipy_openblas_set_num_threads64_", None)
+    if set_threads is not None:
+        set_threads(1)
     raise SystemExit(main())
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    entrypoint()

@@ -23,11 +23,6 @@ SSIM_K2 = 0.03
 SSIM_SIGMA = 1.5
 
 
-def _check_same_shape(a: Latent, b: Latent) -> None:
-    if a.shape != b.shape:
-        raise ValueError(f"latent shape mismatch: {a.shape} vs {b.shape}")
-
-
 def _default_peak(reference: Latent) -> float:
     peak = float(np.ptp(reference.data))
     if peak <= 0.0:
@@ -35,20 +30,37 @@ def _default_peak(reference: Latent) -> float:
     return peak
 
 
-def psnr(a: Latent, b: Latent, peak: Optional[float] = None) -> float:
-    """10*log10(peak^2 / MSE) in dB; +inf when the latents match exactly.
-
-    peak defaults to the value range of the reference latent a.
-    """
-    _check_same_shape(a, b)
-    mse = float(np.mean((a.data - b.data) ** 2))
-    if mse == 0.0:
-        return math.inf
-    if peak is None:
-        peak = _default_peak(a)
+def _check_peak(peak: float) -> None:
     if not peak > 0.0:
         raise ValueError(f"peak must be positive, got {peak}")
-    return 20.0 * math.log10(peak) - 10.0 * math.log10(mse)
+
+
+def psnr(a: Latent, b: Latent, peak: Optional[float] = None,
+         rows: Optional[int] = None) -> Union[float, List[float]]:
+    """10*log10(peak^2 / MSE) in dB; +inf when the latents match exactly.
+
+    peak defaults to the value range of the reference latent a, which is read
+    only when some MSE is non-zero; an explicit peak must be positive. With
+    rows, b stacks that many latents of a's shape along the batch axis and
+    the result is one value per row, each equal to psnr(a, row) bitwise.
+    """
+    count = 1 if rows is None else rows
+    if b.shape != (count * a.b, a.l, a.c):
+        raise ValueError(f"latent shape mismatch: {a.shape} x {count} vs {b.shape}")
+    if peak is not None:
+        _check_peak(peak)
+    # each row's squares reduced along its fast axis alone, as np.mean of
+    # the row by itself reduces them
+    diff = b.data.reshape(count, -1) - a.data.reshape(1, -1)
+    scores = []
+    for mse in np.mean(diff * diff, axis=1).tolist():
+        if mse == 0.0:
+            scores.append(math.inf)
+            continue
+        if peak is None:
+            peak = _default_peak(a)
+        scores.append(20.0 * math.log10(peak) - 10.0 * math.log10(mse))
+    return scores[0] if rows is None else scores
 
 
 @functools.cache
@@ -104,8 +116,7 @@ def ssim(a: Latent, b: Latent, peak: Optional[float] = None,
     y = _planes(b)
     if peak is None:
         peak = _default_peak(a)
-    if not peak > 0.0:
-        raise ValueError(f"peak must be positive, got {peak}")
+    _check_peak(peak)
     c1 = (SSIM_K1 * peak) ** 2
     c2 = (SSIM_K2 * peak) ** 2
     x = _planes(a)
@@ -146,7 +157,8 @@ def velocity_jump_between(field, z: Latent, t: float, conds: Sequence[Conditioni
         return field.evaluate(z, t, conds, hooks)
 
     diff = run(mixes_a).data - run(mixes_b).data
-    return [float(np.linalg.norm(row)) for row in diff.reshape(len(conds), -1)]
+    # sqrt(row . row) is np.linalg.norm's own formula for a 1-d float vector
+    return [math.sqrt(row.dot(row)) for row in diff.reshape(len(conds), -1)]
 
 
 def velocity_jump(field, z: Latent, t: float, cond: Conditioning, cache: KVCache,

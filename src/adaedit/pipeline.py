@@ -16,7 +16,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass, field, fields, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -58,6 +58,12 @@ INVERSION_FIELDS = ("seed", "layer_count", "embed_dim", "img_tokens", "text_toke
 # any work starts. They admit the stability envelope img_tokens=1024,
 # embed_dim=256, layer_count=8, heads=4, channels=16, total_steps=28.
 MAX_STEPS = 1000
+# Schedules the build_schedule memo keeps, the least recently used dropped
+# first, beside the model's prompt and time memos (models.PROMPT_MEMO_LIMIT,
+# TIME_MEMO_LIMIT). A grid needs one per distinct value of the six schedule
+# fields, 4 for the four families; an entry holds at most MAX_STEPS weights,
+# so the memo holds at most SCHEDULE_MEMO_LIMIT * MAX_STEPS of them.
+SCHEDULE_MEMO_LIMIT = 64
 # A run keeps the model's weights, and the K/V and the text-to-image attention
 # of every active step until sampling ends. The estimate also counts the
 # attention scores: the larger of heads * n * n float64 scores, kept at what
@@ -402,30 +408,52 @@ def build_model(cfg: EditConfig) -> ToyAttentionFlow:
     return ToyAttentionFlow(seed=cfg.seed, **_model_dims(cfg))
 
 
-def build_schedule(cfg: EditConfig) -> InjectionSchedule:
+@lru_cache(maxsize=SCHEDULE_MEMO_LIMIT, typed=True)
+def _shared_schedule(family: str, total_steps: int, injection_steps: int,
+                     sharpness: float, midpoint: float,
+                     activity_threshold: float) -> InjectionSchedule:
     return InjectionSchedule(
-        family=cfg.schedule, total_steps=cfg.total_steps,
-        injection_steps=cfg.injection_steps, sharpness=cfg.sharpness,
-        midpoint=cfg.sigmoid_midpoint,
-        activity_threshold=cfg.activity_threshold)
+        family=family, total_steps=total_steps, injection_steps=injection_steps,
+        sharpness=sharpness, midpoint=midpoint, activity_threshold=activity_threshold)
+
+
+def build_schedule(cfg: EditConfig) -> InjectionSchedule:
+    """The schedule of cfg's six schedule fields: one shared, frozen
+    InjectionSchedule for every config with the same values of the same
+    types (0.0 and -0.0 thresholds share one; they compare every weight
+    alike)."""
+    return _shared_schedule(cfg.schedule, cfg.total_steps, cfg.injection_steps,
+                            cfg.sharpness, cfg.sigmoid_midpoint, cfg.activity_threshold)
 
 
 def generate_source_latent(cfg: EditConfig) -> Latent:
     """Seeded smooth per-channel fields on the token grid, standing in for an
-    encoded image."""
+    encoded image: per channel an offset plus three sinusoids of amplitude
+    ~0.8/k. The scalars are drawn channel by channel, in stream order; then
+    every channel's plane is made in one pass."""
     rng = SeededRng(cfg.seed, stream=STREAM_SOURCE)
     g = math.isqrt(cfg.img_tokens)
-    ys, xs = np.meshgrid(np.arange(g), np.arange(g), indexing="ij")
-    arr = np.empty((1, cfg.img_tokens, cfg.channels))
+    offset = np.empty(cfg.channels)
+    amp = np.empty((cfg.channels, 3))
+    freq = np.empty((2, cfg.channels, 3), dtype=np.int64)
+    phase = np.empty((cfg.channels, 3))
     for ci in range(cfg.channels):
-        plane = 0.3 * rng.standard_normal(())
-        for k in range(1, 4):
-            amp = rng.standard_normal(()) * 0.8 / k
-            fx, fy = rng.integers(1, 4, (2,))
-            phase = rng.uniform(0.0, 2.0 * math.pi, ())
-            plane = plane + amp * np.sin(
-                2.0 * math.pi * (fx * xs + fy * ys) / g + phase)
-        arr[0, :, ci] = plane.reshape(-1)
+        offset[ci] = rng.standard_normal(())
+        for k in range(3):
+            amp[ci, k] = rng.standard_normal(())
+            freq[:, ci, k] = rng.integers(1, 4, (2,))
+            phase[ci, k] = rng.uniform(0.0, 2.0 * math.pi, ())
+    ys, xs = np.meshgrid(np.arange(g), np.arange(g), indexing="ij")
+    fx, fy = freq[..., None]
+    # (channel, wave, token), each wave on the row-major token grid
+    waves = np.sin(2.0 * math.pi * (fx * xs.reshape(-1) + fy * ys.reshape(-1)) / g
+                   + phase[..., None])
+    amp = amp * 0.8 / np.arange(1, 4)
+    planes = 0.3 * offset[:, None]
+    for k in range(3):  # summed wave by wave, in draw order
+        planes = planes + amp[:, k, None] * waves[:, k]
+    arr = np.empty((1, cfg.img_tokens, cfg.channels))
+    arr[0] = planes.T
     return Latent(arr)
 
 
@@ -515,7 +543,8 @@ def invert(source: Latent, c_src: Conditioning, cfg: EditConfig,
 
 
 # The fields an injection plan reads: the schedule's, delta_base and the
-# layer profile's. Edits that agree on them share one plan.
+# layer profile's. Edits that agree on them, and on delta_base's sign, share
+# one plan (0.0 and -0.0 make traces of opposite zeros).
 PLAN_FIELDS = ("schedule", "total_steps", "injection_steps", "sharpness",
                "sigmoid_midpoint", "activity_threshold", "delta_base",
                "layer_ratio_beta", "layer_count")
@@ -523,37 +552,45 @@ _PLAN_KEY = operator.attrgetter(*PLAN_FIELDS)
 
 
 def _injection_plan(cfg: EditConfig) -> tuple:
-    """The injection plan: per active step, the per-layer ratios at which
-    cached source K/V are blended in. Schedule weights never increase, so the
+    """The injection plan, the schedule trace and max_step_delta.
+
+    The plan holds, per active step, the per-layer ratios at which cached
+    source K/V are blended in. Schedule weights never increase, so the
     active steps are the first active_count; inversion caches them (at
-    least), and sampling injects exactly them."""
+    least), and sampling injects exactly them. The trace holds (weight,
+    delta_base * weight, active) per step."""
     schedule = cfg.injection_schedule
     profile = LayerRatioProfile(cfg.layer_count, cfg.layer_ratio_beta)
-    return tuple(layer_ratios(profile, effective_ratio(schedule, cfg.delta_base, i))
+    plan = tuple(layer_ratios(profile, effective_ratio(schedule, cfg.delta_base, i))
                  for i in range(schedule.active_count))
+    trace = tuple((weight, cfg.delta_base * weight, is_active(schedule, i))
+                  for i, weight in enumerate(schedule.weights))
+    return plan, trace, max_step_delta(schedule, cfg.delta_base)
 
 
 @dataclass(frozen=True, eq=False)
 class SampledEdit:
     """One edit of a stack that _sample_edits ran: the Inversion it was
-    sampled from, its injection plan, its mask, the perturbed latent with its
-    channel gaps and weights, and the sampled latent with the sampling's
-    evaluation count, the largest velocity jump between its consecutive
-    planned steps and its SSIM against the inversion's reconstruction."""
+    sampled from; its injection plan, schedule trace and max_step_delta; its
+    mask; the perturbed latent's channel gaps and weights; and the sampled
+    latent with the sampling's evaluation count, the largest velocity jump
+    between its consecutive planned steps, and its PSNR and SSIM against the
+    inversion's reconstruction."""
 
     cfg: EditConfig
-    c_tgt: Conditioning
     inversion: Inversion
     plan: tuple
+    trace: Tuple[Tuple[float, float, bool], ...]
+    max_step_delta: float
     mask: EditMask
     fallback: bool
     gaps: np.ndarray
     weights: ChannelWeights
-    z_hat: Latent
-    edited: Optional[Latent] = None
-    sampling_evals: int = 0
-    velocity_jump: float = 0.0
-    ssim: float = 0.0
+    edited: Latent
+    sampling_evals: int
+    velocity_jump: float
+    psnr: float
+    ssim: float
 
 
 def _sample_edits(inversion: Inversion,
@@ -562,25 +599,26 @@ def _sample_edits(inversion: Inversion,
     """Mask, perturb and sample edits that share ``inversion``, as one stack,
     in the order given, which must be longest plan first.
 
-    What rows share is made once per distinct key: the injection plan per
-    PLAN_FIELDS value; the mask and its edit tokens per planned step count,
-    mask prompt and soft_mask_gamma; the channel gaps and the AdaIN target per
-    edit-token set; the perturbed latent and its channel weights per
-    perturbation mode, alpha, tau (channel-selective only) and edit-token set.
-    The perturbed latents, one entry per row, are stacked along the batch
-    axis and sampled by one integrate_forward call, each row under its own
-    target prompt, mask, global_mix and per-layer ratios: the edits'
-    INVERSION_FIELDS agree, so they share the grid, the solver and the
-    steps, and no step pools over rows. Rows next to each other with one
-    plan, mask and global_mix blend one source K/V term (mix_rows). Active
-    steps form a prefix, so the rows planned at a step are a leading slice
-    of the stack. A row's velocity jump at a step is exactly 0 when its
-    per-layer ratios equal those of the next step (0 past its plan), so one
-    velocity_jump_between call runs over the leading slice when each of its
-    rows moves, over the gathered moving rows under their own mix_rows pair
-    when only some do, and none runs when no row moves; one ssim call scores
-    the whole sampled stack. So every row equals the edit sampled alone,
-    bitwise. A divergence names the failing row of the stack as its entry.
+    What rows share is made once per distinct key: the injection plan, the
+    schedule trace and max_step_delta per PLAN_FIELDS value; the mask and its
+    edit tokens per planned step count, mask prompt and soft_mask_gamma; the
+    channel gaps and the AdaIN target per edit-token set; the perturbed
+    latent and its channel weights per perturbation mode, alpha, tau
+    (channel-selective only) and edit-token set. The perturbed latents, one
+    entry per row, are stacked along the batch axis and sampled by one
+    integrate_forward call, each row under its own target prompt, mask,
+    global_mix and per-layer ratios: the edits' INVERSION_FIELDS agree, so
+    they share the grid, the solver and the steps, and no step pools over
+    rows. Rows next to each other with one plan, mask and global_mix blend
+    one source K/V term (mix_rows). Active steps form a prefix, so the rows
+    planned at a step are a leading slice of the stack. A row's velocity
+    jump at a step is exactly 0 when its per-layer ratios equal those of the
+    next step (0 past its plan), so one velocity_jump_between call runs over
+    the leading slice when each of its rows moves, over the gathered moving
+    rows under their own mix_rows pair when only some do, and none runs when
+    no row moves; one psnr and one ssim call score the whole sampled stack.
+    So every row equals the edit sampled alone, bitwise. A divergence names
+    the failing row of the stack as its entry.
     """
     counts = [cfg.injection_schedule.active_count for _, _, cfg in edits]
     if counts != sorted(counts, reverse=True):
@@ -596,12 +634,12 @@ def _sample_edits(inversion: Inversion,
     masks: Dict[tuple, tuple] = {}
     token_stats: Dict[Tuple[int, ...], tuple] = {}
     shifts: Dict[tuple, tuple] = {}
-    stack = []
+    stack = []  # per row: (config, plan, trace, max_step_delta, mask, fallback, gaps, shift)
     for c_src, c_tgt, cfg in edits:
-        plan_key = _PLAN_KEY(cfg)
+        plan_key = (_PLAN_KEY(cfg), math.copysign(1.0, cfg.delta_base))
         if plan_key not in plans:
             plans[plan_key] = _injection_plan(cfg)
-        plan = plans[plan_key]
+        plan, trace, delta = plans[plan_key]
         mask_cond = c_tgt if cfg.mask_keyword_source == "target" else c_src
         mask_key = (len(plan), mask_cond, cfg.soft_mask_gamma)
         if mask_key not in masks:
@@ -628,20 +666,18 @@ def _sample_edits(inversion: Inversion,
                 shifts[shift_key] = (
                     latents_shift_uniform(z_inv, z_rand, cfg.alpha, stats.idx, stats=stats),
                     ChannelWeights.uniform(cfg.channels))
-        z_hat, weights = shifts[shift_key]
-        stack.append(SampledEdit(cfg, c_tgt, inversion, plan, mask, fallback,
-                                 gaps, weights, z_hat))
+        stack.append((cfg, plan, trace, delta, mask, fallback, gaps, shifts[shift_key]))
 
-    conds = tuple(row.c_tgt for row in stack)
-    z = Latent._adopt(np.concatenate([row.z_hat.data for row in stack]))
+    conds = tuple(c_tgt for _, c_tgt, _ in edits)
+    z = Latent._adopt(np.concatenate([z_hat.data for *_, (z_hat, _) in stack]))
     longest = counts[0]
     # each row's per-layer ratios per step, and 0 at the step after the last
     ratios = np.zeros((longest + 1, first.layer_count, len(stack)))
-    for r, row in enumerate(stack):
-        ratios[:counts[r], :, r] = row.plan
+    for r, (_, plan, *_) in enumerate(stack):
+        ratios[:counts[r], :, r] = plan
     n = first.text_tokens + first.img_tokens
-    row_masks = [row.mask for row in stack]
-    row_global = [row.cfg.global_mix for row in stack]
+    row_masks = [mask for _, _, _, _, mask, *_ in stack]
+    row_global = [cfg.global_mix for cfg, *_ in stack]
     mixes = mix_rows(ratios[:longest], row_masks, row_global, n)
     hooks = [InjectionHooks(mode="inject", cache=cache, step=i, mixes=mixes[i])
              for i in range(longest)]
@@ -688,10 +724,14 @@ def _sample_edits(inversion: Inversion,
     # take the place of the sampling's states.
     final, evals = sampling.final, sampling.velocity_evals
     del sampling
-    scores = ssim(inversion.reconstructed, final, peak=inversion.peak, rows=len(stack))
-    return [replace(row, edited=Latent._adopt(final.data[r:r + 1]),
-                    sampling_evals=evals, velocity_jump=jumps[r], ssim=scores[r])
-            for r, row in enumerate(stack)]
+    recon, peak = inversion.reconstructed, inversion.peak
+    psnrs = psnr(recon, final, peak=peak, rows=len(stack))
+    scores = ssim(recon, final, peak=peak, rows=len(stack))
+    return [SampledEdit(cfg, inversion, plan, trace, delta, mask, fallback, gaps, weights,
+                        Latent._adopt(final.data[r:r + 1]), evals, jumps[r], psnrs[r],
+                        scores[r])
+            for r, (cfg, plan, trace, delta, mask, fallback, gaps, (_, weights))
+            in enumerate(stack)]
 
 
 def run_edit(source: Latent, c_src: Conditioning, c_tgt: Conditioning,
@@ -710,28 +750,21 @@ def run_edit(source: Latent, c_src: Conditioning, c_tgt: Conditioning,
     elif sampled.cfg != cfg:
         raise ValueError("a sampled edit must be run under its own config")
     inversion = sampled.inversion
-    schedule = cfg.injection_schedule
-    edited = sampled.edited
-
-    trace = tuple((weight, cfg.delta_base * weight, is_active(schedule, i))
-                  for i, weight in enumerate(schedule.weights))
-
     diagnostics = {
-        "max_step_delta": max_step_delta(schedule, cfg.delta_base),
+        "max_step_delta": sampled.max_step_delta,
         "velocity_jump": sampled.velocity_jump,
         "eval_count_inversion": float(inversion.inversion_evals),
         "eval_count_sampling": float(sampled.sampling_evals),
         "eval_count_reconstruction": float(inversion.reconstruction_evals),
         "evals": float(inversion.inversion_evals + sampled.sampling_evals),
-        "psnr": psnr(inversion.reconstructed, edited, peak=inversion.peak),
+        "psnr": sampled.psnr,
         "ssim": sampled.ssim,
         "empty_mask_fallback": 1.0 if sampled.fallback else 0.0,
     }
-
     return EditResult(
-        edited=edited, reconstructed_source=inversion.reconstructed, mask=sampled.mask,
-        channel_weights=sampled.weights, schedule_trace=trace, diagnostics=diagnostics,
-        channel_gaps=sampled.gaps)
+        edited=sampled.edited, reconstructed_source=inversion.reconstructed,
+        mask=sampled.mask, channel_weights=sampled.weights, schedule_trace=sampled.trace,
+        diagnostics=diagnostics, channel_gaps=sampled.gaps)
 
 
 def run_reconstruction(source: Latent, c_src: Conditioning,
@@ -769,22 +802,23 @@ def edit_grid(source: Latent, base_cfg: EditConfig, axes: Dict[str, Sequence]
     # dropped before the next group inverts, so at most one K/V cache is
     # alive whatever the axis order. A group samples its rows longest plan
     # first, as stacks of as many rows as keep the run within MEMORY_BUDGET.
+    every_edit = [(cfg.source_conditioning(), cfg.target_conditioning(), cfg)
+                  for _, cfg in runs]
     groups: Dict[tuple, List[int]] = {}
-    for index, (_, cfg) in enumerate(runs):
-        groups.setdefault(inversion_key(cfg, cfg.source_conditioning()), []).append(index)
+    for index, (c_src, _, cfg) in enumerate(every_edit):
+        groups.setdefault(inversion_key(cfg, c_src), []).append(index)
     results: List[Optional[EditResult]] = [None] * len(runs)
     for rows in groups.values():
         rows.sort(key=lambda index: runs[index][1].injection_schedule.active_count,
                   reverse=True)
-        first = runs[rows[0]][1]
+        c_src, _, first = every_edit[rows[0]]
         longest = first.injection_schedule.active_count
-        inversion = invert(source, first.source_conditioning(), first, longest)
+        inversion = invert(source, c_src, first, longest)
         spare = MEMORY_BUDGET - sum(_run_bytes(first, longest))
         size = max(1, spare // _stack_row_bytes(first))
         for lo in range(0, len(rows), size):
             part = rows[lo:lo + size]
-            edits = [(cfg.source_conditioning(), cfg.target_conditioning(), cfg)
-                     for cfg in (runs[index][1] for index in part)]
+            edits = [every_edit[index] for index in part]
             try:
                 stack = _sample_edits(inversion, edits)
             except DivergenceError as exc:

@@ -72,7 +72,8 @@ def test_traced_ablation_counts_rows_and_inverts_once(monkeypatch, tmp_path):
     assert tracer.calls["diagnostics.velocity_jump"] == planned
     # a stack masks once per (planned steps, mask prompt, gamma), takes the
     # token statistics once per edit-token set, shifts once per (mode,
-    # alpha, tau when channel-selective, edit-token set) and scores SSIM once
+    # alpha, tau when channel-selective, edit-token set) and scores PSNR and
+    # SSIM once
     grid = list(pipeline.edit_grid(pipeline.generate_source_latent(pipeline.EditConfig()),
                                    pipeline.EditConfig(), axes))
     masks = {(cfg.injection_schedule.active_count, cfg.target_conditioning(),
@@ -81,6 +82,7 @@ def test_traced_ablation_counts_rows_and_inverts_once(monkeypatch, tmp_path):
     assert tracer.calls["models.extract_mask"] == len(masks) < len(grid)
     assert tracer.calls["perturbation.channel_gap"] == len(token_sets) < len(masks)
     assert tracer.calls["diagnostics.ssim"] == tracer.calls["solvers.sampling"]
+    assert tracer.calls["diagnostics.psnr"] == tracer.calls["solvers.sampling"]
     shifts = {(cfg.perturbation_mode, cfg.alpha,
                cfg.tau if cfg.perturbation_mode == "channel_selective" else None,
                result.mask.hard or tuple(range(16))) for _, cfg, result in grid}

@@ -246,6 +246,21 @@ def test_ablate_optional_and_token_list_axis_cells(tmp_path):
     assert [row["run_id"] for row in rows] == ["000", "001", "002", "003"]
 
 
+def test_csv_cells_have_fmt_text_for_every_type(tmp_path):
+    # write_csv looks each cell's text up by its exact type; every type, in
+    # the table or not, writes what fmt makes of it
+    row = ["000", "", 15, -3, True, False, np.int64(-7), np.int32(4),
+           0.1, -0.0, 1e300, float("inf"), float("nan"), 2.0 ** -1074,
+           np.float64(1 / 3), np.float64(-0.0), np.float32(0.1), None, (1, 2, 9), (),
+           np.bool_(True)]
+    path = tmp_path / "cells.csv"
+    cli.write_csv(path, ["c"] * len(row), [row])
+    assert path.read_text().splitlines()[1] == ",".join(cli.fmt(v) for v in row)
+    assert path.read_text().splitlines()[1].startswith(
+        "000,,15,-3,1,0,-7,4,0.10000000000000001,-0,1.0000000000000001e+300,inf,nan,"
+        "4.9406564584124654e-324,0.33333333333333331,-0,0.10000000149011612,None,1 2 9,,")
+
+
 def test_reconstruct_leaves_the_edit_measurements_empty(tmp_path):
     out = tmp_path / "rec"
     assert main(["reconstruct", "--out", str(out)]) == 0
@@ -521,6 +536,43 @@ def test_the_openblas_thread_count_follows_the_variable_at_one():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "OPENBLAS_NUM_THREADS": "1"}, check=True)
     assert proc.stdout.strip() in ("1", "None")
+
+
+def test_the_command_line_runs_one_blas_thread_whatever_the_variable_says(tmp_path):
+    # python -m adaedit.cli, like the console script, sets the bundled
+    # OpenBLAS to one thread; the manifest still records the variable as given
+    import subprocess
+    import sys
+
+    out = tmp_path / "run"
+    subprocess.run([sys.executable, "-m", "adaedit.cli", "solver-order", "--out", str(out)],
+                   env={**os.environ, "OPENBLAS_NUM_THREADS": "2"}, capture_output=True,
+                   check=True)
+    env = json.loads((out / "manifest.json").read_text())["environment"]
+    assert env["OPENBLAS_NUM_THREADS"] == "2"
+    assert env["openblas_threads"] in (1, None)
+
+
+def test_main_leaves_the_blas_thread_count_alone_and_the_entrypoint_sets_one(
+        monkeypatch, tmp_path):
+    lib = cli._openblas()
+    get = getattr(lib, "scipy_openblas_get_num_threads64_", lambda: None)
+    was = get()
+    try:
+        if was is not None:
+            lib.scipy_openblas_set_num_threads64_(2)
+        before = get()
+        assert main(["solver-order", "--out", str(tmp_path / "main")]) == 0
+        assert get() == before
+        monkeypatch.setattr("sys.argv", ["adaedit", "solver-order", "--out",
+                                         str(tmp_path / "entrypoint")])
+        with pytest.raises(SystemExit) as exc:
+            cli.entrypoint()
+        assert exc.value.code == 0
+        assert get() in (1, None)
+    finally:
+        if was is not None:
+            lib.scipy_openblas_set_num_threads64_(was)
 
 
 def test_module_entrypoint_subprocess(tmp_path):

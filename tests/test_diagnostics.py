@@ -54,6 +54,61 @@ def test_psnr_default_peak_from_reference():
     assert psnr(a, b) == psnr(a, b, peak=float(np.ptp(a.data)))
 
 
+@pytest.mark.parametrize("peak", (-1.0, 0.0, math.nan, -math.inf))
+def test_psnr_rejects_a_bad_explicit_peak_even_when_the_latents_match(peak):
+    z = sample_gaussian(SeededRng(1), 1, 16, 2)
+    with pytest.raises(ValueError, match="peak must be positive"):
+        psnr(z, z, peak=peak)
+    with pytest.raises(ValueError, match="peak must be positive"):
+        psnr(z, Latent(np.concatenate([z.data, z.data])), peak=peak, rows=2)
+    with pytest.raises(ValueError, match="peak must be positive"):
+        ssim(z, z, peak=peak)
+
+
+def test_psnr_of_a_constant_reference_with_itself_is_infinite_without_a_peak():
+    c = Latent(np.full((1, 16, 2), 0.5))
+    assert psnr(c, c) == math.inf
+    assert psnr(c, Latent(np.concatenate([c.data, c.data])), rows=2) == [math.inf] * 2
+    with pytest.raises(ValueError, match="constant"):
+        psnr(c, Latent(np.full((1, 16, 2), 0.25)))
+    with pytest.raises(ValueError, match="constant"):
+        psnr(c, Latent(np.concatenate([c.data, np.zeros((1, 16, 2))])), rows=2)
+
+
+@pytest.mark.parametrize("tokens,channels", ((1, 1), (16, 8), (64, 3), (1024, 16)))
+@pytest.mark.parametrize("batch", (1, 2))
+def test_stacked_psnr_equals_one_call_per_row_bitwise(tokens, channels, batch):
+    rng = SeededRng(31 * tokens + channels + batch)
+    shape = (batch, tokens, channels)
+    a = rng.standard_normal(shape)
+    # the second row equals the reference (+inf), the third differs in one entry
+    rows = [a + 0.3 * rng.standard_normal(shape), a.copy(), a.copy(),
+            a + 2.0 * rng.standard_normal(shape)]
+    rows[2][0, 0, 0] += 1e-9
+    a = Latent(a)
+    stack = Latent(np.concatenate(rows))
+    # a one-entry reference is constant and has no default peak
+    for peak in (None, 0.7) if np.ptp(a.data) > 0.0 else (0.7,):
+        scores = psnr(a, stack, peak=peak, rows=len(rows))
+        expected = [reference_psnr(a, Latent(row), peak) for row in rows]
+        assert scores == expected
+        assert [psnr(a, Latent(row), peak=peak) for row in rows] == expected
+        assert scores[1] == math.inf
+        assert psnr(a, Latent(rows[3]), peak=peak, rows=1) == expected[3:]
+    with pytest.raises(ValueError, match="shape mismatch"):
+        psnr(a, stack, rows=3)
+
+
+def reference_psnr(a, b, peak):
+    """psnr as one full-array mean of the squared difference, per call."""
+    mse = float(np.mean((a.data - b.data) ** 2))
+    if mse == 0.0:
+        return math.inf
+    if peak is None:
+        peak = float(np.ptp(a.data))
+    return 20.0 * math.log10(peak) - 10.0 * math.log10(mse)
+
+
 # ----------------------------------------------------------------------- ssim
 
 def test_ssim_identity():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import weakref
 from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from adaedit import models, pipeline, solvers
 from adaedit.errors import ConfigError, DivergenceError
-from adaedit.latent import SeededRng, sample_gaussian
+from adaedit.latent import STREAM_SOURCE, SeededRng, sample_gaussian
 from adaedit.models import (AttentionRecord, EditMask, InjectionHooks, KVCache,
                             extract_mask)
 from adaedit.perturbation import PERTURBATION_MODES
@@ -21,7 +22,8 @@ from adaedit.pipeline import (FIELD_SPECS, EditConfig, build_model, build_schedu
                               config_hash, edit_grid, generate_source_latent,
                               inversion_key, invert, resolve_edit_tokens,
                               run_edit, run_reconstruction)
-from adaedit.schedules import SCHEDULE_FAMILIES, is_active, schedule_weight
+from adaedit.schedules import (SCHEDULE_FAMILIES, InjectionSchedule, is_active,
+                               max_step_delta, schedule_weight)
 from adaedit.solvers import (DIVERGENCE_LIMIT, SOLVER_KINDS, TimeGrid,
                              integrate_backward, integrate_forward)
 
@@ -595,17 +597,38 @@ GRID_AXES = {
 }
 
 
-@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+# Axes over fields that no inversion reads, so every row of such a grid lands
+# in one inversion group.
+STACK_AXES = ("schedule", "alpha", "tau", "perturbation_mode")
+
+
+@st.composite
+def grid_axes(draw):
+    """Up to three axes over GRID_AXES, or 3-8 rows in one inversion group:
+    axes over STACK_AXES only, sampled as stacks of at least two rows."""
+    if draw(st.booleans(), label="one stacked group"):
+        names = draw(st.lists(st.sampled_from(STACK_AXES), min_size=2, max_size=4,
+                              unique=True))
+        axes = draw(st.fixed_dictionaries(
+            {name: st.lists(GRID_AXES[name], min_size=1, max_size=3, unique=True)
+             for name in names}).filter(
+                 lambda axes: 3 <= math.prod(map(len, axes.values())) <= 8))
+        # mostly one stack of the whole group, sometimes slices of 2 rows up
+        return axes, 8 - draw(st.integers(0, 6))
+    names = draw(st.lists(st.sampled_from(sorted(GRID_AXES)), min_size=1, max_size=3,
+                          unique=True))
+    axes = {name: draw(st.lists(GRID_AXES[name], min_size=1, max_size=2, unique=True))
+            for name in names}
+    return axes, draw(st.integers(0, 2))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_drawn_grid_rows_equal_standalone_edits(data):
     # any grid over fields that do and do not split inversion groups, with
     # stacks sliced to the memory budget, gives each row its edit alone
-    names = data.draw(st.lists(st.sampled_from(sorted(GRID_AXES)), min_size=1, max_size=3,
-                               unique=True))
-    axes = {name: data.draw(st.lists(GRID_AXES[name], min_size=1, max_size=2, unique=True))
-            for name in names}
+    axes, extra = data.draw(grid_axes())
     cfg = EditConfig(seed=data.draw(st.integers(0, 2**16)), embed_dim=8, total_steps=5)
-    extra = data.draw(st.integers(0, 2))
     split = data.draw(st.booleans(), label="token rows in halves")
     src = generate_source_latent(cfg)
     row_cfgs = [replace(cfg, **dict(zip(axes, combo)))
@@ -743,6 +766,93 @@ def test_run_reconstruction_deterministic():
     a = run_reconstruction(src, cfg.source_conditioning(), cfg)
     b = run_reconstruction(src, cfg.source_conditioning(), cfg)
     assert np.array_equal(a.data, b.data)
+
+
+def reference_source_latent(cfg):
+    """The source latent made one channel at a time, drawing each wave's
+    scalars just before summing it in."""
+    rng = SeededRng(cfg.seed, stream=STREAM_SOURCE)
+    g = math.isqrt(cfg.img_tokens)
+    ys, xs = np.meshgrid(np.arange(g), np.arange(g), indexing="ij")
+    arr = np.empty((1, cfg.img_tokens, cfg.channels))
+    for ci in range(cfg.channels):
+        plane = 0.3 * rng.standard_normal(())
+        for k in range(1, 4):
+            amp = rng.standard_normal(()) * 0.8 / k
+            fx, fy = rng.integers(1, 4, (2,))
+            phase = rng.uniform(0.0, 2.0 * math.pi, ())
+            plane = plane + amp * np.sin(2.0 * math.pi * (fx * xs + fy * ys) / g + phase)
+        arr[0, :, ci] = plane.reshape(-1)
+    return arr
+
+
+@pytest.mark.parametrize("tokens,channels", ((1, 1), (16, 8), (64, 3), (1024, 16)))
+@pytest.mark.parametrize("seed", (0, 1, 7, 2**64 - 1))
+def test_source_latent_equals_the_channel_by_channel_reference_bitwise(seed, tokens, channels):
+    cfg = EditConfig(seed=seed, img_tokens=tokens, channels=channels)
+    made = generate_source_latent(cfg).data
+    assert made.shape == (1, tokens, channels)
+    assert made.tobytes() == reference_source_latent(cfg).tobytes()
+
+
+# one value per schedule field, each different from its EditConfig default
+SCHEDULE_CHANGES = {"schedule": "cosine", "total_steps": 20, "injection_steps": 5,
+                    "sharpness": 7.0, "sigmoid_midpoint": 0.5, "activity_threshold": 0.1}
+
+
+def test_equal_schedule_fields_share_one_schedule_and_any_other_value_makes_another():
+    base = EditConfig(seed=1)
+    schedule = build_schedule(base)
+    # the fields outside the schedule's six do not matter
+    other_run = EditConfig(seed=9, alpha=0.5, delta_base=0.3, layer_count=3)
+    assert build_schedule(other_run) is schedule is base.injection_schedule
+    assert other_run.injection_schedule is schedule
+    with pytest.raises(FrozenInstanceError):
+        schedule.weights = ()
+    made = {id(schedule)}
+    for name, value in SCHEDULE_CHANGES.items():
+        changed = build_schedule(replace(base, **{name: value}))
+        assert changed is build_schedule(replace(other_run, **{name: value}))
+        made.add(id(changed))
+    assert len(made) == 1 + len(SCHEDULE_CHANGES)
+    assert pipeline._shared_schedule.cache_info().maxsize == pipeline.SCHEDULE_MEMO_LIMIT
+
+
+def test_the_schedule_memo_merges_only_values_that_behave_alike():
+    # -0.0 == 0.0 thresholds share a schedule: every weight compares alike to
+    # both; int and float sharpness are kept apart, by type
+    def behaviour(s):
+        return (s.weights, s.active_count, [is_active(s, i) for i in range(s.total_steps)],
+                [max_step_delta(s, delta) for delta in (0.0, 0.9)])
+
+    for family in SCHEDULE_FAMILIES:
+        zero = build_schedule(EditConfig(schedule=family, activity_threshold=0.0))
+        negative = build_schedule(EditConfig(schedule=family, activity_threshold=-0.0))
+        assert negative is zero
+        alone = InjectionSchedule(family, 15, 4, activity_threshold=-0.0)
+        assert behaviour(alone) == behaviour(zero)
+        whole = build_schedule(EditConfig(schedule=family, sharpness=5))
+        assert whole is not build_schedule(EditConfig(schedule=family, sharpness=5.0))
+        assert whole.sharpness == 5 and type(whole.sharpness) is int
+        assert behaviour(whole) == behaviour(build_schedule(EditConfig(schedule=family)))
+
+
+def test_grid_rows_have_the_schedule_trace_of_their_standalone_edits():
+    # the trace and max_step_delta are made once per plan key; 0.0 and -0.0
+    # share a plan but not a trace, whose second column keeps delta_base's sign
+    cfg = EditConfig(seed=2, total_steps=6, embed_dim=8)
+    axes = {"schedule": ["binary", "linear"], "delta_base": [0.0, -0.0, 0.6],
+            "alpha": [0.1, 0.5]}
+    src = generate_source_latent(cfg)
+    rows = edit_grid(src, cfg, axes)
+    assert len(rows) == 12
+    for _, row_cfg, result in rows:
+        alone = run_edit(src, row_cfg.source_conditioning(),
+                         row_cfg.target_conditioning(), row_cfg)
+        assert repr(result.schedule_trace) == repr(alone.schedule_trace)
+        assert_same_result(result, alone)
+    traces = {id(result.schedule_trace) for _, _, result in rows}
+    assert len(traces) == 2 * 3
 
 
 def test_generate_source_latent_deterministic_and_seed_sensitive():
