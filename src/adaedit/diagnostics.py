@@ -106,9 +106,9 @@ def ssim(a: Latent, b: Latent, peak: Optional[float] = None,
     size not exceeding min(7, g), and the SSIM map is cropped to the
     window-valid interior before averaging. Population (divide-by-N) local
     statistics throughout. With rows, b stacks that many latents of a's
-    shape along the batch axis, the reference's planes are filtered once,
-    every plane of the stack is filtered at once, and the result is one
-    value per row, each equal to ssim(a, row) bitwise.
+    shape along the batch axis and the result is one value per row, each
+    equal to ssim(a, row) bitwise. The reference's and the stack's planes,
+    their squares and their products are filtered by one correlate call.
     """
     count = 1 if rows is None else rows
     if b.shape != (count * a.b, a.l, a.c):
@@ -120,16 +120,19 @@ def ssim(a: Latent, b: Latent, peak: Optional[float] = None,
     c1 = (SSIM_K1 * peak) ** 2
     c2 = (SSIM_K2 * peak) ** 2
     x = _planes(a)
-    mu_x = _filter(x)
 
     def per_row(planes):
         # (rows, B, C, g, g): each row's planes line up with the reference's
         return planes.reshape((count,) + x.shape)
 
-    mu_y = per_row(_filter(y))
-    sxx = _filter(x * x) - mu_x * mu_x
-    syy = per_row(_filter(y * y)) - mu_y * mu_y
-    sxy = per_row(_filter((x * per_row(y)).reshape(y.shape))) - mu_x * mu_y
+    # x, y, x^2, y^2 and xy filtered by one call, then split back
+    planes = (x, y, x * x, y * y, (x * per_row(y)).reshape(y.shape))
+    ends = np.cumsum([len(p) for p in planes])[:-1]
+    mu_x, mu_y, xx, yy, xy = np.split(_filter(np.concatenate(planes)), ends)
+    mu_y = per_row(mu_y)
+    sxx = xx - mu_x * mu_x
+    syy = per_row(yy) - mu_y * mu_y
+    sxy = per_row(xy) - mu_x * mu_y
     num = (2.0 * mu_x * mu_y + c1) * (2.0 * sxy + c2)
     den = (mu_x ** 2 + mu_y ** 2 + c1) * (sxx + syy + c2)
     smap = num / den

@@ -111,7 +111,7 @@ class EditMask:
         arr = np.asarray(self.soft, dtype=np.float64)
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError(f"mask must be a 1-d vector, got shape {arr.shape}")
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
+        if not np.all((arr >= 0.0) & (arr <= 1.0)):  # NaN fails both
             raise ValueError("mask weights must lie in [0, 1]")
         arr = arr.copy()
         arr.flags.writeable = False
@@ -206,10 +206,13 @@ class LayerMix:
 
     def __init__(self, weight: np.ndarray, keep: np.ndarray,
                  runs: List[Tuple[int, int, int]]):
-        self.weight = weight  # (rows, 1, n, 1), to broadcast over (rows, B, n, d)
-        self.keep = keep
+        # weight and keep are (rows, 1, n, 1), to broadcast over (rows, B, n, d);
+        # each run keeps its rows and its weight and keep rows, sliced once
         self.runs = runs
         self.end = runs[-1][1] if runs else 0
+        self._slices = [(slice(lo, hi), how, weight[lo] if how == SHARED else weight[lo:hi],
+                         keep[lo:lo + 1] if how == SHARED else keep[lo:hi])
+                        for lo, hi, how in runs]
 
     def blend_into(self, src: np.ndarray, cur: np.ndarray, tmp: np.ndarray) -> None:
         """Blend the cached (B, n, d) ``src`` into the stacked (rows * B, n, d)
@@ -218,19 +221,19 @@ class LayerMix:
         row keeps the bits of its own term + part."""
         shape = (-1, *src.shape)
         parts, terms = cur.reshape(shape), tmp.reshape(shape)
-        for lo, hi, how in self.runs:
-            part = parts[lo:hi]
+        for rows, how, weight, keep in self._slices:
+            part = parts[rows]
             if how == WHOLE:
                 part[...] = src
             elif how == SHARED:
                 term = terms[0]
-                np.multiply(src, self.weight[lo], out=term)
-                np.multiply(part, self.keep[lo:lo + 1], out=part)
+                np.multiply(src, weight, out=term)
+                np.multiply(part, keep, out=part)
                 np.add(part, term, out=part)
             else:
-                term = terms[lo:hi]
-                np.multiply(src, self.weight[lo:hi], out=term)
-                np.multiply(part, self.keep[lo:hi], out=part)
+                term = terms[rows]
+                np.multiply(src, weight, out=term)
+                np.multiply(part, keep, out=part)
                 np.add(term, part, out=part)
 
 
@@ -281,17 +284,26 @@ def mix_rows(ratios, masks: Sequence[Optional[EditMask]], global_mix: Sequence[b
     inside = (ratios >= 0.0) & (ratios <= 1.0)
     if not inside.all():
         raise ValueError(f"ratio must lie in [0, 1], got {ratios[~inside][0]}")
-    base = np.ones((rows, n))
-    whole = np.ones(rows, dtype=bool)
-    for r, (mask, flag) in enumerate(zip(masks, global_mix)):
+    # one base row per distinct mask object, after one of ones (index 0)
+    # for the rows that mix every K/V row; each row indexes its own
+    bases, index, made = [np.ones(n)], [], {}
+    for mask, flag in zip(masks, global_mix):
         if flag or mask is None:
+            index.append(0)
             continue
-        n_img = mask.soft.size
-        if n_img > n:
-            raise ValueError(f"mask covers {n_img} rows but K/V have only {n}")
-        base[r, :n - n_img] = 0.0
-        base[r, n - n_img:] = 1.0 - mask.soft
-        whole[r] = False
+        at = made.get(id(mask))
+        if at is None:
+            n_img = mask.soft.size
+            if n_img > n:
+                raise ValueError(f"mask covers {n_img} rows but K/V have only {n}")
+            masked = np.zeros(n)
+            masked[n - n_img:] = 1.0 - mask.soft
+            at = made[id(mask)] = len(bases)
+            bases.append(masked)
+        index.append(at)
+    index = np.array(index, dtype=np.intp)
+    base = np.array(bases)[index]
+    whole = index == 0
     weight = ratios[..., None] * base
     keep = 1.0 - weight
     # per row: 0 keeps its K/V, 1 blends, 2 takes the source whole, 3 blends
@@ -552,14 +564,20 @@ def _attend(units: Sequence[tuple], scale: float, record: bool) -> None:
     own score block: numpy makes one 2-d product per entry with the same
     shapes and strides as a stacked (B, H, n, n) attention, and the row
     reductions work per row, so every entry gets the same bits (the ufunc
-    reductions are max and sum without the wrappers' per-call cost). AV
-    takes the unit's product function (_Scratch.views); QK^T stays on
-    np.matmul, since np.dot first copies the strided q and K columns of one
-    of several heads, and the product then differs in the last bit."""
-    for qh, kt, vh, out_cols, scores, row, txt, txt_out, av in units:
+    reductions are max and sum without the wrappers' per-call cost). Each
+    row's max is one segment of a maximum.reduceat over the flat block, a
+    third to a half of maximum.reduce's time along the last axis: a max is
+    exact in any order, and the one bit order may change, the sign of a
+    zero max, leaves exp(s - max) as it is (s - (+-0) is s for s != 0, and
+    exp(+-0) is 1). AV takes the unit's product function (_Scratch.views);
+    QK^T stays on np.matmul, since np.dot first copies the strided q and K
+    columns of one of several heads, and the product then differs in the
+    last bit."""
+    for (qh, kt, vh, out_cols, scores, row, flat_scores, starts, flat_row,
+         txt, txt_out, av) in units:
         np.matmul(qh, kt, out=scores)
         scores *= scale
-        np.maximum.reduce(scores, axis=-1, keepdims=True, out=row)
+        np.maximum.reduceat(flat_scores, starts, out=flat_row)
         scores -= row
         np.exp(scores, out=scores)
         np.add.reduce(scores, axis=-1, keepdims=True, out=row)
@@ -783,7 +801,9 @@ class _Scratch:
         the block's q, k^T and v columns of its head, the attention output's
         columns, its lane's share of the score and row arrays, the scores'
         text-to-image part, its place in the text-to-image block and the AV
-        product function: 2-d arrays of one entry for a block of one.
+        product function: 2-d arrays of one entry for a block of one. The
+        unit also carries flat views of its score and row blocks and the
+        start of each score row in the flat scores (_attend's row max).
 
         For one entry (b == 1) the token rows and h's image rows are 2-d
         too. On one lane their products, and AV of a single head (whose
@@ -807,6 +827,8 @@ class _Scratch:
             flat = tuple(a[0] for a in whole) if b == 1 else whole
             av = np.dot if b == 1 and self.attn_txt.shape[1] == 1 else np.matmul
             d = h.shape[-1]
+            n = self.scores.shape[-1]
+            starts = np.arange(0, size * n * n, n)  # each score row's, in a full block
             units = []
             for head in range(self.attn_txt.shape[1]):
                 cols = slice(head * dh, (head + 1) * dh)
@@ -816,8 +838,12 @@ class _Scratch:
                     lane = len(units) % lanes
                     scores, row = ((self.scores[lane, 0], self.row[lane, 0]) if m == 1 else
                                    (self.scores[lane, :m], self.row[lane, :m]))
+                    flat_scores, flat_row = scores.reshape(-1), row.reshape(-1)
+                    assert (np.shares_memory(flat_scores, scores)
+                            and np.shares_memory(flat_row, row))
                     units.append((q[at, :, cols], np.swapaxes(k[at, :, cols], -1, -2),
                                   v[at, :, cols], attn_out[at, :, cols], scores, row,
+                                  flat_scores, starts[:m * n], flat_row,
                                   scores[..., :n_txt, n_txt:], self.attn_txt[at, head], av))
             shares, unit_shares = (flat,), (units,)
             if lanes == 2:

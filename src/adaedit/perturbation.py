@@ -32,7 +32,7 @@ class ChannelWeights:
         arr = np.asarray(self.alpha, dtype=np.float64)
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError(f"channel weights must be a length-C vector, got {arr.shape}")
-        if np.any(arr < 0.0):
+        if not np.all(arr >= 0.0):  # NaN fails it
             raise ValueError("channel weights must be nonnegative")
         if abs(arr.mean() - 1.0) > 1e-9:
             raise ValueError(f"channel weights must have mean 1, got {arr.mean()!r}")

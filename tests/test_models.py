@@ -70,6 +70,12 @@ def test_edit_mask_validation():
         EditMask(np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+def test_edit_mask_rejects_non_finite_weights(bad):
+    with pytest.raises(ValueError, match=r"mask weights must lie in \[0, 1\]"):
+        EditMask(np.array([0.2, bad, 0.9]))
+
+
 # -------------------------------------------------------------- analytic flow
 
 def test_analytic_flow_evaluation():
@@ -830,6 +836,72 @@ def test_the_cpu_count_changes_no_view_and_no_bit(monkeypatch, embed_dim, heads)
     assert diagnostics == other_diagnostics
     for got, want in zip(arrays, others):
         assert np.array_equal(got, want)
+
+
+def reference_attend(q, k, v, heads, n_txt):
+    """Each entry's and head's softmax(QK^T / sqrt(dh)) V, one 2-d product at
+    a time, with each row's max from np.maximum.reduce along the row: the
+    attention output and the text-to-image block."""
+    b, n, d = q.shape
+    dh = d // heads
+    out, txt = np.empty((b, n, d)), np.empty((b, heads, n_txt, n - n_txt))
+    for e in range(b):
+        for head in range(heads):
+            cols = slice(head * dh, (head + 1) * dh)
+            scores = np.matmul(q[e, :, cols], np.swapaxes(k[e, :, cols], -1, -2))
+            scores *= 1.0 / math.sqrt(dh)
+            scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
+            np.exp(scores, out=scores)
+            scores /= np.add.reduce(scores, axis=-1, keepdims=True)
+            out[e, :, cols] = np.matmul(scores, v[e, :, cols])
+            txt[e, head] = scores[:n_txt, n_txt:]
+    return out, txt
+
+
+@pytest.mark.parametrize("lanes", (1, 2))
+@pytest.mark.parametrize("heads", (1, 4))
+@pytest.mark.parametrize("b, n_img, block", (
+    (1, 16, None), (2, 16, None), (9, 16, None), (9, 16, 4), (36, 16, None), (36, 16, 4),
+    (1, 256, None)))
+def test_attend_equals_a_row_max_reduce_softmax_bitwise(monkeypatch, lanes, heads, b, n_img,
+                                                        block):
+    # _attend takes each row's max with a maximum.reduceat over the flat score
+    # block. One row per entry and head is built so that its scaled scores
+    # have max 0 with both +0 and -0 in it (dh = 4, scale 0.5: -5e-324 * 0.5
+    # rounds to -0), the one case where order can change a max's bits
+    n_txt, dh = 4, 4
+    n, d = n_txt + n_img, heads * dh
+    force_lanes(monkeypatch, lanes)
+    if block is not None:
+        monkeypatch.setattr(models, "SCORE_BLOCK_BYTES", block * n * n * 8)
+    scratch = models._Scratch(b, n_txt, n_img, d, 2 * models.TIME_FREQS, heads)
+    *_, unit_shares = scratch.views(b)
+    rng = np.random.default_rng(b * 100 + heads)
+    q, k, v = scratch.q[:b], scratch.k[:b], scratch.v[:b]
+    for a in (q, k, v):
+        a[...] = rng.standard_normal(a.shape)
+    tiny = np.nextafter(0.0, 1.0)
+    for e in range(b):
+        for head in range(heads):
+            at = (e + head) % n
+            q[e, at, head * dh:(head + 1) * dh] = (tiny, 0.0, 0.0, 0.0)
+            k[e, :, head * dh] = np.resize([-1.0, 0.0, -2.0], n)
+            k[e, :, head * dh + 1:(head + 1) * dh] = np.abs(k[e, :, head * dh + 1:(head + 1) * dh])
+            row = np.matmul(q[e, at, head * dh:(head + 1) * dh],
+                            k[e, :, head * dh:(head + 1) * dh].T) * 0.5
+            zeros = row[row == 0.0]
+            assert row.max() == 0.0 and np.signbit(zeros).any() and not np.signbit(zeros).all()
+    want_out, want_txt = reference_attend(q, k, v, heads, n_txt)
+    for share in unit_shares:
+        models._attend(share, 0.5, True)
+    assert np.array_equal(scratch.attn_out[:b], want_out)
+    assert np.array_equal(scratch.attn_txt[:b], want_txt)
+    assert len(unit_shares) == lanes
+    for unit in (u for share in unit_shares for u in share):
+        scores, row, flat_scores, starts, flat_row = unit[4:9]
+        assert np.shares_memory(flat_scores, scores) and np.shares_memory(flat_row, row)
+        assert flat_scores.size == scores.size and len(starts) == flat_row.size == row.size
+        assert np.array_equal(starts, np.arange(0, scores.size, n))
 
 
 def test_a_process_that_runs_only_small_edits_starts_no_thread(tmp_path):

@@ -185,6 +185,17 @@ def test_channel_weights_validation():
         ChannelWeights(np.array([-0.5, 2.5]))  # negative entry
 
 
+@pytest.mark.parametrize("alpha, message", (
+    ([np.nan, 1.0], "must be nonnegative"),
+    ([np.nan, np.nan], "must be nonnegative"),
+    ([-np.inf, np.inf], "must be nonnegative"),
+    ([np.inf, 0.0], "must have mean 1"),
+))
+def test_channel_weights_reject_non_finite_entries(alpha, message):
+    with pytest.raises(ValueError, match=message):
+        ChannelWeights(np.array(alpha))
+
+
 def test_selective_alpha_zero_is_identity_bitwise():
     z_inv, z_rand = make_pair()
     cfg = PerturbationConfig(0.0, 1.0)
