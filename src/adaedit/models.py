@@ -207,34 +207,31 @@ class LayerMix:
     def __init__(self, weight: np.ndarray, keep: np.ndarray,
                  runs: List[Tuple[int, int, int]]):
         # weight and keep are (rows, 1, n, 1), to broadcast over (rows, B, n, d);
-        # each run keeps its rows and its weight and keep rows, sliced once
+        # each run keeps its rows and its weight and keep rows, sliced once; a
+        # SHARED run keeps its one weight and keep row, to broadcast over its rows
         self.runs = runs
         self.end = runs[-1][1] if runs else 0
-        self._slices = [(slice(lo, hi), how, weight[lo] if how == SHARED else weight[lo:hi],
-                         keep[lo:lo + 1] if how == SHARED else keep[lo:hi])
-                        for lo, hi, how in runs]
+        self._slices = []
+        for lo, hi, how in runs:
+            end = lo + 1 if how == SHARED else hi
+            self._slices.append((slice(lo, hi), how, weight[lo:end], keep[lo:end]))
 
     def blend_into(self, src: np.ndarray, cur: np.ndarray, tmp: np.ndarray) -> None:
         """Blend the cached (B, n, d) ``src`` into the stacked (rows * B, n, d)
-        ``cur`` in place, with ``tmp`` (cur's shape) for the source term. A
-        shared term is added as part + term: IEEE addition commutes, so each
-        row keeps the bits of its own term + part."""
+        ``cur`` in place, with ``tmp`` (cur's shape) for the source terms,
+        one per weight row. Each term is added as part + term: IEEE addition
+        commutes, so each row keeps the bits of its own term + part."""
         shape = (-1, *src.shape)
         parts, terms = cur.reshape(shape), tmp.reshape(shape)
         for rows, how, weight, keep in self._slices:
             part = parts[rows]
             if how == WHOLE:
                 part[...] = src
-            elif how == SHARED:
-                term = terms[0]
-                np.multiply(src, weight, out=term)
-                np.multiply(part, keep, out=part)
-                np.add(part, term, out=part)
             else:
-                term = terms[rows]
+                term = terms[:len(weight)]
                 np.multiply(src, weight, out=term)
-                np.multiply(part, keep, out=part)
-                np.add(term, part, out=part)
+                part *= keep
+                part += term
 
 
 def _runs(kinds: Sequence[int]) -> List[Tuple[int, int, int]]:

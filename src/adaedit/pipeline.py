@@ -503,12 +503,6 @@ class Inversion:
     reconstructed: Latent
     reconstruction_evals: int
 
-    @cached_property
-    def peak(self) -> float:
-        """The reconstruction's value range, the peak of every edit's PSNR
-        and SSIM against it; 1 for a degenerate constant reconstruction."""
-        return float(np.ptp(self.reconstructed.data)) or 1.0
-
 
 def invert(source: Latent, c_src: Conditioning, cfg: EditConfig,
            steps: int = 0) -> Inversion:
@@ -568,36 +562,12 @@ def _injection_plan(cfg: EditConfig) -> tuple:
     return plan, trace, max_step_delta(schedule, cfg.delta_base)
 
 
-@dataclass(frozen=True, eq=False)
-class SampledEdit:
-    """One edit of a stack that _sample_edits ran: the Inversion it was
-    sampled from; its injection plan, schedule trace and max_step_delta; its
-    mask; the perturbed latent's channel gaps and weights; and the sampled
-    latent with the sampling's evaluation count, the largest velocity jump
-    between its consecutive planned steps, and its PSNR and SSIM against the
-    inversion's reconstruction."""
-
-    cfg: EditConfig
-    inversion: Inversion
-    plan: tuple
-    trace: Tuple[Tuple[float, float, bool], ...]
-    max_step_delta: float
-    mask: EditMask
-    fallback: bool
-    gaps: np.ndarray
-    weights: ChannelWeights
-    edited: Latent
-    sampling_evals: int
-    velocity_jump: float
-    psnr: float
-    ssim: float
-
-
 def _sample_edits(inversion: Inversion,
                   edits: Sequence[Tuple[Conditioning, Conditioning, EditConfig]]
-                  ) -> List[SampledEdit]:
+                  ) -> List[EditResult]:
     """Mask, perturb and sample edits that share ``inversion``, as one stack,
-    in the order given, which must be longest plan first.
+    in the order given, which must be longest plan first; each row's
+    EditResult comes back in that order.
 
     What rows share is made once per distinct key: the injection plan, the
     schedule trace and max_step_delta per PLAN_FIELDS value; the mask and its
@@ -618,7 +588,8 @@ def _sample_edits(inversion: Inversion,
     rows under their own mix_rows pair when only some do, and none runs when
     no row moves; one psnr and one ssim call score the whole sampled stack.
     So every row equals the edit sampled alone, bitwise. A divergence names
-    the failing row of the stack as its entry.
+    the failing row of the stack as its entry. Rows with one edit-token set
+    share one read-only channel_gaps array.
     """
     counts = [cfg.injection_schedule.active_count for _, _, cfg in edits]
     if counts != sorted(counts, reverse=True):
@@ -634,7 +605,7 @@ def _sample_edits(inversion: Inversion,
     masks: Dict[tuple, tuple] = {}
     token_stats: Dict[Tuple[int, ...], tuple] = {}
     shifts: Dict[tuple, tuple] = {}
-    stack = []  # per row: (config, plan, trace, max_step_delta, mask, fallback, gaps, shift)
+    stack = []  # per row: (plan, trace, max_step_delta, mask, fallback, gaps, shift)
     for c_src, c_tgt, cfg in edits:
         plan_key = (_PLAN_KEY(cfg), math.copysign(1.0, cfg.delta_base))
         if plan_key not in plans:
@@ -648,8 +619,9 @@ def _sample_edits(inversion: Inversion,
             mask = extract_mask(inversion.attn, mask_cond, cfg.soft_mask_gamma, len(plan))
             edit_tokens, fallback = resolve_edit_tokens(mask, cfg.img_tokens)
             if edit_tokens not in token_stats:
-                token_stats[edit_tokens] = (channel_gap(z_inv, z_rand, edit_tokens),
-                                            shift_stats(z_inv, z_rand, edit_tokens))
+                gaps = channel_gap(z_inv, z_rand, edit_tokens)
+                gaps.flags.writeable = False  # every row of this token set holds it
+                token_stats[edit_tokens] = (gaps, shift_stats(z_inv, z_rand, edit_tokens))
             masks[mask_key] = (mask, fallback, edit_tokens)
         mask, fallback, edit_tokens = masks[mask_key]
         gaps, stats = token_stats[edit_tokens]
@@ -666,18 +638,18 @@ def _sample_edits(inversion: Inversion,
                 shifts[shift_key] = (
                     latents_shift_uniform(z_inv, z_rand, cfg.alpha, stats.idx, stats=stats),
                     ChannelWeights.uniform(cfg.channels))
-        stack.append((cfg, plan, trace, delta, mask, fallback, gaps, shifts[shift_key]))
+        stack.append((plan, trace, delta, mask, fallback, gaps, shifts[shift_key]))
 
     conds = tuple(c_tgt for _, c_tgt, _ in edits)
     z = Latent._adopt(np.concatenate([z_hat.data for *_, (z_hat, _) in stack]))
     longest = counts[0]
     # each row's per-layer ratios per step, and 0 at the step after the last
     ratios = np.zeros((longest + 1, first.layer_count, len(stack)))
-    for r, (_, plan, *_) in enumerate(stack):
+    for r, (plan, *_) in enumerate(stack):
         ratios[:counts[r], :, r] = plan
     n = first.text_tokens + first.img_tokens
-    row_masks = [mask for _, _, _, _, mask, *_ in stack]
-    row_global = [cfg.global_mix for cfg, *_ in stack]
+    row_masks = [mask for _, _, _, mask, *_ in stack]
+    row_global = [cfg.global_mix for *_, cfg in edits]
     mixes = mix_rows(ratios[:longest], row_masks, row_global, n)
     hooks = [InjectionHooks(mode="inject", cache=cache, step=i, mixes=mixes[i])
              for i in range(longest)]
@@ -724,47 +696,43 @@ def _sample_edits(inversion: Inversion,
     # take the place of the sampling's states.
     final, evals = sampling.final, sampling.velocity_evals
     del sampling
-    recon, peak = inversion.reconstructed, inversion.peak
+    recon = inversion.reconstructed
+    # the reconstruction's value range; 1 for a degenerate constant one
+    peak = float(np.ptp(recon.data)) or 1.0
     psnrs = psnr(recon, final, peak=peak, rows=len(stack))
     scores = ssim(recon, final, peak=peak, rows=len(stack))
-    return [SampledEdit(cfg, inversion, plan, trace, delta, mask, fallback, gaps, weights,
-                        Latent._adopt(final.data[r:r + 1]), evals, jumps[r], psnrs[r],
-                        scores[r])
-            for r, (cfg, plan, trace, delta, mask, fallback, gaps, (_, weights))
-            in enumerate(stack)]
+    inverted, reconstructed = inversion.inversion_evals, inversion.reconstruction_evals
+    return [EditResult(
+        edited=Latent._adopt(final.data[r:r + 1]), reconstructed_source=recon, mask=mask,
+        channel_weights=weights, schedule_trace=trace, channel_gaps=gaps,
+        diagnostics={
+            "max_step_delta": delta,
+            "velocity_jump": jumps[r],
+            "eval_count_inversion": float(inverted),
+            "eval_count_sampling": float(evals),
+            "eval_count_reconstruction": float(reconstructed),
+            "evals": float(inverted + evals),
+            "psnr": psnrs[r],
+            "ssim": scores[r],
+            "empty_mask_fallback": 1.0 if fallback else 0.0,
+        })
+        for r, (_, trace, delta, mask, fallback, gaps, (_, weights)) in enumerate(stack)]
 
 
 def run_edit(source: Latent, c_src: Conditioning, c_tgt: Conditioning,
-             cfg: EditConfig, sampled: Optional[SampledEdit] = None) -> EditResult:
+             cfg: EditConfig, sampled: Optional[EditResult] = None) -> EditResult:
     """Perturb the inverted source and resample it under the target prompt
     with progressive feature injection.
 
-    ``sampled`` is this edit's row of a stack that _sample_edits ran
-    (edit_grid runs its rows that way); one sampled under another config is
-    a ValueError. Without it the edit inverts the source itself, recording
-    its planned steps only, and is sampled as a stack of one.
+    ``sampled`` is this edit's finished row of a stack that _sample_edits ran
+    (edit_grid runs its rows that way), and is returned as it is. Without it
+    the edit inverts the source itself, recording its planned steps only, and
+    is sampled as a stack of one.
     """
     if sampled is None:
         active = cfg.injection_schedule.active_count
         (sampled,) = _sample_edits(invert(source, c_src, cfg, active), [(c_src, c_tgt, cfg)])
-    elif sampled.cfg != cfg:
-        raise ValueError("a sampled edit must be run under its own config")
-    inversion = sampled.inversion
-    diagnostics = {
-        "max_step_delta": sampled.max_step_delta,
-        "velocity_jump": sampled.velocity_jump,
-        "eval_count_inversion": float(inversion.inversion_evals),
-        "eval_count_sampling": float(sampled.sampling_evals),
-        "eval_count_reconstruction": float(inversion.reconstruction_evals),
-        "evals": float(inversion.inversion_evals + sampled.sampling_evals),
-        "psnr": sampled.psnr,
-        "ssim": sampled.ssim,
-        "empty_mask_fallback": 1.0 if sampled.fallback else 0.0,
-    }
-    return EditResult(
-        edited=sampled.edited, reconstructed_source=inversion.reconstructed,
-        mask=sampled.mask, channel_weights=sampled.weights, schedule_trace=sampled.trace,
-        diagnostics=diagnostics, channel_gaps=sampled.gaps)
+    return sampled
 
 
 def run_reconstruction(source: Latent, c_src: Conditioning,
@@ -824,8 +792,7 @@ def edit_grid(source: Latent, base_cfg: EditConfig, axes: Dict[str, Sequence]
             except DivergenceError as exc:
                 row = part[exc.entry]
                 raise DivergenceError(exc.step, exc.detail, exc.phase, exc.entry, row) from exc
-            for index, edit, sampled in zip(part, edits, stack):
-                results[index] = run_edit(source, *edit, sampled)
-        # every SampledEdit holds the Inversion
-        del inversion, stack, sampled
+            for index, edit, result in zip(part, edits, stack):
+                results[index] = run_edit(source, *edit, result)
+        del inversion
     return [(overrides, cfg, result) for (overrides, cfg), result in zip(runs, results)]

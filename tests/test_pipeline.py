@@ -495,8 +495,19 @@ def test_sample_edits_takes_edits_longest_plan_first():
         pipeline._sample_edits(inversion, edits)
     # in that order the rows come back in the order given
     rows = pipeline._sample_edits(inversion, edits[::-1])
-    assert [row.cfg for row in rows] == [cfg, short]
-    assert [len(row.plan) for row in rows] == [4, 3]
+    assert [sum(active for *_, active in row.schedule_trace) for row in rows] == [4, 3]
+    assert [row.diagnostics["max_step_delta"] for row in rows] == [
+        max_step_delta(c.injection_schedule, c.delta_base) for c in (cfg, short)]
+
+
+def test_grid_rows_of_one_token_set_cannot_write_their_shared_channel_gaps():
+    cfg = EditConfig()
+    src = generate_source_latent(cfg)
+    (_, _, first), (_, _, second) = edit_grid(src, cfg, {"alpha": [0.1, 0.5]})
+    before = second.channel_gaps.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        first.channel_gaps[0] = 99.0
+    assert np.array_equal(second.channel_gaps, before)
 
 
 def test_grid_holds_one_inversion_at_a_time(monkeypatch):
@@ -517,11 +528,13 @@ def test_grid_holds_one_inversion_at_a_time(monkeypatch):
     for axes in ({"seed": [1, 2, 3], "alpha": [0.1, 0.5]},
                  {"alpha": [0.1, 0.5], "seed": [1, 2, 3]}):
         made.clear()
+        grid = edit_grid(src, cfg, axes)
+        # the results hold no Inversion: the last group's is gone too
+        assert len(made) == 3 and made[-1]() is None
         rows = []
-        for overrides, _, _ in edit_grid(src, cfg, axes):
+        for overrides, _, _ in grid:
             assert all(ref() is None for ref in made)
             rows.append(overrides)
-        assert len(made) == 3
         assert rows == [dict(zip(axes, combo)) for combo in itertools.product(*axes.values())]
 
 
