@@ -110,9 +110,9 @@ def write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> No
 
 
 def _split_assignment(item: str, option: str) -> Tuple[str, str]:
-    if "=" not in item:
+    key, equals, raw = item.partition("=")
+    if not (key and equals):
         raise ConfigError(option, f"expected key=value, got '{item}'")
-    key, raw = item.split("=", 1)
     return key, raw
 
 

@@ -1,20 +1,124 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and Spec, the type and range of
+a checked value.
 
 Only failures that callers need to tell apart get their own class; everything
-else raises the stdlib ValueError/IndexError with a descriptive message.
+else raises the stdlib ValueError/IndexError with a descriptive message. A
+range that a library argument shares with an EditConfig field is one Spec,
+declared next to the library code, and checks both the argument and the field.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import sys
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 
 class ConfigError(ValueError):
-    """A run configuration failed validation. Maps to CLI exit code 2."""
+    """A value outside its Spec, or a config that breaks a rule spanning fields;
+    field names the config field or library argument. CLI exit code 2."""
 
     def __init__(self, field: str, message: str):
         self.field = field
         super().__init__(f"{field}: {message}")
+
+
+_BOOL_TEXT = {"1": True, "true": True, "yes": True,
+              "0": False, "false": False, "no": False}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _integral(value):
+    """JSON numbers such as 5.0 stand for the integer 5."""
+    return int(value) if isinstance(value, float) and value.is_integer() else value
+
+
+@dataclass(frozen=True)
+class Spec:
+    """Type and allowed values of one EditConfig field or library argument.
+
+    kind is int, float, bool, str (one of choices) or tuple (a list of integer
+    token ids). Numbers lie between lo and hi, open at an end whose flag is
+    set; floats must be finite, and an int given for one must lie within
+    float range. optional admits None.
+    """
+
+    kind: type
+    lo: Optional[float] = None
+    hi: Optional[float] = None
+    lo_open: bool = False
+    hi_open: bool = False
+    choices: Tuple[str, ...] = ()
+    optional: bool = False
+
+    def describe(self) -> str:
+        if self.kind is bool:
+            text = "true or false"
+        elif self.kind is str:
+            text = "one of " + ", ".join(self.choices)
+        elif self.kind is tuple:
+            text = "a list of integers"
+        else:
+            left = "(" if self.lo_open else "["
+            right = ")" if self.hi_open or self.hi is None else "]"
+            hi = "inf" if self.hi is None else self.hi
+            noun = "an integer" if self.kind is int else "a finite number"
+            text = f"{noun} in {left}{self.lo}, {hi}{right}"
+        return text + " or null" if self.optional else text
+
+    def accepts(self, value) -> bool:
+        if value is None:
+            return self.optional
+        if self.kind is bool:
+            return isinstance(value, bool)
+        if self.kind is str:
+            return isinstance(value, str) and value in self.choices
+        if self.kind is tuple:
+            return isinstance(value, (tuple, list)) and all(_is_int(v) for v in value)
+        if self.kind is int:
+            if not _is_int(value):
+                return False
+        elif (not isinstance(value, (int, float)) or isinstance(value, bool)
+              or not abs(value) <= sys.float_info.max):  # NaN, inf, or an int past float
+            return False
+        above = value > self.lo if self.lo_open else value >= self.lo
+        below = self.hi is None or (value < self.hi if self.hi_open else value <= self.hi)
+        return above and below
+
+    def check(self, name: str, value):
+        if not self.accepts(value):
+            raise ConfigError(name, f"must be {self.describe()}, got {value!r}")
+        return value
+
+    def from_json(self, value):
+        """The value read from JSON in the field's own type; the config that
+        receives it checks it."""
+        if self.kind is int:
+            return _integral(value)
+        if self.kind is tuple and isinstance(value, list):
+            return tuple(_integral(v) for v in value)
+        return value
+
+    def from_text(self, name: str, raw: str):
+        """The value written as --set/--axis text: ints, floats, true/false
+        (also 1/0, yes/no), comma-separated token ids, none/null if optional."""
+        value = raw
+        if self.optional and raw.lower() in ("none", "null"):
+            value = None
+        elif self.kind is bool:
+            value = _BOOL_TEXT.get(raw.lower(), raw)
+        elif self.kind is not str:
+            try:
+                if self.kind is tuple:
+                    value = tuple(int(tok) for tok in raw.split(",") if tok)
+                else:
+                    value = self.kind(raw)
+            except ValueError:
+                pass
+        return self.check(name, value)
 
 
 class DivergenceError(RuntimeError):

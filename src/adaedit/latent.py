@@ -14,7 +14,12 @@ from typing import Iterable
 
 import numpy as np
 
+from .errors import Spec
+
 EPS_STD = 1e-8
+# a latent or model dimension
+DIMENSION = Spec(int, lo=1)
+SEED = Spec(int, lo=0, hi=2**64 - 1)
 
 # Purpose-separated substreams derived from one user-facing seed. Each value
 # selects an independent Philox stream so noise draws, model parameters and
@@ -37,9 +42,7 @@ class SeededRng:
     """
 
     def __init__(self, seed: int, stream: int = STREAM_NOISE):
-        if not 0 <= int(seed) < 2**64:
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
-        self.seed = int(seed)
+        self.seed = SEED.check("seed", seed)
         self.stream = int(stream)
         key = np.array([self.seed, self.stream], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
@@ -106,9 +109,8 @@ class Latent:
 def sample_gaussian(rng: SeededRng, b: int, l: int, c: int) -> Latent:
     """Draw an i.i.d. standard-normal latent from the seeded stream."""
     for name, dim in (("b", b), ("l", l), ("c", c)):
-        if int(dim) < 1:
-            raise ValueError(f"dimension {name} must be positive, got {dim}")
-    return Latent(rng.standard_normal((int(b), int(l), int(c))))
+        DIMENSION.check(name, dim)
+    return Latent(rng.standard_normal((b, l, c)))
 
 
 def resolve_tokens(tokens: Iterable[int], l: int) -> np.ndarray:

@@ -21,8 +21,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import CacheMissError
-from .latent import STREAM_MODEL, Latent, SeededRng
+from .errors import CacheMissError, Spec
+from .latent import DIMENSION, STREAM_MODEL, Latent, SeededRng
 
 HOOK_MODES = ("record", "inject")
 
@@ -629,11 +629,6 @@ class ToyAttentionFlow:
     def __init__(self, seed: int = 0, layer_count: int = 2, embed_dim: int = 32,
                  img_tokens: int = 16, text_tokens: int = 4, channels: int = 8,
                  heads: int = 1, vocab_size: int = 64):
-        if min(layer_count, embed_dim, img_tokens, text_tokens,
-               channels, heads, vocab_size) < 1:
-            raise ValueError("all model dimensions must be positive")
-        if embed_dim % heads != 0:
-            raise ValueError(f"embed_dim {embed_dim} must be divisible by heads {heads}")
         self.seed = int(seed)
         self.layer_count = layer_count
         self.embed_dim = embed_dim
@@ -642,6 +637,11 @@ class ToyAttentionFlow:
         self.channels = channels
         self.heads = heads
         self.vocab_size = vocab_size
+        for name in ("layer_count", "embed_dim", "img_tokens", "text_tokens", "channels",
+                     "heads", "vocab_size"):
+            DIMENSION.check(name, getattr(self, name))
+        if embed_dim % heads != 0:
+            raise ValueError(f"embed_dim {embed_dim} must be divisible by heads {heads}")
 
         rng = SeededRng(seed, stream=STREAM_MODEL)
         d = embed_dim
@@ -865,6 +865,10 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
+# the soft mask's sigmoid sharpness; None asks for the sharp mask
+GAMMA = Spec(float, lo=0.0, lo_open=True, optional=True)
+
+
 def extract_mask(attn_record: AttentionRecord, cond: Conditioning,
                  gamma: Optional[float] = None,
                  steps: Optional[int] = None) -> EditMask:
@@ -876,8 +880,7 @@ def extract_mask(attn_record: AttentionRecord, cond: Conditioning,
     sets the sigmoid sharpness of the soft mask; None requests the sharp limit
     (indicator with 0.5 at ties, matching the gamma -> infinity behavior).
     """
-    if gamma is not None and not gamma > 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    GAMMA.check("gamma", gamma)
     blocks = attn_record.stacked(steps)  # (entries, B, heads, L_txt, L_img)
     a = blocks[:, :, :, cond.keyword_index, :].mean(axis=(0, 1, 2))
     spread = a.max() - a.min()

@@ -17,9 +17,15 @@ from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
+from .errors import Spec
 from .latent import EPS_STD, Latent, resolve_tokens
 
 PERTURBATION_MODES = ("uniform", "channel_selective")
+ALPHA = Spec(float, lo=0.0, hi=1.0)
+# At subnormal temperatures d / tau overflows and the channel weights turn
+# NaN. At this floor, gaps 1e-4 apart already get weights exp(-100) apart.
+MIN_TAU = 1e-6
+TAU = Spec(float, lo=MIN_TAU)
 
 
 @dataclass(frozen=True)
@@ -51,10 +57,8 @@ class PerturbationConfig:
     tau: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if not self.tau > 0.0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+        ALPHA.check("alpha", self.alpha)
+        TAU.check("tau", self.tau)
 
 
 def _adain_per_channel(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -92,8 +96,7 @@ def channel_weights(d: np.ndarray, tau: float) -> ChannelWeights:
     (C * e) / sum(e) ordering makes a constant gap vector produce exactly 1.0
     per channel, so the uniform-recovery reduction is bitwise.
     """
-    if not tau > 0.0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    TAU.check("tau", tau)
     d = np.asarray(d, dtype=np.float64)
     if d.ndim != 1 or d.size < 1:
         raise ValueError(f"gap vector must be 1-d with length >= 1, got shape {d.shape}")
@@ -161,8 +164,7 @@ def latents_shift_uniform(z_inv: Latent, z_rand: Latent, alpha: float,
     caller already has it.
     """
     _check_pair(z_inv, z_rand)
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    ALPHA.check("alpha", alpha)
     if stats is None:
         stats = shift_stats(z_inv, z_rand, tokens)
     return _shift(z_inv, np.full(z_inv.c, alpha), stats)

@@ -14,7 +14,6 @@ import json
 import logging
 import math
 import operator
-import sys
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property, lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -22,19 +21,20 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .diagnostics import psnr, ssim, velocity_jump_between
-from .errors import ConfigError, DivergenceError
-from .latent import STREAM_NOISE, STREAM_SOURCE, Latent, SeededRng, sample_gaussian
-from .models import (AttentionRecord, Conditioning, EditMask, InjectionHooks,
-                     KVCache, ToyAttentionFlow, extract_mask, mix_rows,
-                     score_buffer_bytes)
-from .perturbation import (PERTURBATION_MODES, ChannelWeights,
+from .errors import ConfigError, DivergenceError, Spec
+from .latent import (DIMENSION, SEED, STREAM_NOISE, STREAM_SOURCE, Latent,
+                     SeededRng, sample_gaussian)
+from .models import (GAMMA, AttentionRecord, Conditioning, EditMask,
+                     InjectionHooks, KVCache, ToyAttentionFlow, extract_mask,
+                     mix_rows, score_buffer_bytes)
+from .perturbation import (ALPHA, PERTURBATION_MODES, TAU, ChannelWeights,
                            PerturbationConfig, channel_gap,
                            latents_shift_channel_selective,
                            latents_shift_uniform, shift_stats)
-from .schedules import (SCHEDULE_FAMILIES, InjectionSchedule,
-                        LayerRatioProfile, effective_ratio, is_active,
-                        layer_ratios, max_step_delta)
-from .solvers import (SOLVER_KINDS, TimeGrid, integrate_backward,
+from .schedules import (DELTA, FAMILY, MIDPOINT, SHARPNESS, SLOPE, THRESHOLD,
+                        InjectionSchedule, LayerRatioProfile, effective_ratio,
+                        is_active, layer_ratios, max_step_delta)
+from .solvers import (KIND, STEPS, TimeGrid, integrate_backward,
                       integrate_forward)
 
 logger = logging.getLogger("adaedit.pipeline")
@@ -78,110 +78,10 @@ SCHEDULE_MEMO_LIMIT = 64
 # EditConfig.validate).
 MEMORY_BUDGET = 2 * 10**9
 FLOAT64_BYTES = 8
-# At subnormal temperatures d / tau overflows and the channel weights turn
-# NaN. At this floor, gaps 1e-4 apart already get weights exp(-100) apart.
-MIN_TAU = 1e-6
-
-_BOOL_TEXT = {"1": True, "true": True, "yes": True,
-              "0": False, "false": False, "no": False}
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _integral(value):
-    """JSON numbers such as 5.0 stand for the integer 5."""
-    return int(value) if isinstance(value, float) and value.is_integer() else value
-
-
-@dataclass(frozen=True)
-class Spec:
-    """Type and allowed values of one EditConfig field.
-
-    kind is int, float, bool, str (one of choices) or tuple (a list of integer
-    token ids). Numbers lie between lo and hi, open at an end whose flag is
-    set; floats must be finite, and an int given for one must lie within
-    float range. optional admits None.
-    """
-
-    kind: type
-    lo: Optional[float] = None
-    hi: Optional[float] = None
-    lo_open: bool = False
-    hi_open: bool = False
-    choices: Tuple[str, ...] = ()
-    optional: bool = False
-
-    def describe(self) -> str:
-        if self.kind is bool:
-            text = "true or false"
-        elif self.kind is str:
-            text = "one of " + ", ".join(self.choices)
-        elif self.kind is tuple:
-            text = "a list of integers"
-        else:
-            left = "(" if self.lo_open else "["
-            right = ")" if self.hi_open or self.hi is None else "]"
-            hi = "inf" if self.hi is None else self.hi
-            noun = "an integer" if self.kind is int else "a finite number"
-            text = f"{noun} in {left}{self.lo}, {hi}{right}"
-        return text + " or null" if self.optional else text
-
-    def accepts(self, value) -> bool:
-        if value is None:
-            return self.optional
-        if self.kind is bool:
-            return isinstance(value, bool)
-        if self.kind is str:
-            return isinstance(value, str) and value in self.choices
-        if self.kind is tuple:
-            return isinstance(value, (tuple, list)) and all(_is_int(v) for v in value)
-        if self.kind is int:
-            if not _is_int(value):
-                return False
-        elif (not isinstance(value, (int, float)) or isinstance(value, bool)
-              or not abs(value) <= sys.float_info.max):  # NaN, inf, or an int past float
-            return False
-        above = value > self.lo if self.lo_open else value >= self.lo
-        below = self.hi is None or (value < self.hi if self.hi_open else value <= self.hi)
-        return above and below
-
-    def check(self, name: str, value):
-        if not self.accepts(value):
-            raise ConfigError(name, f"must be {self.describe()}, got {value!r}")
-        return value
-
-    def from_json(self, value):
-        """The value read from JSON in the field's own type; the config that
-        receives it checks it."""
-        if self.kind is int:
-            return _integral(value)
-        if self.kind is tuple and isinstance(value, list):
-            return tuple(_integral(v) for v in value)
-        return value
-
-    def from_text(self, name: str, raw: str):
-        """The value written as --set/--axis text: ints, floats, true/false
-        (also 1/0, yes/no), comma-separated token ids, none/null if optional."""
-        value = raw
-        if self.optional and raw.lower() in ("none", "null"):
-            value = None
-        elif self.kind is bool:
-            value = _BOOL_TEXT.get(raw.lower(), raw)
-        elif self.kind is not str:
-            try:
-                if self.kind is tuple:
-                    value = tuple(int(tok) for tok in raw.split(",") if tok)
-                else:
-                    value = self.kind(raw)
-            except ValueError:
-                pass
-        return self.check(name, value)
-
-
-def _knob(default, kind: type, **spec):
-    return field(default=default, metadata={"spec": Spec(kind, **spec)})
+def _knob(default, spec: Spec):
+    return field(default=default, metadata={"spec": spec})
 
 
 @dataclass(frozen=True)
@@ -189,43 +89,43 @@ class EditConfig:
     """Every knob of one edit run; JSON documents mirror these field names.
 
     Each field declares its type and range (a Spec) next to its default. A
+    field whose value a library argument also takes reuses that argument's
+    Spec, narrowed by an upper bound where the config bounds a resource. A
     config is checked when it is made (by the constructor, from_dict or
     dataclasses.replace) and cannot change afterwards, so every EditConfig in
     hand is valid.
     """
 
-    total_steps: int = _knob(15, int, lo=1, hi=MAX_STEPS)
-    injection_steps: int = _knob(4, int, lo=1, hi=MAX_STEPS)
-    schedule: str = _knob("sigmoid", str, choices=SCHEDULE_FAMILIES)
-    delta_base: float = _knob(0.9, float, lo=0.0, hi=1.0)
-    alpha: float = _knob(0.25, float, lo=0.0, hi=1.0)
-    tau: float = _knob(1.0, float, lo=MIN_TAU)
-    solver: str = _knob("reuse_velocity", str, choices=SOLVER_KINDS)
-    perturbation_mode: str = _knob("channel_selective", str, choices=PERTURBATION_MODES)
-    soft_mask_gamma: Optional[float] = _knob(None, float, lo=0.0, lo_open=True,
-                                             optional=True)
-    layer_ratio_beta: float = _knob(0.0, float, lo=0.0, hi=2.0, hi_open=True)
-    seed: int = _knob(0, int, lo=0, hi=2**64 - 1)
+    total_steps: int = _knob(15, replace(STEPS, hi=MAX_STEPS))
+    injection_steps: int = _knob(4, replace(STEPS, hi=MAX_STEPS))
+    schedule: str = _knob("sigmoid", FAMILY)
+    delta_base: float = _knob(0.9, DELTA)
+    alpha: float = _knob(0.25, ALPHA)
+    tau: float = _knob(1.0, TAU)
+    solver: str = _knob("reuse_velocity", KIND)
+    perturbation_mode: str = _knob("channel_selective", Spec(str, choices=PERTURBATION_MODES))
+    soft_mask_gamma: Optional[float] = _knob(None, GAMMA)
+    layer_ratio_beta: float = _knob(0.0, SLOPE)
+    seed: int = _knob(0, SEED)
     # schedule shape
-    sharpness: float = _knob(5.0, float, lo=0.0, lo_open=True)
-    sigmoid_midpoint: float = _knob(0.7, float, lo=0.0, hi=1.0, lo_open=True,
-                                    hi_open=True)
-    activity_threshold: float = _knob(0.05, float, lo=0.0, hi=1.0, hi_open=True)
+    sharpness: float = _knob(5.0, SHARPNESS)
+    sigmoid_midpoint: float = _knob(0.7, MIDPOINT)
+    activity_threshold: float = _knob(0.05, THRESHOLD)
     # toy model dimensions
-    layer_count: int = _knob(2, int, lo=1, hi=32)
-    embed_dim: int = _knob(32, int, lo=1, hi=1024)
-    img_tokens: int = _knob(16, int, lo=1, hi=4096)
-    text_tokens: int = _knob(4, int, lo=1, hi=256)
-    channels: int = _knob(8, int, lo=1, hi=64)
-    heads: int = _knob(1, int, lo=1, hi=32)
-    vocab_size: int = _knob(64, int, lo=1, hi=65536)
+    layer_count: int = _knob(2, replace(DIMENSION, hi=32))
+    embed_dim: int = _knob(32, replace(DIMENSION, hi=1024))
+    img_tokens: int = _knob(16, replace(DIMENSION, hi=4096))
+    text_tokens: int = _knob(4, replace(DIMENSION, hi=256))
+    channels: int = _knob(8, replace(DIMENSION, hi=64))
+    heads: int = _knob(1, replace(DIMENSION, hi=32))
+    vocab_size: int = _knob(64, replace(DIMENSION, hi=65536))
     # conditioning; None picks deterministic defaults sized to text_tokens
-    source_prompt_ids: Optional[Tuple[int, ...]] = _knob(None, tuple, optional=True)
-    target_prompt_ids: Optional[Tuple[int, ...]] = _knob(None, tuple, optional=True)
-    source_keyword_index: Optional[int] = _knob(None, int, lo=0, optional=True)
-    target_keyword_index: Optional[int] = _knob(None, int, lo=0, optional=True)
-    mask_keyword_source: str = _knob("target", str, choices=MASK_KEYWORD_SOURCES)
-    global_mix: bool = _knob(False, bool)
+    source_prompt_ids: Optional[Tuple[int, ...]] = _knob(None, Spec(tuple, optional=True))
+    target_prompt_ids: Optional[Tuple[int, ...]] = _knob(None, Spec(tuple, optional=True))
+    source_keyword_index: Optional[int] = _knob(None, Spec(int, lo=0, optional=True))
+    target_keyword_index: Optional[int] = _knob(None, Spec(int, lo=0, optional=True))
+    mask_keyword_source: str = _knob("target", Spec(str, choices=MASK_KEYWORD_SOURCES))
+    global_mix: bool = _knob(False, Spec(bool))
 
     def __post_init__(self):
         self.validate()
@@ -267,11 +167,8 @@ class EditConfig:
         """Check every field against its Spec, then the rules that span fields."""
         for name, spec in FIELD_SPECS.items():
             spec.check(name, getattr(self, name))
-        if self.injection_steps > self.total_steps:
-            raise ConfigError(
-                "injection_steps",
-                f"must lie in [1, total_steps={self.total_steps}], "
-                f"got {self.injection_steps}")
+        # the schedule checks injection_steps <= total_steps
+        schedule = self.injection_schedule
         if self.embed_dim % self.heads != 0:
             raise ConfigError(
                 "heads", f"embed_dim {self.embed_dim} not divisible by {self.heads}")
@@ -295,7 +192,7 @@ class EditConfig:
             if kw is not None and kw >= self.text_tokens:
                 raise ConfigError(
                     kw_field, f"must lie in [0, text_tokens={self.text_tokens}), got {kw}")
-        active = self.injection_schedule.active_count
+        active = schedule.active_count
         if active == 0:
             raise ConfigError(
                 "activity_threshold",

@@ -11,7 +11,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .errors import ConfigError, Spec
+from .latent import DIMENSION
+from .solvers import STEPS
+
 SCHEDULE_FAMILIES = ("sigmoid", "cosine", "linear", "binary")
+FAMILY = Spec(str, choices=SCHEDULE_FAMILIES)
+SHARPNESS = Spec(float, lo=0.0, lo_open=True)
+MIDPOINT = Spec(float, lo=0.0, hi=1.0, lo_open=True, hi_open=True)
+THRESHOLD = Spec(float, lo=0.0, hi=1.0, hi_open=True)
+# delta_base, the peak K/V mixing ratio
+DELTA = Spec(float, lo=0.0, hi=1.0)
+SLOPE = Spec(float, lo=0.0, hi=2.0, hi_open=True)
 
 
 def _stable_logistic(t: float) -> float:
@@ -31,9 +42,7 @@ def _raw_weight(family: str, step: int, injection_steps: int,
         return 0.5 * (1.0 + math.cos(math.pi * min(ratio, 1.0)))
     if family == "linear":
         return max(1.0 - ratio, 0.0)
-    if family == "binary":
-        return 1.0 if step < injection_steps else 0.0
-    raise ValueError(f"unknown schedule family '{family}'")
+    return 1.0 if step < injection_steps else 0.0  # binary
 
 
 @dataclass(frozen=True)
@@ -59,21 +68,14 @@ class InjectionSchedule:
     active_count: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.family not in SCHEDULE_FAMILIES:
-            raise ValueError(
-                f"schedule family must be one of {SCHEDULE_FAMILIES}, got '{self.family}'")
-        if self.total_steps < 1:
-            raise ValueError(f"total_steps must be positive, got {self.total_steps}")
-        if not 1 <= self.injection_steps <= self.total_steps:
-            raise ValueError(
-                f"injection_steps must be in [1, total_steps], got {self.injection_steps}")
-        if self.sharpness <= 0.0:
-            raise ValueError(f"sharpness must be positive, got {self.sharpness}")
-        if not 0.0 < self.midpoint < 1.0:
-            raise ValueError(f"midpoint must lie in (0, 1), got {self.midpoint}")
-        if not 0.0 <= self.activity_threshold < 1.0:
-            raise ValueError(
-                f"activity_threshold must lie in [0, 1), got {self.activity_threshold}")
+        for name, spec in (("family", FAMILY), ("total_steps", STEPS),
+                           ("injection_steps", STEPS), ("sharpness", SHARPNESS),
+                           ("midpoint", MIDPOINT), ("activity_threshold", THRESHOLD)):
+            spec.check(name, getattr(self, name))
+        if self.injection_steps > self.total_steps:
+            raise ConfigError(
+                "injection_steps",
+                f"must lie in [1, total_steps={self.total_steps}], got {self.injection_steps}")
         w = tuple(
             _raw_weight(self.family, i, self.injection_steps, self.sharpness, self.midpoint)
             for i in range(self.total_steps))
@@ -93,8 +95,7 @@ def schedule_weight(s: InjectionSchedule, step: int) -> float:
 
 def effective_ratio(s: InjectionSchedule, delta_base: float, step: int) -> float:
     """Effective KV mixing ratio at a step: delta_base * w(step)."""
-    if not 0.0 <= delta_base <= 1.0:
-        raise ValueError(f"delta_base must lie in [0, 1], got {delta_base}")
+    DELTA.check("delta_base", delta_base)
     s._check_step(step)
     return delta_base * s.weights[step]
 
@@ -113,8 +114,7 @@ def max_step_delta(s: InjectionSchedule, delta_base: float) -> float:
     maximizes (the full delta_base at its cutoff) and progressive schedules
     are designed to shrink.
     """
-    if not 0.0 <= delta_base <= 1.0:
-        raise ValueError(f"delta_base must lie in [0, 1], got {delta_base}")
+    DELTA.check("delta_base", delta_base)
     deltas = [delta_base * w if w > s.activity_threshold else 0.0 for w in s.weights]
     if len(deltas) < 2:
         return 0.0
@@ -133,10 +133,8 @@ class LayerRatioProfile:
     slope: float = 0.0
 
     def __post_init__(self):
-        if self.layer_count < 1:
-            raise ValueError(f"layer_count must be positive, got {self.layer_count}")
-        if not 0.0 <= self.slope < 2.0:
-            raise ValueError(f"slope must lie in [0, 2), got {self.slope}")
+        DIMENSION.check("layer_count", self.layer_count)
+        SLOPE.check("slope", self.slope)
 
 
 def layer_multiplier(p: LayerRatioProfile, layer: int) -> float:

@@ -19,10 +19,13 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .errors import DivergenceError
+from .errors import DivergenceError, Spec
 from .latent import Latent
 
 SOLVER_KINDS = ("euler", "midpoint", "reuse_velocity")
+KIND = Spec(str, choices=SOLVER_KINDS)
+# a step count: of a time grid, and of an injection schedule's steps
+STEPS = Spec(int, lo=1)
 
 DIVERGENCE_LIMIT = 1e6
 
@@ -49,8 +52,7 @@ class TimeGrid:
 
     @classmethod
     def uniform(cls, steps: int) -> "TimeGrid":
-        if steps < 1:
-            raise ValueError(f"steps must be positive, got {steps}")
+        STEPS.check("steps", steps)
         return cls(np.linspace(0.0, 1.0, steps + 1))
 
     @property
@@ -85,8 +87,7 @@ def _guard(arr: np.ndarray, step: int, phase: str) -> None:
 
 def _integrate(field, z_start: Latent, grid: TimeGrid, kind: str, cond,
                hooks_fn: HooksFn, forward: bool, phase: str) -> Trajectory:
-    if kind not in SOLVER_KINDS:
-        raise ValueError(f"solver kind must be one of {SOLVER_KINDS}, got '{kind}'")
+    KIND.check("kind", kind)
     # Python floats, the same doubles as the grid's: the step arithmetic below
     # then makes no numpy scalar
     times = grid.times.tolist()

@@ -454,6 +454,9 @@ BAD_INPUTS = [
     (["edit"], {"batch": 2}, "batch"),
     # a repeated --set would silently keep only its last value
     (["edit", "--set", "alpha=0.1", "--set", "alpha=0.4"], None, "alpha"),
+    # an assignment with an empty key names the option, not an empty field
+    (["edit", "--set", "=3"], None, "set"),
+    (["ablate", "--axis", "=3"], None, "axis"),
 ]
 
 

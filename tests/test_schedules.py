@@ -103,16 +103,27 @@ def test_max_step_delta_single_linear_step():
     assert max_step_delta(s, 0.9) == pytest.approx(0.45, abs=1e-15)
 
 
+# The extremes the Specs accept: the least and the largest sharpness, and
+# midpoints one ulp inside (0, 1) and one that step 7 of 10 lands on exactly.
+EXTREME_SHAPES = [{"sharpness": k, "midpoint": m}
+                  for k in (1e-300, 5.0, 1e308)
+                  for m in (math.nextafter(0.0, 1.0), 0.7, math.nextafter(1.0, 0.0))]
+
+
 def test_monotone_and_range_all_families():
     rng = np.random.default_rng(0)
     for family in SCHEDULE_FAMILIES:
+        runs = []
         for _ in range(20):
             total = int(rng.integers(2, 40))
             inj = int(rng.integers(1, total + 1))
-            s = InjectionSchedule(family, total, inj,
-                                  sharpness=float(rng.uniform(0.5, 20)),
-                                  midpoint=float(rng.uniform(0.05, 0.95)))
-            w = s.weights
+            runs.append((total, inj, {"sharpness": float(rng.uniform(0.5, 20)),
+                                      "midpoint": float(rng.uniform(0.05, 0.95))}))
+        # at 40 steps of 1, sharpness * ratio overflows to inf
+        runs += [(total, inj, shape) for total, inj in ((15, 10), (40, 1))
+                 for shape in EXTREME_SHAPES]
+        for total, inj, shape in runs:
+            w = InjectionSchedule(family, total, inj, **shape).weights
             assert all(0.0 <= x <= 1.0 for x in w)
             assert all(b <= a + 1e-15 for a, b in zip(w, w[1:]))
 
@@ -137,9 +148,13 @@ def test_discontinuity_bound_sigmoid_under_binary():
 
 def test_active_steps_form_a_prefix():
     for family in SCHEDULE_FAMILIES:
-        s = InjectionSchedule(family, 15, 4)
-        act = tuple(i for i in range(15) if is_active(s, i))
-        assert act == tuple(range(len(act)))
+        schedules = [InjectionSchedule(family, 15, 4)]
+        schedules += [InjectionSchedule(family, 15, 10, activity_threshold=threshold, **shape)
+                      for shape in EXTREME_SHAPES
+                      for threshold in (0.0, 0.05, math.nextafter(1.0, 0.0))]
+        for s in schedules:
+            act = tuple(i for i in range(15) if is_active(s, i))
+            assert act == tuple(range(len(act))) and len(act) == s.active_count
 
 
 def test_layer_multiplier_examples():

@@ -1,0 +1,82 @@
+"""Each range a library argument shares with an EditConfig field is one Spec:
+the library checks its argument with it, and the config field reuses it."""
+
+from __future__ import annotations
+
+import math
+import warnings
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from adaedit.errors import ConfigError
+from adaedit.latent import DIMENSION, SEED, SeededRng, sample_gaussian
+from adaedit.models import (GAMMA, AttentionRecord, Conditioning, InjectionHooks,
+                            KVCache, ToyAttentionFlow, extract_mask)
+from adaedit.perturbation import ALPHA, TAU, PerturbationConfig, channel_weights
+from adaedit.pipeline import FIELD_SPECS
+from adaedit.schedules import (DELTA, FAMILY, MIDPOINT, SHARPNESS, SLOPE, THRESHOLD,
+                               InjectionSchedule, LayerRatioProfile, effective_ratio)
+from adaedit.solvers import KIND, STEPS, TimeGrid, integrate_forward
+
+COND = Conditioning((1, 2, 3, 4), 2)
+
+# config field -> the Spec of the library argument that takes its value
+SHARED = {
+    "total_steps": STEPS, "injection_steps": STEPS, "schedule": FAMILY,
+    "delta_base": DELTA, "alpha": ALPHA, "tau": TAU, "solver": KIND,
+    "soft_mask_gamma": GAMMA, "layer_ratio_beta": SLOPE, "seed": SEED,
+    "sharpness": SHARPNESS, "sigmoid_midpoint": MIDPOINT,
+    "activity_threshold": THRESHOLD,
+    **{name: DIMENSION for name in ("layer_count", "embed_dim", "img_tokens",
+                                    "text_tokens", "channels", "heads", "vocab_size")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHARED))
+def test_a_shared_field_reuses_the_library_spec_narrowing_only_hi(name):
+    spec = FIELD_SPECS[name]
+    assert spec is SHARED[name] or spec == replace(SHARED[name], hi=spec.hi)
+
+
+def recorded_attention() -> AttentionRecord:
+    sink = AttentionRecord()
+    ToyAttentionFlow().evaluate(sample_gaussian(SeededRng(3), 1, 16, 8), 0.9, COND,
+                                InjectionHooks("record", cache=KVCache(), step=0,
+                                               attn_sink=sink))
+    return sink
+
+
+# (argument named by the error, call); each value is one an EditConfig refuses
+DRIFT = [
+    ("sharpness", lambda: InjectionSchedule("sigmoid", 10, 10, sharpness=math.nan)),
+    ("sharpness", lambda: InjectionSchedule("sigmoid", 10, 10, sharpness=math.inf,
+                                            midpoint=0.7)),
+    ("total_steps", lambda: InjectionSchedule("linear", 10.5, 4)),
+    ("injection_steps", lambda: InjectionSchedule("linear", 4, 10)),
+    ("delta_base", lambda: effective_ratio(InjectionSchedule("linear", 4, 4), math.nan, 0)),
+    ("slope", lambda: LayerRatioProfile(2, math.inf)),
+    ("tau", lambda: PerturbationConfig(0.25, 1e-320)),
+    ("tau", lambda: PerturbationConfig(0.25, 1e-7)),
+    ("tau", lambda: PerturbationConfig(0.25, math.inf)),
+    ("tau", lambda: channel_weights(np.array([0.0, 1.0, 2.0]), 1e-320)),
+    ("tau", lambda: channel_weights(np.array([0.0, 1.0, 2.0]), 1e-7)),
+    ("tau", lambda: channel_weights(np.array([0.0, 1.0, 2.0]), math.inf)),
+    ("gamma", lambda: extract_mask(recorded_attention(), COND, math.inf)),
+    ("seed", lambda: SeededRng(2.7)),
+    ("c", lambda: sample_gaussian(SeededRng(0), 1, 16, 8.0)),
+    ("heads", lambda: ToyAttentionFlow(heads=0)),
+    ("steps", lambda: TimeGrid.uniform(2.5)),
+    ("kind", lambda: integrate_forward(None, sample_gaussian(SeededRng(0), 1, 4, 2),
+                                       TimeGrid.uniform(2), kind="rk4")),
+]
+
+
+@pytest.mark.parametrize("argument,call", DRIFT)
+def test_the_library_refuses_what_the_config_refuses(argument, call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ConfigError) as exc:
+            call()
+    assert exc.value.field == argument
