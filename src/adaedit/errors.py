@@ -4,7 +4,8 @@ a checked value.
 Only failures that callers need to tell apart get their own class; everything
 else raises the stdlib ValueError/IndexError with a descriptive message. A
 range that a library argument shares with an EditConfig field is one Spec,
-declared next to the library code, and checks both the argument and the field.
+declared next to the library code, and checks both the argument and the field;
+a rule spanning fields is one function there, given the name to report.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ class ConfigError(ValueError):
 
 _BOOL_TEXT = {"1": True, "true": True, "yes": True,
               "0": False, "false": False, "no": False}
+_NOUNS = {int: "an integer", float: "a finite number", tuple: "a list of integers"}
 
 
 def _is_int(value) -> bool:
@@ -41,9 +43,9 @@ class Spec:
     """Type and allowed values of one EditConfig field or library argument.
 
     kind is int, float, bool, str (one of choices) or tuple (a list of integer
-    token ids). Numbers lie between lo and hi, open at an end whose flag is
-    set; floats must be finite, and an int given for one must lie within
-    float range. optional admits None.
+    token ids). Numbers, and the entries of a tuple, lie between lo and hi,
+    open at an end whose flag is set; floats must be finite, and an int given
+    for one must lie within float range. optional admits None.
     """
 
     kind: type
@@ -59,14 +61,11 @@ class Spec:
             text = "true or false"
         elif self.kind is str:
             text = "one of " + ", ".join(self.choices)
-        elif self.kind is tuple:
-            text = "a list of integers"
         else:
             left = "(" if self.lo_open else "["
             right = ")" if self.hi_open or self.hi is None else "]"
             hi = "inf" if self.hi is None else self.hi
-            noun = "an integer" if self.kind is int else "a finite number"
-            text = f"{noun} in {left}{self.lo}, {hi}{right}"
+            text = f"{_NOUNS[self.kind]} in {left}{self.lo}, {hi}{right}"
         return text + " or null" if self.optional else text
 
     def accepts(self, value) -> bool:
@@ -77,13 +76,17 @@ class Spec:
         if self.kind is str:
             return isinstance(value, str) and value in self.choices
         if self.kind is tuple:
-            return isinstance(value, (tuple, list)) and all(_is_int(v) for v in value)
+            return (isinstance(value, (tuple, list))
+                    and all(_is_int(v) and self._within(v) for v in value))
         if self.kind is int:
             if not _is_int(value):
                 return False
         elif (not isinstance(value, (int, float)) or isinstance(value, bool)
               or not abs(value) <= sys.float_info.max):  # NaN, inf, or an int past float
             return False
+        return self._within(value)
+
+    def _within(self, value) -> bool:
         above = value > self.lo if self.lo_open else value >= self.lo
         below = self.hi is None or (value < self.hi if self.hi_open else value <= self.hi)
         return above and below

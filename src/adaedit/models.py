@@ -21,28 +21,48 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import CacheMissError, Spec
+from .errors import CacheMissError, ConfigError, Spec
 from .latent import DIMENSION, STREAM_MODEL, Latent, SeededRng
 
 HOOK_MODES = ("record", "inject")
 
+# A prompt's token ids and its keyword's index. The rules that span them and
+# the model's dimensions are the check_* functions below; like Spec.check,
+# each names the config field or argument it reports.
+PROMPT_IDS = Spec(tuple, lo=0)
+KEYWORD = Spec(int, lo=0)
+
+
+def check_heads(embed_dim: int, heads: int) -> None:
+    if embed_dim % heads != 0:
+        raise ConfigError("heads", f"embed_dim {embed_dim} not divisible by {heads}")
+
+
+def check_prompt(name: str, ids: Sequence[int], text_tokens: int, vocab_size: int) -> None:
+    """A model embeds text_tokens ids, each below its vocab_size."""
+    if len(ids) != text_tokens:
+        raise ConfigError(name, f"length {len(ids)} != text_tokens {text_tokens}")
+    if max(ids) >= vocab_size:
+        raise ConfigError(name, f"token ids must lie in [0, {vocab_size}), got {max(ids)}")
+
+
+def check_keyword(name: str, index: int, length: int) -> None:
+    if index >= length:
+        raise ConfigError(name, f"must lie below the prompt length {length}, got {index}")
+
 
 @dataclass(frozen=True)
 class Conditioning:
-    """Prompt token ids plus the index of the keyword steering the edit."""
+    """Prompt token ids (PROMPT_IDS, kept as a tuple) plus the index of the
+    keyword steering the edit, below their count (KEYWORD, check_keyword)."""
 
     prompt_token_ids: Tuple[int, ...]
     keyword_index: int
 
     def __post_init__(self):
-        ids = tuple(int(t) for t in self.prompt_token_ids)
-        if len(ids) < 1:
-            raise ValueError("prompt must contain at least one token")
-        if any(t < 0 for t in ids):
-            raise ValueError(f"prompt token ids must be nonnegative, got {ids}")
-        if not 0 <= self.keyword_index < len(ids):
-            raise ValueError(
-                f"keyword_index {self.keyword_index} out of range [0, {len(ids)})")
+        ids = tuple(PROMPT_IDS.check("prompt_token_ids", self.prompt_token_ids))
+        KEYWORD.check("keyword_index", self.keyword_index)
+        check_keyword("keyword_index", self.keyword_index, len(ids))
         object.__setattr__(self, "prompt_token_ids", ids)
 
 
@@ -591,7 +611,9 @@ class ToyAttentionFlow:
     the prompt's embedded text tokens, mixed with a sinusoidal time embedding,
     passed through residual single-stream attention blocks, and projected back
     to channel space as the velocity. All weights come from one Philox stream
-    in a fixed draw order, so a seed pins the model.
+    in a fixed draw order, so a seed pins the model. The dimensions, and each
+    prompt when first embedded, meet the rules EditConfig checks (DIMENSION,
+    check_heads, check_prompt), else a ConfigError names the argument.
 
     A latent may stack several rows (edits) along the batch axis: evaluate()
     then takes one Conditioning per row, and inject hooks may blend each row
@@ -640,8 +662,7 @@ class ToyAttentionFlow:
         for name in ("layer_count", "embed_dim", "img_tokens", "text_tokens", "channels",
                      "heads", "vocab_size"):
             DIMENSION.check(name, getattr(self, name))
-        if embed_dim % heads != 0:
-            raise ValueError(f"embed_dim {embed_dim} must be divisible by heads {heads}")
+        check_heads(embed_dim, heads)
 
         rng = SeededRng(seed, stream=STREAM_MODEL)
         d = embed_dim
@@ -676,11 +697,7 @@ class ToyAttentionFlow:
         looked up once per prompt; a prompt that fails its check is not kept."""
         rows = self._prompt_memo.get(ids)
         if rows is None:
-            if len(ids) != self.text_tokens:
-                raise ValueError(
-                    f"prompt length {len(ids)} != text_tokens {self.text_tokens}")
-            if any(tid >= self.vocab_size for tid in ids):
-                raise ValueError(f"prompt token id >= vocab_size {self.vocab_size}")
+            check_prompt("prompt", ids, self.text_tokens, self.vocab_size)
             rows = self.token_table[list(ids)]
             rows.flags.writeable = False
             _memo_put(self._prompt_memo, PROMPT_MEMO_LIMIT, ids, rows)

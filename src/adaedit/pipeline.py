@@ -24,8 +24,9 @@ from .diagnostics import psnr, ssim, velocity_jump_between
 from .errors import ConfigError, DivergenceError, Spec
 from .latent import (DIMENSION, SEED, STREAM_NOISE, STREAM_SOURCE, Latent,
                      SeededRng, sample_gaussian)
-from .models import (GAMMA, AttentionRecord, Conditioning, EditMask,
-                     InjectionHooks, KVCache, ToyAttentionFlow, extract_mask,
+from .models import (GAMMA, KEYWORD, PROMPT_IDS, AttentionRecord, Conditioning,
+                     EditMask, InjectionHooks, KVCache, ToyAttentionFlow,
+                     check_heads, check_keyword, check_prompt, extract_mask,
                      mix_rows, score_buffer_bytes)
 from .perturbation import (ALPHA, PERTURBATION_MODES, TAU, ChannelWeights,
                            PerturbationConfig, channel_gap,
@@ -120,42 +121,39 @@ class EditConfig:
     heads: int = _knob(1, replace(DIMENSION, hi=32))
     vocab_size: int = _knob(64, replace(DIMENSION, hi=65536))
     # conditioning; None picks deterministic defaults sized to text_tokens
-    source_prompt_ids: Optional[Tuple[int, ...]] = _knob(None, Spec(tuple, optional=True))
-    target_prompt_ids: Optional[Tuple[int, ...]] = _knob(None, Spec(tuple, optional=True))
-    source_keyword_index: Optional[int] = _knob(None, Spec(int, lo=0, optional=True))
-    target_keyword_index: Optional[int] = _knob(None, Spec(int, lo=0, optional=True))
+    source_prompt_ids: Optional[Tuple[int, ...]] = _knob(None, replace(PROMPT_IDS, optional=True))
+    target_prompt_ids: Optional[Tuple[int, ...]] = _knob(None, replace(PROMPT_IDS, optional=True))
+    source_keyword_index: Optional[int] = _knob(None, replace(KEYWORD, optional=True))
+    target_keyword_index: Optional[int] = _knob(None, replace(KEYWORD, optional=True))
     mask_keyword_source: str = _knob("target", Spec(str, choices=MASK_KEYWORD_SOURCES))
     global_mix: bool = _knob(False, Spec(bool))
 
     def __post_init__(self):
         self.validate()
 
-    def _default_keyword_position(self) -> int:
-        return max(0, self.text_tokens - 2)
+    def _keyword(self, index: Optional[int] = None) -> int:
+        """index, or the default keyword position where it is None."""
+        return max(0, self.text_tokens - 2) if index is None else index
 
     def resolved_source_prompt(self) -> Tuple[int, ...]:
         if self.source_prompt_ids is not None:
-            return tuple(int(t) for t in self.source_prompt_ids)
+            return tuple(self.source_prompt_ids)
         return tuple(range(1, self.text_tokens + 1))
 
     def resolved_target_prompt(self) -> Tuple[int, ...]:
         if self.target_prompt_ids is not None:
-            return tuple(int(t) for t in self.target_prompt_ids)
+            return tuple(self.target_prompt_ids)
         ids = list(self.resolved_source_prompt())
-        ids[self._default_keyword_position()] = self.text_tokens + 5
+        ids[self._keyword()] = self.text_tokens + 5
         return tuple(ids)
 
     def source_conditioning(self) -> Conditioning:
-        kw = self.source_keyword_index
-        if kw is None:
-            kw = self._default_keyword_position()
-        return Conditioning(self.resolved_source_prompt(), kw)
+        return Conditioning(self.resolved_source_prompt(),
+                            self._keyword(self.source_keyword_index))
 
     def target_conditioning(self) -> Conditioning:
-        kw = self.target_keyword_index
-        if kw is None:
-            kw = self._default_keyword_position()
-        return Conditioning(self.resolved_target_prompt(), kw)
+        return Conditioning(self.resolved_target_prompt(),
+                            self._keyword(self.target_keyword_index))
 
     @cached_property
     def injection_schedule(self) -> InjectionSchedule:
@@ -169,29 +167,19 @@ class EditConfig:
             spec.check(name, getattr(self, name))
         # the schedule checks injection_steps <= total_steps
         schedule = self.injection_schedule
-        if self.embed_dim % self.heads != 0:
-            raise ConfigError(
-                "heads", f"embed_dim {self.embed_dim} not divisible by {self.heads}")
+        check_heads(self.embed_dim, self.heads)
         g = math.isqrt(self.img_tokens)
         if g * g != self.img_tokens:
             raise ConfigError(
                 "img_tokens", f"must be a perfect square, got {self.img_tokens}")
         # the default target prompt is built from the source, so check that first
-        for prompt_field, resolve in (("source_prompt_ids", self.resolved_source_prompt),
-                                      ("target_prompt_ids", self.resolved_target_prompt)):
+        for side, resolve in (("source", self.resolved_source_prompt),
+                              ("target", self.resolved_target_prompt)):
             prompt = resolve()
-            if len(prompt) != self.text_tokens:
-                raise ConfigError(
-                    prompt_field,
-                    f"length {len(prompt)} != text_tokens {self.text_tokens}")
-            if any(t < 0 or t >= self.vocab_size for t in prompt):
-                raise ConfigError(
-                    prompt_field, f"token ids must lie in [0, {self.vocab_size})")
-        for kw_field, kw in (("source_keyword_index", self.source_keyword_index),
-                             ("target_keyword_index", self.target_keyword_index)):
-            if kw is not None and kw >= self.text_tokens:
-                raise ConfigError(
-                    kw_field, f"must lie in [0, text_tokens={self.text_tokens}), got {kw}")
+            check_prompt(f"{side}_prompt_ids", prompt, self.text_tokens, self.vocab_size)
+            index = getattr(self, f"{side}_keyword_index")
+            if index is not None:
+                check_keyword(f"{side}_keyword_index", index, len(prompt))
         active = schedule.active_count
         if active == 0:
             raise ConfigError(
@@ -213,13 +201,12 @@ class EditConfig:
         return self
 
     def resolved_dict(self) -> dict:
-        """JSON-serializable dict with prompt defaults materialized."""
+        """JSON-serializable dict with prompt defaults materialized and an int
+        in a float field written as that float, so equal configs hash alike."""
         out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, tuple):
-                value = list(value)
-            out[f.name] = value
+        for name, spec in FIELD_SPECS.items():
+            value = getattr(self, name)
+            out[name] = float(value) if spec.kind is float and value is not None else value
         out["source_prompt_ids"] = list(self.resolved_source_prompt())
         out["target_prompt_ids"] = list(self.resolved_target_prompt())
         out["source_keyword_index"] = self.source_conditioning().keyword_index

@@ -457,6 +457,15 @@ BAD_INPUTS = [
     # an assignment with an empty key names the option, not an empty field
     (["edit", "--set", "=3"], None, "set"),
     (["ablate", "--axis", "=3"], None, "axis"),
+    # rules that span fields, each stated once beside the library object
+    (["edit", "--set", "heads=3"], None, "heads"),
+    (["edit", "--set", "img_tokens=15"], None, "img_tokens"),
+    (["edit", "--set", "source_keyword_index=7"], None, "source_keyword_index"),
+    (["edit", "--set", "target_prompt_ids=1,2,3"], None, "target_prompt_ids"),
+    (["edit", "--set", "source_prompt_ids=1,2,3,64"], None, "source_prompt_ids"),
+    (["edit", "--set", "source_prompt_ids=1,2,3,-1"], None, "source_prompt_ids"),
+    # the default target prompt puts text_tokens + 5 = 9 at the keyword
+    (["edit", "--set", "vocab_size=8"], None, "target_prompt_ids"),
 ]
 
 

@@ -71,6 +71,16 @@ def test_config_round_trip_and_hash_stability():
     assert config_hash(cfg) != config_hash(replace(cfg, seed=4))
 
 
+def test_an_int_in_a_float_field_hashes_as_the_equal_float():
+    ints = {"alpha": 1, "tau": 2, "sharpness": 5, "soft_mask_gamma": 3, "layer_ratio_beta": 0}
+    floats = {name: float(value) for name, value in ints.items()}
+    assert EditConfig.from_dict(ints) == EditConfig.from_dict(floats)
+    assert config_hash(EditConfig.from_dict(ints)) == config_hash(EditConfig.from_dict(floats))
+    assert config_hash(EditConfig(alpha=1)) == config_hash(EditConfig(alpha=1.0))
+    # -0.0 equals 0.0 but is a value of its own
+    assert config_hash(EditConfig(alpha=-0.0)) != config_hash(EditConfig(alpha=0.0))
+
+
 def test_config_from_dict_types():
     cfg = EditConfig.from_dict({"total_steps": 8.0, "source_prompt_ids": [1, 2.0, 3, 4]})
     assert cfg.total_steps == 8 and type(cfg.total_steps) is int

@@ -1,5 +1,6 @@
 """Each range a library argument shares with an EditConfig field is one Spec:
-the library checks its argument with it, and the config field reuses it."""
+the library checks its argument with it, and the config field reuses it. Each
+rule spanning fields is one check the library and the config both call."""
 
 from __future__ import annotations
 
@@ -12,8 +13,8 @@ import pytest
 
 from adaedit.errors import ConfigError
 from adaedit.latent import DIMENSION, SEED, SeededRng, sample_gaussian
-from adaedit.models import (GAMMA, AttentionRecord, Conditioning, InjectionHooks,
-                            KVCache, ToyAttentionFlow, extract_mask)
+from adaedit.models import (GAMMA, KEYWORD, PROMPT_IDS, AttentionRecord, Conditioning,
+                            InjectionHooks, KVCache, ToyAttentionFlow, extract_mask)
 from adaedit.perturbation import ALPHA, TAU, PerturbationConfig, channel_weights
 from adaedit.pipeline import FIELD_SPECS
 from adaedit.schedules import (DELTA, FAMILY, MIDPOINT, SHARPNESS, SLOPE, THRESHOLD,
@@ -31,13 +32,17 @@ SHARED = {
     "activity_threshold": THRESHOLD,
     **{name: DIMENSION for name in ("layer_count", "embed_dim", "img_tokens",
                                     "text_tokens", "channels", "heads", "vocab_size")},
+    "source_prompt_ids": PROMPT_IDS, "target_prompt_ids": PROMPT_IDS,
+    "source_keyword_index": KEYWORD, "target_keyword_index": KEYWORD,
 }
 
 
+# a field may narrow hi, or admit None where null asks for a default
 @pytest.mark.parametrize("name", sorted(SHARED))
 def test_a_shared_field_reuses_the_library_spec_narrowing_only_hi(name):
     spec = FIELD_SPECS[name]
-    assert spec is SHARED[name] or spec == replace(SHARED[name], hi=spec.hi)
+    assert spec is SHARED[name] or spec == replace(SHARED[name], hi=spec.hi,
+                                                   optional=spec.optional)
 
 
 def recorded_attention() -> AttentionRecord:
@@ -67,6 +72,16 @@ DRIFT = [
     ("seed", lambda: SeededRng(2.7)),
     ("c", lambda: sample_gaussian(SeededRng(0), 1, 16, 8.0)),
     ("heads", lambda: ToyAttentionFlow(heads=0)),
+    pytest.param("heads", lambda: ToyAttentionFlow(embed_dim=32, heads=3),
+                 id="heads-indivisible"),
+    ("prompt", lambda: ToyAttentionFlow().evaluate(sample_gaussian(SeededRng(0), 1, 16, 8),
+                                                   0.5, Conditioning((1, 2, 3), 0))),
+    ("keyword_index", lambda: Conditioning((1, 2, 3, 4), True)),
+    ("keyword_index", lambda: Conditioning((1, 2, 3, 4), 2.0)),
+    ("keyword_index", lambda: Conditioning((1, 2, 3, 4), np.int64(2))),
+    ("prompt_token_ids", lambda: Conditioning((1.5, 2, 3, 4), 0)),
+    ("prompt_token_ids", lambda: Conditioning((True, 2, 3, 4), 0)),
+    ("prompt_token_ids", lambda: Conditioning(("3", 2, 3, 4), 0)),
     ("steps", lambda: TimeGrid.uniform(2.5)),
     ("kind", lambda: integrate_forward(None, sample_gaussian(SeededRng(0), 1, 4, 2),
                                        TimeGrid.uniform(2), kind="rk4")),
