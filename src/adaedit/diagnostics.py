@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 from scipy import ndimage
 
-from .latent import Latent
+from .latent import Latent, grid_side
 from .models import Conditioning, EditMask, InjectionHooks, KVCache, mix_rows
 
 SSIM_K1 = 0.01
@@ -82,11 +82,8 @@ def default_ssim_window(grid_side: int) -> int:
     return w if w % 2 == 1 else w - 1
 
 
-def _planes(z: Latent) -> np.ndarray:
+def _planes(z: Latent, g: int) -> np.ndarray:
     """z's (batch, channel) planes on the g x g token grid, (B, C, g, g)."""
-    g = math.isqrt(z.l)
-    if g * g != z.l:
-        raise ValueError(f"token count {z.l} is not a square grid")
     return z.data.transpose(0, 2, 1).reshape(z.b, z.c, g, g)
 
 
@@ -102,7 +99,7 @@ def ssim(a: Latent, b: Latent, peak: Optional[float] = None,
          rows: Optional[int] = None) -> Union[float, List[float]]:
     """Gaussian-window SSIM per channel on the g x g token grid, averaged.
 
-    Tokens must form a square grid (L = g^2). The window is the largest odd
+    Tokens must form a square grid (L = g^2, latent.grid_side). The window is the largest odd
     size not exceeding min(7, g), and the SSIM map is cropped to the
     window-valid interior before averaging. Population (divide-by-N) local
     statistics throughout. With rows, b stacks that many latents of a's
@@ -113,13 +110,14 @@ def ssim(a: Latent, b: Latent, peak: Optional[float] = None,
     count = 1 if rows is None else rows
     if b.shape != (count * a.b, a.l, a.c):
         raise ValueError(f"latent shape mismatch: {a.shape} x {count} vs {b.shape}")
-    y = _planes(b)
+    g = grid_side("a", a.l)
+    y = _planes(b, g)
     if peak is None:
         peak = _default_peak(a)
     _check_peak(peak)
     c1 = (SSIM_K1 * peak) ** 2
     c2 = (SSIM_K2 * peak) ** 2
-    x = _planes(a)
+    x = _planes(a, g)
 
     def per_row(planes):
         # (rows, B, C, g, g): each row's planes line up with the reference's

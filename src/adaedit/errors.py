@@ -92,9 +92,11 @@ class Spec:
         return above and below
 
     def check(self, name: str, value):
+        """value in the form a checked config or value object holds: a float
+        Spec's int or numpy float as a float, a tuple Spec's list as a tuple."""
         if not self.accepts(value):
             raise ConfigError(name, f"must be {self.describe()}, got {value!r}")
-        return value
+        return self.kind(value) if self.kind in (float, tuple) and value is not None else value
 
     def from_json(self, value):
         """The value read from JSON in the field's own type; the config that

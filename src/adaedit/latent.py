@@ -1,4 +1,4 @@
-"""Latent tensors, seeded random streams, and token index checks.
+"""Latent tensors, frozen arrays, seeded random streams, and token checks.
 
 A latent is an immutable float64 array of shape B x L x C (batch, tokens,
 channels). Its statistics are population statistics (divide by N), the
@@ -9,12 +9,13 @@ never divide by zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .errors import Spec
+from .errors import ConfigError, Spec
 
 EPS_STD = 1e-8
 # a latent or model dimension
@@ -27,6 +28,21 @@ SEED = Spec(int, lo=0, hi=2**64 - 1)
 STREAM_NOISE = 0
 STREAM_MODEL = 1
 STREAM_SOURCE = 2
+
+
+def frozen(value) -> np.ndarray:
+    """value as a read-only, C-contiguous float64 copy: how value objects hold arrays."""
+    arr = np.array(value, dtype=np.float64, order="C", copy=True)
+    arr.flags.writeable = False
+    return arr
+
+
+def grid_side(name: str, tokens: int) -> int:
+    """The side g of the g x g grid that ``tokens`` image tokens form."""
+    g = math.isqrt(tokens)
+    if g * g != tokens:
+        raise ConfigError(name, f"must be a perfect square, got {tokens}")
+    return g
 
 
 class SeededRng:
@@ -64,14 +80,13 @@ class Latent:
     data: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.data, dtype=np.float64, order="C", copy=True)
+        arr = frozen(self.data)
         if arr.ndim != 3:
             raise ValueError(f"latent must have shape (B, L, C), got {arr.shape}")
         if min(arr.shape) < 1:
             raise ValueError(f"latent dimensions must be positive, got {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("latent entries must be finite")
-        arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
 
     @classmethod

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import CacheMissError, ConfigError, Spec
-from .latent import DIMENSION, STREAM_MODEL, Latent, SeededRng
+from .latent import DIMENSION, STREAM_MODEL, Latent, SeededRng, frozen
 
 HOOK_MODES = ("record", "inject")
 
@@ -53,14 +53,15 @@ def check_keyword(name: str, index: int, length: int) -> None:
 
 @dataclass(frozen=True)
 class Conditioning:
-    """Prompt token ids (PROMPT_IDS, kept as a tuple) plus the index of the
-    keyword steering the edit, below their count (KEYWORD, check_keyword)."""
+    """Prompt token ids (PROMPT_IDS, held as the tuple its check returns)
+    plus the index of the keyword steering the edit, below their count
+    (KEYWORD, check_keyword)."""
 
     prompt_token_ids: Tuple[int, ...]
     keyword_index: int
 
     def __post_init__(self):
-        ids = tuple(PROMPT_IDS.check("prompt_token_ids", self.prompt_token_ids))
+        ids = PROMPT_IDS.check("prompt_token_ids", self.prompt_token_ids)
         KEYWORD.check("keyword_index", self.keyword_index)
         check_keyword("keyword_index", self.keyword_index, len(ids))
         object.__setattr__(self, "prompt_token_ids", ids)
@@ -79,11 +80,7 @@ class KVCache:
         key = (step, layer)
         if key in self._entries:
             raise ValueError(f"duplicate cache entry for step={step}, layer={layer}")
-        k = np.array(k, dtype=np.float64, copy=True)
-        v = np.array(v, dtype=np.float64, copy=True)
-        k.flags.writeable = False
-        v.flags.writeable = False
-        self._entries[key] = (k, v)
+        self._entries[key] = (frozen(k), frozen(v))
 
     def get(self, step: int, layer: int) -> Tuple[np.ndarray, np.ndarray]:
         try:
@@ -109,7 +106,7 @@ class AttentionRecord:
     def put(self, step: int, layer: int, block: np.ndarray) -> None:
         key = (step, layer)
         if key not in self._maps:
-            self._maps[key] = np.array(block, dtype=np.float64, copy=True)
+            self._maps[key] = frozen(block)
 
     def stacked(self, steps: Optional[int] = None) -> np.ndarray:
         """The recorded blocks in (step, layer) order, only those of the first
@@ -128,13 +125,11 @@ class EditMask:
     hard: Tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        arr = np.asarray(self.soft, dtype=np.float64)
+        arr = frozen(self.soft)
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError(f"mask must be a 1-d vector, got shape {arr.shape}")
         if not np.all((arr >= 0.0) & (arr <= 1.0)):  # NaN fails both
             raise ValueError("mask weights must lie in [0, 1]")
-        arr = arr.copy()
-        arr.flags.writeable = False
         object.__setattr__(self, "soft", arr)
         object.__setattr__(self, "hard", tuple(int(i) for i in np.flatnonzero(arr >= 0.5)))
 
@@ -187,11 +182,9 @@ class AnalyticLinearFlow:
     drift: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.drift, dtype=np.float64)
+        arr = frozen(self.drift)
         if arr.ndim != 1:
             raise ValueError(f"drift must be a length-C vector, got shape {arr.shape}")
-        arr = arr.copy()
-        arr.flags.writeable = False
         object.__setattr__(self, "drift", arr)
 
     def evaluate(self, z: Latent, t: float, cond=None, hooks=None) -> Latent:

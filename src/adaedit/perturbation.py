@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Tuple
 import numpy as np
 
 from .errors import Spec
-from .latent import EPS_STD, Latent, resolve_tokens
+from .latent import EPS_STD, Latent, frozen, resolve_tokens
 
 PERTURBATION_MODES = ("uniform", "channel_selective")
 ALPHA = Spec(float, lo=0.0, hi=1.0)
@@ -35,15 +35,13 @@ class ChannelWeights:
     alpha: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.alpha, dtype=np.float64)
+        arr = frozen(self.alpha)
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError(f"channel weights must be a length-C vector, got {arr.shape}")
         if not np.all(arr >= 0.0):  # NaN fails it
             raise ValueError("channel weights must be nonnegative")
         if abs(arr.mean() - 1.0) > 1e-9:
             raise ValueError(f"channel weights must have mean 1, got {arr.mean()!r}")
-        arr = arr.copy()
-        arr.flags.writeable = False
         object.__setattr__(self, "alpha", arr)
 
     @classmethod

@@ -23,7 +23,7 @@ import numpy as np
 from .diagnostics import psnr, ssim, velocity_jump_between
 from .errors import ConfigError, DivergenceError, Spec
 from .latent import (DIMENSION, SEED, STREAM_NOISE, STREAM_SOURCE, Latent,
-                     SeededRng, sample_gaussian)
+                     SeededRng, grid_side, sample_gaussian)
 from .models import (GAMMA, KEYWORD, PROMPT_IDS, AttentionRecord, Conditioning,
                      EditMask, InjectionHooks, KVCache, ToyAttentionFlow,
                      check_heads, check_keyword, check_prompt, extract_mask,
@@ -93,8 +93,9 @@ class EditConfig:
     field whose value a library argument also takes reuses that argument's
     Spec, narrowed by an upper bound where the config bounds a resource. A
     config is checked when it is made (by the constructor, from_dict or
-    dataclasses.replace) and cannot change afterwards, so every EditConfig in
-    hand is valid.
+    dataclasses.replace), holds each field in the form its Spec's check
+    returns, and cannot change afterwards, so every EditConfig in hand is
+    valid and hashable.
     """
 
     total_steps: int = _knob(15, replace(STEPS, hi=MAX_STEPS))
@@ -137,12 +138,12 @@ class EditConfig:
 
     def resolved_source_prompt(self) -> Tuple[int, ...]:
         if self.source_prompt_ids is not None:
-            return tuple(self.source_prompt_ids)
+            return self.source_prompt_ids
         return tuple(range(1, self.text_tokens + 1))
 
     def resolved_target_prompt(self) -> Tuple[int, ...]:
         if self.target_prompt_ids is not None:
-            return tuple(self.target_prompt_ids)
+            return self.target_prompt_ids
         ids = list(self.resolved_source_prompt())
         ids[self._keyword()] = self.text_tokens + 5
         return tuple(ids)
@@ -162,16 +163,17 @@ class EditConfig:
         return build_schedule(self)
 
     def validate(self) -> "EditConfig":
-        """Check every field against its Spec, then the rules that span fields."""
+        """Check every field against its Spec, holding what the check returns,
+        then the rules that span fields."""
         for name, spec in FIELD_SPECS.items():
-            spec.check(name, getattr(self, name))
+            value = getattr(self, name)
+            held = spec.check(name, value)
+            if held is not value:
+                object.__setattr__(self, name, held)
         # the schedule checks injection_steps <= total_steps
         schedule = self.injection_schedule
         check_heads(self.embed_dim, self.heads)
-        g = math.isqrt(self.img_tokens)
-        if g * g != self.img_tokens:
-            raise ConfigError(
-                "img_tokens", f"must be a perfect square, got {self.img_tokens}")
+        grid_side("img_tokens", self.img_tokens)
         # the default target prompt is built from the source, so check that first
         for side, resolve in (("source", self.resolved_source_prompt),
                               ("target", self.resolved_target_prompt)):
@@ -201,12 +203,9 @@ class EditConfig:
         return self
 
     def resolved_dict(self) -> dict:
-        """JSON-serializable dict with prompt defaults materialized and an int
-        in a float field written as that float, so equal configs hash alike."""
-        out = {}
-        for name, spec in FIELD_SPECS.items():
-            value = getattr(self, name)
-            out[name] = float(value) if spec.kind is float and value is not None else value
+        """JSON-serializable dict of the held fields with prompt defaults
+        materialized, so equal configs hash alike."""
+        out = {name: getattr(self, name) for name in FIELD_SPECS}
         out["source_prompt_ids"] = list(self.resolved_source_prompt())
         out["target_prompt_ids"] = list(self.resolved_target_prompt())
         out["source_keyword_index"] = self.source_conditioning().keyword_index
@@ -292,7 +291,7 @@ def build_model(cfg: EditConfig) -> ToyAttentionFlow:
     return ToyAttentionFlow(seed=cfg.seed, **_model_dims(cfg))
 
 
-@lru_cache(maxsize=SCHEDULE_MEMO_LIMIT, typed=True)
+@lru_cache(maxsize=SCHEDULE_MEMO_LIMIT)
 def _shared_schedule(family: str, total_steps: int, injection_steps: int,
                      sharpness: float, midpoint: float,
                      activity_threshold: float) -> InjectionSchedule:
@@ -303,9 +302,8 @@ def _shared_schedule(family: str, total_steps: int, injection_steps: int,
 
 def build_schedule(cfg: EditConfig) -> InjectionSchedule:
     """The schedule of cfg's six schedule fields: one shared, frozen
-    InjectionSchedule for every config with the same values of the same
-    types (0.0 and -0.0 thresholds share one; they compare every weight
-    alike)."""
+    InjectionSchedule for every config with the same values (0.0 and -0.0
+    thresholds share one; they compare every weight alike)."""
     return _shared_schedule(cfg.schedule, cfg.total_steps, cfg.injection_steps,
                             cfg.sharpness, cfg.sigmoid_midpoint, cfg.activity_threshold)
 
@@ -316,7 +314,7 @@ def generate_source_latent(cfg: EditConfig) -> Latent:
     ~0.8/k. The scalars are drawn channel by channel, in stream order; then
     every channel's plane is made in one pass."""
     rng = SeededRng(cfg.seed, stream=STREAM_SOURCE)
-    g = math.isqrt(cfg.img_tokens)
+    g = grid_side("img_tokens", cfg.img_tokens)
     offset = np.empty(cfg.channels)
     amp = np.empty((cfg.channels, 3))
     freq = np.empty((2, cfg.channels, 3), dtype=np.int64)

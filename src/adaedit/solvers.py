@@ -20,7 +20,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .errors import DivergenceError, Spec
-from .latent import Latent
+from .latent import Latent, frozen
 
 SOLVER_KINDS = ("euler", "midpoint", "reuse_velocity")
 KIND = Spec(str, choices=SOLVER_KINDS)
@@ -39,15 +39,13 @@ class TimeGrid:
     times: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.times, dtype=np.float64)
+        arr = frozen(self.times)
         if arr.ndim != 1 or arr.size < 2:
             raise ValueError(f"grid needs at least two times, got shape {arr.shape}")
         if arr[0] != 0.0 or arr[-1] != 1.0:
             raise ValueError(f"grid must span exactly [0, 1], got [{arr[0]}, {arr[-1]}]")
         if np.any(np.diff(arr) <= 0.0):
             raise ValueError("grid times must be strictly increasing")
-        arr = arr.copy()
-        arr.flags.writeable = False
         object.__setattr__(self, "times", arr)
 
     @classmethod

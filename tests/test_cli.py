@@ -92,6 +92,15 @@ def test_unreadable_json_exits_2(tmp_path, capsys, text):
     assert "config error: config: invalid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("make", (lambda path: None, lambda path: path.mkdir()),
+                         ids=("missing", "directory"))
+def test_a_config_path_that_is_no_readable_file_exits_2(tmp_path, capsys, make):
+    config = tmp_path / "cfg.json"
+    make(config)
+    assert main(["edit", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert "config error: config: cannot read" in capsys.readouterr().err
+
+
 def test_edit_deterministic_across_invocations(tmp_path):
     out = tmp_path / "run"
     assert main(["edit", "--out", str(out)]) == 0
@@ -466,6 +475,8 @@ BAD_INPUTS = [
     (["edit", "--set", "source_prompt_ids=1,2,3,-1"], None, "source_prompt_ids"),
     # the default target prompt puts text_tokens + 5 = 9 at the keyword
     (["edit", "--set", "vocab_size=8"], None, "target_prompt_ids"),
+    # a config file holds one JSON object
+    (["edit"], "[1, 2]", "config"),
 ]
 
 

@@ -81,6 +81,36 @@ def test_an_int_in_a_float_field_hashes_as_the_equal_float():
     assert config_hash(EditConfig(alpha=-0.0)) != config_hash(EditConfig(alpha=0.0))
 
 
+def test_a_float_field_holds_a_float():
+    for cfg in (EditConfig(alpha=1), EditConfig.from_dict({"alpha": 1}),
+                EditConfig(alpha=np.float64(1.0))):
+        assert cfg.alpha == 1.0 and type(cfg.alpha) is float
+    assert type(EditConfig(soft_mask_gamma=2).soft_mask_gamma) is float
+    assert EditConfig(soft_mask_gamma=None).soft_mask_gamma is None
+
+
+def test_a_config_made_from_a_list_equals_and_hashes_like_its_tuple_twin():
+    listed = EditConfig(source_prompt_ids=[1, 2, 3, 4], target_prompt_ids=[1, 2, 9, 4])
+    twin = EditConfig(source_prompt_ids=(1, 2, 3, 4), target_prompt_ids=(1, 2, 9, 4))
+    assert listed.source_prompt_ids == (1, 2, 3, 4)
+    assert listed == twin and hash(listed) == hash(twin)
+    assert config_hash(listed) == config_hash(twin)
+    assert len({listed, twin, replace(listed, alpha=0.25)}) == 1
+
+
+def test_the_caller_s_list_does_not_reach_the_config():
+    ids = [1, 2, 3, 4]
+    cfg = EditConfig(source_prompt_ids=ids)
+    copy = replace(cfg, alpha=0.1)
+    digest = config_hash(cfg)
+    ids[0] = 63
+    ids[1] = 500
+    for held in (cfg, copy):
+        assert held.source_prompt_ids == (1, 2, 3, 4)
+        assert held.source_conditioning().prompt_token_ids == (1, 2, 3, 4)
+    assert config_hash(cfg) == digest
+
+
 def test_config_from_dict_types():
     cfg = EditConfig.from_dict({"total_steps": 8.0, "source_prompt_ids": [1, 2.0, 3, 4]})
     assert cfg.total_steps == 8 and type(cfg.total_steps) is int
@@ -843,7 +873,7 @@ def test_equal_schedule_fields_share_one_schedule_and_any_other_value_makes_anot
 
 def test_the_schedule_memo_merges_only_values_that_behave_alike():
     # -0.0 == 0.0 thresholds share a schedule: every weight compares alike to
-    # both; int and float sharpness are kept apart, by type
+    # both; an int sharpness is held as the equal float, so it shares one too
     def behaviour(s):
         return (s.weights, s.active_count, [is_active(s, i) for i in range(s.total_steps)],
                 [max_step_delta(s, delta) for delta in (0.0, 0.9)])
@@ -855,9 +885,8 @@ def test_the_schedule_memo_merges_only_values_that_behave_alike():
         alone = InjectionSchedule(family, 15, 4, activity_threshold=-0.0)
         assert behaviour(alone) == behaviour(zero)
         whole = build_schedule(EditConfig(schedule=family, sharpness=5))
-        assert whole is not build_schedule(EditConfig(schedule=family, sharpness=5.0))
-        assert whole.sharpness == 5 and type(whole.sharpness) is int
-        assert behaviour(whole) == behaviour(build_schedule(EditConfig(schedule=family)))
+        assert whole is build_schedule(EditConfig(schedule=family, sharpness=5.0))
+        assert type(whole.sharpness) is float
 
 
 def test_grid_rows_have_the_schedule_trace_of_their_standalone_edits():

@@ -11,8 +11,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from adaedit.diagnostics import ssim
 from adaedit.errors import ConfigError
-from adaedit.latent import DIMENSION, SEED, SeededRng, sample_gaussian
+from adaedit.latent import DIMENSION, SEED, Latent, SeededRng, sample_gaussian
 from adaedit.models import (GAMMA, KEYWORD, PROMPT_IDS, AttentionRecord, Conditioning,
                             InjectionHooks, KVCache, ToyAttentionFlow, extract_mask)
 from adaedit.perturbation import ALPHA, TAU, PerturbationConfig, channel_weights
@@ -85,6 +86,9 @@ DRIFT = [
     ("steps", lambda: TimeGrid.uniform(2.5)),
     ("kind", lambda: integrate_forward(None, sample_gaussian(SeededRng(0), 1, 4, 2),
                                        TimeGrid.uniform(2), kind="rk4")),
+    # img_tokens=15 is no square grid, nor is a 15-token latent to ssim
+    pytest.param("a", lambda: ssim(Latent(np.zeros((1, 15, 1))), Latent(np.zeros((1, 15, 1))),
+                                   peak=1.0), id="ssim-non-square"),
 ]
 
 
