@@ -300,7 +300,7 @@ def cmd_sweep_temperature(base: EditConfig, source: Latent,
     rows = []
     for index, (_, cfg, result) in enumerate(edit_grid(source, base, {"tau": taus})):
         alpha = result.channel_weights.alpha
-        rows.append([f"{index:03d}", float(cfg.tau), float(alpha.var())] + list(alpha))
+        rows.append([f"{index:03d}", cfg.tau, float(alpha.var())] + list(alpha))
     return {"temperature.csv": (header, rows)}
 
 

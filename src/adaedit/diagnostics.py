@@ -35,6 +35,13 @@ def _check_peak(peak: float) -> None:
         raise ValueError(f"peak must be positive, got {peak}")
 
 
+def _stacked_rows(a: Latent, b: Latent, rows: Optional[int]) -> int:
+    count = 1 if rows is None else rows
+    if b.shape != (count * a.b, a.l, a.c):
+        raise ValueError(f"latent shape mismatch: {a.shape} x {count} vs {b.shape}")
+    return count
+
+
 def psnr(a: Latent, b: Latent, peak: Optional[float] = None,
          rows: Optional[int] = None) -> Union[float, List[float]]:
     """10*log10(peak^2 / MSE) in dB; +inf when the latents match exactly.
@@ -44,9 +51,7 @@ def psnr(a: Latent, b: Latent, peak: Optional[float] = None,
     rows, b stacks that many latents of a's shape along the batch axis and
     the result is one value per row, each equal to psnr(a, row) bitwise.
     """
-    count = 1 if rows is None else rows
-    if b.shape != (count * a.b, a.l, a.c):
-        raise ValueError(f"latent shape mismatch: {a.shape} x {count} vs {b.shape}")
+    count = _stacked_rows(a, b, rows)
     if peak is not None:
         _check_peak(peak)
     # each row's squares reduced along its fast axis alone, as np.mean of
@@ -107,9 +112,7 @@ def ssim(a: Latent, b: Latent, peak: Optional[float] = None,
     equal to ssim(a, row) bitwise. The reference's and the stack's planes,
     their squares and their products are filtered by one correlate call.
     """
-    count = 1 if rows is None else rows
-    if b.shape != (count * a.b, a.l, a.c):
-        raise ValueError(f"latent shape mismatch: {a.shape} x {count} vs {b.shape}")
+    count = _stacked_rows(a, b, rows)
     g = grid_side("a", a.l)
     y = _planes(b, g)
     if peak is None:

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and Spec, the type and range of
-a checked value.
+"""Exception types shared across the package; Spec, the type and range of a
+checked value; and hold, which checks and holds a value object's fields.
 
 Only failures that callers need to tell apart get their own class; everything
 else raises the stdlib ValueError/IndexError with a descriptive message. A
@@ -10,9 +10,10 @@ a rule spanning fields is one function there, given the name to report.
 
 from __future__ import annotations
 
+import functools
 import sys
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Dict, Optional, Tuple
 
 
 class ConfigError(ValueError):
@@ -124,6 +125,26 @@ class Spec:
             except ValueError:
                 pass
         return self.check(name, value)
+
+
+def knob(spec: Spec, default=MISSING):
+    """A dataclass field whose value hold checks with spec."""
+    return field(default=default, metadata={"spec": spec})
+
+
+@functools.cache
+def field_specs(cls) -> Dict[str, Spec]:
+    """The Spec of each knob field of dataclass cls, in declaration order."""
+    return {f.name: f.metadata["spec"] for f in fields(cls) if "spec" in f.metadata}
+
+
+def hold(obj) -> None:
+    """Check obj's knob fields in declaration order; hold what each check returns."""
+    for name, spec in field_specs(type(obj)).items():
+        value = getattr(obj, name)
+        held = spec.check(name, value)
+        if held is not value:
+            object.__setattr__(obj, name, held)
 
 
 class DivergenceError(RuntimeError):

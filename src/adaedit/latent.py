@@ -59,7 +59,7 @@ class SeededRng:
 
     def __init__(self, seed: int, stream: int = STREAM_NOISE):
         self.seed = SEED.check("seed", seed)
-        self.stream = int(stream)
+        self.stream = SEED.check("stream", stream)
         key = np.array([self.seed, self.stream], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
 

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import CacheMissError, ConfigError, Spec
+from .errors import CacheMissError, ConfigError, Spec, hold, knob
 from .latent import DIMENSION, STREAM_MODEL, Latent, SeededRng, frozen
 
 HOOK_MODES = ("record", "inject")
@@ -53,18 +53,16 @@ def check_keyword(name: str, index: int, length: int) -> None:
 
 @dataclass(frozen=True)
 class Conditioning:
-    """Prompt token ids (PROMPT_IDS, held as the tuple its check returns)
-    plus the index of the keyword steering the edit, below their count
-    (KEYWORD, check_keyword)."""
+    """Prompt token ids (PROMPT_IDS, a list held as a tuple) plus the index of
+    the keyword steering the edit (KEYWORD), below their count (check_keyword);
+    each field holds what its Spec's check returns (errors.hold)."""
 
-    prompt_token_ids: Tuple[int, ...]
-    keyword_index: int
+    prompt_token_ids: Tuple[int, ...] = knob(PROMPT_IDS)
+    keyword_index: int = knob(KEYWORD)
 
     def __post_init__(self):
-        ids = PROMPT_IDS.check("prompt_token_ids", self.prompt_token_ids)
-        KEYWORD.check("keyword_index", self.keyword_index)
-        check_keyword("keyword_index", self.keyword_index, len(ids))
-        object.__setattr__(self, "prompt_token_ids", ids)
+        hold(self)
+        check_keyword("keyword_index", self.keyword_index, len(self.prompt_token_ids))
 
 
 class KVCache:
@@ -183,15 +181,21 @@ class AnalyticLinearFlow:
 
     def __post_init__(self):
         arr = frozen(self.drift)
-        if arr.ndim != 1:
+        if arr.ndim != 1 or arr.size < 1:
             raise ValueError(f"drift must be a length-C vector, got shape {arr.shape}")
         object.__setattr__(self, "drift", arr)
 
+    def _check_channels(self, z: Latent) -> None:
+        if self.drift.size != z.c:
+            raise ValueError(f"drift has {self.drift.size} channels, the latent {z.c}")
+
     def evaluate(self, z: Latent, t: float, cond=None, hooks=None) -> Latent:
+        self._check_channels(z)
         return Latent(self.decay * z.data + self.drift)
 
     def closed_form(self, z0: Latent, t0: float, t1: float) -> Latent:
         """Exact solution of dz/dt = a*z + b from t0 to t1."""
+        self._check_channels(z0)
         dt = t1 - t0
         if self.decay == 0.0:
             return Latent(z0.data + self.drift * dt)
@@ -644,20 +648,15 @@ class ToyAttentionFlow:
     def __init__(self, seed: int = 0, layer_count: int = 2, embed_dim: int = 32,
                  img_tokens: int = 16, text_tokens: int = 4, channels: int = 8,
                  heads: int = 1, vocab_size: int = 64):
-        self.seed = int(seed)
-        self.layer_count = layer_count
-        self.embed_dim = embed_dim
-        self.img_tokens = img_tokens
-        self.text_tokens = text_tokens
-        self.channels = channels
-        self.heads = heads
-        self.vocab_size = vocab_size
-        for name in ("layer_count", "embed_dim", "img_tokens", "text_tokens", "channels",
-                     "heads", "vocab_size"):
-            DIMENSION.check(name, getattr(self, name))
+        dims = dict(layer_count=layer_count, embed_dim=embed_dim, img_tokens=img_tokens,
+                    text_tokens=text_tokens, channels=channels, heads=heads,
+                    vocab_size=vocab_size)
+        for name, value in dims.items():
+            setattr(self, name, DIMENSION.check(name, value))
         check_heads(embed_dim, heads)
 
         rng = SeededRng(seed, stream=STREAM_MODEL)
+        self.seed = rng.seed
         d = embed_dim
         # Draw order is part of the model definition; do not reorder.
         self.token_table = rng.standard_normal((vocab_size, d)) / math.sqrt(d)

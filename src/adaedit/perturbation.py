@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
-from .errors import Spec
+from .errors import Spec, hold, knob
 from .latent import EPS_STD, Latent, frozen, resolve_tokens
 
 PERTURBATION_MODES = ("uniform", "channel_selective")
@@ -51,12 +51,13 @@ class ChannelWeights:
 
 @dataclass(frozen=True)
 class PerturbationConfig:
-    alpha: float
-    tau: float = 1.0
+    """Strength alpha and temperature tau, each held as checked (errors.hold)."""
+
+    alpha: float = knob(ALPHA)
+    tau: float = knob(TAU, 1.0)
 
     def __post_init__(self):
-        ALPHA.check("alpha", self.alpha)
-        TAU.check("tau", self.tau)
+        hold(self)
 
 
 def _adain_per_channel(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -14,14 +14,14 @@ import json
 import logging
 import math
 import operator
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .diagnostics import psnr, ssim, velocity_jump_between
-from .errors import ConfigError, DivergenceError, Spec
+from .errors import ConfigError, DivergenceError, Spec, field_specs, hold, knob
 from .latent import (DIMENSION, SEED, STREAM_NOISE, STREAM_SOURCE, Latent,
                      SeededRng, grid_side, sample_gaussian)
 from .models import (GAMMA, KEYWORD, PROMPT_IDS, AttentionRecord, Conditioning,
@@ -81,53 +81,49 @@ MEMORY_BUDGET = 2 * 10**9
 FLOAT64_BYTES = 8
 
 
-def _knob(default, spec: Spec):
-    return field(default=default, metadata={"spec": spec})
-
-
 @dataclass(frozen=True)
 class EditConfig:
     """Every knob of one edit run; JSON documents mirror these field names.
 
-    Each field declares its type and range (a Spec) next to its default. A
-    field whose value a library argument also takes reuses that argument's
-    Spec, narrowed by an upper bound where the config bounds a resource. A
-    config is checked when it is made (by the constructor, from_dict or
-    dataclasses.replace), holds each field in the form its Spec's check
-    returns, and cannot change afterwards, so every EditConfig in hand is
-    valid and hashable.
+    Each field declares its type and range (a Spec, errors.knob) next to its
+    default. A field whose value a library argument also takes reuses that
+    argument's Spec, narrowed by an upper bound where the config bounds a
+    resource. A config is checked when it is made (by the constructor,
+    from_dict or dataclasses.replace), holds each field in the form its
+    Spec's check returns (errors.hold), and cannot change afterwards, so
+    every EditConfig in hand is valid and hashable.
     """
 
-    total_steps: int = _knob(15, replace(STEPS, hi=MAX_STEPS))
-    injection_steps: int = _knob(4, replace(STEPS, hi=MAX_STEPS))
-    schedule: str = _knob("sigmoid", FAMILY)
-    delta_base: float = _knob(0.9, DELTA)
-    alpha: float = _knob(0.25, ALPHA)
-    tau: float = _knob(1.0, TAU)
-    solver: str = _knob("reuse_velocity", KIND)
-    perturbation_mode: str = _knob("channel_selective", Spec(str, choices=PERTURBATION_MODES))
-    soft_mask_gamma: Optional[float] = _knob(None, GAMMA)
-    layer_ratio_beta: float = _knob(0.0, SLOPE)
-    seed: int = _knob(0, SEED)
+    total_steps: int = knob(replace(STEPS, hi=MAX_STEPS), 15)
+    injection_steps: int = knob(replace(STEPS, hi=MAX_STEPS), 4)
+    schedule: str = knob(FAMILY, "sigmoid")
+    delta_base: float = knob(DELTA, 0.9)
+    alpha: float = knob(ALPHA, 0.25)
+    tau: float = knob(TAU, 1.0)
+    solver: str = knob(KIND, "reuse_velocity")
+    perturbation_mode: str = knob(Spec(str, choices=PERTURBATION_MODES), "channel_selective")
+    soft_mask_gamma: Optional[float] = knob(GAMMA, None)
+    layer_ratio_beta: float = knob(SLOPE, 0.0)
+    seed: int = knob(SEED, 0)
     # schedule shape
-    sharpness: float = _knob(5.0, SHARPNESS)
-    sigmoid_midpoint: float = _knob(0.7, MIDPOINT)
-    activity_threshold: float = _knob(0.05, THRESHOLD)
+    sharpness: float = knob(SHARPNESS, 5.0)
+    sigmoid_midpoint: float = knob(MIDPOINT, 0.7)
+    activity_threshold: float = knob(THRESHOLD, 0.05)
     # toy model dimensions
-    layer_count: int = _knob(2, replace(DIMENSION, hi=32))
-    embed_dim: int = _knob(32, replace(DIMENSION, hi=1024))
-    img_tokens: int = _knob(16, replace(DIMENSION, hi=4096))
-    text_tokens: int = _knob(4, replace(DIMENSION, hi=256))
-    channels: int = _knob(8, replace(DIMENSION, hi=64))
-    heads: int = _knob(1, replace(DIMENSION, hi=32))
-    vocab_size: int = _knob(64, replace(DIMENSION, hi=65536))
+    layer_count: int = knob(replace(DIMENSION, hi=32), 2)
+    embed_dim: int = knob(replace(DIMENSION, hi=1024), 32)
+    img_tokens: int = knob(replace(DIMENSION, hi=4096), 16)
+    text_tokens: int = knob(replace(DIMENSION, hi=256), 4)
+    channels: int = knob(replace(DIMENSION, hi=64), 8)
+    heads: int = knob(replace(DIMENSION, hi=32), 1)
+    vocab_size: int = knob(replace(DIMENSION, hi=65536), 64)
     # conditioning; None picks deterministic defaults sized to text_tokens
-    source_prompt_ids: Optional[Tuple[int, ...]] = _knob(None, replace(PROMPT_IDS, optional=True))
-    target_prompt_ids: Optional[Tuple[int, ...]] = _knob(None, replace(PROMPT_IDS, optional=True))
-    source_keyword_index: Optional[int] = _knob(None, replace(KEYWORD, optional=True))
-    target_keyword_index: Optional[int] = _knob(None, replace(KEYWORD, optional=True))
-    mask_keyword_source: str = _knob("target", Spec(str, choices=MASK_KEYWORD_SOURCES))
-    global_mix: bool = _knob(False, Spec(bool))
+    source_prompt_ids: Optional[Tuple[int, ...]] = knob(replace(PROMPT_IDS, optional=True), None)
+    target_prompt_ids: Optional[Tuple[int, ...]] = knob(replace(PROMPT_IDS, optional=True), None)
+    source_keyword_index: Optional[int] = knob(replace(KEYWORD, optional=True), None)
+    target_keyword_index: Optional[int] = knob(replace(KEYWORD, optional=True), None)
+    mask_keyword_source: str = knob(Spec(str, choices=MASK_KEYWORD_SOURCES), "target")
+    global_mix: bool = knob(Spec(bool), False)
 
     def __post_init__(self):
         self.validate()
@@ -163,13 +159,9 @@ class EditConfig:
         return build_schedule(self)
 
     def validate(self) -> "EditConfig":
-        """Check every field against its Spec, holding what the check returns,
-        then the rules that span fields."""
-        for name, spec in FIELD_SPECS.items():
-            value = getattr(self, name)
-            held = spec.check(name, value)
-            if held is not value:
-                object.__setattr__(self, name, held)
+        """Check every field against its Spec, holding what the check returns
+        (errors.hold), then the rules that span fields."""
+        hold(self)
         # the schedule checks injection_steps <= total_steps
         schedule = self.injection_schedule
         check_heads(self.embed_dim, self.heads)
@@ -218,7 +210,7 @@ class EditConfig:
         return cls(**{name: _spec(name).from_json(value) for name, value in data.items()})
 
 
-FIELD_SPECS: Dict[str, Spec] = {f.name: f.metadata["spec"] for f in fields(EditConfig)}
+FIELD_SPECS: Dict[str, Spec] = field_specs(EditConfig)
 
 
 def _run_bytes(cfg: EditConfig, active: int) -> Tuple[int, int, int, int]:
@@ -291,13 +283,7 @@ def build_model(cfg: EditConfig) -> ToyAttentionFlow:
     return ToyAttentionFlow(seed=cfg.seed, **_model_dims(cfg))
 
 
-@lru_cache(maxsize=SCHEDULE_MEMO_LIMIT)
-def _shared_schedule(family: str, total_steps: int, injection_steps: int,
-                     sharpness: float, midpoint: float,
-                     activity_threshold: float) -> InjectionSchedule:
-    return InjectionSchedule(
-        family=family, total_steps=total_steps, injection_steps=injection_steps,
-        sharpness=sharpness, midpoint=midpoint, activity_threshold=activity_threshold)
+_shared_schedule = lru_cache(maxsize=SCHEDULE_MEMO_LIMIT)(InjectionSchedule)
 
 
 def build_schedule(cfg: EditConfig) -> InjectionSchedule:

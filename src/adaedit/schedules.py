@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import ConfigError, Spec
+from .errors import ConfigError, Spec, hold, knob
 from .latent import DIMENSION
 from .solvers import STEPS
 
@@ -55,23 +55,21 @@ class InjectionSchedule:
     threshold lies in [0, 1), so a binary schedule is active exactly on steps
     < injection_steps, reproducing the baseline for ablations. active_count,
     the number of active steps, is counted once at construction; weights
-    never increase, so the active steps are the first active_count.
+    never increase, so the active steps are the first active_count. Each
+    field holds what its Spec's check returns (errors.hold): sharpness=5 as 5.0.
     """
 
-    family: str
-    total_steps: int
-    injection_steps: int
-    sharpness: float = 5.0
-    midpoint: float = 0.7
-    activity_threshold: float = 0.05
+    family: str = knob(FAMILY)
+    total_steps: int = knob(STEPS)
+    injection_steps: int = knob(STEPS)
+    sharpness: float = knob(SHARPNESS, 5.0)
+    midpoint: float = knob(MIDPOINT, 0.7)
+    activity_threshold: float = knob(THRESHOLD, 0.05)
     weights: tuple = field(init=False, repr=False)
     active_count: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        for name, spec in (("family", FAMILY), ("total_steps", STEPS),
-                           ("injection_steps", STEPS), ("sharpness", SHARPNESS),
-                           ("midpoint", MIDPOINT), ("activity_threshold", THRESHOLD)):
-            spec.check(name, getattr(self, name))
+        hold(self)
         if self.injection_steps > self.total_steps:
             raise ConfigError(
                 "injection_steps",
@@ -126,15 +124,15 @@ class LayerRatioProfile:
     """Per-layer multiplier for the mixing ratio, affine in relative depth.
 
     w_layer(l) = 1 + slope * (l / (layer_count - 1) - 0.5); a single-layer
-    model always gets 1. slope < 2 keeps every multiplier positive.
+    model always gets 1. slope < 2 keeps every multiplier positive. Both
+    fields hold what their Spec's check returns (errors.hold).
     """
 
-    layer_count: int
-    slope: float = 0.0
+    layer_count: int = knob(DIMENSION)
+    slope: float = knob(SLOPE, 0.0)
 
     def __post_init__(self):
-        DIMENSION.check("layer_count", self.layer_count)
-        SLOPE.check("slope", self.slope)
+        hold(self)
 
 
 def layer_multiplier(p: LayerRatioProfile, layer: int) -> float:

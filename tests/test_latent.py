@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from adaedit.errors import ConfigError
 from adaedit.latent import Latent, SeededRng, sample_gaussian
 
 
@@ -55,6 +56,14 @@ def test_seeded_rng_rejects_out_of_range_seed():
         SeededRng(-1)
     with pytest.raises(ValueError):
         SeededRng(2**64)
+
+
+@pytest.mark.parametrize("stream", (1.7, "2", None, -1, 2**64, True))
+def test_seeded_rng_refuses_a_stream_that_is_no_uint64_key_word(stream):
+    # the stream is the Philox key's second word, checked like the seed
+    with pytest.raises(ConfigError) as exc:
+        SeededRng(0, stream=stream)
+    assert exc.value.field == "stream"
 
 
 def test_golden_streams_pinned():

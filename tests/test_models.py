@@ -96,6 +96,17 @@ def test_analytic_flow_closed_form():
     assert abs(z1.data[0, 0, 0] - math.exp(-1.0)) < 1e-15
 
 
+def test_analytic_flow_drift_matches_the_latent_s_channels():
+    with pytest.raises(ValueError, match="length-C vector"):
+        AnalyticLinearFlow(decay=-1.0, drift=np.zeros(0))
+    flow = AnalyticLinearFlow(decay=-1.0, drift=np.zeros(1))
+    z = Latent(np.ones((1, 4, 2)))
+    with pytest.raises(ValueError, match="drift has 1 channels, the latent 2"):
+        flow.evaluate(z, 0.0)
+    with pytest.raises(ValueError, match="drift has 1 channels, the latent 2"):
+        flow.closed_form(z, 0.0, 1.0)
+
+
 # --------------------------------------------------------------------- kv_mix
 
 def reference_kv_mix(k_src, v_src, k_tgt, v_tgt, ratio, mask=None, global_mix=False):

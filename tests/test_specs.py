@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from adaedit.diagnostics import ssim
-from adaedit.errors import ConfigError
+from adaedit.errors import ConfigError, field_specs
 from adaedit.latent import DIMENSION, SEED, Latent, SeededRng, sample_gaussian
 from adaedit.models import (GAMMA, KEYWORD, PROMPT_IDS, AttentionRecord, Conditioning,
                             InjectionHooks, KVCache, ToyAttentionFlow, extract_mask)
@@ -46,6 +46,57 @@ def test_a_shared_field_reuses_the_library_spec_narrowing_only_hi(name):
                                                    optional=spec.optional)
 
 
+# value object -> {its Spec-declared field: the EditConfig field that feeds it}
+FED_BY = {
+    InjectionSchedule: {"family": "schedule", "total_steps": "total_steps",
+                        "injection_steps": "injection_steps", "sharpness": "sharpness",
+                        "midpoint": "sigmoid_midpoint",
+                        "activity_threshold": "activity_threshold"},
+    LayerRatioProfile: {"layer_count": "layer_count", "slope": "layer_ratio_beta"},
+    PerturbationConfig: {"alpha": "alpha", "tau": "tau"},
+    Conditioning: {"prompt_token_ids": "source_prompt_ids",
+                   "keyword_index": "source_keyword_index"},
+}
+
+
+@pytest.mark.parametrize("cls", FED_BY, ids=lambda cls: cls.__name__)
+def test_a_value_object_checks_each_field_with_the_spec_its_config_field_shares(cls):
+    # read from the table hold checks with, in declaration order
+    specs = field_specs(cls)
+    assert list(specs) == list(FED_BY[cls])
+    for name, config_field in FED_BY[cls].items():
+        assert specs[name] is SHARED[config_field], name
+
+
+# value object built from ints -> its float twin
+INT_BUILT = [
+    (lambda: InjectionSchedule("sigmoid", 15, 4, sharpness=5, midpoint=1 / 2,
+                               activity_threshold=0),
+     lambda: InjectionSchedule("sigmoid", 15, 4, sharpness=5.0, midpoint=0.5,
+                               activity_threshold=0.0)),
+    (lambda: PerturbationConfig(1, 2), lambda: PerturbationConfig(1.0, 2.0)),
+    (lambda: LayerRatioProfile(2, 1), lambda: LayerRatioProfile(2, 1.0)),
+]
+
+
+@pytest.mark.parametrize("made,twin", INT_BUILT, ids=("schedule", "perturbation", "profile"))
+def test_a_value_object_built_from_ints_holds_floats_like_its_float_twin(made, twin):
+    made, twin = made(), twin()
+    for name, spec in field_specs(type(made)).items():
+        assert type(getattr(made, name)) is spec.kind, name
+    assert made == twin
+    assert hash(made) == hash(twin)
+    assert repr(made) == repr(twin)
+
+
+def test_a_conditioning_holds_a_list_of_ids_as_a_tuple():
+    ids = [1, 2, 3, 4]
+    cond = Conditioning(ids, 2)
+    ids[0] = 63
+    assert cond.prompt_token_ids == (1, 2, 3, 4)
+    assert cond == COND and hash(cond) == hash(COND)
+
+
 def recorded_attention() -> AttentionRecord:
     sink = AttentionRecord()
     ToyAttentionFlow().evaluate(sample_gaussian(SeededRng(3), 1, 16, 8), 0.9, COND,
@@ -71,6 +122,8 @@ DRIFT = [
     ("tau", lambda: channel_weights(np.array([0.0, 1.0, 2.0]), math.inf)),
     ("gamma", lambda: extract_mask(recorded_attention(), COND, math.inf)),
     ("seed", lambda: SeededRng(2.7)),
+    ("stream", lambda: SeededRng(0, stream=1.7)),
+    pytest.param("seed", lambda: ToyAttentionFlow(seed=None), id="toy-flow-seed-none"),
     ("c", lambda: sample_gaussian(SeededRng(0), 1, 16, 8.0)),
     ("heads", lambda: ToyAttentionFlow(heads=0)),
     pytest.param("heads", lambda: ToyAttentionFlow(embed_dim=32, heads=3),
