@@ -271,7 +271,7 @@ def cmd_edit(cfg: EditConfig, source: Latent, option: None) -> Artifacts:
                          [(c, result.channel_gaps[c], alpha[c], blend[c])
                           for c in range(alpha.size)]),
         "schedule.csv": (["step", "weight", "active"],
-                         [(step, weight, active) for step, (weight, _, active)
+                         [(step, weight, active) for step, (weight, active)
                           in enumerate(result.schedule_trace)]),
     }
 

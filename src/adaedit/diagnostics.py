@@ -168,7 +168,8 @@ def velocity_jump_between(field, z: Latent, t: float, conds: Sequence[Conditioni
 def velocity_jump(field, z: Latent, t: float, cond: Conditioning, cache: KVCache,
                   step: int, delta: float, mask: Optional[EditMask] = None,
                   global_mix: bool = False) -> float:
-    """L2 norm of [velocity with injection at ratio delta] - [plain velocity].
+    """L2 norm of [velocity with injection at ratio delta] - [plain velocity]
+    at the one-entry z.
 
     delta = 0 yields 0 exactly: a zero mixing ratio leaves K/V bitwise
     untouched, so both evaluations coincide.

@@ -141,9 +141,9 @@ class InjectionHooks:
     keep the first recording. inject: blend the cached source K/V into the
     current ones with kv_mix before attention, at the per-layer LayerMix
     blends that mix_rows made for a stack's rows (mixes), or at one set of
-    per-layer ratios with one mask for a single row (mix_ratios,
-    background_mask, global_mix), which layer_mixes turns into a one-row
-    LayerMix. A step without hooks (None) leaves the cache alone.
+    per-layer ratios with one mask for every entry (mix_ratios,
+    background_mask, global_mix), which layer_mixes turns into one LayerMix
+    row per entry. A step without hooks (None) leaves the cache alone.
     """
 
     mode: str
@@ -163,13 +163,14 @@ class InjectionHooks:
         if self.mode == "inject" and self.mix_ratios is None and self.mixes is None:
             raise ValueError("inject mode requires per-layer mix ratios")
 
-    def layer_mixes(self, layer_count: int, n: int) -> Tuple["LayerMix", ...]:
-        """The per-layer blends of an inject step: mixes, or one row made from
-        mix_ratios, background_mask and global_mix."""
+    def layer_mixes(self, layer_count: int, n: int, entries: int) -> Tuple["LayerMix", ...]:
+        """The per-layer blends of an inject step: mixes, or one identical
+        row per entry made from mix_ratios, background_mask and global_mix."""
         if self.mixes is not None:
             return self.mixes
-        ratios = [[[self.mix_ratios[layer]] for layer in range(layer_count)]]
-        return mix_rows(ratios, [self.background_mask], [self.global_mix], n)[0]
+        ratios = [[[self.mix_ratios[layer]] * entries for layer in range(layer_count)]]
+        return mix_rows(ratios, [self.background_mask] * entries,
+                        [self.global_mix] * entries, n)[0]
 
 
 @dataclass(frozen=True)
@@ -208,7 +209,8 @@ BLEND, SHARED, WHOLE = range(3)
 
 
 class LayerMix:
-    """How one layer's K/V mix for a stack of rows, made once by mix_rows.
+    """How one layer's K/V mix for a stack of rows, one latent entry each,
+    made once by mix_rows.
 
     weight holds, per row and K/V row, the cached source's share and keep the
     current K/V's (1 - weight). A row either blends by them, takes the source
@@ -223,8 +225,8 @@ class LayerMix:
 
     def __init__(self, weight: np.ndarray, keep: np.ndarray,
                  runs: List[Tuple[int, int, int]]):
-        # weight and keep are (rows, 1, n, 1), to broadcast over (rows, B, n, d);
-        # each run keeps its rows and its weight and keep rows, sliced once; a
+        # weight and keep are (rows, n, 1), to broadcast over (rows, n, d); each
+        # run keeps its rows and its weight and keep rows, sliced once; a
         # SHARED run keeps its one weight and keep row, to broadcast over its rows
         self.runs = runs
         self.end = runs[-1][1] if runs else 0
@@ -234,18 +236,16 @@ class LayerMix:
             self._slices.append((slice(lo, hi), how, weight[lo:end], keep[lo:end]))
 
     def blend_into(self, src: np.ndarray, cur: np.ndarray, tmp: np.ndarray) -> None:
-        """Blend the cached (B, n, d) ``src`` into the stacked (rows * B, n, d)
+        """Blend the cached (1, n, d) ``src`` into the stacked (rows, n, d)
         ``cur`` in place, with ``tmp`` (cur's shape) for the source terms,
         one per weight row. Each term is added as part + term: IEEE addition
         commutes, so each row keeps the bits of its own term + part."""
-        shape = (-1, *src.shape)
-        parts, terms = cur.reshape(shape), tmp.reshape(shape)
         for rows, how, weight, keep in self._slices:
-            part = parts[rows]
+            part = cur[rows]
             if how == WHOLE:
                 part[...] = src
             else:
-                term = terms[:len(weight)]
+                term = tmp[:len(weight)]
                 np.multiply(src, weight, out=term)
                 part *= keep
                 part += term
@@ -286,9 +286,9 @@ def mix_rows(ratios, masks: Sequence[Optional[EditMask]], global_mix: Sequence[b
     A row whose weights are all 0 keeps its K/V.
 
     A blend run is split wherever the weight row changes: consecutive
-    blending rows whose weight rows have the same bits (the same plan, mask
-    and global_mix) form one SHARED run, whose source term is made once and
-    added to each of its rows.
+    blending rows of one ratio on one base row (the same plan, mask and
+    global_mix), and so of one weight row bit for bit, form one SHARED run,
+    whose source term is made once and added to each of its rows.
     """
     ratios = np.asarray(ratios, dtype=np.float64)
     profiles, layers, rows = ratios.shape
@@ -321,15 +321,13 @@ def mix_rows(ratios, masks: Sequence[Optional[EditMask]], global_mix: Sequence[b
     weight = ratios[..., None] * base
     keep = 1.0 - weight
     # per row: 0 keeps its K/V, 1 blends, 2 takes the source whole, 3 blends
-    # by the bits of the weight row of the blending row before it
+    # by the weight row of the blending row before it
     kinds = np.where(whole & (ratios == 1.0), 2, weight.any(axis=-1))
-    bits = weight.view(np.int64)
     repeats = np.zeros(kinds.shape, dtype=bool)
-    repeats[..., 1:] = (bits[..., 1:, :] == bits[..., :-1, :]).all(axis=-1)
-    repeats[..., 1:] &= (kinds[..., 1:] == 1) & (kinds[..., :-1] == 1)
+    repeats[..., 1:] = ((ratios[..., 1:] == ratios[..., :-1]) & (index[1:] == index[:-1])
+                        & (kinds[..., 1:] == 1) & (kinds[..., :-1] == 1))
     kinds = np.where(repeats, 3, kinds).tolist()
-    weight = weight[:, :, :, None, :, None]
-    keep = keep[:, :, :, None, :, None]
+    weight, keep = weight[..., None], keep[..., None]
     runs_of: Dict[tuple, list] = {}  # most steps and layers share one pattern
     mixes = []
     for p in range(profiles):
@@ -349,15 +347,15 @@ def kv_mix(k_src: np.ndarray, v_src: np.ndarray, k_tgt: np.ndarray, v_tgt: np.nd
     """Blend cached source K/V into a stack's current K/V at ``mix`` (see
     mix_rows): ratio*src + (1-ratio)*tgt per row and K/V row.
 
-    k_tgt and v_tgt stack rows of the cached source's B entries each, at
-    least mix.end rows, and are blended in place, with ``scratch`` (their
-    shape) for the source term; a row that keeps its K/V, and every row from
-    mix.end on, is left bitwise as it was.
+    The cached source holds one entry, (1, n, d). k_tgt and v_tgt stack one
+    entry per row, at least mix.end rows, and are blended in place, with
+    ``scratch`` (their shape) for the source term; a row that keeps its K/V,
+    and every row from mix.end on, is left bitwise as it was.
     """
-    b = k_src.shape[0]
+    if k_src.shape[0] != 1:
+        raise ValueError(f"cached K/V must hold one entry, got {k_src.shape[0]}")
     if not (k_src.shape == v_src.shape and k_tgt.shape == v_tgt.shape
-            and k_tgt.shape[1:] == k_src.shape[1:]
-            and k_tgt.shape[0] % b == 0 and k_tgt.shape[0] >= mix.end * b):
+            and k_tgt.shape[1:] == k_src.shape[1:] and k_tgt.shape[0] >= mix.end):
         raise ValueError("K/V shape mismatch between source and target")
     mix.blend_into(k_src, k_tgt, scratch)
     mix.blend_into(v_src, v_tgt, scratch)
@@ -612,10 +610,11 @@ class ToyAttentionFlow:
     prompt when first embedded, meet the rules EditConfig checks (DIMENSION,
     check_heads, check_prompt), else a ConfigError names the argument.
 
-    A latent may stack several rows (edits) along the batch axis: evaluate()
-    then takes one Conditioning per row, and inject hooks may blend each row
-    at its own ratios (see mix_rows). No step pools over batch entries, so
-    every row's velocity is bitwise the one it gets alone. Each layer's
+    A latent may stack several rows (edits), one entry each, along the batch
+    axis: evaluate() then takes one Conditioning for all of them or one per
+    row, and inject hooks may blend each row at its own ratios (see
+    mix_rows). No step pools over batch entries, so every row's velocity is
+    bitwise the one it gets alone. Each layer's
     attention runs one head at a time over slices of batch entries whose
     score block fits SCORE_BLOCK_BYTES, so the live scores are at most one
     such block rather than (B, heads, n, n). The views each (head, block)
@@ -706,20 +705,21 @@ class ToyAttentionFlow:
 
     def evaluate(self, z: Latent, t: float, cond: Union[Conditioning, Sequence[Conditioning]],
                  hooks: Optional[InjectionHooks] = None) -> Latent:
-        """The velocity at (z, t) under ``cond``: one Conditioning, or one per
-        row of a stack whose rows split z's batch entries evenly."""
+        """The velocity at (z, t) under ``cond``: one Conditioning for every
+        entry of z, or one per entry."""
         if z.l != self.img_tokens or z.c != self.channels:
             raise ValueError(
                 f"latent shape {z.shape} incompatible with model "
                 f"(L={self.img_tokens}, C={self.channels})")
-        b, n_txt, d = z.b, self.text_tokens, self.embed_dim
+        b = z.b
         if isinstance(cond, Conditioning):
             prompts = [cond.prompt_token_ids]
         else:
             prompts = [c.prompt_token_ids for c in cond]
-            if not prompts or b % len(prompts):
-                raise ValueError(f"{b} batch entries do not split into {len(prompts)} rows")
-            if prompts.count(prompts[0]) == len(prompts):
+            if len(prompts) != b:
+                raise ValueError(
+                    f"{b} latent entries take one Conditioning each, got {len(prompts)}")
+            if prompts.count(prompts[0]) == b:
                 prompts = prompts[:1]
 
         # one (B, n, d + 2F) input: text rows, then image rows, then the time
@@ -729,8 +729,8 @@ class ToyAttentionFlow:
         if len(prompts) == 1:
             x_txt[...] = self._prompt_rows(prompts[0])
         else:
-            for entries, ids in zip(x.reshape(len(prompts), -1, *x.shape[1:]), prompts):
-                entries[:, :n_txt, :d] = self._prompt_rows(ids)
+            for entry, ids in zip(x_txt, prompts):
+                entry[...] = self._prompt_rows(ids)
         np.matmul(z.data, self.w_in, out=x_img)
         x_time[...] = _time_features(t)
 
@@ -738,7 +738,7 @@ class ToyAttentionFlow:
         sink = hooks.attn_sink if record else None
         mixes = None
         if hooks is not None and not record:
-            mixes = hooks.layer_mixes(self.layer_count, x.shape[1])
+            mixes = hooks.layer_mixes(self.layer_count, x.shape[1], b)
         # the projections between two attentions, then each attention, share
         # by share: on both lanes with two CPUs and the helper free, else in
         # turn here; what a hook reads or writes runs here

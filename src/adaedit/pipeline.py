@@ -268,7 +268,7 @@ class EditResult:
     reconstructed_source: Optional[Latent]
     mask: EditMask
     channel_weights: ChannelWeights
-    schedule_trace: Tuple[Tuple[float, float, bool], ...]
+    schedule_trace: Tuple[Tuple[float, bool], ...]
     diagnostics: Dict[str, float]
     channel_gaps: np.ndarray
 
@@ -404,30 +404,20 @@ def invert(source: Latent, c_src: Conditioning, cfg: EditConfig,
         reconstruction_evals=reconstruction.velocity_evals)
 
 
-# The fields an injection plan reads: the schedule's, delta_base and the
-# layer profile's. Edits that agree on them, and on delta_base's sign, share
-# one plan (0.0 and -0.0 make traces of opposite zeros).
-PLAN_FIELDS = ("schedule", "total_steps", "injection_steps", "sharpness",
-               "sigmoid_midpoint", "activity_threshold", "delta_base",
-               "layer_ratio_beta", "layer_count")
-_PLAN_KEY = operator.attrgetter(*PLAN_FIELDS)
-
-
-def _injection_plan(cfg: EditConfig) -> tuple:
+def _injection_plan(schedule: InjectionSchedule, delta_base: float, layer_count: int,
+                    slope: float) -> tuple:
     """The injection plan, the schedule trace and max_step_delta.
 
     The plan holds, per active step, the per-layer ratios at which cached
     source K/V are blended in. Schedule weights never increase, so the
     active steps are the first active_count; inversion caches them (at
     least), and sampling injects exactly them. The trace holds (weight,
-    delta_base * weight, active) per step."""
-    schedule = cfg.injection_schedule
-    profile = LayerRatioProfile(cfg.layer_count, cfg.layer_ratio_beta)
-    plan = tuple(layer_ratios(profile, effective_ratio(schedule, cfg.delta_base, i))
+    active) per step."""
+    profile = LayerRatioProfile(layer_count, slope)
+    plan = tuple(layer_ratios(profile, effective_ratio(schedule, delta_base, i))
                  for i in range(schedule.active_count))
-    trace = tuple((weight, cfg.delta_base * weight, is_active(schedule, i))
-                  for i, weight in enumerate(schedule.weights))
-    return plan, trace, max_step_delta(schedule, cfg.delta_base)
+    trace = tuple((weight, is_active(schedule, i)) for i, weight in enumerate(schedule.weights))
+    return plan, trace, max_step_delta(schedule, delta_base)
 
 
 def _sample_edits(inversion: Inversion,
@@ -438,7 +428,8 @@ def _sample_edits(inversion: Inversion,
     EditResult comes back in that order.
 
     What rows share is made once per distinct key: the injection plan, the
-    schedule trace and max_step_delta per PLAN_FIELDS value; the mask and its
+    schedule trace and max_step_delta per _injection_plan arguments (0.0 and
+    -0.0 delta_base share one: both keep every K/V row); the mask and its
     edit tokens per planned step count, mask prompt and soft_mask_gamma; the
     channel gaps and the AdaIN target per edit-token set; the perturbed
     latent and its channel weights per perturbation mode, alpha, tau
@@ -475,9 +466,10 @@ def _sample_edits(inversion: Inversion,
     shifts: Dict[tuple, tuple] = {}
     stack = []  # per row: (plan, trace, max_step_delta, mask, fallback, gaps, shift)
     for c_src, c_tgt, cfg in edits:
-        plan_key = (_PLAN_KEY(cfg), math.copysign(1.0, cfg.delta_base))
+        plan_key = (cfg.injection_schedule, cfg.delta_base, cfg.layer_count,
+                    cfg.layer_ratio_beta)
         if plan_key not in plans:
-            plans[plan_key] = _injection_plan(cfg)
+            plans[plan_key] = _injection_plan(*plan_key)
         plan, trace, delta = plans[plan_key]
         mask_cond = c_tgt if cfg.mask_keyword_source == "target" else c_src
         mask_key = (len(plan), mask_cond, cfg.soft_mask_gamma)

@@ -251,6 +251,13 @@ def test_velocity_jump_cache_miss():
         velocity_jump(flow, z, 0.25, COND, cache, 7, 0.5)
 
 
+def test_velocity_jump_takes_one_latent_entry():
+    flow, z, cache = recorded_state()
+    pair = Latent(np.concatenate([z.data, z.data]))
+    with pytest.raises(ValueError, match="2 latent entries take one Conditioning each, got 1"):
+        velocity_jump(flow, pair, 0.25, COND, cache, 3, 0.5)
+
+
 def test_velocity_jump_between_equal_profiles_zero():
     flow, z, cache = recorded_state()
     (mixes,) = mix_rows([[[0.4], [0.4]]], [None], [True], flow.text_tokens + flow.img_tokens)

@@ -43,6 +43,8 @@ def test_latent_rejects_non_finite():
 def test_latent_rejects_wrong_rank():
     with pytest.raises(ValueError):
         Latent(np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="dimensions must be positive"):
+        Latent(np.zeros((1, 0, 2)))
 
 
 def test_latent_is_immutable():

@@ -114,7 +114,8 @@ def reference_kv_mix(k_src, v_src, k_tgt, v_tgt, ratio, mask=None, global_mix=Fa
     global_mix (or no mask) every K/V row mixes at ratio, and ratio 1 returns
     the source; otherwise the image rows -- the trailing len(mask.soft) rows --
     mix at ratio * (1 - soft) and the text rows keep the target. All-zero
-    weights return the target arrays themselves."""
+    weights return the target arrays themselves. The one-entry source
+    broadcasts over the target's entries."""
     if not 0.0 <= ratio <= 1.0:
         raise ValueError(f"ratio must lie in [0, 1], got {ratio}")
     n = k_tgt.shape[-2]
@@ -123,7 +124,7 @@ def reference_kv_mix(k_src, v_src, k_tgt, v_tgt, ratio, mask=None, global_mix=Fa
         base[:n - mask.soft.size] = 0.0
         base[n - mask.soft.size:] = 1.0 - mask.soft
     elif ratio == 1.0:
-        return k_src, v_src
+        return np.broadcast_to(k_src, k_tgt.shape), np.broadcast_to(v_src, v_tgt.shape)
     w = (ratio * base)[:, None]
     if not w.any():
         return k_tgt, v_tgt
@@ -165,6 +166,22 @@ def test_kv_mix_ratio_domain_error():
     a = np.zeros((1, 2, 2))
     with pytest.raises(ValueError):
         blend(a, a, a, a, 1.5)
+    # mix_rows takes one mask and one global_mix flag per row, and a mask
+    # no longer than the K/V rows
+    with pytest.raises(ValueError, match="2 rows of ratios, 1 masks, 2 global_mix flags"):
+        mix_rows([[[0.5, 0.5]]], [None], [False, False], 2)
+    with pytest.raises(ValueError, match="mask covers 3 rows but K/V have only 2"):
+        mix_rows([[[0.5]]], [EditMask(np.ones(3))], [False], 2)
+
+
+@pytest.mark.parametrize("mode, kwargs, message", (
+    ("replay", {"cache": KVCache()}, "hook mode must be one of"),
+    ("record", {}, "record mode requires a cache"),
+    ("inject", {"cache": KVCache()}, "inject mode requires per-layer mix ratios"),
+))
+def test_injection_hooks_reject_a_bad_mode_a_missing_cache_or_ratios(mode, kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        InjectionHooks(mode, **kwargs)
 
 
 def test_kv_mix_background_rows_only():
@@ -190,10 +207,10 @@ def test_kv_mix_keeps_a_ratio_zero_row_of_a_mixed_stack_bitwise():
     # rows: blend at 0.5 under a mask, ratio 0, ratio 1 applied globally,
     # ratio 0.3 under a mask that leaves no background row; a target entry of
     # -0.0 would turn +0.0 in any sum with a +0.0 source term
-    n, d, b = 6, 3, 2
+    n, d = 6, 3
     rng = SeededRng(4)
-    k_src, v_src = np.abs(rng.standard_normal((b, n, d))), rng.standard_normal((b, n, d))
-    k_tgt, v_tgt = rng.standard_normal((4 * b, n, d)), rng.standard_normal((4 * b, n, d))
+    k_src, v_src = np.abs(rng.standard_normal((1, n, d))), rng.standard_normal((1, n, d))
+    k_tgt, v_tgt = rng.standard_normal((4, n, d)), rng.standard_normal((4, n, d))
     k_tgt[:, 0, 0] = -0.0
     v_tgt[:, 1, :] = -0.0
     masks = [EditMask(np.array([0.0, 0.5, 1.0, 0.25])), None, None,
@@ -204,14 +221,13 @@ def test_kv_mix_keeps_a_ratio_zero_row_of_a_mixed_stack_bitwise():
     assert got[0] is k and got[1] is v
     for row, (ratio, mask, flag) in enumerate(zip((0.5, 0.0, 1.0, 0.3), masks,
                                                   (False, False, True, False))):
-        rows = slice(row * b, (row + 1) * b)
+        rows = slice(row, row + 1)
         want = reference_kv_mix(k_src, v_src, k_tgt[rows], v_tgt[rows], ratio, mask, flag)
         for mixed, expected in zip((k[rows], v[rows]), want):
             assert np.array_equal(mixed, expected)
             assert np.array_equal(np.signbit(mixed), np.signbit(expected))
     for row in (1, 3):  # the rows that keep their K/V
-        rows = slice(row * b, (row + 1) * b)
-        assert np.signbit(k[rows, 0, 0]).all() and np.signbit(v[rows, 1]).all()
+        assert np.signbit(k[row, 0, 0]) and np.signbit(v[row, 1]).all()
 
 
 @pytest.mark.parametrize("stack_rows", (2, 4))
@@ -220,23 +236,23 @@ def test_kv_mix_keeps_every_row_from_the_mix_end_on_bitwise(stack_rows):
     # at row 1: a stack of fewer rows than the weights (a velocity-jump
     # pair's planned rows) or of more is blended alike, and its rows from 1
     # on keep their signed zeros
-    n, d, b = 5, 2, 2
+    n, d = 5, 2
     rng = SeededRng(9)
-    k_src, v_src = rng.standard_normal((b, n, d)), rng.standard_normal((b, n, d))
+    k_src, v_src = rng.standard_normal((1, n, d)), rng.standard_normal((1, n, d))
     mask = EditMask(np.array([0.0, 0.5, 1.0]))
     (mix,), = mix_rows([[[0.5, 0.0, 0.0]]], [mask, None, None], [False] * 3, n)
     assert mix.end == 1
-    k_tgt, v_tgt = (rng.standard_normal((stack_rows * b, n, d)) for _ in range(2))
-    k_tgt[b:, 0] = -0.0
-    v_tgt[b:, :, 1] = -0.0
+    k_tgt, v_tgt = (rng.standard_normal((stack_rows, n, d)) for _ in range(2))
+    k_tgt[1:, 0] = -0.0
+    v_tgt[1:, :, 1] = -0.0
     k, v = k_tgt.copy(), v_tgt.copy()
     kv_mix(k_src, v_src, k, v, mix, scratch=np.empty_like(k))
-    want = reference_kv_mix(k_src, v_src, k_tgt[:b], v_tgt[:b], 0.5, mask)
+    want = reference_kv_mix(k_src, v_src, k_tgt[:1], v_tgt[:1], 0.5, mask)
     for mixed, kept, expected in zip((k, v), (k_tgt, v_tgt), want):
-        assert np.array_equal(mixed[:b], expected)
-        assert np.array_equal(mixed[b:], kept[b:])
-        assert np.array_equal(np.signbit(mixed[b:]), np.signbit(kept[b:]))
-    assert np.signbit(k[b:, 0]).all() and np.signbit(v[b:, :, 1]).all()
+        assert np.array_equal(mixed[:1], expected)
+        assert np.array_equal(mixed[1:], kept[1:])
+        assert np.array_equal(np.signbit(mixed[1:]), np.signbit(kept[1:]))
+    assert np.signbit(k[1:, 0]).all() and np.signbit(v[1:, :, 1]).all()
 
 
 @pytest.mark.parametrize("stack_rows", (11, 14))
@@ -247,7 +263,7 @@ def test_kv_mix_shares_the_source_term_of_rows_with_one_weight_row_bitwise(stack
     # ratio, row 10 blends alone and row 11 keeps: the runs end at row 11,
     # and a stack of 11 rows (fewer than the weights) or 14 is blended alike;
     # signed zeros in the source and the targets show the order of each sum
-    n, d, b = 6, 3, 2
+    n, d = 6, 3
     rng = SeededRng(12)
     first, second = EditMask(np.array([0.0, 0.5, 1.0, 0.25])), EditMask(np.full(4, 0.5))
     rows = [(0.5, first, False)] * 3 + [(0.5, second, False), (0.3, second, False),
@@ -260,15 +276,15 @@ def test_kv_mix_shares_the_source_term_of_rows_with_one_weight_row_bitwise(stack
     assert mix.runs == [(0, 3, models.SHARED), (3, 5, models.BLEND), (6, 8, models.WHOLE),
                         (8, 10, models.SHARED), (10, 11, models.BLEND)]
     assert mix.end == 11
-    k_src, v_src = rng.standard_normal((b, n, d)), rng.standard_normal((b, n, d))
+    k_src, v_src = rng.standard_normal((1, n, d)), rng.standard_normal((1, n, d))
     k_src[:, 2, 0] = -0.0
-    k_tgt, v_tgt = (rng.standard_normal((stack_rows * b, n, d)) for _ in range(2))
+    k_tgt, v_tgt = (rng.standard_normal((stack_rows, n, d)) for _ in range(2))
     k_tgt[:, :, 1] = -0.0
     v_tgt[:, 3, :] = -0.0
     k, v = k_tgt.copy(), v_tgt.copy()
     kv_mix(k_src, v_src, k, v, mix, scratch=np.empty_like(k))
     for row in range(stack_rows):
-        at = slice(row * b, (row + 1) * b)
+        at = slice(row, row + 1)
         if row < len(rows):
             want = reference_kv_mix(k_src, v_src, k_tgt[at], v_tgt[at], *rows[row])
         else:
@@ -279,15 +295,18 @@ def test_kv_mix_shares_the_source_term_of_rows_with_one_weight_row_bitwise(stack
 
 
 def test_kv_mix_rejects_a_stack_its_mix_does_not_fit():
-    n, d, b = 5, 2, 2
-    a = np.zeros((b, n, d))
+    n, d = 5, 2
+    a = np.zeros((1, n, d))
     (mix,), = mix_rows([[[0.0, 0.5]]], [None, None], [False, False], n)
     assert mix.end == 2
-    for k_tgt in (np.zeros((b, n, d)),          # runs reach past a stack of one row
-                  np.zeros((3, n, d)),          # not a whole number of source batches
-                  np.zeros((2 * b, n, d + 1))):  # trailing shapes differ
+    for k_tgt in (np.zeros((1, n, d)),       # runs reach past a stack of one row
+                  np.zeros((2, n, d + 1))):  # trailing shapes differ
         with pytest.raises(ValueError, match="shape mismatch"):
             kv_mix(a, a, k_tgt, k_tgt.copy(), mix, np.empty_like(k_tgt))
+    # a cached source of two entries
+    two, k_tgt = np.zeros((2, n, d)), np.zeros((2, n, d))
+    with pytest.raises(ValueError, match="cached K/V must hold one entry, got 2"):
+        kv_mix(two, two, k_tgt, k_tgt.copy(), mix, np.empty_like(k_tgt))
 
 
 # ------------------------------------------------------------------ toy model
@@ -494,9 +513,11 @@ def assert_same_records(cache_a, sink_a, cache_b, sink_b, step, layers):
 @pytest.mark.parametrize("batch", (1, 2))
 @pytest.mark.parametrize("hooks", ("none", "record", "inject-mask", "inject-global"))
 def test_evaluate_equals_the_stacked_heads_reference_bitwise(img_tokens, heads, batch, hooks):
+    # a one-entry source, as a cache must hold to inject from; one set of
+    # inject hooks blends every entry of z alike
     flow = ToyAttentionFlow(seed=heads, layer_count=3, img_tokens=img_tokens, heads=heads)
     rng = SeededRng(10 * img_tokens + batch)
-    z_src = sample_gaussian(rng, batch, img_tokens, 8)
+    z_src = sample_gaussian(rng, 1, img_tokens, 8)
     z = sample_gaussian(rng, batch, img_tokens, 8)
     cache, sink = KVCache(), AttentionRecord()
     flow.evaluate(z_src, 0.8, COND, InjectionHooks("record", cache=cache, step=0, attn_sink=sink))
@@ -521,6 +542,24 @@ def test_evaluate_equals_the_stacked_heads_reference_bitwise(img_tokens, heads, 
     stacked_evaluate(flow, z_src, 0.8, COND,
                      InjectionHooks("record", cache=ref_cache, step=0, attn_sink=ref_sink))
     assert_same_records(cache, sink, ref_cache, ref_sink, 0, flow.layer_count)
+
+
+@pytest.mark.parametrize("global_mix", (False, True))
+def test_one_set_of_inject_hooks_blends_every_entry_alike_bitwise(global_mix):
+    # single-row hooks on a two-entry latent under one Conditioning: each
+    # entry gets its own one-entry result, entry 1 included
+    flow = default_flow()
+    cache = KVCache()
+    flow.evaluate(default_latent(), 0.7, COND, InjectionHooks("record", cache=cache, step=0))
+    pair = sample_gaussian(SeededRng(21), 2, 16, 8)
+    hooks = InjectionHooks("inject", cache=cache, step=0, mix_ratios=(0.5, 1.0),
+                           background_mask=EditMask(np.linspace(0.0, 1.0, 16)),
+                           global_mix=global_mix)
+    got = flow.evaluate(pair, 0.4, COND, hooks).data
+    for entry in range(2):
+        alone = Latent(pair.data[entry:entry + 1])
+        assert np.array_equal(got[entry:entry + 1], flow.evaluate(alone, 0.4, COND, hooks).data)
+        assert not np.array_equal(got[entry:entry + 1], flow.evaluate(alone, 0.4, COND).data)
 
 
 def test_reused_buffers_leave_outputs_and_records_alone():
@@ -562,11 +601,12 @@ def test_reused_buffers_leave_outputs_and_records_alone():
 
 
 def stack_cases(flow, rows, batch, seed):
-    """Per-row latents, prompts and inject hooks that differ row by row:
-    ratios, masks, global_mix, and a row that injects nothing."""
+    """A cache of one recorded entry, and per-row latents of ``batch``
+    entries, prompts and inject hooks that differ row by row: ratios, masks,
+    global_mix, and a row that injects nothing."""
     rng = SeededRng(seed)
     n_img = flow.img_tokens
-    z_src = sample_gaussian(rng, batch, n_img, 8)
+    z_src = sample_gaussian(rng, 1, n_img, 8)
     cache = KVCache()
     flow.evaluate(z_src, 0.7, COND, InjectionHooks("record", cache=cache, step=0))
     latents = [sample_gaussian(rng, batch, n_img, 8) for _ in range(rows)]
@@ -585,16 +625,20 @@ def stack_cases(flow, rows, batch, seed):
     ({"img_tokens": 256, "embed_dim": 128, "layer_count": 4, "heads": 4}, 4, 1),
     ({"heads": 2}, 3, 1), ({"heads": 3, "embed_dim": 48}, 3, 1)))
 def test_a_stacked_evaluation_equals_each_row_alone_bitwise(dims, rows, batch):
-    # the mid size holds 3 entries per score block, so 4 rows take two blocks
+    # the mid size holds 3 entries per score block, so 4 rows take two blocks.
+    # The stack repeats each case's plan, mask and prompt over its batch
+    # entries, one row each (SHARED runs), and its entries alone take one
+    # Conditioning and one set of inject hooks
     flow = ToyAttentionFlow(seed=2, **dims)
     cache, latents, prompts, ratios, masks, flags = stack_cases(flow, rows, batch, 6)
     n = flow.text_tokens + flow.img_tokens
-    stacked = np.array(ratios).T[None]  # (1, layers, rows)
+    each = lambda per_case: [item for item in per_case for _ in range(batch)]
+    stacked = np.array(each(ratios)).T[None]  # (1, layers, rows * batch)
     hooks = InjectionHooks("inject", cache=cache, step=0,
-                           mixes=mix_rows(stacked, masks, flags, n)[0])
+                           mixes=mix_rows(stacked, each(masks), each(flags), n)[0])
     z = Latent(np.concatenate([lat.data for lat in latents]))
     for stack_hooks in (None, hooks):
-        got = flow.evaluate(z, 0.4, prompts, stack_hooks).data
+        got = flow.evaluate(z, 0.4, each(prompts), stack_hooks).data
         for r in range(rows):
             alone = None if stack_hooks is None else InjectionHooks(
                 "inject", cache=cache, step=0, mix_ratios=ratios[r],
@@ -645,9 +689,12 @@ def test_the_cached_views_follow_the_scratch_as_it_regrows(monkeypatch, mode):
 
 
 def test_a_stack_must_split_evenly_into_rows():
+    # a stack is one entry per row, so a list of conditionings has one per entry
     z = sample_gaussian(SeededRng(1), 3, 16, 8)
-    with pytest.raises(ValueError, match="do not split into 2 rows"):
-        default_flow().evaluate(z, 0.1, [COND, COND])
+    for conds in ([COND, COND], [COND], []):
+        message = f"3 latent entries take one Conditioning each, got {len(conds)}"
+        with pytest.raises(ValueError, match=message):
+            default_flow().evaluate(z, 0.1, conds)
 
 
 def test_a_warm_stacked_evaluation_holds_no_score_block_above_the_l2_bound():
@@ -1017,34 +1064,52 @@ def test_timer_signals_wait_while_the_helper_lane_is_held():
     assert seen == [False]
 
 
-def _evaluate_mid(conn):
-    z = sample_gaussian(SeededRng(2), 1, 256, 8)
-    conn.send(ToyAttentionFlow(seed=1, **MID).evaluate(z, 0.3, COND).data)
+def _evaluate_and_count_lanes(conn, flow, z):
+    import threading
+
+    out = flow.evaluate(z, 0.3, COND).data
+    conn.send((out, [t.name for t in threading.enumerate()].count("adaedit-lane")))
     conn.close()
 
 
 @pytest.mark.filterwarnings("ignore:.*fork.*:DeprecationWarning")
 def test_a_forked_child_evaluates_on_a_lane_of_its_own(monkeypatch):
+    # the parent's helper thread does not survive a fork, so a child forgets
+    # the parent's lane, free or held at the fork, and starts one of its own:
+    # a child that took the parent's free lane would wait forever on a helper
+    # it does not have, and one that found it held would run on one lane
     import multiprocessing
 
     force_lanes(monkeypatch, 2)
-    flow = ToyAttentionFlow(seed=1, **MID)
-    want = flow.evaluate(sample_gaussian(SeededRng(2), 1, 256, 8), 0.3, COND).data
-    assert two_lane(flow, 1) and models._lane is not None
+    flow = ToyAttentionFlow(seed=1, img_tokens=256, embed_dim=8, heads=2)
+    z = sample_gaussian(SeededRng(2), 1, 256, 8)
+    want = flow.evaluate(z, 0.3, COND).data
+    assert two_lane(flow, 1)
     ctx = multiprocessing.get_context("fork")
-    receive, send = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=_evaluate_mid, args=(send,))
-    child.start()
-    send.close()
-    try:
-        assert receive.poll(120), "the forked child's evaluation hung"
-        got = receive.recv()
-    finally:
-        child.join(30)
-        if child.is_alive():
-            child.kill()
-    assert child.exitcode == 0
-    assert np.array_equal(got, want)
+    for held in (False, True):
+        lane = models._claim_lane()
+        assert lane is not None
+        receive, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_evaluate_and_count_lanes, args=(send, flow, z))
+        try:
+            if not held:
+                lane.release()
+            child.start()
+        finally:
+            if held:
+                lane.release()
+        send.close()
+        try:
+            assert receive.poll(60), "the forked child's evaluation hung"
+            got, lanes = receive.recv()
+        finally:
+            receive.close()
+            child.join(30)
+            if child.is_alive():
+                child.kill()
+                child.join()
+        assert child.exitcode == 0
+        assert np.array_equal(got, want) and lanes == 1, held
 
 
 def test_concurrent_evaluations_share_one_helper_and_keep_their_bits(monkeypatch):

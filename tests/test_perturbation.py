@@ -183,6 +183,11 @@ def test_channel_weights_validation():
         ChannelWeights(np.array([0.5, 0.6]))  # mean != 1
     with pytest.raises(ValueError):
         ChannelWeights(np.array([-0.5, 2.5]))  # negative entry
+    with pytest.raises(ValueError, match="length-C vector"):
+        ChannelWeights(np.ones((2, 2)))
+    for gaps, message in ((np.ones((2, 2)), "1-d"), (np.array([1.0, np.nan]), "finite")):
+        with pytest.raises(ValueError, match=message):
+            channel_weights(gaps, 1.0)
 
 
 @pytest.mark.parametrize("alpha, message", (

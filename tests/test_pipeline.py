@@ -246,9 +246,8 @@ def test_run_edit_schedule_trace_matches_direct_calls():
     cfg, _, result = run_default(seed=2)
     schedule = build_schedule(cfg)
     assert len(result.schedule_trace) == cfg.total_steps
-    for i, (w, delta_eff, active) in enumerate(result.schedule_trace):
+    for i, (w, active) in enumerate(result.schedule_trace):
         assert w == schedule_weight(schedule, i)
-        assert delta_eff == cfg.delta_base * w
         assert active == is_active(schedule, i)
 
 
@@ -890,8 +889,8 @@ def test_the_schedule_memo_merges_only_values_that_behave_alike():
 
 
 def test_grid_rows_have_the_schedule_trace_of_their_standalone_edits():
-    # the trace and max_step_delta are made once per plan key; 0.0 and -0.0
-    # share a plan but not a trace, whose second column keeps delta_base's sign
+    # the trace and max_step_delta are made once per plan key, which 0.0 and
+    # -0.0 share: both plans keep every K/V row
     cfg = EditConfig(seed=2, total_steps=6, embed_dim=8)
     axes = {"schedule": ["binary", "linear"], "delta_base": [0.0, -0.0, 0.6],
             "alpha": [0.1, 0.5]}
@@ -904,7 +903,7 @@ def test_grid_rows_have_the_schedule_trace_of_their_standalone_edits():
         assert repr(result.schedule_trace) == repr(alone.schedule_trace)
         assert_same_result(result, alone)
     traces = {id(result.schedule_trace) for _, _, result in rows}
-    assert len(traces) == 2 * 3
+    assert len(traces) == 2 * 2
 
 
 def test_generate_source_latent_deterministic_and_seed_sensitive():

@@ -43,6 +43,8 @@ def test_time_grid_validation():
         TimeGrid(np.array([0.0, 0.5, 0.4, 1.0]))
     with pytest.raises(ValueError):
         TimeGrid(np.array([0.1, 1.0]))
+    with pytest.raises(ValueError, match="at least two times"):
+        TimeGrid(np.array([0.0]))
     with pytest.raises(ValueError):
         TimeGrid.uniform(0)
 
