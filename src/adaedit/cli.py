@@ -69,9 +69,7 @@ Artifacts = Dict[str, Tuple[Sequence[str], Sequence[Sequence]]]
 
 
 def fmt(value) -> str:
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (int, np.integer)):  # bool too, as 0 or 1
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return FLOAT_FMT.format(float(value))
@@ -92,14 +90,10 @@ def _int_cell(value) -> str:
     return str(int(value))
 
 
-def _float_cell(value) -> str:
-    return FLOAT_FMT.format(float(value))
-
-
-# fmt's text for the cell types the tables hold, looked up by exact type;
-# any other type goes through fmt
+# fmt's text for the cell types the tables hold, looked up by exact type
+# (np.float64 is a float, and formats as one); any other type goes through fmt
 _CELL_TEXT = {str: str, int: str, bool: _int_cell, np.int64: _int_cell,
-             float: FLOAT_FMT.format, np.float64: _float_cell}
+             float: FLOAT_FMT.format, np.float64: FLOAT_FMT.format}
 
 
 def write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:

@@ -35,10 +35,10 @@ def _check_peak(peak: float) -> None:
         raise ValueError(f"peak must be positive, got {peak}")
 
 
-def _stacked_rows(a: Latent, b: Latent, rows: Optional[int]) -> int:
+def _scored_rows(a: Latent, b: Latent, rows: Optional[int]) -> int:
     count = 1 if rows is None else rows
-    if b.shape != (count * a.b, a.l, a.c):
-        raise ValueError(f"latent shape mismatch: {a.shape} x {count} vs {b.shape}")
+    if a.b != 1 or b.shape != (count, a.l, a.c):
+        raise ValueError(f"latent shape mismatch: one-entry {a.shape} x {count} vs {b.shape}")
     return count
 
 
@@ -46,25 +46,22 @@ def psnr(a: Latent, b: Latent, peak: Optional[float] = None,
          rows: Optional[int] = None) -> Union[float, List[float]]:
     """10*log10(peak^2 / MSE) in dB; +inf when the latents match exactly.
 
-    peak defaults to the value range of the reference latent a, which is read
-    only when some MSE is non-zero; an explicit peak must be positive. With
-    rows, b stacks that many latents of a's shape along the batch axis and
-    the result is one value per row, each equal to psnr(a, row) bitwise.
+    peak defaults to the value range of the one-entry reference latent a,
+    which is read only when some MSE is non-zero; an explicit peak must be
+    positive. With rows, b stacks that many entries and the result is one
+    value per row, each equal to psnr(a, row) bitwise.
     """
-    count = _stacked_rows(a, b, rows)
+    count = _scored_rows(a, b, rows)
     if peak is not None:
         _check_peak(peak)
     # each row's squares reduced along its fast axis alone, as np.mean of
     # the row by itself reduces them
     diff = b.data.reshape(count, -1) - a.data.reshape(1, -1)
-    scores = []
-    for mse in np.mean(diff * diff, axis=1).tolist():
-        if mse == 0.0:
-            scores.append(math.inf)
-            continue
-        if peak is None:
-            peak = _default_peak(a)
-        scores.append(20.0 * math.log10(peak) - 10.0 * math.log10(mse))
+    mses = np.mean(diff * diff, axis=1).tolist()
+    if peak is None and any(mses):
+        peak = _default_peak(a)
+    scores = [20.0 * math.log10(peak) - 10.0 * math.log10(mse) if mse else math.inf
+              for mse in mses]
     return scores[0] if rows is None else scores
 
 
@@ -88,12 +85,12 @@ def default_ssim_window(grid_side: int) -> int:
 
 
 def _planes(z: Latent, g: int) -> np.ndarray:
-    """z's (batch, channel) planes on the g x g token grid, (B, C, g, g)."""
+    """z's (entry, channel) planes on the g x g token grid, (B, C, g, g)."""
     return z.data.transpose(0, 2, 1).reshape(z.b, z.c, g, g)
 
 
 def _filter(planes: np.ndarray) -> np.ndarray:
-    # every (batch, channel) plane at once: the kernel's two unit axes keep
+    # every (entry, channel) plane at once: the kernel's two unit axes keep
     # each correlation inside its plane, and each output sums its window in
     # the same order as a 2-d correlation of the plane alone
     kernel = _gaussian_kernel(default_ssim_window(planes.shape[-1]))[None, None]
@@ -104,15 +101,15 @@ def ssim(a: Latent, b: Latent, peak: Optional[float] = None,
          rows: Optional[int] = None) -> Union[float, List[float]]:
     """Gaussian-window SSIM per channel on the g x g token grid, averaged.
 
-    Tokens must form a square grid (L = g^2, latent.grid_side). The window is the largest odd
-    size not exceeding min(7, g), and the SSIM map is cropped to the
-    window-valid interior before averaging. Population (divide-by-N) local
-    statistics throughout. With rows, b stacks that many latents of a's
-    shape along the batch axis and the result is one value per row, each
-    equal to ssim(a, row) bitwise. The reference's and the stack's planes,
-    their squares and their products are filtered by one correlate call.
+    Tokens must form a square grid (L = g^2, latent.grid_side). The window
+    is the largest odd size not exceeding min(7, g), and the SSIM map is
+    cropped to the window-valid interior before averaging. Population
+    (divide-by-N) local statistics throughout. a holds one entry; with rows,
+    b stacks that many and the result is one value per row, each equal to
+    ssim(a, row) bitwise. One correlate call filters a's and the stack's
+    planes, their squares and their products; a's broadcast over the rows.
     """
-    count = _stacked_rows(a, b, rows)
+    _scored_rows(a, b, rows)
     g = grid_side("a", a.l)
     y = _planes(b, g)
     if peak is None:
@@ -121,27 +118,20 @@ def ssim(a: Latent, b: Latent, peak: Optional[float] = None,
     c1 = (SSIM_K1 * peak) ** 2
     c2 = (SSIM_K2 * peak) ** 2
     x = _planes(a, g)
-
-    def per_row(planes):
-        # (rows, B, C, g, g): each row's planes line up with the reference's
-        return planes.reshape((count,) + x.shape)
-
     # x, y, x^2, y^2 and xy filtered by one call, then split back
-    planes = (x, y, x * x, y * y, (x * per_row(y)).reshape(y.shape))
+    planes = (x, y, x * x, y * y, x * y)
     ends = np.cumsum([len(p) for p in planes])[:-1]
     mu_x, mu_y, xx, yy, xy = np.split(_filter(np.concatenate(planes)), ends)
-    mu_y = per_row(mu_y)
     sxx = xx - mu_x * mu_x
-    syy = per_row(yy) - mu_y * mu_y
-    sxy = per_row(xy) - mu_x * mu_y
+    syy = yy - mu_y * mu_y
+    sxy = xy - mu_x * mu_y
     num = (2.0 * mu_x * mu_y + c1) * (2.0 * sxy + c2)
     den = (mu_x ** 2 + mu_y ** 2 + c1) * (sxx + syy + c2)
     smap = num / den
-    pad = (default_ssim_window(y.shape[-1]) - 1) // 2
-    if pad > 0:
-        smap = smap[..., pad:-pad, pad:-pad]
-    # per-plane means, then each row's mean of them in (batch, channel) order
-    scores = smap.mean(axis=(-2, -1)).reshape(count, -1).mean(axis=1)
+    pad = (default_ssim_window(g) - 1) // 2
+    # per-plane means of the window-valid interior, then each row's mean of
+    # them in channel order
+    scores = smap[..., pad:g - pad, pad:g - pad].mean(axis=(-2, -1)).mean(axis=1)
     return float(scores[0]) if rows is None else [float(v) for v in scores]
 
 

@@ -65,8 +65,13 @@ class Conditioning:
         check_keyword("keyword_index", self.keyword_index, len(self.prompt_token_ids))
 
 
+def _check_recorded(entries: int) -> None:
+    if entries != 1:
+        raise ValueError(f"record mode takes one latent entry, got {entries}")
+
+
 class KVCache:
-    """Cached attention keys/values keyed by (sampling-step index, layer)."""
+    """One latent entry's attention keys/values, keyed by (sampling-step index, layer)."""
 
     def __init__(self):
         self._entries: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
@@ -75,6 +80,7 @@ class KVCache:
         return (step, layer) in self._entries
 
     def put(self, step: int, layer: int, k: np.ndarray, v: np.ndarray) -> None:
+        _check_recorded(max(len(k), len(v)))
         key = (step, layer)
         if key in self._entries:
             raise ValueError(f"duplicate cache entry for step={step}, layer={layer}")
@@ -90,9 +96,10 @@ class KVCache:
 class AttentionRecord:
     """Text-to-image attention blocks recorded during inversion.
 
-    One entry per (step, layer): an array (B, heads, L_txt, L_img) holding the
-    attention each text token pays to each image token. Later puts for an
-    existing key are ignored so only a step's first evaluation contributes.
+    One block per (step, layer): one latent entry's attention from each text
+    token to each image token, put as (1, heads, L_txt, L_img) and kept as
+    (heads, L_txt, L_img). Later puts for an existing key are ignored so only
+    a step's first evaluation contributes.
     """
 
     def __init__(self):
@@ -102,9 +109,9 @@ class AttentionRecord:
         return (step, layer) in self._maps
 
     def put(self, step: int, layer: int, block: np.ndarray) -> None:
-        key = (step, layer)
-        if key not in self._maps:
-            self._maps[key] = frozen(block)
+        _check_recorded(len(block))
+        if not self.has(step, layer):
+            self._maps[step, layer] = frozen(block[0])
 
     def stacked(self, steps: Optional[int] = None) -> np.ndarray:
         """The recorded blocks in (step, layer) order, only those of the first
@@ -352,11 +359,10 @@ def kv_mix(k_src: np.ndarray, v_src: np.ndarray, k_tgt: np.ndarray, v_tgt: np.nd
     ``scratch`` (their shape) for the source term; a row that keeps its K/V,
     and every row from mix.end on, is left bitwise as it was.
     """
-    if k_src.shape[0] != 1:
-        raise ValueError(f"cached K/V must hold one entry, got {k_src.shape[0]}")
-    if not (k_src.shape == v_src.shape and k_tgt.shape == v_tgt.shape
-            and k_tgt.shape[1:] == k_src.shape[1:] and k_tgt.shape[0] >= mix.end):
-        raise ValueError("K/V shape mismatch between source and target")
+    if not (k_src.shape == v_src.shape == (1, *k_tgt.shape[1:])
+            and k_tgt.shape == v_tgt.shape and k_tgt.shape[0] >= mix.end):
+        raise ValueError(f"K/V shape mismatch: one-entry source {k_src.shape}, "
+                         f"target {k_tgt.shape}")
     mix.blend_into(k_src, k_tgt, scratch)
     mix.blend_into(v_src, v_tgt, scratch)
     return k_tgt, v_tgt
@@ -613,13 +619,13 @@ class ToyAttentionFlow:
     A latent may stack several rows (edits), one entry each, along the batch
     axis: evaluate() then takes one Conditioning for all of them or one per
     row, and inject hooks may blend each row at its own ratios (see
-    mix_rows). No step pools over batch entries, so every row's velocity is
-    bitwise the one it gets alone. Each layer's
-    attention runs one head at a time over slices of batch entries whose
-    score block fits SCORE_BLOCK_BYTES, so the live scores are at most one
-    such block rather than (B, heads, n, n). The views each (head, block)
-    unit works on are made once per batch size (_Scratch.views), so an
-    evaluation slices no array per head.
+    mix_rows); record hooks refuse a stack, before they store anything. No
+    step pools over batch entries, so every row's velocity is bitwise the
+    one it gets alone. Each layer's attention runs one head at a time over
+    slices of batch entries whose score block fits SCORE_BLOCK_BYTES, so the
+    live scores are at most one such block rather than (B, heads, n, n). The
+    views each (head, block) unit works on are made once per batch size
+    (_Scratch.views), so an evaluation slices no array per head.
 
     One layer loop runs the projections and the attention share by share.
     From LANE_SCORE_BYTES on, views splits both in two by n alone (the two
@@ -675,13 +681,12 @@ class ToyAttentionFlow:
 
     @classmethod
     def array_bytes(cls, layer_count: int, embed_dim: int, img_tokens: int, text_tokens: int,
-                    channels: int, heads: int, vocab_size: int) -> Tuple[int, int]:
-        """The bytes of the weights __init__ draws for these dimensions, and
-        of the scratch arrays one batch entry adds (_Scratch, but scores)."""
+                    channels: int, heads: int, vocab_size: int) -> Tuple[int, int, int]:
+        """The bytes of the weights __init__ draws for these dimensions, of the scratch
+        arrays one batch entry adds (_Scratch, but scores and attn_txt) and of attn_txt."""
         n, d, t_in = img_tokens + text_tokens, embed_dim, embed_dim + 2 * cls.time_freqs
         weights = d * (vocab_size + 2 * channels + t_in + 4 * layer_count * d)
-        entry = n * (t_in + 6 * d) + heads * text_tokens * img_tokens
-        return 8 * weights, 8 * entry
+        return 8 * weights, 8 * n * (t_in + 6 * d), 8 * heads * text_tokens * img_tokens
 
     def _prompt_rows(self, ids: Tuple[int, ...]) -> np.ndarray:
         """The prompt's embedding rows, (text_tokens, embed_dim), checked and
@@ -712,6 +717,12 @@ class ToyAttentionFlow:
                 f"latent shape {z.shape} incompatible with model "
                 f"(L={self.img_tokens}, C={self.channels})")
         b = z.b
+        sink = mixes = None
+        if hooks is not None and hooks.mode == "record":
+            _check_recorded(b)
+            sink = hooks.attn_sink
+        elif hooks is not None:
+            mixes = hooks.layer_mixes(self.layer_count, self.text_tokens + self.img_tokens, b)
         if isinstance(cond, Conditioning):
             prompts = [cond.prompt_token_ids]
         else:
@@ -734,11 +745,6 @@ class ToyAttentionFlow:
         np.matmul(z.data, self.w_in, out=x_img)
         x_time[...] = _time_features(t)
 
-        record = hooks is not None and hooks.mode == "record"
-        sink = hooks.attn_sink if record else None
-        mixes = None
-        if hooks is not None and not record:
-            mixes = hooks.layer_mixes(self.layer_count, x.shape[1], b)
         # the projections between two attentions, then each attention, share
         # by share: on both lanes with two CPUs and the helper free, else in
         # turn here; what a hook reads or writes runs here
@@ -771,8 +777,9 @@ class _Scratch:
     per batch size, made once each. Each lane (scores.shape[0]: _size_lanes(n),
     whatever b and the CPU count) has a score block of its own, holding as
     many entries' (n, n) scores as fit SCORE_BLOCK_BYTES, at least one and
-    at most b, and its row sums. The arrays belong to one model, so the
-    helper lane works on them only inside that model's evaluate()."""
+    at most b, and its row sums; attn_txt holds the one entry recorded. The
+    arrays belong to one model, so the helper lane works on them only inside
+    that model's evaluate()."""
 
     def __init__(self, b: int, n_txt: int, n_img: int, d: int, time_dim: int,
                  heads: int):
@@ -780,7 +787,7 @@ class _Scratch:
         self.b = b
         self.n_txt = n_txt
         self.head_dim = d // heads
-        # ToyAttentionFlow.array_bytes counts the per-entry arrays
+        # ToyAttentionFlow.array_bytes counts the per-entry arrays and attn_txt
         self.x = np.empty((b, n, d + time_dim))
         self.h = np.empty((b, n, d))
         self.q = np.empty((b, n, d))
@@ -792,13 +799,13 @@ class _Scratch:
         self.row = np.empty((lanes, block, n, 1))
         self.attn_out = np.empty((b, n, d))
         self.proj = np.empty((b, n, d))
-        self.attn_txt = np.empty((b, heads, n_txt, n_img))
+        self.attn_txt = np.empty((1, heads, n_txt, n_img))
         self._views: Dict[int, tuple] = {}
 
     def views(self, b: int) -> tuple:
         """For the first b entries: x and its text, image and time parts, h's
         image rows and the product function for them, k, v, the projection,
-        the text-to-image block, and the shares of the token rows (x, h, q,
+        attn_txt, and the shares of the token rows (x, h, q,
         k, v, the attention output and the projection at those rows, and
         their product function; _project_rows) and of the units (_attend):
         all rows and all units, or from LANE_SCORE_BYTES on, at every b, the
@@ -806,10 +813,11 @@ class _Scratch:
         one block). A unit, one per head and score block in that order, holds
         the block's q, k^T and v columns of its head, the attention output's
         columns, its lane's share of the score and row arrays, the scores'
-        text-to-image part, its place in the text-to-image block and the AV
-        product function: 2-d arrays of one entry for a block of one. The
-        unit also carries flat views of its score and row blocks and the
-        start of each score row in the flat scores (_attend's row max).
+        text-to-image part, its head's block of attn_txt (which only one
+        entry writes) and the AV product function: 2-d arrays of one entry
+        for a block of one. The unit also carries flat views of its score and
+        row blocks and the start of each score row in the flat scores
+        (_attend's row max).
 
         For one entry (b == 1) the token rows and h's image rows are 2-d
         too. On one lane their products, and AV of a single head (whose
@@ -850,7 +858,7 @@ class _Scratch:
                     units.append((q[at, :, cols], np.swapaxes(k[at, :, cols], -1, -2),
                                   v[at, :, cols], attn_out[at, :, cols], scores, row,
                                   flat_scores, starts[:m * n], flat_row,
-                                  scores[..., :n_txt, n_txt:], self.attn_txt[at, head], av))
+                                  scores[..., :n_txt, n_txt:], self.attn_txt[0, head], av))
             shares, unit_shares = (flat,), (units,)
             if lanes == 2:
                 half = h.shape[1] // 2
@@ -861,7 +869,7 @@ class _Scratch:
             rows = tuple((*share, dot) for share in shares)
             got = self._views[b] = (
                 x, x[:, :n_txt, :d], x[:, n_txt:, :d], x[:, :, d:], flat[1][..., n_txt:, :], dot,
-                k, v, proj, self.attn_txt[:b], rows, unit_shares)
+                k, v, proj, self.attn_txt, rows, unit_shares)
         return got
 
 
@@ -884,14 +892,14 @@ def extract_mask(attn_record: AttentionRecord, cond: Conditioning,
     """Edit mask from recorded keyword-to-image attention.
 
     The attention the keyword text token pays to each image token is averaged
-    over recorded steps (only the first ``steps``, if given), layers, heads and
-    batch, min-max normalized to [0, 1], and thresholded at its mean. gamma
-    sets the sigmoid sharpness of the soft mask; None requests the sharp limit
-    (indicator with 0.5 at ties, matching the gamma -> infinity behavior).
+    over recorded steps (only the first ``steps``, if given), layers and
+    heads, min-max normalized to [0, 1], and thresholded at its mean. gamma
+    sets the sigmoid sharpness of the soft mask; None requests the sharp
+    limit (indicator with 0.5 at ties, matching the gamma -> infinity).
     """
     GAMMA.check("gamma", gamma)
-    blocks = attn_record.stacked(steps)  # (entries, B, heads, L_txt, L_img)
-    a = blocks[:, :, :, cond.keyword_index, :].mean(axis=(0, 1, 2))
+    blocks = attn_record.stacked(steps)  # (steps x layers, heads, L_txt, L_img)
+    a = blocks[:, :, cond.keyword_index, :].mean(axis=(0, 1))
     spread = a.max() - a.min()
     if spread > 1e-12:
         a = (a - a.min()) / spread

@@ -61,7 +61,8 @@ class PerturbationConfig:
 
 
 def _adain_per_channel(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # x, y: (B, S, C); stats pooled over batch x tokens, per channel
+    # x, y: (B, S, C), where an edit's latents hold one entry; per-channel
+    # stats over every entry's tokens
     mx = x.mean(axis=(0, 1))
     sx = x.std(axis=(0, 1))
     my = y.mean(axis=(0, 1))

@@ -226,14 +226,15 @@ def _run_bytes(cfg: EditConfig, active: int) -> Tuple[int, int, int, int]:
     return weights, scores, cache, record
 
 
-def _stack_row_bytes(cfg: EditConfig) -> int:
-    """The bytes one more row adds to a sampled stack: its evaluate scratch,
-    states and solver temporaries, and its K/V blends of every step."""
+def _stack_bytes(cfg: EditConfig) -> Tuple[int, int]:
+    """The bytes a sampled stack adds to _run_bytes: the evaluate scratch's
+    text-to-image block, one at any stack size, and per row its evaluate
+    scratch, states and solver temporaries, and K/V blends of every step."""
     n = cfg.img_tokens + cfg.text_tokens
     states = (cfg.total_steps + 8) * cfg.img_tokens * cfg.channels
     blends = 2 * cfg.total_steps * cfg.layer_count * n
-    return (ToyAttentionFlow.array_bytes(**_model_dims(cfg))[1]
-            + FLOAT64_BYTES * (states + blends))
+    _, entry, fixed = ToyAttentionFlow.array_bytes(**_model_dims(cfg))
+    return fixed, entry + FLOAT64_BYTES * (states + blends)
 
 
 def _spec(name: str) -> Spec:
@@ -642,8 +643,8 @@ def edit_grid(source: Latent, base_cfg: EditConfig, axes: Dict[str, Sequence]
         c_src, _, first = every_edit[rows[0]]
         longest = first.injection_schedule.active_count
         inversion = invert(source, c_src, first, longest)
-        spare = MEMORY_BUDGET - sum(_run_bytes(first, longest))
-        size = max(1, spare // _stack_row_bytes(first))
+        fixed, per_row = _stack_bytes(first)
+        size = max(1, (MEMORY_BUDGET - sum(_run_bytes(first, longest)) - fixed) // per_row)
         for lo in range(0, len(rows), size):
             part = rows[lo:lo + size]
             edits = [every_edit[index] for index in part]

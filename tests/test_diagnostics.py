@@ -1,19 +1,20 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
-from scipy import ndimage
 
-from adaedit.diagnostics import (SSIM_K1, SSIM_K2, SSIM_SIGMA, _gaussian_kernel,
-                                 default_ssim_window, psnr, ssim, velocity_jump,
+from adaedit.diagnostics import (SSIM_SIGMA, _gaussian_kernel, psnr, ssim, velocity_jump,
                                  velocity_jump_between)
 from adaedit.errors import CacheMissError
 from adaedit.latent import Latent, SeededRng, sample_gaussian
 from adaedit.models import (Conditioning, InjectionHooks, KVCache, ToyAttentionFlow,
                             mix_rows)
 from adaedit.solvers import TimeGrid, integrate_forward
+
+from reference_edit import reference_psnr, reference_ssim
 
 COND = Conditioning((1, 2, 3, 4), 2)
 
@@ -75,38 +76,45 @@ def test_psnr_of_a_constant_reference_with_itself_is_infinite_without_a_peak():
         psnr(c, Latent(np.concatenate([c.data, np.zeros((1, 16, 2))])), rows=2)
 
 
+def refuse_a_reference_of_entries(metric, a, rows):
+    """metric (psnr or ssim) refuses a reference of more than one entry,
+    however the rows are stacked."""
+    stack = Latent(np.concatenate(rows))
+    message = re.escape(f"shape mismatch: one-entry {a.shape}")
+    for scored, count in ((stack, len(rows)), (Latent(rows[0]), None)):
+        with pytest.raises(ValueError, match=message):
+            metric(Latent(a), scored, peak=0.7, rows=count)
+
+
 @pytest.mark.parametrize("tokens,channels", ((1, 1), (16, 8), (64, 3), (1024, 16)))
 @pytest.mark.parametrize("batch", (1, 2))
 def test_stacked_psnr_equals_one_call_per_row_bitwise(tokens, channels, batch):
+    # each of ``batch`` one-entry references scores its own stack of rows;
+    # the reference of all of them is refused
     rng = SeededRng(31 * tokens + channels + batch)
     shape = (batch, tokens, channels)
     a = rng.standard_normal(shape)
     # the second row equals the reference (+inf), the third differs in one entry
     rows = [a + 0.3 * rng.standard_normal(shape), a.copy(), a.copy(),
             a + 2.0 * rng.standard_normal(shape)]
-    rows[2][0, 0, 0] += 1e-9
-    a = Latent(a)
-    stack = Latent(np.concatenate(rows))
-    # a one-entry reference is constant and has no default peak
-    for peak in (None, 0.7) if np.ptp(a.data) > 0.0 else (0.7,):
-        scores = psnr(a, stack, peak=peak, rows=len(rows))
-        expected = [reference_psnr(a, Latent(row), peak) for row in rows]
-        assert scores == expected
-        assert [psnr(a, Latent(row), peak=peak) for row in rows] == expected
-        assert scores[1] == math.inf
-        assert psnr(a, Latent(rows[3]), peak=peak, rows=1) == expected[3:]
-    with pytest.raises(ValueError, match="shape mismatch"):
-        psnr(a, stack, rows=3)
-
-
-def reference_psnr(a, b, peak):
-    """psnr as one full-array mean of the squared difference, per call."""
-    mse = float(np.mean((a.data - b.data) ** 2))
-    if mse == 0.0:
-        return math.inf
-    if peak is None:
-        peak = float(np.ptp(a.data))
-    return 20.0 * math.log10(peak) - 10.0 * math.log10(mse)
+    for row in rows[2]:
+        row[0, 0] += 1e-9
+    for entry in range(batch):
+        ref = Latent(a[entry:entry + 1])
+        own = [row[entry:entry + 1] for row in rows]
+        stack = Latent(np.concatenate(own))
+        # a one-token, one-channel reference is constant and has no default peak
+        for peak in (None, 0.7) if np.ptp(ref.data) > 0.0 else (0.7,):
+            scores = psnr(ref, stack, peak=peak, rows=len(own))
+            expected = [reference_psnr(ref, Latent(row), peak) for row in own]
+            assert scores == expected
+            assert [psnr(ref, Latent(row), peak=peak) for row in own] == expected
+            assert scores[1] == math.inf
+            assert psnr(ref, Latent(own[3]), peak=peak, rows=1) == expected[3:]
+        with pytest.raises(ValueError, match="shape mismatch"):
+            psnr(ref, stack, rows=3)
+    if batch > 1:
+        refuse_a_reference_of_entries(psnr, a, rows)
 
 
 # ----------------------------------------------------------------------- ssim
@@ -145,35 +153,12 @@ def test_ssim_requires_square_grid():
         ssim(Latent(np.zeros((1, 12, 1))), Latent(np.zeros((1, 12, 1))), peak=1.0)
 
 
-def reference_ssim(a: Latent, b: Latent, peak: float) -> float:
-    """SSIM one (batch, channel) plane at a time, five 2-d correlations each."""
-    g = math.isqrt(a.l)
-    kernel = _gaussian_kernel(default_ssim_window(g))
-    c1, c2 = (SSIM_K1 * peak) ** 2, (SSIM_K2 * peak) ** 2
-    pad = (kernel.shape[0] - 1) // 2
-    scores = []
-    for bi in range(a.b):
-        for ci in range(a.c):
-            x = a.data[bi, :, ci].reshape(g, g)
-            y = b.data[bi, :, ci].reshape(g, g)
-            filt = lambda img: ndimage.correlate(img, kernel, mode="reflect")
-            mu_x, mu_y = filt(x), filt(y)
-            sxx = filt(x * x) - mu_x * mu_x
-            syy = filt(y * y) - mu_y * mu_y
-            sxy = filt(x * y) - mu_x * mu_y
-            num = (2.0 * mu_x * mu_y + c1) * (2.0 * sxy + c2)
-            den = (mu_x ** 2 + mu_y ** 2 + c1) * (sxx + syy + c2)
-            smap = num / den
-            if pad > 0:
-                smap = smap[pad:-pad, pad:-pad]
-            scores.append(float(smap.mean()))
-    return float(np.mean(scores))
-
-
 @pytest.mark.parametrize("g", (1, 2, 3, 4, 16))
 @pytest.mark.parametrize("batch", (1, 2))
 @pytest.mark.parametrize("channels", (1, 3, 8))
 def test_ssim_equals_the_per_plane_reference_bitwise(g, batch, channels):
+    # ``batch`` one-entry pairs, each scored alone; their stack as a
+    # reference is refused
     rng = SeededRng(1000 * g + 10 * batch + channels)
     shape = (batch, g * g, channels)
     a = rng.standard_normal(shape)
@@ -181,30 +166,39 @@ def test_ssim_equals_the_per_plane_reference_bitwise(g, batch, channels):
     # constant planes: the first channel of a, the last of b
     a[:, :, 0] = 0.5
     b[:, :, -1] = -1.25
-    a, b = Latent(a), Latent(b)
-    for peak in (float(np.ptp(a.data)) or 1.0, 0.7):
-        assert ssim(a, b, peak=peak) == reference_ssim(a, b, peak)
-        assert ssim(b, a, peak=peak) == reference_ssim(b, a, peak)
+    for entry in range(batch):
+        x, y = Latent(a[entry:entry + 1]), Latent(b[entry:entry + 1])
+        for peak in (float(np.ptp(a)) or 1.0, 0.7):
+            assert ssim(x, y, peak=peak) == reference_ssim(x, y, peak)
+            assert ssim(y, x, peak=peak) == reference_ssim(y, x, peak)
+    if batch > 1:
+        refuse_a_reference_of_entries(ssim, a, [b])
 
 
 @pytest.mark.parametrize("g", (1, 3, 4, 16))
 @pytest.mark.parametrize("batch", (1, 2))
 def test_stacked_ssim_equals_one_call_per_row_bitwise(g, batch):
+    # each of ``batch`` one-entry references scores its own stack of rows;
+    # the reference of all of them is refused
     rng = SeededRng(7 * g + batch)
     shape = (batch, g * g, 3)
     a = rng.standard_normal(shape)
     rows = [a + scale * rng.standard_normal(shape) for scale in (0.0, 0.1, 0.5, 2.0)]
     rows[2][:, :, 1] = -1.25  # a constant plane
-    a = Latent(a)
-    stack = Latent(np.concatenate(rows))
-    for peak in (float(np.ptp(a.data)), 0.7):
-        scores = ssim(a, stack, peak=peak, rows=len(rows))
-        assert scores == [ssim(a, Latent(row), peak=peak) for row in rows]
-        assert scores == [reference_ssim(a, Latent(row), peak) for row in rows]
-        # a stack of one is one value in a list
-        assert ssim(a, Latent(rows[3]), peak=peak, rows=1) == scores[3:]
-    with pytest.raises(ValueError, match="shape mismatch"):
-        ssim(a, stack, rows=3)
+    for entry in range(batch):
+        ref = Latent(a[entry:entry + 1])
+        own = [row[entry:entry + 1] for row in rows]
+        stack = Latent(np.concatenate(own))
+        for peak in (float(np.ptp(ref.data)), 0.7):
+            scores = ssim(ref, stack, peak=peak, rows=len(own))
+            assert scores == [ssim(ref, Latent(row), peak=peak) for row in own]
+            assert scores == [reference_ssim(ref, Latent(row), peak) for row in own]
+            # a stack of one is one value in a list
+            assert ssim(ref, Latent(own[3]), peak=peak, rows=1) == scores[3:]
+        with pytest.raises(ValueError, match="shape mismatch"):
+            ssim(ref, stack, rows=3)
+    if batch > 1:
+        refuse_a_reference_of_entries(ssim, a, rows)
 
 
 @pytest.mark.parametrize("window", (1, 3, 5, 7))

@@ -17,6 +17,8 @@ from adaedit.models import (SCORE_BLOCK_BYTES, AnalyticLinearFlow, AttentionReco
                             Conditioning, EditMask, InjectionHooks, KVCache,
                             ToyAttentionFlow, extract_mask, kv_mix, mix_rows)
 
+from reference_edit import reference_attend, reference_kv_mix, stacked_evaluate
+
 COND = Conditioning((1, 2, 3, 4), 2)
 
 
@@ -54,6 +56,37 @@ def test_kv_cache_round_trip_and_misses():
         cache.put(3, 0, k, v)
     with pytest.raises(CacheMissError):
         cache.get(4, 0)
+
+
+RECORD_ONE = "record mode takes one latent entry, got 2"
+
+
+def test_record_mode_refuses_a_stack_before_storing_anything():
+    one, two = np.zeros((1, 4, 8)), np.zeros((2, 4, 8))
+    cache, sink = KVCache(), AttentionRecord()
+    for k, v in ((two, one), (one, two)):
+        with pytest.raises(ValueError, match=RECORD_ONE):
+            cache.put(0, 0, k, v)
+    with pytest.raises(ValueError, match=RECORD_ONE):
+        sink.put(0, 0, np.zeros((2, 1, 4, 16)))
+    assert not cache.has(0, 0) and not sink.has(0, 0)
+    # a two-entry latent, on a fresh step and on one that a one-entry
+    # evaluation recorded already
+    flow, pair = default_flow(), sample_gaussian(SeededRng(2), 2, 16, 8)
+    hooks = InjectionHooks("record", cache=cache, step=1, attn_sink=sink)
+    with pytest.raises(ValueError, match=RECORD_ONE):
+        flow.evaluate(pair, 0.3, COND, hooks)
+    assert not any(cache.has(1, layer) or sink.has(1, layer) for layer in range(2))
+    with pytest.raises(RuntimeError, match="no attention maps recorded"):
+        sink.stacked()
+    flow.evaluate(default_latent(), 0.3, COND, hooks)
+    kept = sink.stacked(), [cache.get(1, layer) for layer in range(2)]
+    with pytest.raises(ValueError, match=RECORD_ONE):
+        flow.evaluate(pair, 0.3, COND, hooks)
+    assert np.array_equal(sink.stacked(), kept[0])
+    assert all(cache.get(1, layer) is kept[1][layer] for layer in range(2))
+    # the one-entry record keeps (heads, L_txt, L_img) blocks
+    assert kept[0].shape == (2, 1, 4, 16)
 
 
 # ----------------------------------------------------------------------- mask
@@ -108,28 +141,6 @@ def test_analytic_flow_drift_matches_the_latent_s_channels():
 
 
 # --------------------------------------------------------------------- kv_mix
-
-def reference_kv_mix(k_src, v_src, k_tgt, v_tgt, ratio, mask=None, global_mix=False):
-    """One row's blend ratio*src + (1-ratio)*tgt, written out plainly: with
-    global_mix (or no mask) every K/V row mixes at ratio, and ratio 1 returns
-    the source; otherwise the image rows -- the trailing len(mask.soft) rows --
-    mix at ratio * (1 - soft) and the text rows keep the target. All-zero
-    weights return the target arrays themselves. The one-entry source
-    broadcasts over the target's entries."""
-    if not 0.0 <= ratio <= 1.0:
-        raise ValueError(f"ratio must lie in [0, 1], got {ratio}")
-    n = k_tgt.shape[-2]
-    base = np.ones(n)
-    if not (global_mix or mask is None):
-        base[:n - mask.soft.size] = 0.0
-        base[n - mask.soft.size:] = 1.0 - mask.soft
-    elif ratio == 1.0:
-        return np.broadcast_to(k_src, k_tgt.shape), np.broadcast_to(v_src, v_tgt.shape)
-    w = (ratio * base)[:, None]
-    if not w.any():
-        return k_tgt, v_tgt
-    return w * k_src + (1.0 - w) * k_tgt, w * v_src + (1.0 - w) * v_tgt
-
 
 def blend(k_src, v_src, k_tgt, v_tgt, ratio, mask=None, global_mix=False):
     """kv_mix at one row's ratio, through mix_rows."""
@@ -303,9 +314,9 @@ def test_kv_mix_rejects_a_stack_its_mix_does_not_fit():
                   np.zeros((2, n, d + 1))):  # trailing shapes differ
         with pytest.raises(ValueError, match="shape mismatch"):
             kv_mix(a, a, k_tgt, k_tgt.copy(), mix, np.empty_like(k_tgt))
-    # a cached source of two entries
+    # a source of two entries, which no KVCache holds
     two, k_tgt = np.zeros((2, n, d)), np.zeros((2, n, d))
-    with pytest.raises(ValueError, match="cached K/V must hold one entry, got 2"):
+    with pytest.raises(ValueError, match=r"shape mismatch: one-entry source \(2, 5, 2\)"):
         kv_mix(two, two, k_tgt, k_tgt.copy(), mix, np.empty_like(k_tgt))
 
 
@@ -468,39 +479,6 @@ def test_lipschitz_smoke():
 
 # ------------------------------------------------- per-head attention loop
 
-def stacked_evaluate(flow, z, t, cond, hooks=None):
-    """ToyAttentionFlow.evaluate with all heads stacked as (B, H, n, dh) and
-    one (B, H, n, n) score array per layer: the arithmetic that the per-head
-    loop must match bit for bit."""
-    b, n_txt, d = z.b, flow.text_tokens, flow.embed_dim
-    x = np.empty((b, n_txt + flow.img_tokens, d + 2 * flow.time_freqs))
-    x[:, :n_txt, :d] = flow.token_table[list(cond.prompt_token_ids)]
-    x[:, n_txt:, :d] = z.data @ flow.w_in
-    angles = math.pi * t * 2.0 ** np.arange(flow.time_freqs)
-    x[:, :, d:] = np.concatenate([np.sin(angles), np.cos(angles)])
-    h = x @ flow.w_time
-    dh = d // flow.heads
-    split = lambda a: a.reshape(b, -1, flow.heads, dh).transpose(0, 2, 1, 3)
-    scale = 1.0 / math.sqrt(dh)
-    for layer_idx, layer in enumerate(flow.layers):
-        q, k, v = h @ layer["wq"], h @ layer["wk"], h @ layer["wv"]
-        if hooks is not None and hooks.mode == "record":
-            if not hooks.cache.has(hooks.step, layer_idx):
-                hooks.cache.put(hooks.step, layer_idx, k, v)
-        elif hooks is not None:
-            k_src, v_src = hooks.cache.get(hooks.step, layer_idx)
-            k, v = reference_kv_mix(k_src, v_src, k, v, hooks.mix_ratios[layer_idx],
-                                    hooks.background_mask, hooks.global_mix)
-        scores = scale * (split(q) @ split(k).transpose(0, 1, 3, 2))
-        scores -= scores.max(axis=-1, keepdims=True)
-        attn = np.exp(scores)
-        attn /= attn.sum(axis=-1, keepdims=True)
-        if hooks is not None and hooks.mode == "record" and hooks.attn_sink is not None:
-            hooks.attn_sink.put(hooks.step, layer_idx, attn[:, :, :n_txt, n_txt:])
-        h = h + (attn @ split(v)).transpose(0, 2, 1, 3).reshape(h.shape) @ layer["wo"]
-    return h[:, n_txt:] @ flow.w_out
-
-
 def assert_same_records(cache_a, sink_a, cache_b, sink_b, step, layers):
     for layer in range(layers):
         for got, want in zip(cache_a.get(step, layer), cache_b.get(step, layer)):
@@ -514,30 +492,35 @@ def assert_same_records(cache_a, sink_a, cache_b, sink_b, step, layers):
 @pytest.mark.parametrize("hooks", ("none", "record", "inject-mask", "inject-global"))
 def test_evaluate_equals_the_stacked_heads_reference_bitwise(img_tokens, heads, batch, hooks):
     # a one-entry source, as a cache must hold to inject from; one set of
-    # inject hooks blends every entry of z alike
+    # inject hooks blends every entry of z alike, and record hooks, which
+    # take one entry, record each entry of z alone
     flow = ToyAttentionFlow(seed=heads, layer_count=3, img_tokens=img_tokens, heads=heads)
     rng = SeededRng(10 * img_tokens + batch)
     z_src = sample_gaussian(rng, 1, img_tokens, 8)
     z = sample_gaussian(rng, batch, img_tokens, 8)
     cache, sink = KVCache(), AttentionRecord()
     flow.evaluate(z_src, 0.8, COND, InjectionHooks("record", cache=cache, step=0, attn_sink=sink))
+    parts = [z]
     if hooks == "none":
         made = (None, None)
     elif hooks == "record":
-        made = [InjectionHooks("record", cache=KVCache(), step=4, attn_sink=AttentionRecord())
-                for _ in range(2)]
+        parts = [Latent(z.data[e:e + 1]) for e in range(batch)]
     else:
         # ratios 0, 0.5 and 1 in one evaluation, one per layer
         soft = np.linspace(0.0, 1.0, img_tokens)
         made = [InjectionHooks("inject", cache=cache, step=0, mix_ratios=(0.0, 0.5, 1.0),
                                background_mask=EditMask(soft),
                                global_mix=hooks == "inject-global")] * 2
-    got = flow.evaluate(z, 0.4, COND, made[0])
-    want = stacked_evaluate(flow, z, 0.4, COND, made[1])
-    assert np.array_equal(got.data, want)
-    if hooks == "record":
-        assert_same_records(made[0].cache, made[0].attn_sink, made[1].cache,
-                            made[1].attn_sink, 4, flow.layer_count)
+    for part in parts:
+        if hooks == "record":
+            made = [InjectionHooks("record", cache=KVCache(), step=4,
+                                   attn_sink=AttentionRecord()) for _ in range(2)]
+        got = flow.evaluate(part, 0.4, COND, made[0])
+        want = stacked_evaluate(flow, part, 0.4, COND, made[1])
+        assert np.array_equal(got.data, want)
+        if hooks == "record":
+            assert_same_records(made[0].cache, made[0].attn_sink, made[1].cache,
+                                made[1].attn_sink, 4, flow.layer_count)
     ref_cache, ref_sink = KVCache(), AttentionRecord()
     stacked_evaluate(flow, z_src, 0.8, COND,
                      InjectionHooks("record", cache=ref_cache, step=0, attn_sink=ref_sink))
@@ -659,10 +642,8 @@ def test_the_cached_views_follow_the_scratch_as_it_regrows(monkeypatch, mode):
         cache, latents, prompts, ratios, masks, flags = stack_cases(
             ToyAttentionFlow(seed=4, heads=2), rows, 1, rows)
         z = Latent(np.concatenate([lat.data for lat in latents]))
-        if mode == "record":
-            hooks = InjectionHooks("record", cache=KVCache(), step=3,
-                                   attn_sink=AttentionRecord())
-        else:
+        hooks = None  # record mode grows the scratch with a plain stack
+        if mode == "inject":
             stacked = np.array(ratios).T[None]  # (1, layers, rows)
             hooks = InjectionHooks("inject", cache=cache, step=0,
                                    mixes=mix_rows(stacked, masks, flags, n)[0])
@@ -677,13 +658,12 @@ def test_the_cached_views_follow_the_scratch_as_it_regrows(monkeypatch, mode):
             want = stacked_evaluate(flow, latents[r], 0.6, prompts[r], alone)
             assert np.array_equal(got[r:r + 1], want)
             if mode == "record":
-                row_cache, row_sink = KVCache(), AttentionRecord()
-                blocks = hooks.attn_sink.stacked(4)  # (layers, rows, heads, ...)
-                for layer in range(flow.layer_count):
-                    k, v = hooks.cache.get(3, layer)
-                    row_cache.put(3, layer, k[r:r + 1], v[r:r + 1])
-                    row_sink.put(3, layer, blocks[layer, r:r + 1])
-                assert_same_records(row_cache, row_sink, alone.cache, alone.attn_sink, 3,
+                # each row recorded alone on the regrown scratch's views
+                row = InjectionHooks("record", cache=KVCache(), step=3,
+                                     attn_sink=AttentionRecord())
+                assert np.array_equal(flow.evaluate(latents[r], 0.6, prompts[r], row).data,
+                                      want)
+                assert_same_records(row.cache, row.attn_sink, alone.cache, alone.attn_sink, 3,
                                     flow.layer_count)
     assert flow._scratch.b == 5 and flow._scratch.scores.shape[1] == 2
 
@@ -781,19 +761,23 @@ def test_two_lanes_equal_one_lane_bitwise(monkeypatch, heads, rows, block):
         flow = ToyAttentionFlow(seed=heads, **dims)
         cache, latents, prompts, ratios, masks, flags = stack_cases(flow, rows, 1, rows)
         z = Latent(np.concatenate([lat.data for lat in latents]))
-        record = InjectionHooks("record", cache=KVCache(), step=2, attn_sink=AttentionRecord())
+        # record mode takes one entry: each row is recorded alone
+        records = [InjectionHooks("record", cache=KVCache(), step=2, attn_sink=AttentionRecord())
+                   for _ in range(rows)]
         inject = InjectionHooks("inject", cache=cache, step=0,
                                 mixes=mix_rows(np.array(ratios).T[None], masks, flags, n)[0])
         lane = models._claim_lane() if held else None
         assert (lane is not None) == held
         try:
-            got = [flow.evaluate(z, 0.4, prompts, hooks).data
-                   for hooks in (None, record, inject)]
+            got = [flow.evaluate(z, 0.4, prompts, hooks).data for hooks in (None, inject)]
+            got += [flow.evaluate(*row).data
+                    for row in zip(latents, [0.4] * rows, prompts, records)]
         finally:
             if lane is not None:
                 lane.release()
-        got += [a for layer in range(3) for a in record.cache.get(2, layer)]
-        got.append(record.attn_sink.stacked())
+        for record in records:
+            got += [a for layer in range(3) for a in record.cache.get(2, layer)]
+            got.append(record.attn_sink.stacked())
         assert two_lane(flow, rows) == (lanes == 2)
         results.append(got)
     for serial, *split in zip(*results):
@@ -806,8 +790,10 @@ def test_two_lanes_equal_one_lane_bitwise(monkeypatch, heads, rows, block):
 def test_one_entry_equals_row_0_of_a_pair_bitwise(data):
     # one entry's products run through np.dot on 2-d rows (np.matmul on 2-d
     # row halves on two lanes), a pair's through np.matmul on 3-d stacks:
-    # the same gemm on the same operands, so the same bits for the output,
-    # the recorded K/V and attention, and a blend
+    # the same gemm on the same operands, so the same bits for the output
+    # and a blend. A pair is not recorded: one entry recorded on the views
+    # of a scratch grown to hold the pair records the bits a fresh model
+    # records
     heads = data.draw(st.integers(1, 3), label="heads")
     dims = dict(heads=heads, embed_dim=heads * data.draw(st.integers(1, 40), label="dh"),
                 img_tokens=data.draw(st.integers(1, 40), label="img_tokens"),
@@ -841,15 +827,14 @@ def test_one_entry_equals_row_0_of_a_pair_bitwise(data):
                                     background_mask=masks[0], global_mix=flags[0])
         inject_pair = InjectionHooks("inject", cache=cache, step=0,
                                      mixes=mix_rows(ratios.T[None], masks, flags, n)[0])
-        for one_hooks, pair_hooks in ((None, None), tuple(records), (inject_one, inject_pair)):
+        for one_hooks, pair_hooks in ((None, None), (records[0], None), (inject_one, inject_pair)):
             one = flow.evaluate(z0, 0.4, conds[0], one_hooks).data
             both = flow.evaluate(pair, 0.4, conds, pair_hooks).data
             assert np.array_equal(one, both[:1])
         assert (flow._scratch.views(1)[5] is np.dot) == (not two_lane(flow, 1))
-    for layer in range(layers):
-        for got, want in zip(records[0].cache.get(1, layer), records[1].cache.get(1, layer)):
-            assert np.array_equal(got, want[:1])
-    assert np.array_equal(records[0].attn_sink.stacked(), records[1].attn_sink.stacked()[:, :1])
+        ToyAttentionFlow(seed=seed, **dims).evaluate(z0, 0.4, conds[0], records[1])
+    assert_same_records(records[0].cache, records[0].attn_sink, records[1].cache,
+                        records[1].attn_sink, 1, layers)
 
 
 def test_the_default_and_grid_shapes_take_one_lane():
@@ -896,26 +881,6 @@ def test_the_cpu_count_changes_no_view_and_no_bit(monkeypatch, embed_dim, heads)
         assert np.array_equal(got, want)
 
 
-def reference_attend(q, k, v, heads, n_txt):
-    """Each entry's and head's softmax(QK^T / sqrt(dh)) V, one 2-d product at
-    a time, with each row's max from np.maximum.reduce along the row: the
-    attention output and the text-to-image block."""
-    b, n, d = q.shape
-    dh = d // heads
-    out, txt = np.empty((b, n, d)), np.empty((b, heads, n_txt, n - n_txt))
-    for e in range(b):
-        for head in range(heads):
-            cols = slice(head * dh, (head + 1) * dh)
-            scores = np.matmul(q[e, :, cols], np.swapaxes(k[e, :, cols], -1, -2))
-            scores *= 1.0 / math.sqrt(dh)
-            scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
-            np.exp(scores, out=scores)
-            scores /= np.add.reduce(scores, axis=-1, keepdims=True)
-            out[e, :, cols] = np.matmul(scores, v[e, :, cols])
-            txt[e, head] = scores[:n_txt, n_txt:]
-    return out, txt
-
-
 @pytest.mark.parametrize("lanes", (1, 2))
 @pytest.mark.parametrize("heads", (1, 4))
 @pytest.mark.parametrize("b, n_img, block", (
@@ -951,9 +916,10 @@ def test_attend_equals_a_row_max_reduce_softmax_bitwise(monkeypatch, lanes, head
             assert row.max() == 0.0 and np.signbit(zeros).any() and not np.signbit(zeros).all()
     want_out, want_txt = reference_attend(q, k, v, heads, n_txt)
     for share in unit_shares:
-        models._attend(share, 0.5, True)
+        models._attend(share, 0.5, b == 1)  # only one entry is recorded
     assert np.array_equal(scratch.attn_out[:b], want_out)
-    assert np.array_equal(scratch.attn_txt[:b], want_txt)
+    if b == 1:
+        assert np.array_equal(scratch.attn_txt, want_txt)
     assert len(unit_shares) == lanes
     for unit in (u for share in unit_shares for u in share):
         scores, row, flat_scores, starts, flat_row = unit[4:9]

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from adaedit import models, pipeline, solvers
 from adaedit.errors import ConfigError, DivergenceError
-from adaedit.latent import STREAM_SOURCE, SeededRng, sample_gaussian
+from adaedit.latent import SeededRng, sample_gaussian
 from adaedit.models import (AttentionRecord, EditMask, InjectionHooks, KVCache,
                             extract_mask)
 from adaedit.perturbation import PERTURBATION_MODES
@@ -26,6 +26,8 @@ from adaedit.schedules import (SCHEDULE_FAMILIES, InjectionSchedule, is_active,
                                max_step_delta, schedule_weight)
 from adaedit.solvers import (DIVERGENCE_LIMIT, SOLVER_KINDS, TimeGrid,
                              integrate_backward, integrate_forward)
+
+from reference_edit import reference_source_latent
 
 
 def run_default(seed=0, **overrides):
@@ -181,12 +183,17 @@ def test_memory_budget_counts_the_models_arrays(dims):
                                 2 * model.time_freqs, cfg.heads) for b in (1, 2))
     growth = sum(getattr(two, name).nbytes - getattr(one, name).nbytes
                  for name in SCRATCH_ARRAYS)
-    # _stack_row_bytes: the evaluate scratch, then the K/V blends of every
-    # step and the states and solver temporaries
+    # _stack_bytes: the scratch's one text-to-image block, the only array
+    # that does not grow with the stack; then per row the evaluate scratch,
+    # the K/V blends of every step and the states and solver temporaries
+    fixed, per_row = pipeline._stack_bytes(cfg)
+    assert [name for name in SCRATCH_ARRAYS
+            if getattr(two, name).nbytes == getattr(one, name).nbytes] == ["attn_txt"]
+    assert fixed == one.attn_txt.nbytes
     n = cfg.img_tokens + cfg.text_tokens
     blends = pipeline.FLOAT64_BYTES * 2 * cfg.total_steps * cfg.layer_count * n
     states = pipeline.FLOAT64_BYTES * (cfg.total_steps + 8) * cfg.img_tokens * cfg.channels
-    assert pipeline._stack_row_bytes(cfg) - blends - states == growth
+    assert per_row - blends - states == growth
     # the scores term bounds the score blocks and row sums of every lane at
     # any stack size: the largest are a full block on each lane (at the mid
     # size, 3 entries on each of two lanes)
@@ -616,10 +623,17 @@ def test_stacked_rows_equal_standalone_edits(monkeypatch, solver):
     assert sampled[1:] == [1] * 32
 
 
+def stack_budget(cfg, active, rows):
+    """The MEMORY_BUDGET at which edit_grid samples cfg's group, of
+    ``active`` planned steps, in stacks of ``rows`` rows."""
+    fixed, per_row = pipeline._stack_bytes(cfg)
+    return sum(pipeline._run_bytes(cfg, active)) + fixed + rows * per_row
+
+
 def test_stacks_are_sliced_to_the_memory_budget(monkeypatch):
     cfg = EditConfig(seed=6, total_steps=5, injection_steps=2)
     active = build_schedule(cfg).active_count
-    budget = sum(pipeline._run_bytes(cfg, active)) + 2 * pipeline._stack_row_bytes(cfg)
+    budget = stack_budget(cfg, active, 2)
     src = generate_source_latent(cfg)
     axes = {"alpha": [0.1, 0.3, 0.5], "tau": [0.5, 2.0]}
     whole = list(edit_grid(src, cfg, axes))
@@ -692,8 +706,7 @@ def test_drawn_grid_rows_equal_standalone_edits(data):
         try:
             # the heaviest row's group gets stacks of max(1, extra) rows
             pipeline.MEMORY_BUDGET = max(
-                sum(pipeline._run_bytes(c, c.injection_schedule.active_count))
-                + extra * pipeline._stack_row_bytes(c) for c in row_cfgs)
+                stack_budget(c, c.injection_schedule.active_count, extra) for c in row_cfgs)
             rows = edit_grid(src, cfg, axes)
         finally:
             pipeline.MEMORY_BUDGET = budget
@@ -773,9 +786,7 @@ def grid_divergence(monkeypatch, extra=None):
     if extra is not None:
         longest = replace(cfg, schedule="sigmoid")
         active = longest.injection_schedule.active_count
-        monkeypatch.setattr(pipeline, "MEMORY_BUDGET",
-                            sum(pipeline._run_bytes(longest, active))
-                            + extra * pipeline._stack_row_bytes(longest))
+        monkeypatch.setattr(pipeline, "MEMORY_BUDGET", stack_budget(longest, active, extra))
     sampling_limit(monkeypatch, 3.5)
     alone = {}
     for index, combo in enumerate(itertools.product(*axes.values())):
@@ -818,24 +829,6 @@ def test_run_reconstruction_deterministic():
     a = run_reconstruction(src, cfg.source_conditioning(), cfg)
     b = run_reconstruction(src, cfg.source_conditioning(), cfg)
     assert np.array_equal(a.data, b.data)
-
-
-def reference_source_latent(cfg):
-    """The source latent made one channel at a time, drawing each wave's
-    scalars just before summing it in."""
-    rng = SeededRng(cfg.seed, stream=STREAM_SOURCE)
-    g = math.isqrt(cfg.img_tokens)
-    ys, xs = np.meshgrid(np.arange(g), np.arange(g), indexing="ij")
-    arr = np.empty((1, cfg.img_tokens, cfg.channels))
-    for ci in range(cfg.channels):
-        plane = 0.3 * rng.standard_normal(())
-        for k in range(1, 4):
-            amp = rng.standard_normal(()) * 0.8 / k
-            fx, fy = rng.integers(1, 4, (2,))
-            phase = rng.uniform(0.0, 2.0 * math.pi, ())
-            plane = plane + amp * np.sin(2.0 * math.pi * (fx * xs + fy * ys) / g + phase)
-        arr[0, :, ci] = plane.reshape(-1)
-    return arr
 
 
 @pytest.mark.parametrize("tokens,channels", ((1, 1), (16, 8), (64, 3), (1024, 16)))
