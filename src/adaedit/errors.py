@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import sys
 from dataclasses import MISSING, dataclass, field, fields
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 
 class ConfigError(ValueError):
@@ -117,14 +117,21 @@ class Spec:
         elif self.kind is bool:
             value = _BOOL_TEXT.get(raw.lower(), raw)
         elif self.kind is not str:
+            # an empty token-id item is refused as such, before any parsing
+            tokens = split_items(name, raw, ",") if self.kind is tuple else None
             try:
-                if self.kind is tuple:
-                    value = tuple(int(tok) for tok in raw.split(",") if tok)
-                else:
-                    value = self.kind(raw)
+                value = self.kind(raw) if tokens is None else tuple(int(t) for t in tokens)
             except ValueError:
                 pass
         return self.check(name, value)
+
+
+def split_items(name: str, raw: str, sep: str) -> List[str]:
+    """raw's items between seps; an empty one, also after a trailing sep, is a ConfigError."""
+    items = raw.split(sep)
+    if "" in items:
+        raise ConfigError(name, f"empty item in {raw!r}")
+    return items
 
 
 def knob(spec: Spec, default=MISSING):

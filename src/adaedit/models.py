@@ -434,12 +434,6 @@ def _size_lanes(n: int) -> int:
     return 2 if n >= 4 and n * n * 8 >= LANE_SCORE_BYTES else 1
 
 
-def score_buffer_bytes(n: int) -> int:
-    """The most bytes of attention scores and row sums that evaluate() holds
-    at once for n tokens, at any batch size: one score block per lane."""
-    return _size_lanes(n) * _block_entries(n) * n * (n + 1) * 8
-
-
 # The interval timers' signals, which samplers and timers handle. Python
 # runs a handler on the main thread between two bytecodes, so one that ran
 # while the helper computes would share the core with it and time the
@@ -471,9 +465,10 @@ class _Lane:
             signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
         while True:
             self._go.acquire()
-            context, fn, args = self._task
             try:
-                context.run(fn, *args)
+                # no name here keeps the task, and so a view of a model's
+                # arrays, alive past it: both() drops it once the helper is done
+                self._task()
             except BaseException as exc:
                 self._error = exc
             self._done.release()
@@ -496,7 +491,7 @@ class _Lane:
         for shares (mine, theirs). Returns, or raises this thread's error or
         else the helper's, only once the helper is done: no lane writes later."""
         mine, theirs = shares
-        self._task = (contextvars.copy_context(), fn, (theirs, *args))
+        self._task = functools.partial(contextvars.copy_context().run, fn, theirs, *args)
         self._go.release()
         try:
             fn(mine, *args)
@@ -682,11 +677,15 @@ class ToyAttentionFlow:
     @classmethod
     def array_bytes(cls, layer_count: int, embed_dim: int, img_tokens: int, text_tokens: int,
                     channels: int, heads: int, vocab_size: int) -> Tuple[int, int, int]:
-        """The bytes of the weights __init__ draws for these dimensions, of the scratch
-        arrays one batch entry adds (_Scratch, but scores and attn_txt) and of attn_txt."""
+        """The bytes of the weights __init__ draws for these dimensions; of the
+        scratch evaluate() holds at any stack size (_Scratch): each lane's
+        score block and row sums, at their most entries, and the one
+        text-to-image block; and of the scratch each stacked entry adds."""
         n, d, t_in = img_tokens + text_tokens, embed_dim, embed_dim + 2 * cls.time_freqs
         weights = d * (vocab_size + 2 * channels + t_in + 4 * layer_count * d)
-        return 8 * weights, 8 * n * (t_in + 6 * d), 8 * heads * text_tokens * img_tokens
+        scores = _size_lanes(n) * _block_entries(n) * n * (n + 1)
+        return (8 * weights, 8 * (scores + heads * text_tokens * img_tokens),
+                8 * n * (t_in + 6 * d))
 
     def _prompt_rows(self, ids: Tuple[int, ...]) -> np.ndarray:
         """The prompt's embedding rows, (text_tokens, embed_dim), checked and
@@ -702,11 +701,11 @@ class ToyAttentionFlow:
     def _scratch_for(self, b: int) -> tuple:
         """The evaluate arrays' views for b batch entries (_Scratch.views),
         made again only when b exceeds every batch so far."""
-        s = self._scratch
-        if s is None or s.b < b:
-            s = self._scratch = _Scratch(b, self.text_tokens, self.img_tokens,
-                                         self.embed_dim, 2 * self.time_freqs, self.heads)
-        return s.views(b)
+        if self._scratch is None or self._scratch.b < b:
+            self._scratch = None  # the smaller set goes before the larger is made
+            self._scratch = _Scratch(b, self.text_tokens, self.img_tokens,
+                                     self.embed_dim, 2 * self.time_freqs, self.heads)
+        return self._scratch.views(b)
 
     def evaluate(self, z: Latent, t: float, cond: Union[Conditioning, Sequence[Conditioning]],
                  hooks: Optional[InjectionHooks] = None) -> Latent:
@@ -787,7 +786,7 @@ class _Scratch:
         self.b = b
         self.n_txt = n_txt
         self.head_dim = d // heads
-        # ToyAttentionFlow.array_bytes counts the per-entry arrays and attn_txt
+        # ToyAttentionFlow.array_bytes counts these arrays
         self.x = np.empty((b, n, d + time_dim))
         self.h = np.empty((b, n, d))
         self.q = np.empty((b, n, d))

@@ -21,13 +21,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .diagnostics import psnr, ssim, velocity_jump_between
-from .errors import ConfigError, DivergenceError, Spec, field_specs, hold, knob
+from .errors import (ConfigError, DivergenceError, Spec, field_specs, hold, knob,
+                     split_items)
 from .latent import (DIMENSION, SEED, STREAM_NOISE, STREAM_SOURCE, Latent,
                      SeededRng, grid_side, sample_gaussian)
 from .models import (GAMMA, KEYWORD, PROMPT_IDS, AttentionRecord, Conditioning,
                      EditMask, InjectionHooks, KVCache, ToyAttentionFlow,
                      check_heads, check_keyword, check_prompt, extract_mask,
-                     mix_rows, score_buffer_bytes)
+                     mix_rows)
 from .perturbation import (ALPHA, PERTURBATION_MODES, TAU, ChannelWeights,
                            PerturbationConfig, channel_gap,
                            latents_shift_channel_selective,
@@ -65,20 +66,19 @@ MAX_STEPS = 1000
 # fields, 4 for the four families; an entry holds at most MAX_STEPS weights,
 # so the memo holds at most SCHEDULE_MEMO_LIMIT * MAX_STEPS of them.
 SCHEDULE_MEMO_LIMIT = 64
-# A run keeps the model's weights, and the K/V and the text-to-image attention
-# of every active step until sampling ends. The estimate also counts the
-# attention scores: the larger of heads * n * n float64 scores, kept at what
-# all heads' scores held when they were live at once, and the score blocks
-# and row sums that evaluate's lanes hold at once (score_buffer_bytes, two
-# lanes from n >= 210 tokens). The per-field bounds admit products far beyond
-# any desk machine (heads=32, img_tokens=4096 counts 4.3 GB of scores;
-# vocab_size=65536 and layer_count=32 at embed_dim=1024 take 1.62 GB of
-# weights), which end in a MemoryError or an OOM kill mid-run. This budget
-# stops them before any work starts; it admits the stability envelope above
-# with a binary schedule and injection_steps=28 (~1.02 GB by the estimate in
-# EditConfig.validate).
+# A run holds the model's weights and evaluation scratch, the K/V and the
+# text-to-image attention of every active step until sampling ends, and
+# extract_mask's stacked copy of that attention while it makes the mask; each
+# sampled row adds its own evaluation scratch, its states and solver
+# temporaries, and the K/V blends of every step. _run_bytes counts each part
+# from the arrays' shapes; validate holds one row to this budget, and
+# edit_grid stacks as many rows as keep within it. The per-field bounds admit
+# products far beyond any desk machine (layer_count=32, embed_dim=1024 and
+# vocab_size=65536 take 1.62 GB of weights), which end in a MemoryError or an
+# OOM kill mid-run; the budget stops them before any work starts. It admits
+# the stability envelope above with a binary schedule and injection_steps=28
+# (~1.06 GB).
 MEMORY_BUDGET = 2 * 10**9
-FLOAT64_BYTES = 8
 
 
 @dataclass(frozen=True)
@@ -180,15 +180,14 @@ class EditConfig:
                 "activity_threshold",
                 f"no step is active: the first {self.schedule} weight does not "
                 f"exceed {self.activity_threshold}")
-        weights, scores, cache, record = _run_bytes(self, active)
-        total = weights + scores + cache + record
+        parts, row = _run_bytes(self, active)
+        parts["one edit row"] = row
+        total = sum(parts.values())
         if total > MEMORY_BUDGET:
+            held = ", ".join(f"{name} {size / 1e9:.3g} GB" for name, size in parts.items())
             raise ConfigError(
                 "img_tokens",
-                f"the run needs about {total / 1e9:.3g} GB (model weights "
-                f"{weights / 1e9:.3g} GB, attention scores {scores / 1e9:.3g} GB, "
-                f"K/V cache of {active} active steps {cache / 1e9:.3g} GB, "
-                f"attention record {record / 1e9:.3g} GB), "
+                f"the run needs about {total / 1e9:.3g} GB ({held}), "
                 f"over the {MEMORY_BUDGET / 1e9:g} GB budget; "
                 f"lower img_tokens, text_tokens, heads, layer_count, "
                 f"embed_dim, vocab_size or the active steps")
@@ -213,28 +212,23 @@ class EditConfig:
 FIELD_SPECS: Dict[str, Spec] = field_specs(EditConfig)
 
 
-def _run_bytes(cfg: EditConfig, active: int) -> Tuple[int, int, int, int]:
-    """The model weights, the attention scores, the K/V cache and the
-    attention record of ``active`` steps that one run holds, in bytes; the
-    scores are an upper bound (see MEMORY_BUDGET)."""
-    n, d = cfg.img_tokens + cfg.text_tokens, cfg.embed_dim
-    weights = ToyAttentionFlow.array_bytes(**_model_dims(cfg))[0]
-    scores = max(cfg.heads * n * n * FLOAT64_BYTES, score_buffer_bytes(n))
-    cache = active * cfg.layer_count * 2 * n * d * FLOAT64_BYTES
-    record = (active * cfg.layer_count * cfg.heads * cfg.text_tokens * cfg.img_tokens
-              * FLOAT64_BYTES)
-    return weights, scores, cache, record
-
-
-def _stack_bytes(cfg: EditConfig) -> Tuple[int, int]:
-    """The bytes a sampled stack adds to _run_bytes: the evaluate scratch's
-    text-to-image block, one at any stack size, and per row its evaluate
-    scratch, states and solver temporaries, and K/V blends of every step."""
-    n = cfg.img_tokens + cfg.text_tokens
+def _run_bytes(cfg: EditConfig, active: int) -> Tuple[Dict[str, int], int]:
+    """The bytes, by part, that a run recording ``active`` steps holds beside
+    its sampled rows, and the bytes each sampled row adds (see MEMORY_BUDGET);
+    like ToyAttentionFlow.array_bytes, 8 per float64."""
+    n, recorded = cfg.img_tokens + cfg.text_tokens, active * cfg.layer_count
+    weights, scratch, entry = ToyAttentionFlow.array_bytes(**_model_dims(cfg))
+    record = 8 * recorded * cfg.heads * cfg.text_tokens * cfg.img_tokens
+    parts = {
+        "model weights": weights,
+        "evaluation scratch": scratch,
+        f"K/V cache of {active} active steps": 8 * recorded * 2 * n * cfg.embed_dim,
+        "attention record": record,
+        "its stacked copy for the mask": record,
+    }
     states = (cfg.total_steps + 8) * cfg.img_tokens * cfg.channels
     blends = 2 * cfg.total_steps * cfg.layer_count * n
-    _, entry, fixed = ToyAttentionFlow.array_bytes(**_model_dims(cfg))
-    return fixed, entry + FLOAT64_BYTES * (states + blends)
+    return parts, entry + 8 * (states + blends)
 
 
 def _spec(name: str) -> Spec:
@@ -253,7 +247,7 @@ def parse_axis(name: str, raw: str) -> list:
     their ids with ',' and so separate the values with ';'; every other
     field separates its values with ','."""
     sep = ";" if _spec(name).kind is tuple else ","
-    return [parse_field(name, item) for item in raw.split(sep) if item]
+    return [parse_field(name, item) for item in split_items(name, raw, sep)]
 
 
 def config_hash(cfg: EditConfig) -> str:
@@ -643,8 +637,8 @@ def edit_grid(source: Latent, base_cfg: EditConfig, axes: Dict[str, Sequence]
         c_src, _, first = every_edit[rows[0]]
         longest = first.injection_schedule.active_count
         inversion = invert(source, c_src, first, longest)
-        fixed, per_row = _stack_bytes(first)
-        size = max(1, (MEMORY_BUDGET - sum(_run_bytes(first, longest)) - fixed) // per_row)
+        parts, per_row = _run_bytes(first, longest)
+        size = max(1, (MEMORY_BUDGET - sum(parts.values())) // per_row)
         for lo in range(0, len(rows), size):
             part = rows[lo:lo + size]
             edits = [every_edit[index] for index in part]

@@ -477,6 +477,16 @@ BAD_INPUTS = [
     (["edit", "--set", "vocab_size=8"], None, "target_prompt_ids"),
     # a config file holds one JSON object
     (["edit"], "[1, 2]", "config"),
+    # an empty list item, also before a trailing separator, would be dropped
+    (["ablate", "--axis", "alpha=0.1,,0.5"], None, "alpha"),
+    (["ablate", "--axis", "alpha=0.1,0.5,"], None, "alpha"),
+    (["ablate", "--axis", "alpha="], None, "alpha"),
+    (["ablate", "--axis", "target_prompt_ids=1,2,9,4;"], None, "target_prompt_ids"),
+    (["ablate", "--axis", "target_prompt_ids=1,2,9,4;5,,7,8"], None, "target_prompt_ids"),
+    (["edit", "--set", "source_prompt_ids=1,,2,3,4"], None, "source_prompt_ids"),
+    (["edit", "--set", "source_prompt_ids=1,2,3,4,"], None, "source_prompt_ids"),
+    (["sweep-temperature", "--taus", "0.5,,2.0"], None, "tau"),
+    (["sweep-temperature", "--taus", "0.5,1.0,"], None, "tau"),
 ]
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import tracemalloc
 import weakref
 from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
@@ -14,9 +15,9 @@ from hypothesis import strategies as st
 
 from adaedit import models, pipeline, solvers
 from adaedit.errors import ConfigError, DivergenceError
-from adaedit.latent import SeededRng, sample_gaussian
+from adaedit.latent import Latent, SeededRng, sample_gaussian
 from adaedit.models import (AttentionRecord, EditMask, InjectionHooks, KVCache,
-                            extract_mask)
+                            ToyAttentionFlow, extract_mask)
 from adaedit.perturbation import PERTURBATION_MODES
 from adaedit.pipeline import (FIELD_SPECS, EditConfig, build_model, build_schedule,
                               config_hash, edit_grid, generate_source_latent,
@@ -134,36 +135,48 @@ def test_no_active_step_is_a_config_error():
 
 
 def test_memory_product_is_a_config_error():
-    # construction only: no run is started, so nothing is allocated
+    # construction only: no run is started, so nothing is allocated. An
+    # evaluation holds one (n, n) score block per lane, not every head's
+    # scores at once, so 16 heads over 4100 tokens need ~0.6 GB in all
+    EditConfig(img_tokens=4096, embed_dim=256, heads=16)
+    # at embed_dim=1024 and 4 layers the K/V cache of 6 active steps alone
+    # is ~1.61 GB; the message names every part it counts
     with pytest.raises(ConfigError) as exc:
-        EditConfig(heads=32, img_tokens=4096, embed_dim=1024)
+        EditConfig(heads=32, img_tokens=4096, embed_dim=1024, layer_count=4)
     assert exc.value.field == "img_tokens"
-    assert "5.24 GB" in str(exc.value) and "2 GB budget" in str(exc.value)
+    message = str(exc.value)
+    assert "2.48 GB" in message and "2 GB budget" in message
+    for part in ("model weights 0.143 GB", "evaluation scratch 0.273 GB",
+                 "K/V cache of 6 active steps 1.61 GB", "attention record 0.101 GB",
+                 "its stacked copy for the mask 0.101 GB", "one edit row 0.246 GB"):
+        assert part in message, part
     # the K/V of 28 active steps at the stability envelope's size is ~0.94 GB;
-    # with 20 layers instead of 8 it is ~2.4 GB
+    # with 20 layers instead of 8 it is ~2.36 GB
     envelope = dict(img_tokens=1024, embed_dim=256, layer_count=8, heads=4, channels=16,
                     total_steps=28, injection_steps=28, schedule="binary")
     EditConfig(**envelope)
     with pytest.raises(ConfigError):
         EditConfig(**dict(envelope, layer_count=20))
-    # K/V ~0.29 GB and scores ~0.10 GB fit, but the attention record of 28
-    # active steps is ~3.76 GB
+    # K/V ~0.29 GB and the evaluation scratch ~0.04 GB fit, but the attention
+    # record of 28 active steps is ~3.76 GB, and the mask stacks a copy of it
     with pytest.raises(ConfigError) as exc:
         EditConfig(img_tokens=1024, text_tokens=256, vocab_size=512, heads=8, layer_count=8,
                    embed_dim=64, total_steps=28, injection_steps=28, schedule="binary")
     assert exc.value.field == "img_tokens"
-    assert "attention record 3.76 GB" in str(exc.value)
-    # one active step's K/V, two lanes' scores and the record take ~0.76 GB,
-    # and the weights of 32 layers at embed_dim=1024 with a 65536-token table
-    # ~1.62 GB
+    assert "attention record 3.76 GB, its stacked copy for the mask 3.76 GB" in str(exc.value)
+    # one active step's K/V, the record and its copy, the scratch and one row
+    # take ~0.91 GB, and the weights of 32 layers at embed_dim=1024 with a
+    # 65536-token table ~1.62 GB
     with pytest.raises(ConfigError) as exc:
         EditConfig(layer_count=32, embed_dim=1024, vocab_size=65536, img_tokens=1024,
                    text_tokens=256, total_steps=4, injection_steps=1, schedule="binary")
     assert exc.value.field == "img_tokens"
-    assert "2.38 GB (model weights 1.62 GB" in str(exc.value)
+    assert "2.53 GB (model weights 1.62 GB" in str(exc.value)
 
 
-SCRATCH_ARRAYS = ("x", "h", "q", "k", "v", "attn_out", "proj", "attn_txt")
+# The arrays of a _Scratch that grow with its entries; scores and row grow up
+# to a full block per lane, and attn_txt keeps the one recorded entry.
+ENTRY_ARRAYS = ("x", "h", "q", "k", "v", "attn_out", "proj")
 
 
 @pytest.mark.parametrize("dims", ({}, dict(img_tokens=64, embed_dim=64, heads=4, layer_count=3),
@@ -172,38 +185,71 @@ SCRATCH_ARRAYS = ("x", "h", "q", "k", "v", "attn_out", "proj", "attn_txt")
                                   dict(img_tokens=256, embed_dim=128, heads=4, layer_count=4)),
                          ids=("default", "wide", "odd", "mid"))
 def test_memory_budget_counts_the_models_arrays(dims):
-    # the estimates follow the model's real arrays, so a change to the block
+    # the estimate follows the model's real arrays, so a change to the block
     # that adds a weight or a scratch array shows here
     cfg = EditConfig(**dims)
     model = build_model(cfg)
     params = [a for a in vars(model).values() if isinstance(a, np.ndarray)]
     params += [w for layer in model.layers for w in layer.values()]
-    assert pipeline._run_bytes(cfg, 1)[0] == sum(a.nbytes for a in params)
-    one, two = (models._Scratch(b, cfg.text_tokens, cfg.img_tokens, cfg.embed_dim,
-                                2 * model.time_freqs, cfg.heads) for b in (1, 2))
-    growth = sum(getattr(two, name).nbytes - getattr(one, name).nbytes
-                 for name in SCRATCH_ARRAYS)
-    # _stack_bytes: the scratch's one text-to-image block, the only array
-    # that does not grow with the stack; then per row the evaluate scratch,
-    # the K/V blends of every step and the states and solver temporaries
-    fixed, per_row = pipeline._stack_bytes(cfg)
-    assert [name for name in SCRATCH_ARRAYS
-            if getattr(two, name).nbytes == getattr(one, name).nbytes] == ["attn_txt"]
-    assert fixed == one.attn_txt.nbytes
+    parts, per_row = pipeline._run_bytes(cfg, 1)
+    assert parts["model weights"] == sum(a.nbytes for a in params)
+    # the evaluation scratch holds a full score block on each lane from
+    # _block_entries(n) entries on (at the mid size, 3 entries on each of two
+    # lanes), and each entry adds ENTRY_ARRAYS; the estimate is exact there
     n = cfg.img_tokens + cfg.text_tokens
-    blends = pipeline.FLOAT64_BYTES * 2 * cfg.total_steps * cfg.layer_count * n
-    states = pipeline.FLOAT64_BYTES * (cfg.total_steps + 8) * cfg.img_tokens * cfg.channels
-    assert per_row - blends - states == growth
-    # the scores term bounds the score blocks and row sums of every lane at
-    # any stack size: the largest are a full block on each lane (at the mid
-    # size, 3 entries on each of two lanes)
     block = models._block_entries(n)
-    live = max(s.scores.nbytes + s.row.nbytes
-               for s in (models._Scratch(b, cfg.text_tokens, cfg.img_tokens, cfg.embed_dim,
-                                         2 * model.time_freqs, cfg.heads)
-                         for b in (1, 2, block, block + 1)))
-    assert live == models.score_buffer_bytes(n)
-    assert pipeline._run_bytes(cfg, 1)[1] == max(cfg.heads * n * n * 8, live)
+    _, scratch, entry = ToyAttentionFlow.array_bytes(**pipeline._model_dims(cfg))
+    assert parts["evaluation scratch"] == scratch
+    for b in sorted({1, 2, block, block + 1}):
+        made = models._Scratch(b, cfg.text_tokens, cfg.img_tokens, cfg.embed_dim,
+                               2 * model.time_freqs, cfg.heads)
+        held = sum(a.nbytes for a in vars(made).values() if isinstance(a, np.ndarray))
+        assert sum(getattr(made, name).nbytes for name in ENTRY_ARRAYS) == b * entry
+        assert held <= scratch + b * entry
+        assert (held == scratch + b * entry) == (b >= block)
+    # per row: its evaluation scratch, the K/V blends of every step and the
+    # states and solver temporaries
+    blends = 8 * 2 * cfg.total_steps * cfg.layer_count * n
+    states = 8 * (cfg.total_steps + 8) * cfg.img_tokens * cfg.channels
+    assert per_row - blends - states == entry
+
+
+def traced_peak(cfg, rows=1):
+    """The tracemalloc peak of run_edit under cfg, or of an edit_grid of
+    ``rows`` alpha values in one stack, and the estimate of _run_bytes."""
+    src = generate_source_latent(cfg)
+    tracemalloc.start()
+    try:
+        if rows > 1:
+            edit_grid(src, cfg, {"alpha": list(np.linspace(0.1, 0.9, rows))})
+        else:
+            run_edit(src, cfg.source_conditioning(), cfg.target_conditioning(), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    parts, per_row = pipeline._run_bytes(cfg, cfg.injection_schedule.active_count)
+    return peak, sum(parts.values()) + rows * per_row
+
+
+def assert_estimate_bounds_the_peak(dims, rows=1):
+    """The estimate counts what a run holds: at least its traced peak, at
+    most 1.3 times it plus 3 MB (the score blocks at their most entries,
+    which a single small edit does not fill)."""
+    peak, estimate = traced_peak(EditConfig(**dims), rows)
+    assert peak <= estimate <= 1.3 * peak + 3e6, (peak, estimate)
+
+
+MID = dict(img_tokens=256, embed_dim=128, layer_count=4, heads=4)
+
+
+@pytest.mark.parametrize("dims,rows", (({}, 1), (MID, 1), (MID, 3),
+                                       (dict(img_tokens=256, embed_dim=32, layer_count=2,
+                                             heads=32), 1)),
+                         ids=("default", "mid", "mid-grid", "heads-32"))
+def test_the_memory_estimate_bounds_the_traced_peak(dims, rows):
+    # at 32 heads the peak is extract_mask's stacked copy of the record; a
+    # 3-row grid holds one larger scratch, which replaces the inversion's
+    assert_estimate_bounds_the_peak(dims, rows)
 
 
 def test_readme_config_section_lists_every_field():
@@ -626,8 +672,8 @@ def test_stacked_rows_equal_standalone_edits(monkeypatch, solver):
 def stack_budget(cfg, active, rows):
     """The MEMORY_BUDGET at which edit_grid samples cfg's group, of
     ``active`` planned steps, in stacks of ``rows`` rows."""
-    fixed, per_row = pipeline._stack_bytes(cfg)
-    return sum(pipeline._run_bytes(cfg, active)) + fixed + rows * per_row
+    parts, per_row = pipeline._run_bytes(cfg, active)
+    return sum(parts.values()) + rows * per_row
 
 
 def test_stacks_are_sliced_to_the_memory_budget(monkeypatch):
@@ -704,9 +750,11 @@ def test_drawn_grid_rows_equal_standalone_edits(data):
             mp.setattr(models, "LANE_SCORE_BYTES", 0)
         budget = pipeline.MEMORY_BUDGET
         try:
-            # the heaviest row's group gets stacks of max(1, extra) rows
+            # the heaviest row's group gets stacks of max(1, extra) rows; a
+            # config needs a budget of one row at least
             pipeline.MEMORY_BUDGET = max(
-                stack_budget(c, c.injection_schedule.active_count, extra) for c in row_cfgs)
+                stack_budget(c, c.injection_schedule.active_count, max(1, extra))
+                for c in row_cfgs)
             rows = edit_grid(src, cfg, axes)
         finally:
             pipeline.MEMORY_BUDGET = budget
@@ -829,6 +877,33 @@ def test_run_reconstruction_deterministic():
     a = run_reconstruction(src, cfg.source_conditioning(), cfg)
     b = run_reconstruction(src, cfg.source_conditioning(), cfg)
     assert np.array_equal(a.data, b.data)
+
+
+@pytest.mark.parametrize("dims", ({}, dict(img_tokens=64, embed_dim=32, layer_count=3, heads=2)),
+                         ids=("default", "wide"))
+def test_inversion_is_equivariant_under_a_permutation_of_the_image_tokens(dims):
+    # the model has no positional encoding, so permuting the source's image
+    # tokens permutes the inverted latent, the reconstruction, the image rows
+    # of every cached K/V and the image axis of every recorded attention
+    # block; to rounding only, since the permuted products sum in another
+    # order (measured within 1.4e-15)
+    cfg = EditConfig(seed=5, **dims)
+    src, c_src = generate_source_latent(cfg), cfg.source_conditioning()
+    perm = np.random.default_rng(3).permutation(cfg.img_tokens)
+    plain = invert(src, c_src, cfg, cfg.total_steps)
+    permuted = invert(Latent(src.data[:, perm]), c_src, cfg, cfg.total_steps)
+
+    def close(got, want):
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+    close(permuted.z_inv.data, plain.z_inv.data[:, perm])
+    close(permuted.reconstructed.data, plain.reconstructed.data[:, perm])
+    rows = np.concatenate([np.arange(cfg.text_tokens), cfg.text_tokens + perm])
+    for step in range(cfg.total_steps):
+        for layer in range(cfg.layer_count):
+            for got, want in zip(permuted.cache.get(step, layer), plain.cache.get(step, layer)):
+                close(got, want[:, rows])
+    close(permuted.attn.stacked(), plain.attn.stacked()[..., perm])
 
 
 @pytest.mark.parametrize("tokens,channels", ((1, 1), (16, 8), (64, 3), (1024, 16)))
