@@ -17,7 +17,7 @@ import os
 import signal
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -113,13 +113,16 @@ class AttentionRecord:
         if not self.has(step, layer):
             self._maps[step, layer] = frozen(block[0])
 
-    def stacked(self, steps: Optional[int] = None) -> np.ndarray:
+    def stacked(self, steps: Optional[int] = None, token: Optional[int] = None) -> np.ndarray:
         """The recorded blocks in (step, layer) order, only those of the first
-        ``steps`` steps if given."""
+        ``steps`` steps if given: (steps x layers, heads, L_txt, L_img), or
+        with ``token`` only that text token's rows, (steps x layers, heads,
+        L_img)."""
         keys = sorted(k for k in self._maps if steps is None or k[0] < steps)
         if not keys:
             raise RuntimeError("no attention maps recorded")
-        return np.stack([self._maps[k] for k in keys], axis=0)
+        rows = slice(None) if token is None else token
+        return np.stack([self._maps[k][:, rows] for k in keys], axis=0)
 
 
 @dataclass(frozen=True)
@@ -167,12 +170,25 @@ class InjectionHooks:
             raise ValueError(f"hook mode must be one of {HOOK_MODES}, got '{self.mode}'")
         if self.cache is None:
             raise ValueError(f"{self.mode} mode requires a cache")
-        if self.mode == "inject" and self.mix_ratios is None and self.mixes is None:
-            raise ValueError("inject mode requires per-layer mix ratios")
+        given = [name for name in ("mix_ratios", "mixes") if getattr(self, name) is not None]
+        if self.mode == "record" and given:
+            raise ValueError(f"record mode takes no {' or '.join(given)}")
+        if self.mode == "inject":
+            if self.attn_sink is not None:
+                raise ValueError("inject mode takes no attn_sink: only record mode records")
+            if not given:
+                raise ValueError("inject mode requires per-layer mix ratios")
+            if len(given) == 2:
+                raise ValueError("inject mode takes mix_ratios or mixes, not both")
 
     def layer_mixes(self, layer_count: int, n: int, entries: int) -> Tuple["LayerMix", ...]:
-        """The per-layer blends of an inject step: mixes, or one identical
-        row per entry made from mix_ratios, background_mask and global_mix."""
+        """The per-layer blends of an inject step for a model of layer_count
+        layers: mixes, or one identical row per entry made from mix_ratios,
+        background_mask and global_mix; either holds one item per layer."""
+        name, per_layer = (("mix_ratios", self.mix_ratios) if self.mixes is None
+                           else ("mixes", self.mixes))
+        if len(per_layer) != layer_count:
+            raise ValueError(f"{name} holds {len(per_layer)} layers, the model {layer_count}")
         if self.mixes is not None:
             return self.mixes
         ratios = [[[self.mix_ratios[layer]] * entries for layer in range(layer_count)]]
@@ -212,7 +228,7 @@ class AnalyticLinearFlow:
 
 
 # How a LayerMix run blends its rows (mix_rows)
-BLEND, SHARED, WHOLE = range(3)
+BLEND, WHOLE = range(2)
 
 
 class LayerMix:
@@ -224,59 +240,50 @@ class LayerMix:
     whole (ratio 1 on every K/V row), or keeps its current K/V bitwise (ratio
     0, or a mask that leaves no row to mix); runs lists the (first, end, how)
     row ranges of the first two kinds, and rows of the third are never
-    touched. A WHOLE run takes the source; a SHARED run is two or more rows
-    with one weight row, whose source term is made once; a BLEND run's rows
-    each make their own. end is the end of the last run: a stack of at least
-    end rows can be blended, and its rows from end on are left as they are.
+    touched. A run is the maximal block of consecutive rows with one weight
+    row: a WHOLE run takes the source, and a BLEND run makes its source term
+    once and adds it to each of its rows. end is the end of the last run: a
+    stack of at least end rows can be blended, and its rows from end on are
+    left as they are.
     """
 
     def __init__(self, weight: np.ndarray, keep: np.ndarray,
-                 runs: List[Tuple[int, int, int]]):
-        # weight and keep are (rows, n, 1), to broadcast over (rows, n, d); each
-        # run keeps its rows and its weight and keep rows, sliced once; a
-        # SHARED run keeps its one weight and keep row, to broadcast over its rows
+                 runs: Tuple[Tuple[int, int, int], ...]):
+        # weight and keep are (rows, n, 1); each run keeps its rows and its
+        # first row's (1, n, 1) weight and keep, to broadcast over (rows, n, d)
         self.runs = runs
         self.end = runs[-1][1] if runs else 0
-        self._slices = []
-        for lo, hi, how in runs:
-            end = lo + 1 if how == SHARED else hi
-            self._slices.append((slice(lo, hi), how, weight[lo:end], keep[lo:end]))
+        self._slices = [(slice(lo, hi), how, weight[lo:lo + 1], keep[lo:lo + 1])
+                        for lo, hi, how in runs]
 
     def blend_into(self, src: np.ndarray, cur: np.ndarray, tmp: np.ndarray) -> None:
         """Blend the cached (1, n, d) ``src`` into the stacked (rows, n, d)
-        ``cur`` in place, with ``tmp`` (cur's shape) for the source terms,
-        one per weight row. Each term is added as part + term: IEEE addition
-        commutes, so each row keeps the bits of its own term + part."""
+        ``cur`` in place, with ``tmp`` (cur's shape) for each run's source
+        term. Each term is added as part + term: IEEE addition commutes, so
+        each row keeps the bits of its own term + part."""
         for rows, how, weight, keep in self._slices:
             part = cur[rows]
             if how == WHOLE:
                 part[...] = src
             else:
-                term = tmp[:len(weight)]
+                term = tmp[:1]
                 np.multiply(src, weight, out=term)
                 part *= keep
                 part += term
 
 
-def _runs(kinds: Sequence[int]) -> List[Tuple[int, int, int]]:
-    """The LayerMix runs of one layer's row kinds (mix_rows): a row that
-    repeats the weight row before it makes the two a SHARED run, every other
-    blending row joins its blending neighbours in a BLEND run, and rows that
-    take the source whole form WHOLE runs."""
-    groups = []  # [first, end, how]: one row, or rows of one weight row
+@functools.lru_cache(maxsize=1024)  # most steps and layers share one pattern
+def _runs(kinds: Tuple[int, ...]) -> Tuple[Tuple[int, int, int], ...]:
+    """The LayerMix runs of one layer's row kinds (mix_rows) in one pass: a
+    row of kind 3 extends the run before it, one of kind 1 or 2 starts a
+    BLEND or a WHOLE run, and one of kind 0 keeps its K/V."""
+    runs = []
     for r, kind in enumerate(kinds):
         if kind == 3:
-            groups[-1][1:] = r + 1, SHARED
-        elif kind == 2 and groups and groups[-1][1:] == [r, WHOLE]:
-            groups[-1][1] = r + 1
+            runs[-1] = (runs[-1][0], r + 1, runs[-1][2])
         elif kind:
-            groups.append([r, r + 1, WHOLE if kind == 2 else BLEND])
-    runs = []
-    for lo, hi, how in groups:
-        if how == BLEND and runs and runs[-1][1:] == (lo, BLEND):
-            lo = runs.pop()[0]
-        runs.append((lo, hi, how))
-    return runs
+            runs.append((r, r + 1, WHOLE if kind == 2 else BLEND))
+    return tuple(runs)
 
 
 def mix_rows(ratios, masks: Sequence[Optional[EditMask]], global_mix: Sequence[bool],
@@ -292,13 +299,13 @@ def mix_rows(ratios, masks: Sequence[Optional[EditMask]], global_mix: Sequence[b
     text rows keep the target features so the target prompt stays in control.
     A row whose weights are all 0 keeps its K/V.
 
-    A blend run is split wherever the weight row changes: consecutive
-    blending rows of one ratio on one base row (the same plan, mask and
-    global_mix), and so of one weight row bit for bit, form one SHARED run,
-    whose source term is made once and added to each of its rows.
+    A run is the maximal block of consecutive mixing rows of one ratio on
+    one base row (the same plan, mask and global_mix), and so of one weight
+    row bit for bit: its source term is made once and added to each of its
+    rows.
     """
     ratios = np.asarray(ratios, dtype=np.float64)
-    profiles, layers, rows = ratios.shape
+    _, _, rows = ratios.shape
     if len(masks) != rows or len(global_mix) != rows:
         raise ValueError(f"{rows} rows of ratios, {len(masks)} masks, "
                          f"{len(global_mix)} global_mix flags")
@@ -327,26 +334,15 @@ def mix_rows(ratios, masks: Sequence[Optional[EditMask]], global_mix: Sequence[b
     whole = index == 0
     weight = ratios[..., None] * base
     keep = 1.0 - weight
-    # per row: 0 keeps its K/V, 1 blends, 2 takes the source whole, 3 blends
-    # by the weight row of the blending row before it
+    # per row: 0 keeps its K/V, 1 blends, 2 takes the source whole, 3 mixes
+    # by the weight row of the mixing row before it
     kinds = np.where(whole & (ratios == 1.0), 2, weight.any(axis=-1))
-    repeats = np.zeros(kinds.shape, dtype=bool)
-    repeats[..., 1:] = ((ratios[..., 1:] == ratios[..., :-1]) & (index[1:] == index[:-1])
-                        & (kinds[..., 1:] == 1) & (kinds[..., :-1] == 1))
-    kinds = np.where(repeats, 3, kinds).tolist()
+    same = (ratios[..., 1:] == ratios[..., :-1]) & (index[1:] == index[:-1])
+    kinds[..., 1:][same & (kinds[..., :-1] > 0)] = 3
     weight, keep = weight[..., None], keep[..., None]
-    runs_of: Dict[tuple, list] = {}  # most steps and layers share one pattern
-    mixes = []
-    for p in range(profiles):
-        per_layer = []
-        for layer in range(layers):
-            pattern = tuple(kinds[p][layer])
-            runs = runs_of.get(pattern)
-            if runs is None:
-                runs = runs_of[pattern] = _runs(pattern)
-            per_layer.append(LayerMix(weight[p, layer], keep[p, layer], runs))
-        mixes.append(tuple(per_layer))
-    return tuple(mixes)
+    return tuple(tuple(LayerMix(weight[p, layer], keep[p, layer], _runs(tuple(pattern)))
+                       for layer, pattern in enumerate(per_layer))
+                 for p, per_layer in enumerate(kinds.tolist()))
 
 
 def kv_mix(k_src: np.ndarray, v_src: np.ndarray, k_tgt: np.ndarray, v_tgt: np.ndarray,
@@ -897,8 +893,7 @@ def extract_mask(attn_record: AttentionRecord, cond: Conditioning,
     limit (indicator with 0.5 at ties, matching the gamma -> infinity).
     """
     GAMMA.check("gamma", gamma)
-    blocks = attn_record.stacked(steps)  # (steps x layers, heads, L_txt, L_img)
-    a = blocks[:, :, cond.keyword_index, :].mean(axis=(0, 1))
+    a = attn_record.stacked(steps, cond.keyword_index).mean(axis=(0, 1))
     spread = a.max() - a.min()
     if spread > 1e-12:
         a = (a - a.min()) / spread

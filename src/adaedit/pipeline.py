@@ -68,7 +68,7 @@ MAX_STEPS = 1000
 SCHEDULE_MEMO_LIMIT = 64
 # A run holds the model's weights and evaluation scratch, the K/V and the
 # text-to-image attention of every active step until sampling ends, and
-# extract_mask's stacked copy of that attention while it makes the mask; each
+# extract_mask's stack of the keyword's rows of it while it makes the mask; each
 # sampled row adds its own evaluation scratch, its states and solver
 # temporaries, and the K/V blends of every step. _run_bytes counts each part
 # from the arrays' shapes; validate holds one row to this budget, and
@@ -77,7 +77,7 @@ SCHEDULE_MEMO_LIMIT = 64
 # vocab_size=65536 take 1.62 GB of weights), which end in a MemoryError or an
 # OOM kill mid-run; the budget stops them before any work starts. It admits
 # the stability envelope above with a binary schedule and injection_steps=28
-# (~1.06 GB).
+# (~1.04 GB).
 MEMORY_BUDGET = 2 * 10**9
 
 
@@ -218,13 +218,13 @@ def _run_bytes(cfg: EditConfig, active: int) -> Tuple[Dict[str, int], int]:
     like ToyAttentionFlow.array_bytes, 8 per float64."""
     n, recorded = cfg.img_tokens + cfg.text_tokens, active * cfg.layer_count
     weights, scratch, entry = ToyAttentionFlow.array_bytes(**_model_dims(cfg))
-    record = 8 * recorded * cfg.heads * cfg.text_tokens * cfg.img_tokens
+    keyword_rows = 8 * recorded * cfg.heads * cfg.img_tokens
     parts = {
         "model weights": weights,
         "evaluation scratch": scratch,
         f"K/V cache of {active} active steps": 8 * recorded * 2 * n * cfg.embed_dim,
-        "attention record": record,
-        "its stacked copy for the mask": record,
+        "attention record": keyword_rows * cfg.text_tokens,
+        "its keyword rows for the mask": keyword_rows,
     }
     states = (cfg.total_steps + 8) * cfg.img_tokens * cfg.channels
     blends = 2 * cfg.total_steps * cfg.layer_count * n

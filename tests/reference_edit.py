@@ -19,23 +19,27 @@ from adaedit.diagnostics import SSIM_K1, SSIM_K2, _gaussian_kernel, default_ssim
 from adaedit.latent import STREAM_SOURCE, SeededRng
 
 
-def reference_kv_mix(k_src, v_src, k_tgt, v_tgt, ratio, mask=None, global_mix=False):
-    """One row's blend ratio*src + (1-ratio)*tgt, written out plainly: with
-    global_mix (or no mask) every K/V row mixes at ratio, and ratio 1 returns
-    the source; otherwise the image rows -- the trailing len(mask.soft) rows --
-    mix at ratio * (1 - soft) and the text rows keep the target. All-zero
-    weights return the target arrays themselves. The one-entry source
-    broadcasts over the target's entries."""
-    if not 0.0 <= ratio <= 1.0:
-        raise ValueError(f"ratio must lie in [0, 1], got {ratio}")
-    n = k_tgt.shape[-2]
+def reference_weights(n, ratio, mask=None, global_mix=False):
+    """One row's source share per K/V row, (n,): with global_mix (or no
+    mask) ratio on every row; otherwise ratio * (1 - soft) on the image rows
+    -- the trailing len(mask.soft) rows -- and 0 on the text rows."""
     base = np.ones(n)
     if not (global_mix or mask is None):
         base[:n - mask.soft.size] = 0.0
         base[n - mask.soft.size:] = 1.0 - mask.soft
-    elif ratio == 1.0:
+    return ratio * base
+
+
+def reference_kv_mix(k_src, v_src, k_tgt, v_tgt, ratio, mask=None, global_mix=False):
+    """One row's blend ratio*src + (1-ratio)*tgt, written out plainly at
+    reference_weights; with global_mix (or no mask) ratio 1 returns the
+    source. All-zero weights return the target arrays themselves. The
+    one-entry source broadcasts over the target's entries."""
+    if not 0.0 <= ratio <= 1.0:
+        raise ValueError(f"ratio must lie in [0, 1], got {ratio}")
+    if (global_mix or mask is None) and ratio == 1.0:
         return np.broadcast_to(k_src, k_tgt.shape), np.broadcast_to(v_src, v_tgt.shape)
-    w = (ratio * base)[:, None]
+    w = reference_weights(k_tgt.shape[-2], ratio, mask, global_mix)[:, None]
     if not w.any():
         return k_tgt, v_tgt
     return w * k_src + (1.0 - w) * k_tgt, w * v_src + (1.0 - w) * v_tgt

@@ -17,7 +17,8 @@ from adaedit.models import (SCORE_BLOCK_BYTES, AnalyticLinearFlow, AttentionReco
                             Conditioning, EditMask, InjectionHooks, KVCache,
                             ToyAttentionFlow, extract_mask, kv_mix, mix_rows)
 
-from reference_edit import reference_attend, reference_kv_mix, stacked_evaluate
+from reference_edit import (reference_attend, reference_kv_mix, reference_weights,
+                            stacked_evaluate)
 
 COND = Conditioning((1, 2, 3, 4), 2)
 
@@ -189,10 +190,32 @@ def test_kv_mix_ratio_domain_error():
     ("replay", {"cache": KVCache()}, "hook mode must be one of"),
     ("record", {}, "record mode requires a cache"),
     ("inject", {"cache": KVCache()}, "inject mode requires per-layer mix ratios"),
+    # a field the mode would ignore
+    ("record", {"cache": KVCache(), "mix_ratios": (0.5, 0.5)}, "record mode takes no mix_ratios"),
+    ("record", {"cache": KVCache(), "mixes": ()}, "record mode takes no mixes"),
+    ("record", {"cache": KVCache(), "mix_ratios": (0.5,), "mixes": ()},
+     "record mode takes no mix_ratios or mixes"),
+    ("inject", {"cache": KVCache(), "mix_ratios": (0.5, 0.5), "attn_sink": AttentionRecord()},
+     "inject mode takes no attn_sink"),
+    ("inject", {"cache": KVCache(), "mix_ratios": (0.5, 0.5), "mixes": ()},
+     "inject mode takes mix_ratios or mixes, not both"),
 ))
 def test_injection_hooks_reject_a_bad_mode_a_missing_cache_or_ratios(mode, kwargs, message):
     with pytest.raises(ValueError, match=message):
         InjectionHooks(mode, **kwargs)
+
+
+@pytest.mark.parametrize("layers", (1, 3))
+def test_inject_hooks_must_hold_one_blend_per_model_layer(layers):
+    # a two-layer model: one blend too few used to end in an IndexError, one
+    # too many was ignored; either is refused before any layer runs
+    flow, z = default_flow(), default_latent()
+    n = flow.text_tokens + flow.img_tokens
+    (mixes,) = mix_rows([[[0.5]] * layers], [None], [False], n)
+    for name, value in (("mix_ratios", (0.5,) * layers), ("mixes", mixes)):
+        hooks = InjectionHooks("inject", cache=KVCache(), step=0, **{name: value})
+        with pytest.raises(ValueError, match=f"{name} holds {layers} layers, the model 2"):
+            flow.evaluate(z, 0.5, COND, hooks)
 
 
 def test_kv_mix_background_rows_only():
@@ -266,27 +289,60 @@ def test_kv_mix_keeps_every_row_from_the_mix_end_on_bitwise(stack_rows):
     assert np.signbit(k[1:, 0]).all() and np.signbit(v[1:, :, 1]).all()
 
 
-@pytest.mark.parametrize("stack_rows", (11, 14))
-def test_kv_mix_shares_the_source_term_of_rows_with_one_weight_row_bitwise(stack_rows):
-    # rows 0-2 share a mask and a ratio (one weight row), row 3 has their
-    # ratio under another mask and blends alone like row 4, row 5 keeps its
-    # K/V, rows 6-7 take the source whole, rows 8-9 mix globally at one
-    # ratio, row 10 blends alone and row 11 keeps: the runs end at row 11,
-    # and a stack of 11 rows (fewer than the weights) or 14 is blended alike;
-    # signed zeros in the source and the targets show the order of each sum
+# rows 0-2 share a mask and a ratio (one weight row), row 3 has their ratio
+# under another mask and row 4 another ratio under it, row 5 keeps its K/V,
+# rows 6-7 take the source whole, rows 8-9 mix globally at one ratio, row 10
+# blends alone and row 11 keeps
+FIRST, SECOND = EditMask(np.array([0.0, 0.5, 1.0, 0.25])), EditMask(np.full(4, 0.5))
+HAND_ROWS = ([(0.5, FIRST, False)] * 3
+             + [(0.5, SECOND, False), (0.3, SECOND, False), (0.0, None, False),
+                (1.0, None, True), (1.0, None, True), (0.5, None, True), (0.5, None, True),
+                (0.7, FIRST, False), (0.0, FIRST, False)])
+
+
+def drawn_rows(seed):
+    """A seeded stack of 4-15 rows, each of a ratio in {0, 0.3, 0.5, 1}, one
+    of the two masks or none, and a drawn global_mix flag; half the rows
+    repeat the row before, so runs of several rows are common, and 0-3 rows
+    past the weights are stacked too."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for _ in range(rng.integers(4, 16)):
+        if rows and rng.random() < 0.5:
+            rows.append(rows[-1])
+        else:
+            rows.append((float(rng.choice([0.0, 0.3, 0.5, 1.0])),
+                         (FIRST, SECOND, None)[rng.integers(3)], bool(rng.integers(2))))
+    return rows, len(rows) + int(rng.integers(4))
+
+
+@pytest.mark.parametrize("rows,stack_rows", (
+    *(pytest.param(HAND_ROWS, size, id=str(size)) for size in (11, 14)),
+    *(pytest.param(*drawn_rows(seed), id=f"drawn-{seed}") for seed in range(8))))
+def test_kv_mix_shares_the_source_term_of_rows_with_one_weight_row_bitwise(rows, stack_rows):
+    # each run is the maximal block of consecutive mixing rows of one weight
+    # row, bit for bit, and the runs cover exactly the mixing rows; the
+    # hand-written stack's runs end at row 11, and a stack of 11 rows (fewer
+    # than the weights) or 14 is blended alike; signed zeros in the source
+    # and the targets show the order of each sum
     n, d = 6, 3
     rng = SeededRng(12)
-    first, second = EditMask(np.array([0.0, 0.5, 1.0, 0.25])), EditMask(np.full(4, 0.5))
-    rows = [(0.5, first, False)] * 3 + [(0.5, second, False), (0.3, second, False),
-                                        (0.0, None, False), (1.0, None, True),
-                                        (1.0, None, True), (0.5, None, True),
-                                        (0.5, None, True), (0.7, first, False),
-                                        (0.0, first, False)]
     ratios, masks, flags = zip(*rows)
     (mix,), = mix_rows([[list(ratios)]], masks, flags, n)
-    assert mix.runs == [(0, 3, models.SHARED), (3, 5, models.BLEND), (6, 8, models.WHOLE),
-                        (8, 10, models.SHARED), (10, 11, models.BLEND)]
-    assert mix.end == 11
+    if rows is HAND_ROWS:
+        assert mix.runs == ((0, 3, models.BLEND), (3, 4, models.BLEND), (4, 5, models.BLEND),
+                            (6, 8, models.WHOLE), (8, 10, models.BLEND),
+                            (10, 11, models.BLEND))
+        assert mix.end == 11
+    weights = [reference_weights(n, *row).tobytes() for row in rows]
+    mixing = [r for r, row in enumerate(rows) if reference_weights(n, *row).any()]
+    assert [r for lo, hi, _ in mix.runs for r in range(lo, hi)] == mixing
+    assert mix.end == (mix.runs[-1][1] if mixing else 0)
+    for lo, hi, how in mix.runs:
+        assert all(weights[r] == weights[lo] for r in range(lo, hi)), (lo, hi)
+        for edge in (lo - 1, hi):  # a neighbour that mixes has another weight row
+            assert edge not in mixing or weights[edge] != weights[lo], (lo, hi)
+        assert (how == models.WHOLE) == (reference_weights(n, *rows[lo]) == 1.0).all()
     k_src, v_src = rng.standard_normal((1, n, d)), rng.standard_normal((1, n, d))
     k_src[:, 2, 0] = -0.0
     k_tgt, v_tgt = (rng.standard_normal((stack_rows, n, d)) for _ in range(2))
@@ -610,7 +666,7 @@ def stack_cases(flow, rows, batch, seed):
 def test_a_stacked_evaluation_equals_each_row_alone_bitwise(dims, rows, batch):
     # the mid size holds 3 entries per score block, so 4 rows take two blocks.
     # The stack repeats each case's plan, mask and prompt over its batch
-    # entries, one row each (SHARED runs), and its entries alone take one
+    # entries, one row each (one run), and its entries alone take one
     # Conditioning and one set of inject hooks
     flow = ToyAttentionFlow(seed=2, **dims)
     cache, latents, prompts, ratios, masks, flags = stack_cases(flow, rows, batch, 6)

@@ -145,10 +145,10 @@ def test_memory_product_is_a_config_error():
         EditConfig(heads=32, img_tokens=4096, embed_dim=1024, layer_count=4)
     assert exc.value.field == "img_tokens"
     message = str(exc.value)
-    assert "2.48 GB" in message and "2 GB budget" in message
+    assert "2.4 GB" in message and "2 GB budget" in message
     for part in ("model weights 0.143 GB", "evaluation scratch 0.273 GB",
                  "K/V cache of 6 active steps 1.61 GB", "attention record 0.101 GB",
-                 "its stacked copy for the mask 0.101 GB", "one edit row 0.246 GB"):
+                 "its keyword rows for the mask 0.0252 GB", "one edit row 0.246 GB"):
         assert part in message, part
     # the K/V of 28 active steps at the stability envelope's size is ~0.94 GB;
     # with 20 layers instead of 8 it is ~2.36 GB
@@ -158,20 +158,24 @@ def test_memory_product_is_a_config_error():
     with pytest.raises(ConfigError):
         EditConfig(**dict(envelope, layer_count=20))
     # K/V ~0.29 GB and the evaluation scratch ~0.04 GB fit, but the attention
-    # record of 28 active steps is ~3.76 GB, and the mask stacks a copy of it
+    # record of 28 active steps is ~3.76 GB; the mask stacks only its
+    # keyword's rows, 1/text_tokens of it, so at 64 text tokens the run fits
+    # (~1.24 GB, 0.94 GB of it the record)
+    record = dict(img_tokens=1024, text_tokens=256, vocab_size=512, heads=8, layer_count=8,
+                  embed_dim=64, total_steps=28, injection_steps=28, schedule="binary")
     with pytest.raises(ConfigError) as exc:
-        EditConfig(img_tokens=1024, text_tokens=256, vocab_size=512, heads=8, layer_count=8,
-                   embed_dim=64, total_steps=28, injection_steps=28, schedule="binary")
+        EditConfig(**record)
     assert exc.value.field == "img_tokens"
-    assert "attention record 3.76 GB, its stacked copy for the mask 3.76 GB" in str(exc.value)
-    # one active step's K/V, the record and its copy, the scratch and one row
-    # take ~0.91 GB, and the weights of 32 layers at embed_dim=1024 with a
-    # 65536-token table ~1.62 GB
+    assert "attention record 3.76 GB, its keyword rows for the mask 0.0147 GB" in str(exc.value)
+    EditConfig(**dict(record, text_tokens=64, vocab_size=128))
+    # one active step's K/V, the record and its keyword rows, the scratch and
+    # one row take ~0.84 GB, and the weights of 32 layers at embed_dim=1024
+    # with a 65536-token table ~1.62 GB
     with pytest.raises(ConfigError) as exc:
         EditConfig(layer_count=32, embed_dim=1024, vocab_size=65536, img_tokens=1024,
                    text_tokens=256, total_steps=4, injection_steps=1, schedule="binary")
     assert exc.value.field == "img_tokens"
-    assert "2.53 GB (model weights 1.62 GB" in str(exc.value)
+    assert "2.46 GB (model weights 1.62 GB" in str(exc.value)
 
 
 # The arrays of a _Scratch that grow with its entries; scores and row grow up
@@ -247,7 +251,7 @@ MID = dict(img_tokens=256, embed_dim=128, layer_count=4, heads=4)
                                              heads=32), 1)),
                          ids=("default", "mid", "mid-grid", "heads-32"))
 def test_the_memory_estimate_bounds_the_traced_peak(dims, rows):
-    # at 32 heads the peak is extract_mask's stacked copy of the record; a
+    # at 32 heads the attention record is the largest part of the run; a
     # 3-row grid holds one larger scratch, which replaces the inversion's
     assert_estimate_bounds_the_peak(dims, rows)
 

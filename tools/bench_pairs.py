@@ -10,12 +10,16 @@ the base tree and in the working tree, odd seeds base first, and reads each
 run's result JSON as soon as the run ends, before a later run of that tree
 overwrites it. One traced run per side and workload (seed 1) adds the
 per-layer counts that repeat exactly (EXACT_COUNTS), compared between the
-sides.
+sides. A traced run averages its counts over the requests it sent, so it
+stops each of its two windows at TRACED_REQUESTS requests (``--max-requests``),
+and both sides trace the same request sequence; a traced run that sent fewer
+ran short of its time and is flagged, since its counts cover other requests.
 
 Writes BENCH_<LABEL>.json at the repository root: every pair, each side's
 median and quartiles of every end-to-end metric with a verdict against the
 metric's bound, each side's failed_frac, the counts and any that differ,
-the environment, the base commit and the SHA-256 of ``git diff HEAD``.
+the traced runs that ran short, the environment, the base commit and the
+SHA-256 of ``git diff HEAD``.
 """
 
 from __future__ import annotations
@@ -36,6 +40,10 @@ ROOT = Path(__file__).resolve().parent.parent
 SEEDS = range(1, 11)
 SIDES = ("base", "work")
 TRACED_SEED = 1
+# Requests per window of a traced run: a traced edit-mid request took
+# 0.3-0.9 s of wall time on a shared 2-core host, so 8 end inside the 12.5 s
+# window of a default 25 s run.
+TRACED_REQUESTS = 8
 EXACT_COUNTS = ("models.evaluate.calls_per_edit", "solvers.inversion.evals",
                 "solvers.sampling.evals", "solvers.reconstruction.evals",
                 "models.kvcache.puts_per_edit", "diagnostics.velocity_jump.evals_per_edit")
@@ -50,13 +58,22 @@ def _export(commit: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
+def bench_argv(workload: str, seed: int, trace: int) -> list:
+    """bench/run.py's arguments for one run; a traced run stops each window
+    at TRACED_REQUESTS requests."""
+    argv = ["bench/run.py", "--workload", workload, "--seed", str(seed), "--trace", str(trace)]
+    return argv + ["--max-requests", str(TRACED_REQUESTS)] if trace else argv
+
+
 def _run(tree: Path, workload: str, seed: int, trace: int) -> dict:
-    """One bench run in ``tree``: its result JSON, read straight after it."""
+    """One bench run in ``tree``: its result JSON, read straight after it,
+    with the requests it sent (the warm-up and every window) as "attempted"."""
     print(f"bench_pairs: {tree} {workload} seed {seed} trace {trace}", flush=True)
-    subprocess.run([sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-                    "--trace", str(trace)], cwd=tree, check=True, stdout=subprocess.DEVNULL)
+    out = subprocess.run([sys.executable, *bench_argv(workload, seed, trace)], cwd=tree,
+                         check=True, stdout=subprocess.PIPE, text=True).stdout
     path = tree / ".bench_work" / f"result-{workload}-seed{seed}-trace{trace}.json"
-    return json.loads(path.read_text())
+    return {**json.loads(path.read_text()),
+            "attempted": json.loads(out.strip().splitlines()[-1])["attempted"]}
 
 
 def _values(result: dict) -> dict:
@@ -96,8 +113,10 @@ def summarize(spec: dict, pairs: list, traced: dict) -> dict:
     """The per-workload summary of ``pairs`` (each {"workload", "seed",
     "first", "base", "work"}, a side being its run's result JSON) and
     ``traced`` ({workload: {side: traced result JSON}}) under BENCHMARK.json
-    ``spec``."""
-    workloads, differences = {}, []
+    ``spec``. A traced run is short when it sent fewer than the warm-up and
+    two full windows: the windows take consecutive requests of the pool, so
+    the traced one then covered other requests than the other side's."""
+    workloads, differences, short = {}, [], []
     for name in [w["name"] for w in spec["workloads"]]:
         runs = [p for p in pairs if p["workload"] == name]
         values = {side: [_values(p[side]) for p in runs] for side in SIDES}
@@ -115,9 +134,13 @@ def summarize(spec: dict, pairs: list, traced: dict) -> dict:
             counts[count] = {**got, "equal": got["base"] == got["work"]}
             if not counts[count]["equal"]:
                 differences.append(f"{name} {count}: {got['base']} -> {got['work']}")
+        sent = {side: traced[name][side]["attempted"] for side in SIDES}
+        short += [f"{name} {side}: {got} of {1 + 2 * TRACED_REQUESTS} requests"
+                  for side, got in sent.items() if got < 1 + 2 * TRACED_REQUESTS]
         workloads[name] = {"end_to_end": end_to_end, "failed_frac": failed,
-                           "exact_counts": counts}
+                           "exact_counts": counts, "traced_requests": sent}
     return {"workloads": workloads, "count_differences": differences,
+            "short_traced_runs": short,
             "pairs": [{"workload": p["workload"], "seed": p["seed"], "first": p["first"],
                        **{side: _values(p[side]) for side in SIDES}} for p in pairs]}
 
@@ -148,7 +171,8 @@ def main(argv=None) -> int:
     report = {"label": args.label, "base_commit": base, "diff_sha256": diff,
               "protocol": f"bench/run.py --workload W --seed S --trace 0, seeds "
                           f"{SEEDS.start}-{SEEDS.stop - 1}, odd seeds base first; "
-                          f"--trace 1 at seed {TRACED_SEED} for the exact counts",
+                          f"--trace 1 --max-requests {TRACED_REQUESTS} at seed "
+                          f"{TRACED_SEED} for the exact counts",
               "environment": pairs[0]["work"]["environment"],
               **summarize(spec, pairs, traced)}
     out = ROOT / f"BENCH_{args.label}.json"
@@ -159,8 +183,10 @@ def main(argv=None) -> int:
                   f"{row['work']['median']:10.4g}  {row['verdict']}")
     for difference in report["count_differences"]:
         print(f"count differs: {difference}")
+    for run in report["short_traced_runs"]:
+        print(f"traced run short: {run}")
     print(f"wrote {out}")
-    return 1 if report["count_differences"] else 0
+    return 1 if report["count_differences"] or report["short_traced_runs"] else 0
 
 
 if __name__ == "__main__":
