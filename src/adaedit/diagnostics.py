@@ -31,8 +31,8 @@ def _default_peak(reference: Latent) -> float:
 
 
 def _check_peak(peak: float) -> None:
-    if not peak > 0.0:
-        raise ValueError(f"peak must be positive, got {peak}")
+    if not 0.0 < peak < math.inf:  # NaN fails it
+        raise ValueError(f"peak must be positive and finite, got {peak}")
 
 
 def _scored_rows(a: Latent, b: Latent, rows: Optional[int]) -> int:
@@ -48,8 +48,8 @@ def psnr(a: Latent, b: Latent, peak: Optional[float] = None,
 
     peak defaults to the value range of the one-entry reference latent a,
     which is read only when some MSE is non-zero; an explicit peak must be
-    positive. With rows, b stacks that many entries and the result is one
-    value per row, each equal to psnr(a, row) bitwise.
+    positive and finite. With rows, b stacks that many entries and the
+    result is one value per row, each equal to psnr(a, row) bitwise.
     """
     count = _scored_rows(a, b, rows)
     if peak is not None:

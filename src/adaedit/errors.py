@@ -44,9 +44,10 @@ class Spec:
     """Type and allowed values of one EditConfig field or library argument.
 
     kind is int, float, bool, str (one of choices) or tuple (a list of integer
-    token ids). Numbers, and the entries of a tuple, lie between lo and hi,
-    open at an end whose flag is set; floats must be finite, and an int given
-    for one must lie within float range. optional admits None.
+    token ids). Numbers, and the entries of a tuple, lie between lo and hi
+    (None: unbounded), open at an end whose flag is set; floats must be
+    finite, and an int given for one must lie within float range. optional
+    admits None.
     """
 
     kind: type
@@ -63,10 +64,11 @@ class Spec:
         elif self.kind is str:
             text = "one of " + ", ".join(self.choices)
         else:
-            left = "(" if self.lo_open else "["
+            left = "(" if self.lo_open or self.lo is None else "["
             right = ")" if self.hi_open or self.hi is None else "]"
+            lo = "-inf" if self.lo is None else self.lo
             hi = "inf" if self.hi is None else self.hi
-            text = f"{_NOUNS[self.kind]} in {left}{self.lo}, {hi}{right}"
+            text = f"{_NOUNS[self.kind]} in {left}{lo}, {hi}{right}"
         return text + " or null" if self.optional else text
 
     def accepts(self, value) -> bool:
@@ -88,7 +90,7 @@ class Spec:
         return self._within(value)
 
     def _within(self, value) -> bool:
-        above = value > self.lo if self.lo_open else value >= self.lo
+        above = self.lo is None or (value > self.lo if self.lo_open else value >= self.lo)
         below = self.hi is None or (value < self.hi if self.hi_open else value <= self.hi)
         return above and below
 

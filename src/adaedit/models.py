@@ -25,6 +25,8 @@ from .errors import CacheMissError, ConfigError, Spec, hold, knob
 from .latent import DIMENSION, STREAM_MODEL, Latent, SeededRng, frozen
 
 HOOK_MODES = ("record", "inject")
+# the InjectionHooks fields that one mode or the other reads, in field order
+HOOK_OPTIONS = ("mix_ratios", "background_mask", "global_mix", "attn_sink", "mixes")
 
 # A prompt's token ids and its keyword's index. The rules that span them and
 # the model's dimensions are the check_* functions below; like Spec.check,
@@ -153,7 +155,10 @@ class InjectionHooks:
     blends that mix_rows made for a stack's rows (mixes), or at one set of
     per-layer ratios with one mask for every entry (mix_ratios,
     background_mask, global_mix), which layer_mixes turns into one LayerMix
-    row per entry. A step without hooks (None) leaves the cache alone.
+    row per entry. A step without hooks (None) leaves the cache alone. Each
+    mode reads only its own fields (record: attn_sink; inject: mixes, or
+    mix_ratios with background_mask and global_mix), and any other field
+    given is a ValueError that names it.
     """
 
     mode: str
@@ -170,16 +175,19 @@ class InjectionHooks:
             raise ValueError(f"hook mode must be one of {HOOK_MODES}, got '{self.mode}'")
         if self.cache is None:
             raise ValueError(f"{self.mode} mode requires a cache")
-        given = [name for name in ("mix_ratios", "mixes") if getattr(self, name) is not None]
-        if self.mode == "record" and given:
-            raise ValueError(f"record mode takes no {' or '.join(given)}")
-        if self.mode == "inject":
-            if self.attn_sink is not None:
-                raise ValueError("inject mode takes no attn_sink: only record mode records")
-            if not given:
-                raise ValueError("inject mode requires per-layer mix ratios")
-            if len(given) == 2:
-                raise ValueError("inject mode takes mix_ratios or mixes, not both")
+        beside = ""
+        if self.mode == "record":
+            reads = ("attn_sink",)
+        elif self.mixes is not None:
+            reads, beside = ("mixes",), " beside mixes"
+        elif self.mix_ratios is not None:
+            reads = ("mix_ratios", "background_mask", "global_mix")
+        else:
+            raise ValueError("inject mode requires per-layer mix ratios")
+        unread = [name for name in HOOK_OPTIONS if name not in reads and (
+            self.global_mix if name == "global_mix" else getattr(self, name) is not None)]
+        if unread:
+            raise ValueError(f"{self.mode} mode takes no {' or '.join(unread)}{beside}")
 
     def layer_mixes(self, layer_count: int, n: int, entries: int) -> Tuple["LayerMix", ...]:
         """The per-layer blends of an inject step for a model of layer_count
@@ -198,15 +206,19 @@ class InjectionHooks:
 
 @dataclass(frozen=True)
 class AnalyticLinearFlow:
-    """v(z, t) = decay * z + drift (drift broadcast over tokens); closed form known."""
+    """v(z, t) = decay * z + drift (drift broadcast over tokens); closed form
+    known. decay is held as checked (errors.hold), and drift is finite."""
 
-    decay: float
+    decay: float = knob(Spec(float))
     drift: np.ndarray
 
     def __post_init__(self):
+        hold(self)
         arr = frozen(self.drift)
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError(f"drift must be a length-C vector, got shape {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("drift entries must be finite")
         object.__setattr__(self, "drift", arr)
 
     def _check_channels(self, z: Latent) -> None:
@@ -227,62 +239,51 @@ class AnalyticLinearFlow:
         return Latent(g * z0.data + (self.drift / self.decay) * (g - 1.0))
 
 
-# How a LayerMix run blends its rows (mix_rows)
-BLEND, WHOLE = range(2)
-
-
 class LayerMix:
     """How one layer's K/V mix for a stack of rows, one latent entry each,
     made once by mix_rows.
 
     weight holds, per row and K/V row, the cached source's share and keep the
-    current K/V's (1 - weight). A row either blends by them, takes the source
-    whole (ratio 1 on every K/V row), or keeps its current K/V bitwise (ratio
-    0, or a mask that leaves no row to mix); runs lists the (first, end, how)
-    row ranges of the first two kinds, and rows of the third are never
-    touched. A run is the maximal block of consecutive rows with one weight
-    row: a WHOLE run takes the source, and a BLEND run makes its source term
-    once and adds it to each of its rows. end is the end of the last run: a
-    stack of at least end rows can be blended, and its rows from end on are
-    left as they are.
+    current K/V's (1 - weight). A row either blends by them, as
+    current * keep + source * weight at every weight from 0 to 1, or keeps
+    its current K/V bitwise (ratio 0, or a mask that leaves no row to mix);
+    runs lists the (first, end) row ranges of the first kind, and rows of the
+    second are never touched. A run is the maximal block of consecutive rows
+    with one weight row: it makes its source term once and adds it to each
+    of its rows. end is the end of the last run: a stack of at least end
+    rows can be blended, and its rows from end on are left as they are.
     """
 
-    def __init__(self, weight: np.ndarray, keep: np.ndarray,
-                 runs: Tuple[Tuple[int, int, int], ...]):
+    def __init__(self, weight: np.ndarray, keep: np.ndarray, runs: Tuple[Tuple[int, int], ...]):
         # weight and keep are (rows, n, 1); each run keeps its rows and its
         # first row's (1, n, 1) weight and keep, to broadcast over (rows, n, d)
         self.runs = runs
         self.end = runs[-1][1] if runs else 0
-        self._slices = [(slice(lo, hi), how, weight[lo:lo + 1], keep[lo:lo + 1])
-                        for lo, hi, how in runs]
+        self._slices = [(slice(lo, hi), weight[lo:lo + 1], keep[lo:lo + 1]) for lo, hi in runs]
 
     def blend_into(self, src: np.ndarray, cur: np.ndarray, tmp: np.ndarray) -> None:
         """Blend the cached (1, n, d) ``src`` into the stacked (rows, n, d)
         ``cur`` in place, with ``tmp`` (cur's shape) for each run's source
         term. Each term is added as part + term: IEEE addition commutes, so
         each row keeps the bits of its own term + part."""
-        for rows, how, weight, keep in self._slices:
-            part = cur[rows]
-            if how == WHOLE:
-                part[...] = src
-            else:
-                term = tmp[:1]
-                np.multiply(src, weight, out=term)
-                part *= keep
-                part += term
+        for rows, weight, keep in self._slices:
+            part, term = cur[rows], tmp[:1]
+            np.multiply(src, weight, out=term)
+            part *= keep
+            part += term
 
 
 @functools.lru_cache(maxsize=1024)  # most steps and layers share one pattern
-def _runs(kinds: Tuple[int, ...]) -> Tuple[Tuple[int, int, int], ...]:
+def _runs(kinds: Tuple[int, ...]) -> Tuple[Tuple[int, int], ...]:
     """The LayerMix runs of one layer's row kinds (mix_rows) in one pass: a
-    row of kind 3 extends the run before it, one of kind 1 or 2 starts a
-    BLEND or a WHOLE run, and one of kind 0 keeps its K/V."""
+    row of kind 2 extends the run before it, one of kind 1 starts a run, and
+    one of kind 0 keeps its K/V."""
     runs = []
     for r, kind in enumerate(kinds):
-        if kind == 3:
-            runs[-1] = (runs[-1][0], r + 1, runs[-1][2])
+        if kind == 2:
+            runs[-1] = (runs[-1][0], r + 1)
         elif kind:
-            runs.append((r, r + 1, WHOLE if kind == 2 else BLEND))
+            runs.append((r, r + 1))
     return tuple(runs)
 
 
@@ -293,11 +294,12 @@ def mix_rows(ratios, masks: Sequence[Optional[EditMask]], global_mix: Sequence[b
 
     ratios is (profiles, layers, rows): each row's per-layer ratio in [0, 1],
     0 where the row does not inject. With global_mix[r] (or no mask) row r
-    mixes all n K/V rows at its ratio, and takes the source whole at ratio 1.
-    Otherwise its image rows -- the trailing len(mask.soft) rows -- mix at the
-    background weight ratio * (1 - soft), leaving edit tokens free, and its
-    text rows keep the target features so the target prompt stays in control.
-    A row whose weights are all 0 keeps its K/V.
+    mixes all n K/V rows at its ratio, 1 included. Otherwise its image rows
+    -- the trailing len(mask.soft) rows -- mix at the background weight
+    ratio * (1 - soft), leaving edit tokens free, and its text rows keep the
+    target features so the target prompt stays in control. Every mixing row
+    blends by the one formula of LayerMix; a row whose weights are all 0
+    keeps its K/V.
 
     A run is the maximal block of consecutive mixing rows of one ratio on
     one base row (the same plan, mask and global_mix), and so of one weight
@@ -331,14 +333,13 @@ def mix_rows(ratios, masks: Sequence[Optional[EditMask]], global_mix: Sequence[b
         index.append(at)
     index = np.array(index, dtype=np.intp)
     base = np.array(bases)[index]
-    whole = index == 0
     weight = ratios[..., None] * base
     keep = 1.0 - weight
-    # per row: 0 keeps its K/V, 1 blends, 2 takes the source whole, 3 mixes
-    # by the weight row of the mixing row before it
-    kinds = np.where(whole & (ratios == 1.0), 2, weight.any(axis=-1))
+    # per row: 0 keeps its K/V, 1 blends, 2 blends by the weight row of the
+    # blending row before it
+    kinds = weight.any(axis=-1).astype(np.intp)
     same = (ratios[..., 1:] == ratios[..., :-1]) & (index[1:] == index[:-1])
-    kinds[..., 1:][same & (kinds[..., :-1] > 0)] = 3
+    kinds[..., 1:][same & (kinds[..., :-1] > 0)] = 2
     weight, keep = weight[..., None], keep[..., None]
     return tuple(tuple(LayerMix(weight[p, layer], keep[p, layer], _runs(tuple(pattern)))
                        for layer, pattern in enumerate(per_layer))
@@ -386,7 +387,10 @@ def _memo_put(memo: dict, limit: int, key, value) -> None:
 @functools.lru_cache(maxsize=TIME_MEMO_LIMIT)
 def _time_features(t: float) -> np.ndarray:
     """Sinusoidal features of t, (2 * TIME_FREQS,), read-only and made once
-    per t for every model."""
+    per t for every model; a non-finite t is refused, and the memo keeps no
+    refusal."""
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     angles = math.pi * t * 2.0 ** np.arange(TIME_FREQS)
     feats = np.concatenate([np.sin(angles), np.cos(angles)])
     feats.flags.writeable = False

@@ -140,17 +140,13 @@ def shift_stats(z_inv: Latent, z_rand: Latent, tokens: Iterable[int]) -> ShiftSt
 
 
 def _shift(z_inv: Latent, blend: np.ndarray, stats: ShiftStats) -> Latent:
-    """Blend stats.target into z_inv on the tokens stats.idx, per channel at
-    the strengths in blend.
+    """z_inv with blend * stats.target + (1 - blend) * z_inv on the tokens
+    stats.idx, per channel at the strengths in blend, 0 and 1 included.
 
-    Tokens outside idx and channels whose blend is 0 are copied through
-    bitwise.
+    Tokens outside idx are copied through bitwise.
     """
     out = z_inv.data.copy()
-    if np.any(blend > 0.0):
-        x = stats.x
-        mixed = blend * stats.target + (1.0 - blend) * x
-        out[:, stats.idx, :] = np.where(blend > 0.0, mixed, x)
+    out[:, stats.idx, :] = blend * stats.target + (1.0 - blend) * stats.x
     return Latent(out)
 
 
@@ -159,9 +155,9 @@ def latents_shift_uniform(z_inv: Latent, z_rand: Latent, alpha: float,
                           stats: Optional[ShiftStats] = None) -> Latent:
     """Blend AdaIN(z_inv, z_rand) into z_inv at strength alpha on the edit tokens.
 
-    The channel-selective shift with every alpha_c = 1. alpha = 0 returns
-    z_inv unchanged. stats is shift_stats(z_inv, z_rand, tokens) when the
-    caller already has it.
+    The channel-selective shift with every alpha_c = 1, by the same formula
+    at every alpha: alpha = 0 gives z_inv's values back. stats is
+    shift_stats(z_inv, z_rand, tokens) when the caller already has it.
     """
     _check_pair(z_inv, z_rand)
     ALPHA.check("alpha", alpha)
@@ -179,8 +175,8 @@ def latents_shift_channel_selective(
 
     gaps is channel_gap(z_inv, z_rand, tokens) and stats is
     shift_stats(z_inv, z_rand, tokens) when the caller already has them.
-    alpha = 0 is the identity, and a constant gap vector reduces exactly to
-    the uniform shift.
+    Every channel blends by one formula, so alpha = 0 gives z_inv's values
+    back, and a constant gap vector reduces exactly to the uniform shift.
     """
     _check_pair(z_inv, z_rand)
     if stats is None:

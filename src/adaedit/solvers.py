@@ -44,7 +44,7 @@ class TimeGrid:
             raise ValueError(f"grid needs at least two times, got shape {arr.shape}")
         if arr[0] != 0.0 or arr[-1] != 1.0:
             raise ValueError(f"grid must span exactly [0, 1], got [{arr[0]}, {arr[-1]}]")
-        if np.any(np.diff(arr) <= 0.0):
+        if not np.all(np.diff(arr) > 0.0):  # NaN fails it
             raise ValueError("grid times must be strictly increasing")
         object.__setattr__(self, "times", arr)
 

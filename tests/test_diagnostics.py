@@ -55,7 +55,7 @@ def test_psnr_default_peak_from_reference():
     assert psnr(a, b) == psnr(a, b, peak=float(np.ptp(a.data)))
 
 
-@pytest.mark.parametrize("peak", (-1.0, 0.0, math.nan, -math.inf))
+@pytest.mark.parametrize("peak", (-1.0, 0.0, math.nan, -math.inf, math.inf))
 def test_psnr_rejects_a_bad_explicit_peak_even_when_the_latents_match(peak):
     z = sample_gaussian(SeededRng(1), 1, 16, 2)
     with pytest.raises(ValueError, match="peak must be positive"):

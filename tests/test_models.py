@@ -141,6 +141,14 @@ def test_analytic_flow_drift_matches_the_latent_s_channels():
         flow.closed_form(z, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("decay, drift", ((math.nan, (0.0, 0.0)), (math.inf, (0.0, 0.0)),
+                                          (-1.0, (0.0, math.inf)), (-1.0, (math.nan, 0.0))))
+def test_analytic_flow_refuses_a_non_finite_decay_or_drift(decay, drift):
+    name = "decay" if not math.isfinite(decay) else "drift"
+    with pytest.raises(ValueError, match=f"^{name}"):
+        AnalyticLinearFlow(decay=decay, drift=np.array(drift))
+
+
 # --------------------------------------------------------------------- kv_mix
 
 def blend(k_src, v_src, k_tgt, v_tgt, ratio, mask=None, global_mix=False):
@@ -198,7 +206,15 @@ def test_kv_mix_ratio_domain_error():
     ("inject", {"cache": KVCache(), "mix_ratios": (0.5, 0.5), "attn_sink": AttentionRecord()},
      "inject mode takes no attn_sink"),
     ("inject", {"cache": KVCache(), "mix_ratios": (0.5, 0.5), "mixes": ()},
-     "inject mode takes mix_ratios or mixes, not both"),
+     "inject mode takes no mix_ratios beside mixes"),
+    # a mask or a global_mix flag that the mode, or mixes, would leave unread
+    ("record", {"cache": KVCache(), "background_mask": EditMask(np.ones(16))},
+     "record mode takes no background_mask"),
+    ("record", {"cache": KVCache(), "global_mix": True}, "record mode takes no global_mix"),
+    ("inject", {"cache": KVCache(), "mixes": (), "background_mask": EditMask(np.ones(16))},
+     "inject mode takes no background_mask beside mixes"),
+    ("inject", {"cache": KVCache(), "mixes": (), "global_mix": True},
+     "inject mode takes no global_mix beside mixes"),
 ))
 def test_injection_hooks_reject_a_bad_mode_a_missing_cache_or_ratios(mode, kwargs, message):
     with pytest.raises(ValueError, match=message):
@@ -291,7 +307,7 @@ def test_kv_mix_keeps_every_row_from_the_mix_end_on_bitwise(stack_rows):
 
 # rows 0-2 share a mask and a ratio (one weight row), row 3 has their ratio
 # under another mask and row 4 another ratio under it, row 5 keeps its K/V,
-# rows 6-7 take the source whole, rows 8-9 mix globally at one ratio, row 10
+# rows 6-7 mix globally at ratio 1, rows 8-9 mix globally at one ratio, row 10
 # blends alone and row 11 keeps
 FIRST, SECOND = EditMask(np.array([0.0, 0.5, 1.0, 0.25])), EditMask(np.full(4, 0.5))
 HAND_ROWS = ([(0.5, FIRST, False)] * 3
@@ -330,19 +346,16 @@ def test_kv_mix_shares_the_source_term_of_rows_with_one_weight_row_bitwise(rows,
     ratios, masks, flags = zip(*rows)
     (mix,), = mix_rows([[list(ratios)]], masks, flags, n)
     if rows is HAND_ROWS:
-        assert mix.runs == ((0, 3, models.BLEND), (3, 4, models.BLEND), (4, 5, models.BLEND),
-                            (6, 8, models.WHOLE), (8, 10, models.BLEND),
-                            (10, 11, models.BLEND))
+        assert mix.runs == ((0, 3), (3, 4), (4, 5), (6, 8), (8, 10), (10, 11))
         assert mix.end == 11
     weights = [reference_weights(n, *row).tobytes() for row in rows]
     mixing = [r for r, row in enumerate(rows) if reference_weights(n, *row).any()]
-    assert [r for lo, hi, _ in mix.runs for r in range(lo, hi)] == mixing
+    assert [r for lo, hi in mix.runs for r in range(lo, hi)] == mixing
     assert mix.end == (mix.runs[-1][1] if mixing else 0)
-    for lo, hi, how in mix.runs:
+    for lo, hi in mix.runs:
         assert all(weights[r] == weights[lo] for r in range(lo, hi)), (lo, hi)
         for edge in (lo - 1, hi):  # a neighbour that mixes has another weight row
             assert edge not in mixing or weights[edge] != weights[lo], (lo, hi)
-        assert (how == models.WHOLE) == (reference_weights(n, *rows[lo]) == 1.0).all()
     k_src, v_src = rng.standard_normal((1, n, d)), rng.standard_normal((1, n, d))
     k_src[:, 2, 0] = -0.0
     k_tgt, v_tgt = (rng.standard_normal((stack_rows, n, d)) for _ in range(2))
@@ -471,6 +484,15 @@ def test_overflowing_output_of_a_finite_latent_raises():
     with np.errstate(all="ignore"):
         with pytest.raises(ValueError, match="finite"):
             flow.evaluate(z, 0.3, COND)
+
+
+@pytest.mark.parametrize("t", (math.nan, math.inf, -math.inf))
+def test_evaluate_refuses_a_non_finite_time_before_it_blames_the_latent(t):
+    # the time memo keeps no refusal, so a second call refuses it too
+    flow = default_flow()
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^t must be finite"):
+            flow.evaluate(default_latent(), t, COND)
 
 
 def test_output_is_read_only():

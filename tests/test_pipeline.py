@@ -653,8 +653,8 @@ def count_sampling(monkeypatch):
 @pytest.mark.parametrize("solver", ("euler", "midpoint", "reuse_velocity"))
 def test_stacked_rows_equal_standalone_edits(monkeypatch, solver):
     # binary plans 3 steps and sigmoid 4, so at step 3 some rows inject and
-    # others do not; global_mix at delta_base 1 takes the source K/V whole;
-    # the rows' target prompts differ
+    # others do not; global_mix at delta_base 1 blends every K/V row at
+    # weight 1; the rows' target prompts differ
     cfg = EditConfig(seed=4, total_steps=6, injection_steps=3, heads=2, solver=solver)
     axes = {"schedule": ["binary", "sigmoid"], "global_mix": [False, True],
             "delta_base": [0.6, 1.0], "target_prompt_ids": [(1, 2, 9, 4), (5, 6, 7, 8)],

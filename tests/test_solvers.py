@@ -49,6 +49,12 @@ def test_time_grid_validation():
         TimeGrid.uniform(0)
 
 
+def test_time_grid_refuses_a_nan_time():
+    # NaN fails every comparison, so a check for a step <= 0 passes it
+    with pytest.raises(ValueError, match="grid times must be strictly increasing"):
+        TimeGrid(np.array([0.0, np.nan, 1.0]))
+
+
 # --------------------------------------------------------------- euler oracle
 
 def test_euler_endpoint_matches_product_formula():
