@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
 from scipy import ndimage
 
+from .errors import as_index
 from .latent import Latent, grid_side
 from .models import Conditioning, EditMask, InjectionHooks, KVCache, mix_rows
 
@@ -31,12 +33,13 @@ def _default_peak(reference: Latent) -> float:
 
 
 def _check_peak(peak: float) -> None:
-    if not 0.0 < peak < math.inf:  # NaN fails it
-        raise ValueError(f"peak must be positive and finite, got {peak}")
+    real = isinstance(peak, numbers.Real) and not isinstance(peak, bool)
+    if not (real and 0.0 < peak < math.inf):  # NaN fails it
+        raise ValueError(f"peak must be positive and finite, got {peak!r}")
 
 
 def _scored_rows(a: Latent, b: Latent, rows: Optional[int]) -> int:
-    count = 1 if rows is None else rows
+    count = 1 if rows is None else as_index("rows", rows)
     if a.b != 1 or b.shape != (count, a.l, a.c):
         raise ValueError(f"latent shape mismatch: one-entry {a.shape} x {count} vs {b.shape}")
     return count

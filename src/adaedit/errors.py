@@ -11,6 +11,7 @@ a rule spanning fields is one function there, given the name to report.
 from __future__ import annotations
 
 import functools
+import operator
 import sys
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
@@ -32,6 +33,17 @@ _NOUNS = {int: "an integer", float: "a finite number", tuple: "a list of integer
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def as_index(name: str, value) -> int:
+    """value as an int: a Python or numpy integer, not a bool; anything else
+    is a ValueError that names name."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _integral(value):

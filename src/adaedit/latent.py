@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ConfigError, Spec
+from .errors import ConfigError, Spec, as_index
 
 EPS_STD = 1e-8
 # a latent or model dimension
@@ -129,8 +129,10 @@ def sample_gaussian(rng: SeededRng, b: int, l: int, c: int) -> Latent:
 
 
 def resolve_tokens(tokens: Iterable[int], l: int) -> np.ndarray:
-    """Validate a token index set against length l; returns sorted unique indices."""
-    idx = np.unique(np.asarray(list(tokens), dtype=np.int64))
+    """Validate a token index set against length l; returns sorted unique
+    indices. Each index is a Python or numpy integer (errors.as_index)."""
+    idx = np.unique(np.array([as_index("token index in tokens", t) for t in tokens],
+                             dtype=np.int64))
     if idx.size == 0:
         raise ValueError("empty token selection")
     if idx.min() < 0 or idx.max() >= l:

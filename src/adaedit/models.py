@@ -117,12 +117,15 @@ class AttentionRecord:
 
     def stacked(self, steps: Optional[int] = None, token: Optional[int] = None) -> np.ndarray:
         """The recorded blocks in (step, layer) order, only those of the first
-        ``steps`` steps if given: (steps x layers, heads, L_txt, L_img), or
-        with ``token`` only that text token's rows, (steps x layers, heads,
+        ``steps`` steps if given (an integer from 1 to the last recorded step
+        + 1, else a ConfigError): (steps x layers, heads, L_txt, L_img), or with
+        ``token`` only that text token's rows, (steps x layers, heads,
         L_img)."""
-        keys = sorted(k for k in self._maps if steps is None or k[0] < steps)
-        if not keys:
+        if not self._maps:
             raise RuntimeError("no attention maps recorded")
+        held = 1 + max(step for step, _ in self._maps)
+        Spec(int, 1, held, optional=True).check("steps", steps)
+        keys = sorted(k for k in self._maps if steps is None or k[0] < steps)
         rows = slice(None) if token is None else token
         return np.stack([self._maps[k][:, rows] for k in keys], axis=0)
 
@@ -244,47 +247,27 @@ class LayerMix:
     made once by mix_rows.
 
     weight holds, per row and K/V row, the cached source's share and keep the
-    current K/V's (1 - weight). A row either blends by them, as
-    current * keep + source * weight at every weight from 0 to 1, or keeps
-    its current K/V bitwise (ratio 0, or a mask that leaves no row to mix);
-    runs lists the (first, end) row ranges of the first kind, and rows of the
-    second are never touched. A run is the maximal block of consecutive rows
-    with one weight row: it makes its source term once and adds it to each
-    of its rows. end is the end of the last run: a stack of at least end
-    rows can be blended, and its rows from end on are left as they are.
+    current K/V's (1 - weight). end is the row after the last row with a
+    non-zero weight (0 if none): every row before it blends by the one
+    formula current * keep + source * weight, at every weight from 0 to 1,
+    and a stack of at least end rows can be blended; its rows from end on
+    are left as they are.
     """
 
-    def __init__(self, weight: np.ndarray, keep: np.ndarray, runs: Tuple[Tuple[int, int], ...]):
-        # weight and keep are (rows, n, 1); each run keeps its rows and its
-        # first row's (1, n, 1) weight and keep, to broadcast over (rows, n, d)
-        self.runs = runs
-        self.end = runs[-1][1] if runs else 0
-        self._slices = [(slice(lo, hi), weight[lo:lo + 1], keep[lo:lo + 1]) for lo, hi in runs]
+    def __init__(self, weight: np.ndarray, keep: np.ndarray, end: int):
+        # weight and keep are (rows, n, 1), to broadcast over (rows, n, d)
+        self.end = end
+        self._weight, self._keep = weight[:end], keep[:end]
 
     def blend_into(self, src: np.ndarray, cur: np.ndarray, tmp: np.ndarray) -> None:
         """Blend the cached (1, n, d) ``src`` into the stacked (rows, n, d)
-        ``cur`` in place, with ``tmp`` (cur's shape) for each run's source
-        term. Each term is added as part + term: IEEE addition commutes, so
-        each row keeps the bits of its own term + part."""
-        for rows, weight, keep in self._slices:
-            part, term = cur[rows], tmp[:1]
-            np.multiply(src, weight, out=term)
-            part *= keep
-            part += term
-
-
-@functools.lru_cache(maxsize=1024)  # most steps and layers share one pattern
-def _runs(kinds: Tuple[int, ...]) -> Tuple[Tuple[int, int], ...]:
-    """The LayerMix runs of one layer's row kinds (mix_rows) in one pass: a
-    row of kind 2 extends the run before it, one of kind 1 starts a run, and
-    one of kind 0 keeps its K/V."""
-    runs = []
-    for r, kind in enumerate(kinds):
-        if kind == 2:
-            runs[-1] = (runs[-1][0], r + 1)
-        elif kind:
-            runs.append((r, r + 1))
-    return tuple(runs)
+        ``cur`` in place, with ``tmp`` (cur's shape) for the source terms.
+        Each term is added as part + term: IEEE addition commutes, so each
+        row keeps the bits of its own term + part."""
+        part, term = cur[:self.end], tmp[:self.end]
+        np.multiply(src, self._weight, out=term)
+        part *= self._keep
+        part += term
 
 
 def mix_rows(ratios, masks: Sequence[Optional[EditMask]], global_mix: Sequence[bool],
@@ -297,14 +280,10 @@ def mix_rows(ratios, masks: Sequence[Optional[EditMask]], global_mix: Sequence[b
     mixes all n K/V rows at its ratio, 1 included. Otherwise its image rows
     -- the trailing len(mask.soft) rows -- mix at the background weight
     ratio * (1 - soft), leaving edit tokens free, and its text rows keep the
-    target features so the target prompt stays in control. Every mixing row
-    blends by the one formula of LayerMix; a row whose weights are all 0
-    keeps its K/V.
-
-    A run is the maximal block of consecutive mixing rows of one ratio on
-    one base row (the same plan, mask and global_mix), and so of one weight
-    row bit for bit: its source term is made once and added to each of its
-    rows.
+    target features so the target prompt stays in control. Every row up to
+    a layer's last mixing row blends by the one formula of LayerMix, a row
+    whose weights are all 0 included (it gets its own values back, though an
+    exact -0.0 entry can come back +0.0); the rows after it keep their K/V.
     """
     ratios = np.asarray(ratios, dtype=np.float64)
     _, _, rows = ratios.shape
@@ -335,15 +314,12 @@ def mix_rows(ratios, masks: Sequence[Optional[EditMask]], global_mix: Sequence[b
     base = np.array(bases)[index]
     weight = ratios[..., None] * base
     keep = 1.0 - weight
-    # per row: 0 keeps its K/V, 1 blends, 2 blends by the weight row of the
-    # blending row before it
-    kinds = weight.any(axis=-1).astype(np.intp)
-    same = (ratios[..., 1:] == ratios[..., :-1]) & (index[1:] == index[:-1])
-    kinds[..., 1:][same & (kinds[..., :-1] > 0)] = 2
+    # per profile and layer: the row after the last with a non-zero weight
+    ends = (weight.any(axis=-1) * np.arange(1, rows + 1)).max(axis=-1, initial=0)
     weight, keep = weight[..., None], keep[..., None]
-    return tuple(tuple(LayerMix(weight[p, layer], keep[p, layer], _runs(tuple(pattern)))
-                       for layer, pattern in enumerate(per_layer))
-                 for p, per_layer in enumerate(kinds.tolist()))
+    return tuple(tuple(LayerMix(weight[p, layer], keep[p, layer], end)
+                       for layer, end in enumerate(per_layer))
+                 for p, per_layer in enumerate(ends.tolist()))
 
 
 def kv_mix(k_src: np.ndarray, v_src: np.ndarray, k_tgt: np.ndarray, v_tgt: np.ndarray,
@@ -353,8 +329,8 @@ def kv_mix(k_src: np.ndarray, v_src: np.ndarray, k_tgt: np.ndarray, v_tgt: np.nd
 
     The cached source holds one entry, (1, n, d). k_tgt and v_tgt stack one
     entry per row, at least mix.end rows, and are blended in place, with
-    ``scratch`` (their shape) for the source term; a row that keeps its K/V,
-    and every row from mix.end on, is left bitwise as it was.
+    ``scratch`` (their shape) for the source terms; every row from mix.end
+    on is left bitwise as it was.
     """
     if not (k_src.shape == v_src.shape == (1, *k_tgt.shape[1:])
             and k_tgt.shape == v_tgt.shape and k_tgt.shape[0] >= mix.end):
@@ -616,11 +592,12 @@ class ToyAttentionFlow:
     row, and inject hooks may blend each row at its own ratios (see
     mix_rows); record hooks refuse a stack, before they store anything. No
     step pools over batch entries, so every row's velocity is bitwise the
-    one it gets alone. Each layer's attention runs one head at a time over
-    slices of batch entries whose score block fits SCORE_BLOCK_BYTES, so the
-    live scores are at most one such block rather than (B, heads, n, n). The
-    views each (head, block) unit works on are made once per batch size
-    (_Scratch.views), so an evaluation slices no array per head.
+    one it gets alone, but for the signed zero of mix_rows. Each layer's
+    attention runs one head at a time over slices of batch entries whose
+    score block fits SCORE_BLOCK_BYTES, so the live scores are at most one
+    such block rather than (B, heads, n, n). The views each (head, block)
+    unit works on are made once per batch size (_Scratch.views), so an
+    evaluation slices no array per head.
 
     One layer loop runs the projections and the attention share by share.
     From LANE_SCORE_BYTES on, views splits both in two by n alone (the two
@@ -891,7 +868,8 @@ def extract_mask(attn_record: AttentionRecord, cond: Conditioning,
     """Edit mask from recorded keyword-to-image attention.
 
     The attention the keyword text token pays to each image token is averaged
-    over recorded steps (only the first ``steps``, if given), layers and
+    over recorded steps (only the first ``steps``, if given; see
+    AttentionRecord.stacked), layers and
     heads, min-max normalized to [0, 1], and thresholded at its mean. gamma
     sets the sigmoid sharpness of the soft mask; None requests the sharp
     limit (indicator with 0.5 at ties, matching the gamma -> infinity).

@@ -14,6 +14,7 @@ import json
 import logging
 import math
 import operator
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -372,6 +373,7 @@ def invert(source: Latent, c_src: Conditioning, cfg: EditConfig,
     """Integrate the source backward under the source prompt, caching K/V
     and attention on the first ``steps`` steps, then resample the inverted
     latent under the source prompt with no perturbation and no injection.
+    steps is an integer in [0, cfg.total_steps], else a ConfigError.
 
     Recording does not change the trajectory, and an edit's planned steps
     are a leading prefix (schedule weights never increase), so one Inversion
@@ -379,6 +381,7 @@ def invert(source: Latent, c_src: Conditioning, cfg: EditConfig,
     exactly.
     """
     _check_source(source, cfg)
+    Spec(int, 0, cfg.total_steps).check("steps", steps)
     model = build_model(cfg)
     grid = TimeGrid.uniform(cfg.total_steps)
     cache = KVCache()
@@ -433,17 +436,18 @@ def _sample_edits(inversion: Inversion,
     integrate_forward call, each row under its own target prompt, mask,
     global_mix and per-layer ratios: the edits' INVERSION_FIELDS agree, so
     they share the grid, the solver and the steps, and no step pools over
-    rows. Rows next to each other with one plan, mask and global_mix blend
-    one source K/V term (mix_rows). Active steps form a prefix, so the rows
-    planned at a step are a leading slice of the stack. A row's velocity
-    jump at a step is exactly 0 when its per-layer ratios equal those of the
-    next step (0 past its plan), so one velocity_jump_between call runs over
-    the leading slice when each of its rows moves, over the gathered moving
-    rows under their own mix_rows pair when only some do, and none runs when
-    no row moves; one psnr and one ssim call score the whole sampled stack.
-    So every row equals the edit sampled alone, bitwise. A divergence names
-    the failing row of the stack as its entry. Rows with one edit-token set
-    share one read-only channel_gaps array.
+    rows. Each step blends every row up to its last mixing row by one
+    formula (mix_rows). Active steps form a prefix, so the rows planned at a
+    step are a leading slice of the stack. A row's velocity jump at a step
+    is exactly 0 when its per-layer ratios equal those of the next step (0
+    past its plan), so one velocity_jump_between call runs over the leading
+    slice when each of its rows moves, over the gathered moving rows under
+    their own mix_rows pair when only some do, and none runs when no row
+    moves; one psnr and one ssim call score the whole sampled stack. So
+    every row equals the edit sampled alone, bitwise but for the signed zero
+    of mix_rows. A divergence names the failing row of the stack as its
+    entry. Rows with one edit-token set share one read-only channel_gaps
+    array.
     """
     counts = [cfg.injection_schedule.active_count for _, _, cfg in edits]
     if counts != sorted(counts, reverse=True):
@@ -517,8 +521,8 @@ def _sample_edits(inversion: Inversion,
 
     # Largest injected-velocity change between consecutive planned steps,
     # measured along the sampling trajectory (the binary cutoff jump for the
-    # binary family). A row whose plan has ended has ratio 0, so no run of a
-    # step's blends reaches past the rows planned at that step; a row whose
+    # binary family). A row whose plan has ended has ratio 0, so a step's
+    # blends end within the rows planned at that step; a row whose
     # ratios do not change at a step has the same blend on both sides and
     # jumps by exactly 0 there, so it is not evaluated.
     moves = (ratios[1:] != ratios[:-1]).any(axis=1)
@@ -603,7 +607,8 @@ def edit_grid(source: Latent, base_cfg: EditConfig, axes: Dict[str, Sequence]
 
     Returns a list of (overrides, config, result). Each row runs on its
     own config, prompts included, and every row's config is made before the
-    first run, so a bad axis value or name fails fast as a config error.
+    first run, so a bad axis value or name fails fast as a config error; so
+    does an axis that is a string or no iterable of values.
     All rows share the one source latent, so an axis cannot change its
     shape; rows keep the base config's seed unless it is an axis.
 
@@ -612,11 +617,14 @@ def edit_grid(source: Latent, base_cfg: EditConfig, axes: Dict[str, Sequence]
     per distinct value of those fields and holds one Inversion at a time.
     Each row's result equals a standalone run_edit bitwise.
     """
-    values = {name: list(axes[name]) for name in axes}
-    for name in values:
+    values = {}
+    for name, axis in axes.items():
         _spec(name)  # an unknown name is a config error
         if name in SOURCE_SHAPE_FIELDS:
             raise ConfigError(name, "cannot be an axis: every row shares one source latent")
+        if isinstance(axis, str) or not isinstance(axis, Iterable):
+            raise ConfigError(name, f"axis must be a sequence of values, got {axis!r}")
+        values[name] = list(axis)
         if not values[name]:
             raise ConfigError(name, "axis has no values")
     combos = [dict(zip(values, combo)) for combo in itertools.product(*values.values())]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import ConfigError, Spec, hold, knob
+from .errors import ConfigError, Spec, as_index, hold, knob
 from .latent import DIMENSION
 from .solvers import STEPS
 
@@ -81,27 +81,26 @@ class InjectionSchedule:
         object.__setattr__(self, "active_count",
                            sum(weight > self.activity_threshold for weight in w))
 
-    def _check_step(self, step: int) -> None:
+    def _check_step(self, step: int) -> int:
+        step = as_index("step", step)
         if not 0 <= step < self.total_steps:
             raise IndexError(f"step {step} out of range [0, {self.total_steps})")
+        return step
 
 
 def schedule_weight(s: InjectionSchedule, step: int) -> float:
-    s._check_step(step)
-    return s.weights[step]
+    return s.weights[s._check_step(step)]
 
 
 def effective_ratio(s: InjectionSchedule, delta_base: float, step: int) -> float:
     """Effective KV mixing ratio at a step: delta_base * w(step)."""
     DELTA.check("delta_base", delta_base)
-    s._check_step(step)
-    return delta_base * s.weights[step]
+    return delta_base * s.weights[s._check_step(step)]
 
 
 def is_active(s: InjectionSchedule, step: int) -> bool:
     """Whether injection (and inversion-side caching) applies at this step."""
-    s._check_step(step)
-    return s.weights[step] > s.activity_threshold
+    return s.weights[s._check_step(step)] > s.activity_threshold
 
 
 def max_step_delta(s: InjectionSchedule, delta_base: float) -> float:
@@ -136,6 +135,7 @@ class LayerRatioProfile:
 
 
 def layer_multiplier(p: LayerRatioProfile, layer: int) -> float:
+    layer = as_index("layer", layer)
     if not 0 <= layer < p.layer_count:
         raise IndexError(f"layer {layer} out of range [0, {p.layer_count})")
     if p.layer_count == 1:

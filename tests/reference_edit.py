@@ -32,14 +32,11 @@ def reference_weights(n, ratio, mask=None, global_mix=False):
 
 def reference_kv_mix(k_src, v_src, k_tgt, v_tgt, ratio, mask=None, global_mix=False):
     """One row's blend ratio*src + (1-ratio)*tgt, written out plainly at
-    reference_weights, ratio 1 included. All-zero weights return the target
-    arrays themselves. The one-entry source broadcasts over the target's
-    entries."""
+    reference_weights, ratios 0 and 1 included. The one-entry source
+    broadcasts over the target's entries."""
     if not 0.0 <= ratio <= 1.0:
         raise ValueError(f"ratio must lie in [0, 1], got {ratio}")
     w = reference_weights(k_tgt.shape[-2], ratio, mask, global_mix)[:, None]
-    if not w.any():
-        return k_tgt, v_tgt
     return w * k_src + (1.0 - w) * k_tgt, w * v_src + (1.0 - w) * v_tgt
 
 

@@ -417,7 +417,8 @@ def test_set_value_parsing():
 
 # Inputs that must end in exit 2 with an error naming the field: (argv before
 # --out, JSON config as a dict or raw text, or None, field). None may end in
-# a traceback or be silently coerced.
+# a traceback or be silently coerced. A case whose config is raw text has an
+# explicit id, since pytest would put the text into the id.
 BAD_INPUTS = [
     (["edit", "--set", "total_steps=abc"], None, "total_steps"),
     (["edit", "--set", "source_prompt_ids=1,2,x,4"], None, "source_prompt_ids"),
@@ -457,7 +458,7 @@ BAD_INPUTS = [
     (["edit"], {"soft_mask_gamma": -10**400}, "soft_mask_gamma"),
     # a repeated key would silently keep only its last value; raw JSON text,
     # since a dict cannot repeat a key
-    (["edit"], '{"alpha": 2, "alpha": 0.1}', "alpha"),
+    pytest.param(["edit"], '{"alpha": 2, "alpha": 0.1}', "alpha", id="repeated-json-key"),
     # batch set or read from a file is an unknown field too
     (["edit", "--set", "batch=2"], None, "batch"),
     (["edit"], {"batch": 2}, "batch"),
@@ -476,7 +477,7 @@ BAD_INPUTS = [
     # the default target prompt puts text_tokens + 5 = 9 at the keyword
     (["edit", "--set", "vocab_size=8"], None, "target_prompt_ids"),
     # a config file holds one JSON object
-    (["edit"], "[1, 2]", "config"),
+    pytest.param(["edit"], "[1, 2]", "config", id="json-array-config"),
     # an empty list item, also before a trailing separator, would be dropped
     (["ablate", "--axis", "alpha=0.1,,0.5"], None, "alpha"),
     (["ablate", "--axis", "alpha=0.1,0.5,"], None, "alpha"),

@@ -55,7 +55,7 @@ def test_psnr_default_peak_from_reference():
     assert psnr(a, b) == psnr(a, b, peak=float(np.ptp(a.data)))
 
 
-@pytest.mark.parametrize("peak", (-1.0, 0.0, math.nan, -math.inf, math.inf))
+@pytest.mark.parametrize("peak", (-1.0, 0.0, math.nan, -math.inf, math.inf, True, "x"))
 def test_psnr_rejects_a_bad_explicit_peak_even_when_the_latents_match(peak):
     z = sample_gaussian(SeededRng(1), 1, 16, 2)
     with pytest.raises(ValueError, match="peak must be positive"):
@@ -64,6 +64,16 @@ def test_psnr_rejects_a_bad_explicit_peak_even_when_the_latents_match(peak):
         psnr(z, Latent(np.concatenate([z.data, z.data])), peak=peak, rows=2)
     with pytest.raises(ValueError, match="peak must be positive"):
         ssim(z, z, peak=peak)
+
+
+@pytest.mark.parametrize("rows", (1.0, True))
+def test_psnr_and_ssim_refuse_a_row_count_that_is_no_integer(rows):
+    # 1.0 used to be scored as one row, True to end in a bare TypeError
+    z = sample_gaussian(SeededRng(1), 1, 16, 2)
+    for metric in (psnr, ssim):
+        with pytest.raises(ValueError, match="rows must be an integer"):
+            metric(z, z, peak=1.0, rows=rows)
+        assert metric(z, z, peak=1.0, rows=np.int64(1)) == metric(z, z, peak=1.0, rows=1)
 
 
 def test_psnr_of_a_constant_reference_with_itself_is_infinite_without_a_peak():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from adaedit import models, pipeline
 from adaedit.diagnostics import velocity_jump_between
-from adaedit.errors import CacheMissError
+from adaedit.errors import CacheMissError, ConfigError
 from adaedit.latent import Latent, SeededRng, sample_gaussian
 from adaedit.models import (SCORE_BLOCK_BYTES, AnalyticLinearFlow, AttentionRecord,
                             Conditioning, EditMask, InjectionHooks, KVCache,
@@ -194,27 +194,36 @@ def test_kv_mix_ratio_domain_error():
         mix_rows([[[0.5]]], [EditMask(np.ones(3))], [False], 2)
 
 
+# each case's id names its mode and the field at fault, so rewording a
+# message renames no test
 @pytest.mark.parametrize("mode, kwargs, message", (
-    ("replay", {"cache": KVCache()}, "hook mode must be one of"),
-    ("record", {}, "record mode requires a cache"),
-    ("inject", {"cache": KVCache()}, "inject mode requires per-layer mix ratios"),
+    pytest.param("replay", {"cache": KVCache()}, "hook mode must be one of", id="replay-mode"),
+    pytest.param("record", {}, "record mode requires a cache", id="record-no-cache"),
+    pytest.param("inject", {"cache": KVCache()}, "inject mode requires per-layer mix ratios",
+                 id="inject-no-ratios"),
     # a field the mode would ignore
-    ("record", {"cache": KVCache(), "mix_ratios": (0.5, 0.5)}, "record mode takes no mix_ratios"),
-    ("record", {"cache": KVCache(), "mixes": ()}, "record mode takes no mixes"),
-    ("record", {"cache": KVCache(), "mix_ratios": (0.5,), "mixes": ()},
-     "record mode takes no mix_ratios or mixes"),
-    ("inject", {"cache": KVCache(), "mix_ratios": (0.5, 0.5), "attn_sink": AttentionRecord()},
-     "inject mode takes no attn_sink"),
-    ("inject", {"cache": KVCache(), "mix_ratios": (0.5, 0.5), "mixes": ()},
-     "inject mode takes no mix_ratios beside mixes"),
+    pytest.param("record", {"cache": KVCache(), "mix_ratios": (0.5, 0.5)},
+                 "record mode takes no mix_ratios", id="record-mix_ratios"),
+    pytest.param("record", {"cache": KVCache(), "mixes": ()}, "record mode takes no mixes",
+                 id="record-mixes"),
+    pytest.param("record", {"cache": KVCache(), "mix_ratios": (0.5,), "mixes": ()},
+                 "record mode takes no mix_ratios or mixes", id="record-mixes-and-mix_ratios"),
+    pytest.param("inject", {"cache": KVCache(), "mix_ratios": (0.5, 0.5),
+                            "attn_sink": AttentionRecord()},
+                 "inject mode takes no attn_sink", id="inject-attn_sink"),
+    pytest.param("inject", {"cache": KVCache(), "mix_ratios": (0.5, 0.5), "mixes": ()},
+                 "inject mode takes no mix_ratios beside mixes", id="inject-mix_ratios-and-mixes"),
     # a mask or a global_mix flag that the mode, or mixes, would leave unread
-    ("record", {"cache": KVCache(), "background_mask": EditMask(np.ones(16))},
-     "record mode takes no background_mask"),
-    ("record", {"cache": KVCache(), "global_mix": True}, "record mode takes no global_mix"),
-    ("inject", {"cache": KVCache(), "mixes": (), "background_mask": EditMask(np.ones(16))},
-     "inject mode takes no background_mask beside mixes"),
-    ("inject", {"cache": KVCache(), "mixes": (), "global_mix": True},
-     "inject mode takes no global_mix beside mixes"),
+    pytest.param("record", {"cache": KVCache(), "background_mask": EditMask(np.ones(16))},
+                 "record mode takes no background_mask", id="record-background_mask"),
+    pytest.param("record", {"cache": KVCache(), "global_mix": True},
+                 "record mode takes no global_mix", id="record-global_mix"),
+    pytest.param("inject", {"cache": KVCache(), "mixes": (),
+                            "background_mask": EditMask(np.ones(16))},
+                 "inject mode takes no background_mask beside mixes",
+                 id="inject-background_mask-and-mixes"),
+    pytest.param("inject", {"cache": KVCache(), "mixes": (), "global_mix": True},
+                 "inject mode takes no global_mix beside mixes", id="inject-global_mix-and-mixes"),
 ))
 def test_injection_hooks_reject_a_bad_mode_a_missing_cache_or_ratios(mode, kwargs, message):
     with pytest.raises(ValueError, match=message):
@@ -255,8 +264,10 @@ def test_kv_mix_soft_mask_partial_rows():
 
 def test_kv_mix_keeps_a_ratio_zero_row_of_a_mixed_stack_bitwise():
     # rows: blend at 0.5 under a mask, ratio 0, ratio 1 applied globally,
-    # ratio 0.3 under a mask that leaves no background row; a target entry of
-    # -0.0 would turn +0.0 in any sum with a +0.0 source term
+    # ratio 0.3 under a mask that leaves no background row. Row 1 sits before
+    # the last mixing row (2), so it blends by the one formula and gets its
+    # values back, but a target entry of -0.0 turns +0.0 in its sum with a
+    # +0.0 source term; row 3, after the last mixing row, keeps its K/V
     n, d = 6, 3
     rng = SeededRng(4)
     k_src, v_src = np.abs(rng.standard_normal((1, n, d))), rng.standard_normal((1, n, d))
@@ -266,23 +277,26 @@ def test_kv_mix_keeps_a_ratio_zero_row_of_a_mixed_stack_bitwise():
     masks = [EditMask(np.array([0.0, 0.5, 1.0, 0.25])), None, None,
              EditMask(np.ones(4))]
     (mix,), = mix_rows([[[0.5, 0.0, 1.0, 0.3]]], masks, [False, False, True, False], n)
+    assert mix.end == 3
     k, v = k_tgt.copy(), v_tgt.copy()
     got = kv_mix(k_src, v_src, k, v, mix, scratch=np.empty_like(k))
     assert got[0] is k and got[1] is v
     for row, (ratio, mask, flag) in enumerate(zip((0.5, 0.0, 1.0, 0.3), masks,
                                                   (False, False, True, False))):
         rows = slice(row, row + 1)
-        want = reference_kv_mix(k_src, v_src, k_tgt[rows], v_tgt[rows], ratio, mask, flag)
+        want = (reference_kv_mix(k_src, v_src, k_tgt[rows], v_tgt[rows], ratio, mask, flag)
+                if row < mix.end else (k_tgt[rows], v_tgt[rows]))
         for mixed, expected in zip((k[rows], v[rows]), want):
             assert np.array_equal(mixed, expected)
             assert np.array_equal(np.signbit(mixed), np.signbit(expected))
-    for row in (1, 3):  # the rows that keep their K/V
-        assert np.signbit(k[row, 0, 0]) and np.signbit(v[row, 1]).all()
+    assert np.array_equal(k[1], k_tgt[1]) and np.array_equal(v[1], v_tgt[1])
+    assert k[1, 0, 0] == 0.0 and not np.signbit(k[1, 0, 0])  # -0.0 + +0.0 source term
+    assert np.signbit(k[3, 0, 0]) and np.signbit(v[3, 1]).all()
 
 
 @pytest.mark.parametrize("stack_rows", (2, 4))
 def test_kv_mix_keeps_every_row_from_the_mix_end_on_bitwise(stack_rows):
-    # three rows of weights of which only the first blends, so the runs end
+    # three rows of weights of which only the first blends, so the mix ends
     # at row 1: a stack of fewer rows than the weights (a velocity-jump
     # pair's planned rows) or of more is blended alike, and its rows from 1
     # on keep their signed zeros
@@ -306,9 +320,10 @@ def test_kv_mix_keeps_every_row_from_the_mix_end_on_bitwise(stack_rows):
 
 
 # rows 0-2 share a mask and a ratio (one weight row), row 3 has their ratio
-# under another mask and row 4 another ratio under it, row 5 keeps its K/V,
-# rows 6-7 mix globally at ratio 1, rows 8-9 mix globally at one ratio, row 10
-# blends alone and row 11 keeps
+# under another mask and row 4 another ratio under it, row 5 has ratio 0
+# before later mixing rows, rows 6-7 mix globally at ratio 1, rows 8-9 mix
+# globally at one ratio, row 10 is the last mixing row and row 11, at ratio 0
+# after it, keeps its K/V
 FIRST, SECOND = EditMask(np.array([0.0, 0.5, 1.0, 0.25])), EditMask(np.full(4, 0.5))
 HAND_ROWS = ([(0.5, FIRST, False)] * 3
              + [(0.5, SECOND, False), (0.3, SECOND, False), (0.0, None, False),
@@ -319,8 +334,8 @@ HAND_ROWS = ([(0.5, FIRST, False)] * 3
 def drawn_rows(seed):
     """A seeded stack of 4-15 rows, each of a ratio in {0, 0.3, 0.5, 1}, one
     of the two masks or none, and a drawn global_mix flag; half the rows
-    repeat the row before, so runs of several rows are common, and 0-3 rows
-    past the weights are stacked too."""
+    repeat the row before, so neighbours of one weight row are common, and
+    0-3 rows past the weights are stacked too."""
     rng = np.random.default_rng(seed)
     rows = []
     for _ in range(rng.integers(4, 16)):
@@ -335,27 +350,21 @@ def drawn_rows(seed):
 @pytest.mark.parametrize("rows,stack_rows", (
     *(pytest.param(HAND_ROWS, size, id=str(size)) for size in (11, 14)),
     *(pytest.param(*drawn_rows(seed), id=f"drawn-{seed}") for seed in range(8))))
-def test_kv_mix_shares_the_source_term_of_rows_with_one_weight_row_bitwise(rows, stack_rows):
-    # each run is the maximal block of consecutive mixing rows of one weight
-    # row, bit for bit, and the runs cover exactly the mixing rows; the
-    # hand-written stack's runs end at row 11, and a stack of 11 rows (fewer
-    # than the weights) or 14 is blended alike; signed zeros in the source
-    # and the targets show the order of each sum
+def test_kv_mix_blends_every_row_before_the_mix_end_by_one_formula_bitwise(rows, stack_rows):
+    # the mix ends after the last row with a non-zero weight (0 if none);
+    # every row before it, a zero-weight row too, blends by the one formula
+    # and every row from it on keeps its K/V; the hand-written stack ends at
+    # row 11, and a stack of 11 rows (fewer than the weights) or 14 is
+    # blended alike; signed zeros in the source and the targets show the
+    # order of each sum
     n, d = 6, 3
     rng = SeededRng(12)
     ratios, masks, flags = zip(*rows)
     (mix,), = mix_rows([[list(ratios)]], masks, flags, n)
-    if rows is HAND_ROWS:
-        assert mix.runs == ((0, 3), (3, 4), (4, 5), (6, 8), (8, 10), (10, 11))
-        assert mix.end == 11
-    weights = [reference_weights(n, *row).tobytes() for row in rows]
     mixing = [r for r, row in enumerate(rows) if reference_weights(n, *row).any()]
-    assert [r for lo, hi in mix.runs for r in range(lo, hi)] == mixing
-    assert mix.end == (mix.runs[-1][1] if mixing else 0)
-    for lo, hi in mix.runs:
-        assert all(weights[r] == weights[lo] for r in range(lo, hi)), (lo, hi)
-        for edge in (lo - 1, hi):  # a neighbour that mixes has another weight row
-            assert edge not in mixing or weights[edge] != weights[lo], (lo, hi)
+    assert mix.end == (mixing[-1] + 1 if mixing else 0)
+    if rows is HAND_ROWS:
+        assert mix.end == 11
     k_src, v_src = rng.standard_normal((1, n, d)), rng.standard_normal((1, n, d))
     k_src[:, 2, 0] = -0.0
     k_tgt, v_tgt = (rng.standard_normal((stack_rows, n, d)) for _ in range(2))
@@ -365,7 +374,7 @@ def test_kv_mix_shares_the_source_term_of_rows_with_one_weight_row_bitwise(rows,
     kv_mix(k_src, v_src, k, v, mix, scratch=np.empty_like(k))
     for row in range(stack_rows):
         at = slice(row, row + 1)
-        if row < len(rows):
+        if row < mix.end:
             want = reference_kv_mix(k_src, v_src, k_tgt[at], v_tgt[at], *rows[row])
         else:
             want = k_tgt[at], v_tgt[at]
@@ -379,7 +388,7 @@ def test_kv_mix_rejects_a_stack_its_mix_does_not_fit():
     a = np.zeros((1, n, d))
     (mix,), = mix_rows([[[0.0, 0.5]]], [None, None], [False, False], n)
     assert mix.end == 2
-    for k_tgt in (np.zeros((1, n, d)),       # runs reach past a stack of one row
+    for k_tgt in (np.zeros((1, n, d)),       # the mix reaches past a stack of one row
                   np.zeros((2, n, d + 1))):  # trailing shapes differ
         with pytest.raises(ValueError, match="shape mismatch"):
             kv_mix(a, a, k_tgt, k_tgt.copy(), mix, np.empty_like(k_tgt))
@@ -1235,6 +1244,18 @@ def test_extract_mask_gamma_controls_saturation():
 def test_extract_mask_requires_recordings():
     with pytest.raises(RuntimeError):
         extract_mask(AttentionRecord(), COND, gamma=5.0)
+
+
+@pytest.mark.parametrize("steps", (0, 3, 9, 2.5, 1.0, True))
+def test_extract_mask_refuses_a_step_count_the_record_does_not_hold(steps):
+    # a record of two steps: 3 and 9 used to give the two-step mask, 2.5 to
+    # average three steps' worth of keys, 0 to end in a bare RuntimeError
+    sink = make_record(default_flow(), default_latent(), COND, steps=(0, 1))
+    with pytest.raises(ConfigError, match="steps: must be an integer in"):
+        extract_mask(sink, COND, 5.0, steps)
+    with pytest.raises(ConfigError, match="steps: must be an integer in"):
+        sink.stacked(steps)
+    assert np.array_equal(extract_mask(sink, COND, 5.0, 2).soft, extract_mask(sink, COND, 5.0).soft)
 
 
 def test_extract_mask_output_domains():

@@ -9,7 +9,7 @@ from adaedit.latent import Latent, SeededRng, sample_gaussian
 from adaedit.perturbation import (ChannelWeights, PerturbationConfig,
                                   blend_weights, channel_gap, channel_weights,
                                   latents_shift_channel_selective,
-                                  latents_shift_uniform)
+                                  latents_shift_uniform, shift_stats)
 
 
 def adain(x, y):
@@ -107,6 +107,21 @@ def test_channel_gap_rejects_an_out_of_range_token():
     z = Latent(np.zeros((1, 4, 2)))
     with pytest.raises(IndexError):
         channel_gap(z, z, {5})
+    # a token that is no integer is refused by name, not truncated or read
+    # from a bool, by every function that resolves tokens; integer arrays,
+    # such as ShiftStats.idx, pass
+    z_inv, z_rand = make_pair()
+    shifts = (lambda tokens: channel_gap(z_inv, z_rand, tokens),
+              lambda tokens: shift_stats(z_inv, z_rand, tokens),
+              lambda tokens: latents_shift_uniform(z_inv, z_rand, 0.5, tokens),
+              lambda tokens: latents_shift_channel_selective(
+                  z_inv, z_rand, PerturbationConfig(0.5, 1.0), tokens)[0])
+    for shift in shifts:
+        for tokens in ([0.5, 3.9], [True], np.array([1.0, 3.0])):
+            with pytest.raises(ValueError, match="token index in tokens must be an integer"):
+                shift(tokens)
+    assert np.array_equal(shift_stats(z_inv, z_rand, np.array([3, 1], dtype=np.int32)).idx,
+                          [1, 3])
 
 
 def test_channel_gap_over_all_tokens_matches_the_unsliced_means():
@@ -191,10 +206,10 @@ def test_channel_weights_validation():
 
 
 @pytest.mark.parametrize("alpha, message", (
-    ([np.nan, 1.0], "must be nonnegative"),
-    ([np.nan, np.nan], "must be nonnegative"),
-    ([-np.inf, np.inf], "must be nonnegative"),
-    ([np.inf, 0.0], "must have mean 1"),
+    pytest.param([np.nan, 1.0], "must be nonnegative", id="nan-and-one"),
+    pytest.param([np.nan, np.nan], "must be nonnegative", id="all-nan"),
+    pytest.param([-np.inf, np.inf], "must be nonnegative", id="minus-and-plus-inf"),
+    pytest.param([np.inf, 0.0], "must have mean 1", id="inf-and-zero"),
 ))
 def test_channel_weights_reject_non_finite_entries(alpha, message):
     with pytest.raises(ValueError, match=message):

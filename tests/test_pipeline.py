@@ -596,6 +596,25 @@ def test_sample_edits_takes_edits_longest_plan_first():
         max_step_delta(c.injection_schedule, c.delta_base) for c in (cfg, short)]
 
 
+@pytest.mark.parametrize("steps", (1.5, True, -3, 99))
+def test_invert_refuses_a_step_count_outside_its_grid(steps):
+    # 1.5 used to record steps 0-1, True step 0, -3 nothing and 99 all 15
+    cfg = EditConfig()
+    with pytest.raises(ConfigError, match=r"steps: must be an integer in \[0, 15\]"):
+        invert(generate_source_latent(cfg), cfg.source_conditioning(), cfg, steps)
+
+
+@pytest.mark.parametrize("axes, field", (
+    ({"schedule": "binary"}, "schedule"),  # used to run one row per character
+    ({"alpha": 0.5}, "alpha"),             # used to end in a bare TypeError
+))
+def test_grid_refuses_an_axis_that_is_a_string_or_a_scalar(axes, field):
+    cfg = EditConfig()
+    with pytest.raises(ConfigError, match=f"{field}: axis must be a sequence of values") as exc:
+        edit_grid(generate_source_latent(cfg), cfg, axes)
+    assert exc.value.field == field
+
+
 def test_grid_rows_of_one_token_set_cannot_write_their_shared_channel_gaps():
     cfg = EditConfig()
     src = generate_source_latent(cfg)

@@ -45,6 +45,15 @@ def test_schedule_weight_out_of_range():
         schedule_weight(s, 15)
     with pytest.raises(IndexError):
         schedule_weight(s, -1)
+    # a step that is no integer, a bool included, is refused by name in every
+    # lookup, not read as step 1 or a bare TypeError; numpy integers pass
+    lookups = (lambda step: schedule_weight(s, step), lambda step: is_active(s, step),
+               lambda step: effective_ratio(s, 0.9, step))
+    for lookup in lookups:
+        for step in (True, 1.5, 2.0):
+            with pytest.raises(ValueError, match="step must be an integer"):
+                lookup(step)
+        assert lookup(np.int64(2)) == lookup(2)
 
 
 def test_effective_ratio_examples():
@@ -168,6 +177,11 @@ def test_layer_multiplier_examples():
 def test_layer_multiplier_out_of_range():
     with pytest.raises(IndexError):
         layer_multiplier(LayerRatioProfile(2, 0.2), 2)
+    # not truncated to a layer, nor read from a bool
+    for layer in (0.5, True):
+        with pytest.raises(ValueError, match="layer must be an integer"):
+            layer_multiplier(LayerRatioProfile(2, 0.2), layer)
+    assert layer_multiplier(LayerRatioProfile(2, 0.2), np.int64(1)) == pytest.approx(1.1)
 
 
 def test_layer_multiplier_positive_nondecreasing():
